@@ -97,14 +97,24 @@ def _play_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write ``--out`` text; an unwritable path is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {path}: {exc.strerror or exc}"
+        ) from exc
+
+
 def cmd_play(args) -> int:
     scenario, notices = _load(args)
     table = evaluate(scenario)
     report = RunReport(scenario=scenario, table=table, notices=tuple(notices))
     _print_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_play_csv(report))
+        _write_out(args.out, _play_csv(report))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -141,8 +151,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(spec, jobs=args.jobs)
     csv_text = _sweep_csv(result, scenario.num_players, scenario.num_battlefields)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
+        _write_out(args.out, csv_text)
         boundary_stream = sys.stdout
         print(f"wrote {args.out}")
     else:

@@ -60,7 +60,8 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
             f"troop commitment {soldiers!r} exceeds Blotto's budget "
             f"{blotto_total!r}; no valid allocation can reach this"
         )
-    return HALF_PI * soldiers / blotto_total
+    # The product can round one ulp above pi/2 when soldiers == blotto_total.
+    return min(HALF_PI * soldiers / blotto_total, HALF_PI)
 
 
 def strategy_gate(angle: float, phase: float = 0.0) -> ComplexMatrix:

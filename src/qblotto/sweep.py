@@ -2,20 +2,24 @@
 
 Payoffs are integer-valued step functions of the swept parameter, so a
 sweep records exact payoff vectors on a grid and, where two neighboring
-grid points disagree, localizes the transition by bisection. A small
-exhaustive grid search over one player's phases finds their best
-reachable payoff with allocations held fixed.
+grid points disagree, localizes every transition in that cell by
+bisection. A grid search over one player's phases finds their best
+reachable payoff with allocations held fixed. The payoff is a sum of
+per-battlefield terms and the phase on battlefield k moves only term k,
+so the search costs ``steps`` evaluations, not ``steps**n``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .classical import sgn_eps
 from .engine import (
     EntanglerConfig,
     MeasurementTable,
@@ -34,7 +38,9 @@ SWEEP_PARAMETERS = ("phi", "lambda", "gamma")
 # Bisection width for payoff-transition boundaries, in radians.
 TRANSITION_RESOLUTION = 1e-6
 
-# Cap on exhaustive phase grids: 64 steps on up to 4 battlefields.
+# Cap on the phase grid's full size, steps**n: 64 steps on up to 4
+# battlefields. The separable search costs only ``steps`` evaluations; the
+# cap is kept so that the accepted inputs stay as they were.
 MAX_GRID_POINTS = 64**4
 
 DEFAULT_SWEEP_STEPS = 101
@@ -118,9 +124,53 @@ class PayoffTransition:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Grid points and located transitions of one sweep.
+
+    The grid is stored packed: parameter values and strengths as float64
+    bytes, payoffs as int64 bytes. That is several times smaller than a
+    tuple of :class:`SweepPoint` objects, which ``points`` rebuilds bit
+    for bit on each access.
+    """
+
     spec: SweepSpec
-    points: tuple[SweepPoint, ...]
+    points: InitVar[Sequence[SweepPoint]]
     transitions: tuple[PayoffTransition, ...]
+    grid_bytes: bytes = field(init=False, repr=False)
+    payoff_bytes: bytes = field(init=False, repr=False)
+    strength_bytes: bytes = field(init=False, repr=False)
+
+    def __post_init__(self, points: Sequence[SweepPoint]):
+        grid = array("d", [p.value for p in points])
+        payoffs = array("q", [x for p in points for x in p.payoffs])
+        strengths = array("d", [v for p in points for row in p.values for v in row])
+        object.__setattr__(self, "grid_bytes", grid.tobytes())
+        object.__setattr__(self, "payoff_bytes", payoffs.tobytes())
+        object.__setattr__(self, "strength_bytes", strengths.tobytes())
+
+    def _unpack(self) -> tuple[SweepPoint, ...]:
+        grid, payoffs, strengths = array("d"), array("q"), array("d")
+        grid.frombytes(self.grid_bytes)
+        payoffs.frombytes(self.payoff_bytes)
+        strengths.frombytes(self.strength_bytes)
+        players = self.spec.base.num_players
+        n = self.spec.base.num_battlefields
+        cells = players * n
+        return tuple(
+            SweepPoint(
+                value=value,
+                payoffs=tuple(payoffs[i * players : (i + 1) * players]),
+                values=tuple(
+                    tuple(strengths[i * cells + j * n : i * cells + (j + 1) * n])
+                    for j in range(players)
+                ),
+            )
+            for i, value in enumerate(grid)
+        )
+
+
+# Set after the class body: a property defined inside it would become the
+# default of the ``points`` init argument.
+SweepResult.points = property(SweepResult._unpack, doc="Grid points in order.")
 
 
 def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
@@ -177,43 +227,59 @@ def run_sweep(
     else:
         tables = [evaluate_at(v) for v in values]
 
-    points = tuple(
+    points = [
         SweepPoint(value=v, payoffs=t.payoffs, values=t.values)
         for v, t in zip(values, tables)
-    )
+    ]
 
     transitions: list[PayoffTransition] = []
     if locate_transitions:
         for left, right in zip(points, points[1:]):
             if left.payoffs != right.payoffs:
-                transitions.append(
-                    _bisect_transition(
-                        evaluate_at, left.value, right.value, left.payoffs, resolution
+                transitions.extend(
+                    _bisect_transitions(
+                        evaluate_at,
+                        left.value,
+                        right.value,
+                        left.payoffs,
+                        right.payoffs,
+                        resolution,
                     )
                 )
     return SweepResult(spec=spec, points=points, transitions=tuple(transitions))
 
 
-def _bisect_transition(
+def _bisect_transitions(
     evaluate_at: Callable[[float], MeasurementTable],
     lo: float,
     hi: float,
     lo_payoffs: tuple[int, ...],
+    hi_payoffs: tuple[int, ...],
     resolution: float,
-) -> PayoffTransition:
-    """Narrow the first payoff change in (lo, hi] to ``resolution`` width."""
-    hi_payoffs = evaluate_at(hi).payoffs
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        mid_payoffs = evaluate_at(mid).payoffs
-        if mid_payoffs == lo_payoffs:
-            lo = mid
-        else:
-            hi = mid
-            hi_payoffs = mid_payoffs
-    return PayoffTransition(
-        boundary=0.5 * (lo + hi), below=lo_payoffs, above=hi_payoffs
-    )
+) -> list[PayoffTransition]:
+    """Narrow every payoff change in (lo, hi] to ``resolution`` width.
+
+    Bisection narrows one change away from ``lo_payoffs``; the search
+    then restarts from that change's upper end until it reaches
+    ``hi_payoffs``, so a cell holding several transitions reports each.
+    """
+    found = []
+    while lo_payoffs != hi_payoffs:
+        upper, upper_payoffs = hi, hi_payoffs
+        while upper - lo > resolution:
+            mid = 0.5 * (lo + upper)
+            mid_payoffs = evaluate_at(mid).payoffs
+            if mid_payoffs == lo_payoffs:
+                lo = mid
+            else:
+                upper, upper_payoffs = mid, mid_payoffs
+        found.append(
+            PayoffTransition(
+                boundary=0.5 * (lo + upper), below=lo_payoffs, above=upper_payoffs
+            )
+        )
+        lo, lo_payoffs = upper, upper_payoffs
+    return found
 
 
 @dataclass(frozen=True)
@@ -281,12 +347,20 @@ class BestResponse:
 def best_response_grid(
     base: Scenario, player: int, phi_grid_steps: int
 ) -> BestResponse:
-    """Exhaustive search over one player's phases on [0, pi/2]^n.
+    """Best phases for one player on the grid [0, pi/2]^n.
 
-    Allocations stay fixed; every combination of ``phi_grid_steps``
-    evenly spaced phases per battlefield is evaluated. Returns the best
-    payoff for ``player`` and the lexicographically smallest grid point
-    achieving it.
+    Allocations stay fixed and each battlefield's phase takes one of
+    ``phi_grid_steps`` evenly spaced values. Returns the best payoff for
+    ``player`` and the lexicographically smallest grid point achieving
+    it.
+
+    The payoff is a sum of per-battlefield terms, and the phase on
+    battlefield k moves only term k. So one evaluation per grid value,
+    with all of the player's phases at that value, scores every
+    battlefield at once, and the smallest index maximizing each term
+    gives the optimum: ``phi_grid_steps`` evaluations, not
+    ``phi_grid_steps**n``. The cap on ``phi_grid_steps**n`` is kept for
+    compatibility.
     """
     if phi_grid_steps < 2:
         raise ValidationError(f"need at least 2 grid steps, got {phi_grid_steps}")
@@ -305,29 +379,23 @@ def best_response_grid(
 
     strategies = list(strategies_of(scenario))
     config = scenario.entangler_config
+    eps = scenario.eps
+    angles = strategies[player - 1].angles
     axis = [float(v) for v in np.linspace(0.0, HALF_PI, phi_grid_steps)]
 
-    best_payoff: int | None = None
-    best_phases: tuple[float, ...] = ()
-    counters = [0] * n
-    while True:
-        phases = tuple(axis[c] for c in counters)
-        moved = list(strategies)
-        moved[player - 1] = QuantumStrategy(moved[player - 1].angles, phases)
-        table = evaluate_strategies(moved, config, scenario.eps)
-        payoff = table.payoffs[player - 1]
-        if best_payoff is None or payoff > best_payoff:
-            best_payoff = payoff
-            best_phases = phases
-        # lexicographic increment, most significant axis first
-        slot = n - 1
-        while slot >= 0:
-            counters[slot] += 1
-            if counters[slot] < phi_grid_steps:
-                break
-            counters[slot] = 0
-            slot -= 1
-        if slot < 0:
-            break
-    assert best_payoff is not None
-    return BestResponse(player=player, payoff=best_payoff, phases=best_phases)
+    best_terms = [-2] * n  # below every sgn_eps term
+    best_index = [0] * n
+    for s, phase in enumerate(axis):
+        strategies[player - 1] = QuantumStrategy(angles, (phase,) * n)
+        table = evaluate_strategies(strategies, config, eps)
+        own, rivals = table.values[player - 1], table.rival_best[player - 1]
+        for k in range(n):
+            term = sgn_eps(own[k] - rivals[k], eps)
+            if term > best_terms[k]:
+                best_terms[k] = term
+                best_index[k] = s
+    return BestResponse(
+        player=player,
+        payoff=sum(best_terms),
+        phases=tuple(axis[s] for s in best_index),
+    )

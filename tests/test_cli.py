@@ -92,6 +92,13 @@ class TestPlay:
         assert main(["play", golden_file, "--eps", "1e-6"]) == 0
         assert "1e-06" in capsys.readouterr().out
 
+    def test_unwritable_out_exit_2(self, golden_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "report.csv"
+        assert main(["play", golden_file, "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert str(out_path) in err
+
 
 class TestSweep:
     def sweep_args(self, scenario_file, out_path, steps="101"):
@@ -170,6 +177,13 @@ class TestSweep:
         args[args.index("--param") + 1] = "phi"
         args[args.index("--steps") + 1] = "1"
         assert main(args) == 2
+
+    def test_unwritable_out_exit_2(self, golden_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "sweep.csv"
+        assert main(self.sweep_args(golden_file, out_path, steps="5")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert str(out_path) in err
 
 
 class TestVerify:
