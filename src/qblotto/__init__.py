@@ -1,9 +1,10 @@
 """Deterministic simulator for the multiplayer quantum Colonel Blotto game.
 
-The package couples a small dense complex tensor core with the quantum
-game protocol (strategy gates, entangler, partial-trace measurements),
-a classical Blotto oracle for cross-validation, parameter sweep tooling
-and a CLI (``qblotto play | sweep | verify | oracle``).
+The package couples the quantum game protocol (strategy gates,
+entangler, strengths read off the final state) with a dense
+Kronecker/partial-trace reference used by the tests, a classical Blotto
+oracle for cross-validation, parameter sweep tooling and a CLI
+(``qblotto play | sweep | verify | oracle``).
 """
 
 from .classical import (

@@ -9,6 +9,7 @@ classical limit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,8 +64,10 @@ def validate_allocation(
 
 def sgn_eps(x: float, eps: float = DEFAULT_TIE_EPS) -> int:
     """Signum with a tie band: 0 whenever ``|x| <= eps``."""
-    if eps < 0:
-        raise ValidationError(f"tie tolerance must be non-negative, got {eps!r}")
+    if not 0 <= eps < math.inf:
+        raise ValidationError(
+            f"tie tolerance must be finite and non-negative, got {eps!r}"
+        )
     if abs(x) <= eps:
         return 0
     return 1 if x > 0 else -1

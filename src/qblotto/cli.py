@@ -3,8 +3,8 @@
 Subcommands: ``play`` evaluates one scenario file, ``sweep`` grids one
 parameter and emits CSV, ``verify`` runs the built-in golden suite and
 ``oracle`` cross-checks the classical limit against the classical game.
-Exit codes: 0 success, 1 check failure, 2 input or validation error,
-3 numerical-integrity error.
+Exit codes: 0 success, 1 check failure, 2 input or validation error
+(including a scenario too large for memory), 3 numerical-integrity error.
 """
 
 from __future__ import annotations
@@ -296,6 +296,12 @@ def main(argv=None) -> int:
     except NumericalIntegrityError as exc:
         print(f"numerical integrity error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        print(
+            "error: out of memory; reduce the player count or battlefield count",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

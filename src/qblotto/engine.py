@@ -32,7 +32,8 @@ from .tensor import ComplexMatrix, StateVector, TensorDims
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
 
-# Tolerances for runtime operator self-checks.
+# Tolerances for the even-count unitarity rule, the [0, 1] range of a
+# strength and the reference entangler's unitarity and commutation probes.
 UNITARITY_EPS = 1e-10
 COMMUTATION_EPS = 1e-10
 
@@ -97,11 +98,13 @@ class QuantumStrategy:
             raise ValidationError("strategy needs at least one battlefield")
         if len(phases) != len(angles):
             raise DimensionError(len(angles), len(phases), "strategy phases")
-        for k, a in enumerate(angles, start=1):
+        for k, (a, p) in enumerate(zip(angles, phases), start=1):
             if not -_ANGLE_SLACK <= a <= HALF_PI + _ANGLE_SLACK:
                 raise ValidationError(
                     f"battlefield {k} rotation angle {a!r} outside [0, pi/2]"
                 )
+            if not math.isfinite(p):
+                raise ValidationError(f"battlefield {k} phase {p!r} is not finite")
 
     @classmethod
     def from_allocation(
@@ -244,10 +247,17 @@ class Scenario:
         for j, row in enumerate(phases, start=1):
             if len(row) != n:
                 raise DimensionError(n, len(row), f"player {j} phases")
+            for k, p in enumerate(row, start=1):
+                if not math.isfinite(p):
+                    raise ValidationError(
+                        f"phase for player {j}, battlefield {k} is not finite: {p!r}"
+                    )
         if len(pattern) != n:
             raise DimensionError(n, len(pattern), "sign pattern")
-        if self.eps < 0:
-            raise ValidationError(f"tie tolerance must be non-negative, got {self.eps!r}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValidationError(
+                f"tie tolerance must be finite and non-negative, got {self.eps!r}"
+            )
 
     @classmethod
     def create(
@@ -382,15 +392,6 @@ def strategies_of(scenario: Scenario) -> tuple[QuantumStrategy, ...]:
     )
 
 
-def battlefield_projector(battlefield: int, num_battlefields: int) -> ComplexMatrix:
-    """Projector onto the 1-based battlefield basis state of the register."""
-    slot = _battlefield_slot(battlefield, num_battlefields)
-    proj = np.zeros((num_battlefields, num_battlefields), dtype=complex)
-    proj[slot, slot] = 1.0
-    return proj
-
-
-_COMMITTED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1><1|
 _FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
@@ -412,22 +413,24 @@ def player_operator(
 
     Sum over battlefields of the player's gate on their own qubit,
     identities on everyone else's, tensored with the battlefield
-    projector; block-diagonal in the register basis and unitary.
+    projector; block-diagonal in the register basis and unitary. Built
+    by writing each battlefield's gate into its diagonal block in one
+    indexed assignment, with no Kronecker products.
     """
     if not 1 <= player <= num_players:
         raise ValidationError(f"player index {player} outside 1..{num_players}")
     n = strategy.num_battlefields
     dims = TensorDims.for_game(num_players, n)
-    op = np.zeros((dims.dim, dims.dim), dtype=complex)
-    identity = np.eye(2, dtype=complex)
-    for k in range(1, n + 1):
-        factors: list[ComplexMatrix] = [identity] * num_players
-        factors[player - 1] = strategy_gate(
-            strategy.angles[k - 1], strategy.phases[k - 1]
-        )
-        factors.append(battlefield_projector(k, n))
-        op += tensor.kron_all(factors)
-    return op
+    gates = np.array(
+        [strategy_gate(a, p) for a, p in zip(strategy.angles, strategy.phases)]
+    )
+    # Row (a, x, b, k) and column (c, y, d, l) over the qubits before the
+    # player's, the player's qubit, the qubits after it and the register.
+    before, after = 2 ** (player - 1), 2 ** (num_players - player)
+    op = np.zeros((before, 2, after, n) * 2, dtype=complex)
+    a, x, b, k, y = np.ogrid[:before, :2, :after, :n, :2]
+    op[a, x, b, k, a, y, b, k] = gates[k, x, y]
+    return op.reshape(dims.dim, dims.dim)
 
 
 def entangler_generator(
@@ -469,12 +472,13 @@ def entangler(
 ) -> ComplexMatrix:
     """Entangling operator ``cos(gamma/2) I + i sin(gamma/2) generator``.
 
-    The closed form is only unitary when the generator squares to the
-    identity, which holds for an odd number of players; an even count
-    is rejected with a diagnostic. When ``dims`` is given, the result is
-    additionally checked to commute with a pseudo-randomly sampled
-    classical (phase-free) strategy operator, which every valid
-    entangler must do.
+    Checked reference builder used by tests; evaluation applies the
+    entangler to the state without forming this matrix. The closed form
+    is only unitary when the generator squares to the identity, which
+    holds for an odd number of players; an even count is rejected with a
+    diagnostic. When ``dims`` is given, the result is additionally
+    checked to commute with a pseudo-randomly sampled classical
+    (phase-free) strategy operator, which every valid entangler must do.
     """
     generator = tensor.as_matrix(generator)
     dim = generator.shape[0]
@@ -538,6 +542,14 @@ def evolve_strategies(
     ``order`` (1-based; ascending by default), then the entangler's
     inverse. Strategy operators commute pairwise, so the order cannot
     change the outcome; the parameter exists to make that checkable.
+
+    The entangler ``J = c I + i s G`` (``c, s = cos, sin(gamma/2)``) acts
+    as ``c psi + i s (G psi)`` and its inverse as ``c psi - i s (G^+ psi)``;
+    neither ``J`` nor a dense unitarity or commutation probe is formed.
+    ``max|J^+ J - I|`` is exactly ``|sin(gamma)|`` for an even player
+    count (the generator squares to ``-I``) and 0 for an odd one, so an
+    even count with ``|sin(gamma)| > UNITARITY_EPS`` raises
+    :class:`NumericalIntegrityError`. The final state's norm is checked.
     """
     count = len(strategies)
     if count < 2:
@@ -552,16 +564,25 @@ def evolve_strategies(
         raise DimensionError(n, len(config.sign_pattern), "sign pattern")
 
     order = _check_order(order, count)
-    dims = TensorDims.for_game(count, n)
+    TensorDims.for_game(count, n)  # composite-dimension guardrail
 
+    deviation = abs(math.sin(config.gamma)) if count % 2 == 0 else 0.0
+    if deviation > UNITARITY_EPS:
+        raise NumericalIntegrityError(
+            f"entangler is not unitary (max deviation {deviation:.3e}); the "
+            f"generator squares to -I, which happens for an even number of "
+            f"players: use an odd player count or gamma = 0"
+        )
     generator = entangler_generator(count, config.sign_pattern)
-    entangle = entangler(config.gamma, generator, dims)
+    half = config.gamma / 2.0
+    c, s = math.cos(half), math.sin(half)
 
     psi = initial_state(count, n)
-    psi = entangle @ psi
+    psi = c * psi + (1j * s) * (generator @ psi)
     for player in order:
         psi = player_operator(player, strategies[player - 1], count) @ psi
-    psi = tensor.dagger(entangle) @ psi
+    # G^+ psi == conj(conj(psi) @ G), without a transposed copy of G.
+    psi = c * psi - (1j * s) * np.conj(np.conj(psi) @ generator)
     tensor.assert_unit_norm(psi)
     return psi
 
@@ -588,13 +609,15 @@ def evolve(scenario: Scenario, order: Sequence[int] | None = None) -> StateVecto
 def measurements(
     psi: StateVector, dims: TensorDims, eps: float = DEFAULT_TIE_EPS
 ) -> MeasurementTable:
-    """Contract a final state into per-player battlefield strengths.
+    """Read per-player battlefield strengths off a final state.
 
-    Builds the density matrix, reduces it for each player to that
-    player's qubit plus the battlefield register (qubit factor first),
-    and measures the committed-qubit projector on each battlefield.
-    Values with imaginary residue or outside [0, 1] beyond tolerance
-    raise :class:`NumericalIntegrityError`.
+    Strength (j, k) is the probability of player j's qubit in state 1
+    with the register on battlefield k: the sum of ``|psi|^2`` over the
+    basis states with qubit j set and register index k. This equals the
+    committed-qubit projector's expectation on the density matrix
+    reduced to qubit j and the register, which ``qblotto.tensor`` keeps
+    as the reference. A value outside [0, 1] beyond tolerance, NaN
+    included, raises :class:`NumericalIntegrityError`.
     """
     num_players = len(dims) - 1
     if num_players < 2:
@@ -606,23 +629,19 @@ def measurements(
     if psi.shape != (dims.dim,):
         raise DimensionError((dims.dim,), psi.shape, "state vector")
 
-    rho = tensor.density_matrix(psi)
-    projectors = [
-        tensor.kron(_COMMITTED, battlefield_projector(k, n))
-        for k in range(1, n + 1)
-    ]
-
-    grid = np.empty((num_players, n))
-    for j in range(1, num_players + 1):
-        reduced = tensor.partial_trace(rho, dims, keep={j, num_players + 1})
-        for k in range(1, n + 1):
-            value = tensor.expectation(projectors[k - 1], reduced)
-            if value < -UNITARITY_EPS or value > 1.0 + UNITARITY_EPS:
-                raise NumericalIntegrityError(
-                    f"measurement for player {j}, battlefield {k} outside "
-                    f"[0, 1]: {value!r}"
-                )
-            grid[j - 1, k - 1] = value
+    probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, n)
+    # bits[j, s] is player j+1's qubit in basis state s; player 1 is the
+    # most significant bit.
+    shifts = np.arange(num_players - 1, -1, -1)[:, None]
+    bits = (np.arange(2**num_players) >> shifts) & 1
+    grid = bits.astype(float) @ probabilities
+    in_range = (grid >= -UNITARITY_EPS) & (grid <= 1.0 + UNITARITY_EPS)
+    if not in_range.all():
+        j, k = np.argwhere(~in_range)[0]
+        raise NumericalIntegrityError(
+            f"measurement for player {j + 1}, battlefield {k + 1} outside "
+            f"[0, 1]: {float(grid[j, k])!r}"
+        )
 
     rival_best = np.empty_like(grid)
     for j in range(num_players):

@@ -1,11 +1,14 @@
 """Dense complex linear algebra over tensor-factor structured spaces.
 
-Everything the game engine needs from linear algebra lives here:
-Kronecker products, conjugate transposes, partial traces and operator
-expectation values, all on plain ``numpy`` arrays. The factor structure
-of the composite space (one qubit per player followed by the battlefield
-register) travels alongside the arrays as a :class:`TensorDims` value,
-and all factor indices in the public interface are 1-based.
+This module holds Kronecker products, conjugate transposes, partial
+traces and operator expectation values, all on plain ``numpy`` arrays.
+The engine uses the dimensions, ``kron_all`` and the norm check; the
+density matrix, partial trace and expectation value are the reference
+measurement that tests compare the engine's strengths against. The
+factor structure of the composite space (one qubit per player followed
+by the battlefield register) travels alongside the arrays as a
+:class:`TensorDims` value, and all factor indices in the public
+interface are 1-based.
 
 Matrices are compared entrywise with a max-abs tolerance; exact float
 equality is never meaningful here.
@@ -148,10 +151,13 @@ def density_matrix(psi: StateVector) -> ComplexMatrix:
 
 
 def assert_unit_norm(psi: StateVector, eps: float = DEFAULT_EPS) -> None:
-    """Raise if the squared norm of ``psi`` strays from 1 by more than eps."""
+    """Raise if the squared norm of ``psi`` strays from 1 by more than eps.
+
+    Written so that a NaN norm fails too.
+    """
     amp = np.asarray(psi, dtype=complex).reshape(-1)
     norm_sq = float(np.vdot(amp, amp).real)
-    if abs(norm_sq - 1.0) > eps:
+    if not abs(norm_sq - 1.0) <= eps:
         raise NumericalIntegrityError(
             f"state vector norm^2 = {norm_sq!r} deviates from 1 beyond {eps}"
         )

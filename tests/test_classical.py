@@ -71,6 +71,11 @@ class TestSgnEps:
         with pytest.raises(ValidationError):
             sgn_eps(1.0, -1e-3)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="finite"):
+            sgn_eps(1.0, eps)
+
     @given(st.floats(-1e6, 1e6), st.floats(0, 1.0))
     def test_range_and_oddness(self, x, eps):
         value = sgn_eps(x, eps)

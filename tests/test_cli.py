@@ -99,6 +99,40 @@ class TestPlay:
         assert err.startswith("error: cannot write") and err.count("\n") == 1
         assert str(out_path) in err
 
+    def test_nan_phase_exit_2(self, tmp_path, capsys):
+        doc = dict(GOLDEN_DOC, phases=[[0, 0], [0, 0], [math.nan, 0]])
+        path = write_doc(tmp_path, doc)
+        assert main(["play", path]) == 2
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exit_2(self, golden_file, capsys, eps):
+        assert main(["play", golden_file, "--eps", eps]) == 2
+        assert "tie tolerance" in capsys.readouterr().err
+
+
+class TestMemoryError:
+    @staticmethod
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    def assert_one_line_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    def test_play(self, golden_file, monkeypatch, capsys):
+        monkeypatch.setattr("qblotto.cli.evaluate", self.exhausted)
+        self.assert_one_line_exit_2(["play", golden_file], capsys)
+
+    def test_sweep(self, golden_file, monkeypatch, capsys):
+        monkeypatch.setattr("qblotto.cli.run_sweep", self.exhausted)
+        argv = ["sweep", golden_file, "--player", "3", "--battlefield", "1",
+                "--param", "phi", "--from", "0", "--to", "1"]
+        self.assert_one_line_exit_2(argv, capsys)
+
 
 class TestSweep:
     def sweep_args(self, scenario_file, out_path, steps="101"):

@@ -20,13 +20,18 @@ from qblotto import (
     entangler,
     entangler_generator,
     evaluate,
+    evaluate_strategies,
     evolve,
+    expectation,
     initial_state,
+    kron,
+    kron_all,
     measurements,
     partial_trace,
     player_operator,
     quantum_payoffs,
     rotation_angle,
+    sgn_eps,
     strategies_of,
     strategy_gate,
     validate_scenario,
@@ -120,6 +125,64 @@ def hand_measurements(state, num_players, n):
             if spins[j] == 1:
                 grid[j, k] += abs(amp) ** 2
     return grid
+
+
+# ---------------------------------------------------------------------------
+# dense reference: full operators, the checked entangler and partial traces
+# ---------------------------------------------------------------------------
+
+def register_projector(k, n):
+    projector = np.zeros((n, n), dtype=complex)
+    projector[k, k] = 1.0
+    return projector
+
+
+def dense_player_operator(player, strategy, num_players):
+    """Sum over battlefields of one Kronecker chain per battlefield."""
+    n = strategy.num_battlefields
+    dim = 2**num_players * n
+    op = np.zeros((dim, dim), dtype=complex)
+    identity = np.eye(2, dtype=complex)
+    for k in range(n):
+        factors = [identity] * num_players
+        factors[player - 1] = strategy_gate(strategy.angles[k], strategy.phases[k])
+        factors.append(register_projector(k, n))
+        op += kron_all(factors)
+    return op
+
+
+def dense_evaluate(strategies, config, eps, order):
+    """Strengths and payoffs with every operator and the density matrix formed."""
+    count = len(strategies)
+    n = strategies[0].num_battlefields
+    dims = TensorDims.for_game(count, n)
+    generator = entangler_generator(count, config.sign_pattern)
+    entangle = entangler(config.gamma, generator, dims)
+    psi = entangle @ initial_state(count, n)
+    for player in order:
+        psi = dense_player_operator(player, strategies[player - 1], count) @ psi
+    psi = dagger(entangle) @ psi
+
+    rho = density_matrix(psi)
+    committed = np.diag([0.0, 1.0]).astype(complex)
+    grid = np.empty((count, n))
+    for j in range(count):
+        reduced = partial_trace(rho, dims, keep={j + 1, count + 1})
+        for k in range(n):
+            grid[j, k] = expectation(kron(committed, register_projector(k, n)), reduced)
+    payoffs = tuple(
+        sum(
+            sgn_eps(grid[j, k] - np.delete(grid[:, k], j).max(), eps)
+            for k in range(n)
+        )
+        for j in range(count)
+    )
+    return grid, payoffs
+
+
+def random_strategy(rng, n):
+    phases = rng.uniform(0.0, 2 * math.pi, n) * (rng.random(n) < 0.8)
+    return QuantumStrategy(tuple(rng.uniform(0.0, HALF_PI, n)), tuple(phases))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +288,16 @@ class TestPlayerOperator:
         op = player_operator(player, strategy, count)
         assert allclose(dagger(op) @ op, np.eye(op.shape[0]), 1e-12)
 
+    def test_matches_kronecker_reference_exactly(self):
+        rng = np.random.default_rng(0x0B5)
+        for count in range(2, 7):
+            for n in range(1, 5):
+                strategy = random_strategy(rng, n)
+                for player in range(1, count + 1):
+                    op = player_operator(player, strategy, count)
+                    reference = dense_player_operator(player, strategy, count)
+                    assert np.array_equal(op, reference), (count, n, player)
+
     def test_blotto_row_without_entanglement(self, worked_example):
         from dataclasses import replace
 
@@ -285,6 +358,26 @@ class TestEntangler:
         op = entangler(0.0, generator)
         assert np.array_equal(op, np.eye(32, dtype=complex))
 
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    @pytest.mark.parametrize("gamma", [1e-11, 5e-11, 2e-10, 1e-3, HALF_PI])
+    def test_evaluate_rejects_exactly_when_dense_entangler_does(self, count, gamma):
+        # evaluation decides unitarity by |sin(gamma)| for even counts;
+        # the dense reference measures max|J^+ J - I| itself
+        try:
+            entangler(gamma, entangler_generator(count, (1, -1)))
+            dense_rejects = False
+        except NumericalIntegrityError:
+            dense_rejects = True
+        assert dense_rejects == (count % 2 == 0 and gamma > 1e-10)
+        scenario = Scenario.create(
+            totals=(4.0,) * count, allocations=((3.0, 1.0),) * count, gamma=gamma
+        )
+        if dense_rejects:
+            with pytest.raises(NumericalIntegrityError, match="even"):
+                evaluate(scenario)
+        else:
+            evaluate(scenario)
+
 
 class TestEvolve:
     def test_zero_strategies_leave_initial_state(self):
@@ -327,6 +420,25 @@ class TestEvolve:
         psi = evolve(scenario)
         state = hand_evolve(allocations, phases, 4.0, 0.9, scenario.sign_pattern)
         assert allclose(psi, hand_vector(state, 3, 3), 1e-12)
+
+    def test_matches_dense_reference(self):
+        # odd counts with entanglement, even counts without; random orders
+        rng = np.random.default_rng(0xDE45E)
+        cases = [(count, n) for count in (3, 5) for n in (1, 2, 3, 4)] * 3
+        cases += [(7, n) for n in (1, 2, 3, 4)]
+        cases += [(count, n) for count in (2, 4, 6) for n in (1, 2, 3)]
+        for count, n in cases:
+            strategies = [random_strategy(rng, n) for _ in range(count)]
+            if rng.random() < 0.25:
+                strategies[1] = strategies[0]  # exact ties on every battlefield
+            gamma = float(rng.uniform(0.0, HALF_PI)) if count % 2 else 0.0
+            config = EntanglerConfig(gamma, tuple(rng.choice((-1, 1), n)))
+            order = [int(j) for j in rng.permutation(count) + 1]
+            table = evaluate_strategies(strategies, config, 1e-9, order)
+            grid, payoffs = dense_evaluate(strategies, config, 1e-9, order)
+            worst = np.abs(np.array(table.values) - grid).max()
+            assert worst <= 1e-12, (count, n, worst)
+            assert table.payoffs == payoffs, (count, n)
 
     def test_order_permutations_agree(self, worked_example):
         from dataclasses import replace
@@ -383,6 +495,11 @@ class TestMeasurements:
         committed_bf2 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
         assert np.trace(committed_bf1 @ reduced).real == pytest.approx(0.0, abs=1e-10)
         assert np.trace(committed_bf2 @ reduced).real == pytest.approx(0.25, abs=1e-10)
+
+    def test_nan_state_fails_range_check(self):
+        psi = np.full(16, math.nan, dtype=complex)
+        with pytest.raises(NumericalIntegrityError, match="outside"):
+            measurements(psi, TensorDims.for_game(3, 2))
 
     def test_density_matrix_properties(self, worked_example):
         psi = evolve(worked_example)
@@ -455,6 +572,22 @@ class TestScenarioValidation:
         normalized, notices = validate_scenario(scenario)
         assert normalized.phases[2][0] == pytest.approx(7.0 - 2 * math.pi)
         assert any("reduced" in note for note in notices)
+
+    def test_non_finite_phase_rejected(self, worked_example):
+        from dataclasses import replace
+
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="not finite"):
+                replace(worked_example, phases=((0.0, 0.0), (0.0, 0.0), (bad, 0.0)))
+            with pytest.raises(ValidationError, match="not finite"):
+                QuantumStrategy((0.1, 0.2), (0.0, bad))
+
+    def test_non_finite_eps_rejected(self, worked_example):
+        from dataclasses import replace
+
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="tie tolerance"):
+                replace(worked_example, eps=bad)
 
     def test_uniform_sign_pattern_notice(self, worked_example):
         from dataclasses import replace

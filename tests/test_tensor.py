@@ -218,6 +218,8 @@ def test_assert_unit_norm():
     assert_unit_norm(np.array([1.0, 0.0]))
     with pytest.raises(NumericalIntegrityError):
         assert_unit_norm(np.array([1.0, 0.5]))
+    with pytest.raises(NumericalIntegrityError):
+        assert_unit_norm(np.array([math.nan, 0.0]))
 
 
 def test_allclose_shapes_differ():
