@@ -1,18 +1,21 @@
-"""Classical multiplayer Colonel Blotto game.
+"""Classical multiplayer Colonel Blotto game and the payoff rule.
 
 Players split a fixed troop budget across battlefields; a battlefield
 pays +1 to a player who strictly out-allocates every rival there, -1 to
-a player strictly beaten by the best rival, and 0 on a tie. This module
-is the independent oracle the quantum engine is checked against in its
-classical limit.
+a player strictly beaten by the best rival, and 0 on a tie.
+:func:`payoff_terms` is that rule over a player-by-battlefield grid;
+the quantum engine applies it to measured strengths, and this module
+applies it to allocations as the oracle the engine is checked against
+in its classical limit.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DimensionError, ValidationError
 
@@ -25,8 +28,9 @@ DEFAULT_TIE_EPS = 1e-9
 class AllocationViolation:
     """First constraint broken by an allocation vector.
 
-    ``index`` is the 1-based battlefield of a negative entry, or None
-    when the budget sum is off; ``amount`` carries the offending value.
+    ``index`` is the 1-based battlefield of a negative or non-finite
+    entry, or None when the budget sum is off; ``amount`` carries the
+    offending value.
     """
 
     index: int | None
@@ -37,21 +41,22 @@ class AllocationViolation:
 def validate_allocation(
     troops: Sequence[float], total: float, eps: float = DEFAULT_TIE_EPS
 ) -> AllocationViolation | None:
-    """Check non-negativity and the budget sum, reporting the first breach.
+    """Check finite non-negative entries and the budget sum.
 
     Returns None when the allocation is valid, otherwise an
-    :class:`AllocationViolation` naming the violated constraint.
+    :class:`AllocationViolation` naming the first violated constraint.
     """
     troops = [float(x) for x in troops]
     for k, x in enumerate(troops, start=1):
-        if x < 0:
+        if not 0 <= x < math.inf:
+            problem = "is negative" if x < 0 else "is not finite"
             return AllocationViolation(
                 index=k,
                 amount=x,
-                message=f"battlefield {k} allocation is negative ({x!r})",
+                message=f"battlefield {k} allocation {problem} ({x!r})",
             )
     total_allocated = sum(troops)
-    if abs(total_allocated - float(total)) > eps:
+    if not abs(total_allocated - float(total)) <= eps:
         return AllocationViolation(
             index=None,
             amount=total_allocated,
@@ -62,25 +67,51 @@ def validate_allocation(
     return None
 
 
-def sgn_eps(x: float, eps: float = DEFAULT_TIE_EPS) -> int:
-    """Signum with a tie band: 0 whenever ``|x| <= eps``."""
+def check_tie_eps(eps: float) -> None:
+    """Reject a tie tolerance that is negative, infinite or NaN."""
     if not 0 <= eps < math.inf:
         raise ValidationError(
             f"tie tolerance must be finite and non-negative, got {eps!r}"
         )
+
+
+def sgn_eps(x: float, eps: float = DEFAULT_TIE_EPS) -> int:
+    """Signum with a tie band: 0 whenever ``|x| <= eps``."""
+    check_tie_eps(eps)
     if abs(x) <= eps:
         return 0
     return 1 if x > 0 else -1
+
+
+def payoff_terms(grid, eps: float = DEFAULT_TIE_EPS) -> tuple[np.ndarray, np.ndarray]:
+    """The payoff rule over a player-by-battlefield grid.
+
+    Returns ``(rival_best, terms)``: for each cell, the best value among
+    the other players on that battlefield, and the tie-tolerant sign of
+    the cell minus that rival best (as :func:`sgn_eps` gives it). A
+    player's payoff is the sum of their row of terms.
+    """
+    check_tie_eps(eps)
+    grid = np.asarray(grid, dtype=float)
+    if len(grid) < 2:
+        raise ValidationError(f"need at least two players, got {len(grid)}")
+    if not np.isfinite(grid).all():
+        raise ValidationError("payoff grid has a non-finite entry")
+    ranked = np.sort(grid, axis=0)
+    rival_best = np.where(grid == ranked[-1], ranked[-2], ranked[-1])
+    d = grid - rival_best
+    return rival_best, (d > eps).astype(int) - (d < -eps)
 
 
 @dataclass(frozen=True)
 class PlayerRoster:
     """Troop budgets, with player 1 fixed as Blotto.
 
-    Blotto must hold the largest (strictly positive) budget; every
-    rotation angle in the quantum game is normalized by it. Two-player
-    games are accepted with a warning since nothing in the payoff rule
-    breaks for them.
+    Budgets must be finite, and Blotto must hold the largest (strictly
+    positive) one; every rotation angle in the quantum game is
+    normalized by it. Two-player games are accepted, since nothing in
+    the payoff rule breaks for them; :func:`qblotto.engine.validate_scenario`
+    reports them with a notice.
     """
 
     totals: tuple[float, ...]
@@ -92,12 +123,9 @@ class PlayerRoster:
             raise ValidationError(
                 f"need at least two players, got {len(totals)}"
             )
-        if len(totals) == 2:
-            warnings.warn(
-                "two-player roster accepted; the game is usually played "
-                "with three or more players",
-                stacklevel=2,
-            )
+        for j, total in enumerate(totals, start=1):
+            if not math.isfinite(total):
+                raise ValidationError(f"player {j} budget {total!r} is not finite")
         blotto = totals[0]
         if blotto <= 0:
             raise ValidationError(f"Blotto's budget must be positive, got {blotto!r}")
@@ -112,14 +140,6 @@ class PlayerRoster:
     def num_players(self) -> int:
         return len(self.totals)
 
-    @property
-    def blotto_index(self) -> int:
-        return 1
-
-    @property
-    def blotto_total(self) -> float:
-        return self.totals[0]
-
 
 def classical_payoffs(
     allocations: Sequence[Sequence[float]],
@@ -128,9 +148,8 @@ def classical_payoffs(
 ) -> tuple[int, ...]:
     """Per-player payoff: battlefields won minus battlefields lost.
 
-    For each battlefield a player's allocation is compared against the
-    best allocation among all other players with :func:`sgn_eps`, and
-    the signs are summed. Allocations are assumed budget-valid (see
+    The sum of each player's row of :func:`payoff_terms` over the
+    allocation grid. Allocations are assumed budget-valid (see
     :func:`validate_allocation`); only shapes are checked here.
     """
     rows = [[float(x) for x in row] for row in allocations]
@@ -140,12 +159,5 @@ def classical_payoffs(
     for j, row in enumerate(rows, start=1):
         if len(row) != n:
             raise DimensionError(n, len(row), f"player {j} allocation length")
-
-    payoffs = []
-    for j, row in enumerate(rows):
-        score = 0
-        for k in range(n):
-            best_rival = max(rows[i][k] for i in range(len(rows)) if i != j)
-            score += sgn_eps(row[k] - best_rival, eps)
-        payoffs.append(score)
-    return tuple(payoffs)
+    _, terms = payoff_terms(rows, eps)
+    return tuple(int(p) for p in terms.sum(axis=1))

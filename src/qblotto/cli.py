@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, classical_payoffs
 from .engine import MeasurementTable, Scenario, evaluate, validate_scenario
@@ -32,19 +31,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything the play command shows for one evaluated scenario."""
-
-    scenario: Scenario
-    table: MeasurementTable
-    notices: tuple[str, ...]
-
-    @property
-    def payoffs(self) -> tuple[int, ...]:
-        return self.table.payoffs
-
-
 def _load(args) -> tuple[Scenario, list[str]]:
     scenario, notices = load_scenario(args.scenario, degrees=args.degrees)
     if args.eps is not None:
@@ -52,30 +38,25 @@ def _load(args) -> tuple[Scenario, list[str]]:
     return scenario, notices
 
 
-def _print_report(report: RunReport, stream=None) -> None:
-    stream = stream or sys.stdout
-    scenario = report.scenario
-    dims = scenario.dims
+def _print_report(
+    scenario: Scenario, table: MeasurementTable, notices: list[str]
+) -> None:
     print(
         f"players: {scenario.num_players}  battlefields: "
-        f"{scenario.num_battlefields}  composite dim: {dims.dim}",
-        file=stream,
+        f"{scenario.num_battlefields}  composite dim: {scenario.dims.dim}"
     )
     pattern = " ".join(f"{s:+d}" for s in scenario.sign_pattern)
     print(
         f"gamma: {_fmt(scenario.gamma)}  sign pattern: {pattern}  "
-        f"tie eps: {_fmt(scenario.eps)}",
-        file=stream,
+        f"tie eps: {_fmt(scenario.eps)}"
     )
-    for notice in report.notices:
-        print(f"notice: {notice}", file=stream)
+    for notice in notices:
+        print(f"notice: {notice}")
     headers = ["player"] + [
         f"b{k}" for k in range(1, scenario.num_battlefields + 1)
     ] + ["payoff"]
     rows = [
-        [name]
-        + [_fmt(v) for v in report.table.values[j]]
-        + [f"{report.payoffs[j]:+d}"]
+        [name] + [_fmt(v) for v in table.values[j]] + [f"{table.payoffs[j]:+d}"]
         for j, name in enumerate(scenario.player_names)
     ]
     widths = [
@@ -84,16 +65,16 @@ def _print_report(report: RunReport, stream=None) -> None:
     ]
     for row in [headers] + rows:
         line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        print(line.rstrip(), file=stream)
+        print(line.rstrip())
 
 
-def _play_csv(report: RunReport) -> str:
-    n = report.scenario.num_battlefields
+def _play_csv(scenario: Scenario, table: MeasurementTable) -> str:
+    n = scenario.num_battlefields
     header = "player," + ",".join(f"m_b{k}" for k in range(1, n + 1)) + ",payoff"
     lines = [header]
-    for j, name in enumerate(report.scenario.player_names):
-        cells = ",".join(_fmt(v) for v in report.table.values[j])
-        lines.append(f"{name},{cells},{report.payoffs[j]}")
+    for j, name in enumerate(scenario.player_names):
+        cells = ",".join(_fmt(v) for v in table.values[j])
+        lines.append(f"{name},{cells},{table.payoffs[j]}")
     return "\n".join(lines) + "\n"
 
 
@@ -111,10 +92,9 @@ def _write_out(path: str, text: str) -> None:
 def cmd_play(args) -> int:
     scenario, notices = _load(args)
     table = evaluate(scenario)
-    report = RunReport(scenario=scenario, table=table, notices=tuple(notices))
-    _print_report(report)
+    _print_report(scenario, table, notices)
     if args.out:
-        _write_out(args.out, _play_csv(report))
+        _write_out(args.out, _play_csv(scenario, table))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -170,9 +150,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     eps = args.eps if args.eps is not None else DEFAULT_TIE_EPS
-    results = run_verification(
-        eps, exclude_own_battlefield=args.exclude_own_battlefield
-    )
+    results = run_verification(eps)
     failures = [r for r in results if not r.passed]
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -200,9 +178,7 @@ def cmd_oracle(args) -> int:
             f"oracle compares the classical limit only; scenario has nonzero "
             f"phases at (player, battlefield) {nonzero}"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        roster = PlayerRoster(scenario.totals)
+    roster = PlayerRoster(scenario.totals)
     classical = classical_payoffs(scenario.allocations, roster, scenario.eps)
     quantum = evaluate(scenario).payoffs
     print(f"classical payoffs: {classical}")
@@ -214,16 +190,17 @@ def cmd_oracle(args) -> int:
     return EXIT_CHECK_FAILED
 
 
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """Parent parser holding one flag, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--eps", type=float, default=None, help="override the tie tolerance"
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="parallel evaluations for sweeps"
-    )
-    common.add_argument("--out", default=None, help="write CSV output to this file")
-    common.add_argument(
+    eps = _flag("--eps", type=float, default=None, help="override the tie tolerance")
+    out = _flag("--out", default=None, help="write CSV output to this file")
+    degrees = _flag(
         "--degrees",
         action="store_true",
         help="treat file and range angles as degrees",
@@ -235,12 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    play = sub.add_parser("play", parents=[common], help="evaluate a scenario file")
+    play = sub.add_parser(
+        "play", parents=[eps, degrees, out], help="evaluate a scenario file"
+    )
     play.add_argument("scenario", help="path to a scenario JSON file")
     play.set_defaults(handler=cmd_play)
 
     swp = sub.add_parser(
-        "sweep", parents=[common], help="sweep one parameter and emit CSV"
+        "sweep", parents=[eps, degrees, out], help="sweep one parameter and emit CSV"
     )
     swp.add_argument("scenario", help="path to a scenario JSON file")
     swp.add_argument("--player", type=int, required=True, help="1-based player")
@@ -262,22 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--steps", type=int, default=DEFAULT_SWEEP_STEPS, help="grid points"
     )
+    swp.add_argument("--jobs", type=int, default=1, help="parallel evaluations")
     swp.set_defaults(handler=cmd_sweep)
 
-    ver = sub.add_parser(
-        "verify", parents=[common], help="run the built-in golden checks"
-    )
-    ver.add_argument(
-        "--exclude-own-battlefield",
-        action="store_true",
-        help="debug payoff variant skipping the battlefield matching the "
-        "player index (expected to fail the golden payoffs)",
-    )
+    ver = sub.add_parser("verify", parents=[eps], help="run the built-in golden checks")
     ver.set_defaults(handler=cmd_verify)
 
     orc = sub.add_parser(
         "oracle",
-        parents=[common],
+        parents=[eps, degrees],
         help="compare quantum and classical payoffs on a zero-phase scenario",
     )
     orc.add_argument("scenario", help="path to a scenario JSON file")

@@ -9,7 +9,8 @@ entangling operator is applied before the strategy operators and undone
 after them. Measurement contracts the final density matrix, reduced to
 one player's qubit and the register, against the "qubit in state 1 on
 battlefield k" projector, and payoffs compare those measured strengths
-across players with a signed tie-tolerant rule.
+across players with the classical game's rule,
+:func:`qblotto.classical.payoff_terms`.
 
 All operations are pure functions of their inputs; evaluating the same
 scenario twice produces bit-identical results.
@@ -18,14 +19,19 @@ scenario twice produces bit-identical results.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor
-from .classical import DEFAULT_TIE_EPS, PlayerRoster, sgn_eps, validate_allocation
+from .classical import (
+    DEFAULT_TIE_EPS,
+    PlayerRoster,
+    check_tie_eps,
+    payoff_terms,
+    validate_allocation,
+)
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 from .tensor import ComplexMatrix, StateVector, TensorDims
 
@@ -254,10 +260,7 @@ class Scenario:
                     )
         if len(pattern) != n:
             raise DimensionError(n, len(pattern), "sign pattern")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValidationError(
-                f"tie tolerance must be finite and non-negative, got {self.eps!r}"
-            )
+        check_tie_eps(self.eps)
 
     @classmethod
     def create(
@@ -326,12 +329,7 @@ def validate_scenario(scenario: Scenario) -> tuple[Scenario, list[str]]:
     violations raise :class:`ValidationError`.
     """
     notices: list[str] = []
-    count = scenario.num_players
-    if count < 2:
-        raise ValidationError(
-            f"need at least two players, got {count}"
-        )
-    if count == 2:
+    if scenario.num_players == 2:
         notices.append(
             "two-player game accepted; the game is usually played with "
             "three or more players"
@@ -340,9 +338,8 @@ def validate_scenario(scenario: Scenario) -> tuple[Scenario, list[str]]:
     # Triggers the composite-dimension guardrail before anything costly.
     scenario.dims
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        PlayerRoster(scenario.totals)  # enforces the Blotto-has-most rule
+    # Enforces at least two players, finite budgets and Blotto-has-most.
+    PlayerRoster(scenario.totals)
 
     for j, row in enumerate(scenario.allocations):
         violation = validate_allocation(row, scenario.totals[j], scenario.eps)
@@ -444,13 +441,7 @@ def entangler_generator(
     identity for an even one, which decides whether an entangler can be
     built from it.
     """
-    pattern = tuple(int(s) for s in sign_pattern)
-    if not pattern:
-        raise ValidationError("sign pattern needs at least one entry")
-    if any(s not in (-1, 1) for s in pattern):
-        raise ValidationError(
-            f"sign pattern entries must be +1 or -1, got {pattern}"
-        )
+    pattern = EntanglerConfig(0.0, sign_pattern).sign_pattern  # checks entries
     if num_players < 1:
         raise ValidationError("a game needs at least one player")
     register_block = np.diag([1j * s for s in pattern]).astype(complex)
@@ -617,13 +608,11 @@ def measurements(
     committed-qubit projector's expectation on the density matrix
     reduced to qubit j and the register, which ``qblotto.tensor`` keeps
     as the reference. A value outside [0, 1] beyond tolerance, NaN
-    included, raises :class:`NumericalIntegrityError`.
+    included, raises :class:`NumericalIntegrityError`. Rival bests and
+    payoffs come from :func:`qblotto.classical.payoff_terms` applied to
+    the strength grid.
     """
     num_players = len(dims) - 1
-    if num_players < 2:
-        raise ValidationError(
-            f"need at least two players, got {num_players}"
-        )
     n = dims.factors[-1]
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (dims.dim,):
@@ -643,51 +632,11 @@ def measurements(
             f"[0, 1]: {float(grid[j, k])!r}"
         )
 
-    rival_best = np.empty_like(grid)
-    for j in range(num_players):
-        others = np.delete(grid, j, axis=0)
-        rival_best[j] = others.max(axis=0)
-
-    values = tuple(tuple(float(v) for v in row) for row in grid)
-    best = tuple(tuple(float(v) for v in row) for row in rival_best)
-    payoffs = _payoffs_from_grids(values, best, eps, exclude_own_battlefield=False)
-    return MeasurementTable(values=values, rival_best=best, payoffs=payoffs)
-
-
-def _payoffs_from_grids(
-    values: tuple[tuple[float, ...], ...],
-    rival_best: tuple[tuple[float, ...], ...],
-    eps: float,
-    exclude_own_battlefield: bool,
-) -> tuple[int, ...]:
-    payoffs = []
-    for j, row in enumerate(values, start=1):
-        score = 0
-        for k in range(1, len(row) + 1):
-            if exclude_own_battlefield and k == j:
-                continue
-            score += sgn_eps(row[k - 1] - rival_best[j - 1][k - 1], eps)
-        payoffs.append(score)
-    return tuple(payoffs)
-
-
-def quantum_payoffs(
-    table: MeasurementTable,
-    eps: float = DEFAULT_TIE_EPS,
-    *,
-    exclude_own_battlefield: bool = False,
-) -> tuple[int, ...]:
-    """Signed payoffs from a measurement table.
-
-    Each battlefield contributes the tie-tolerant sign of (own strength
-    minus best rival strength), summed over all battlefields.
-    ``exclude_own_battlefield`` is a debug variant that skips the
-    battlefield whose index equals the player's; it exists only to show
-    that reading the payoff sum that way contradicts the worked
-    three-player example, and is never used in normal evaluation.
-    """
-    return _payoffs_from_grids(
-        table.values, table.rival_best, eps, exclude_own_battlefield
+    rival_best, terms = payoff_terms(grid, eps)
+    return MeasurementTable(
+        values=tuple(map(tuple, grid.tolist())),
+        rival_best=tuple(map(tuple, rival_best.tolist())),
+        payoffs=tuple(int(p) for p in terms.sum(axis=1)),
     )
 
 

@@ -9,25 +9,30 @@ so a verification run is reproducible.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import DEFAULT_TIE_EPS, PlayerRoster, classical_payoffs
+from .classical import (
+    DEFAULT_TIE_EPS,
+    PlayerRoster,
+    classical_payoffs,
+    payoff_terms,
+)
 from .engine import (
     Scenario,
     evaluate,
     evolve,
     measurements,
     player_operator,
-    quantum_payoffs,
     rotation_angle,
     strategies_of,
     validate_scenario,
 )
 
 VERIFY_SEED = 0xB10770
+CORRESPONDENCE_TRIALS = 100
+ORDER_TRIALS = 20
 
 GOLDEN_PAYOFFS = (0, -1, -1)
 
@@ -83,12 +88,6 @@ def random_quantum_scenario(rng: np.random.Generator) -> Scenario:
     )
 
 
-def _roster(scenario: Scenario) -> PlayerRoster:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return PlayerRoster(scenario.totals)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -96,25 +95,21 @@ class CheckResult:
     detail: str = ""
 
 
-def run_verification(
-    eps: float = DEFAULT_TIE_EPS,
-    *,
-    exclude_own_battlefield: bool = False,
-    correspondence_trials: int = 100,
-    order_trials: int = 20,
-) -> list[CheckResult]:
-    """Run every self-check and report one result per check."""
-    results: list[CheckResult] = []
-    rng = np.random.default_rng(VERIFY_SEED)
+def run_verification(eps: float = DEFAULT_TIE_EPS) -> list[CheckResult]:
+    """Run every self-check at tie tolerance ``eps``, one result per check.
 
-    results.append(_check_golden_measurements(eps))
-    results.append(_check_golden_payoffs(eps, exclude_own_battlefield))
-    results.append(_check_tie_absorption(eps, exclude_own_battlefield))
-    results.append(
-        _check_classical_correspondence(rng, eps, correspondence_trials)
-    )
-    results.append(_check_order_invariance(rng, order_trials))
-    return results
+    The checks are the golden measurements and payoffs, tie absorption,
+    classical correspondence on CORRESPONDENCE_TRIALS and operator-order
+    invariance on ORDER_TRIALS seeded random scenarios.
+    """
+    rng = np.random.default_rng(VERIFY_SEED)
+    return [
+        _check_golden_measurements(eps),
+        _check_golden_payoffs(eps),
+        _check_tie_absorption(eps),
+        _check_classical_correspondence(rng, eps, CORRESPONDENCE_TRIALS),
+        _check_order_invariance(rng, ORDER_TRIALS),
+    ]
 
 
 def _check_golden_measurements(eps: float) -> CheckResult:
@@ -134,14 +129,12 @@ def _check_golden_measurements(eps: float) -> CheckResult:
     return CheckResult(name, True, f"max deviation {worst:.3e}")
 
 
-def _check_golden_payoffs(eps: float, exclude_own_battlefield: bool) -> CheckResult:
+def _check_golden_payoffs(eps: float) -> CheckResult:
     name = "golden-payoffs"
     scenario = golden_scenario(eps)
-    table = evaluate(scenario)
-    quantum = quantum_payoffs(
-        table, eps, exclude_own_battlefield=exclude_own_battlefield
-    )
-    classical = classical_payoffs(scenario.allocations, _roster(scenario), eps)
+    quantum = evaluate(scenario).payoffs
+    roster = PlayerRoster(scenario.totals)
+    classical = classical_payoffs(scenario.allocations, roster, eps)
     if quantum != GOLDEN_PAYOFFS:
         return CheckResult(
             name, False, f"quantum payoffs {quantum}, expected {GOLDEN_PAYOFFS}"
@@ -153,18 +146,16 @@ def _check_golden_payoffs(eps: float, exclude_own_battlefield: bool) -> CheckRes
     return CheckResult(name, True, f"both oracles give {GOLDEN_PAYOFFS}")
 
 
-def _check_tie_absorption(eps: float, exclude_own_battlefield: bool) -> CheckResult:
+def _check_tie_absorption(eps: float) -> CheckResult:
     """Ties perturbed by 1e-12 troops must still land in the tie band."""
     name = "tie-absorption"
     nudge = 1e-12
     allocations = ((3.0 + nudge, 3.0 - nudge), (3.0, 1.0), (0.0, 3.0))
     totals = (sum(allocations[0]), 4.0, 3.0)
     scenario = Scenario.create(totals, allocations, math.pi / 2, eps=eps)
-    table = evaluate(scenario)
-    quantum = quantum_payoffs(
-        table, eps, exclude_own_battlefield=exclude_own_battlefield
-    )
-    classical = classical_payoffs(scenario.allocations, _roster(scenario), eps)
+    quantum = evaluate(scenario).payoffs
+    roster = PlayerRoster(scenario.totals)
+    classical = classical_payoffs(scenario.allocations, roster, eps)
     if quantum != GOLDEN_PAYOFFS or classical != GOLDEN_PAYOFFS:
         return CheckResult(
             name,
@@ -183,8 +174,10 @@ def _check_classical_correspondence(
     for trial in range(trials):
         scenario = random_classical_scenario(rng)
         table = evaluate(scenario)
-        quantum = quantum_payoffs(table, eps)
-        classical = classical_payoffs(scenario.allocations, _roster(scenario), eps)
+        _, terms = payoff_terms(table.values, eps)  # the eps under check
+        quantum = tuple(int(p) for p in terms.sum(axis=1))
+        roster = PlayerRoster(scenario.totals)
+        classical = classical_payoffs(scenario.allocations, roster, eps)
         if quantum != classical:
             return CheckResult(
                 name,

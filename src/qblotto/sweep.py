@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classical import sgn_eps
+from .classical import payoff_terms
 from .engine import (
     EntanglerConfig,
     MeasurementTable,
@@ -208,7 +208,6 @@ def run_sweep(
     *,
     jobs: int = 1,
     locate_transitions: bool = True,
-    resolution: float = TRANSITION_RESOLUTION,
 ) -> SweepResult:
     """Evaluate the sweep grid and localize payoff transitions.
 
@@ -243,7 +242,6 @@ def run_sweep(
                         right.value,
                         left.payoffs,
                         right.payoffs,
-                        resolution,
                     )
                 )
     return SweepResult(spec=spec, points=points, transitions=tuple(transitions))
@@ -255,9 +253,8 @@ def _bisect_transitions(
     hi: float,
     lo_payoffs: tuple[int, ...],
     hi_payoffs: tuple[int, ...],
-    resolution: float,
 ) -> list[PayoffTransition]:
-    """Narrow every payoff change in (lo, hi] to ``resolution`` width.
+    """Narrow every payoff change in (lo, hi] to TRANSITION_RESOLUTION.
 
     Bisection narrows one change away from ``lo_payoffs``; the search
     then restarts from that change's upper end until it reaches
@@ -266,7 +263,7 @@ def _bisect_transitions(
     found = []
     while lo_payoffs != hi_payoffs:
         upper, upper_payoffs = hi, hi_payoffs
-        while upper - lo > resolution:
+        while upper - lo > TRANSITION_RESOLUTION:
             mid = 0.5 * (lo + upper)
             mid_payoffs = evaluate_at(mid).payoffs
             if mid_payoffs == lo_payoffs:
@@ -357,8 +354,8 @@ def best_response_grid(
     The payoff is a sum of per-battlefield terms, and the phase on
     battlefield k moves only term k. So one evaluation per grid value,
     with all of the player's phases at that value, scores every
-    battlefield at once, and the smallest index maximizing each term
-    gives the optimum: ``phi_grid_steps`` evaluations, not
+    battlefield at once, and the first index maximizing each term
+    (``argmax``) gives the optimum: ``phi_grid_steps`` evaluations, not
     ``phi_grid_steps**n``. The cap on ``phi_grid_steps**n`` is kept for
     compatibility.
     """
@@ -383,19 +380,14 @@ def best_response_grid(
     angles = strategies[player - 1].angles
     axis = [float(v) for v in np.linspace(0.0, HALF_PI, phi_grid_steps)]
 
-    best_terms = [-2] * n  # below every sgn_eps term
-    best_index = [0] * n
-    for s, phase in enumerate(axis):
+    rows = []
+    for phase in axis:
         strategies[player - 1] = QuantumStrategy(angles, (phase,) * n)
         table = evaluate_strategies(strategies, config, eps)
-        own, rivals = table.values[player - 1], table.rival_best[player - 1]
-        for k in range(n):
-            term = sgn_eps(own[k] - rivals[k], eps)
-            if term > best_terms[k]:
-                best_terms[k] = term
-                best_index[k] = s
+        rows.append(payoff_terms(table.values, eps)[1][player - 1])
+    terms = np.array(rows)  # terms[s, k]: battlefield k's term at axis[s]
     return BestResponse(
         player=player,
-        payoff=sum(best_terms),
-        phases=tuple(axis[s] for s in best_index),
+        payoff=int(terms.max(axis=0).sum()),
+        phases=tuple(axis[s] for s in terms.argmax(axis=0)),
     )

@@ -11,34 +11,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qblotto import (
-    NumericalIntegrityError,
-    PlayerRoster,
-    check_phase_insensitivity,
-    classical_payoffs,
-    dagger,
-    density_matrix,
+from qblotto import NumericalIntegrityError, evaluate, run_sweep
+from qblotto.classical import PlayerRoster, classical_payoffs
+from qblotto.engine import (
+    QuantumStrategy,
+    Scenario,
     entangler,
     entangler_generator,
-    evaluate,
     evolve,
     measurements,
-    partial_trace,
     player_operator,
-    quantum_payoffs,
     rotation_angle,
-    run_sweep,
     strategies_of,
     validate_scenario,
 )
-from qblotto.engine import QuantumStrategy, Scenario
 from qblotto.selfcheck import (
     random_classical_scenario,
     random_quantum_scenario,
     golden_scenario,
     golden_measurement_grid,
 )
-from qblotto.sweep import SweepSpec
+from qblotto.sweep import SweepSpec, check_phase_insensitivity
+from qblotto.tensor import dagger, density_matrix, partial_trace
 
 QUARTER_PI = math.pi / 4
 
@@ -224,10 +218,10 @@ def test_criterion_7_structural_invariants():
     _report(7, f"{len(scenarios)} scenarios satisfy all structural invariants")
 
 
-def test_criterion_8_defect_regressions():
+def test_criterion_8_defect_regressions(own_battlefield_excluded):
     scenario = golden_scenario()
     table = evaluate(scenario)
-    variant = quantum_payoffs(table, scenario.eps, exclude_own_battlefield=True)
+    variant = own_battlefield_excluded(table, scenario.eps)
     assert variant[1] == 0, f"variant enemy 1 payoff {variant[1]}, expected 0"
     assert variant != (0, -1, -1)
 

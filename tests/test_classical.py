@@ -1,13 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qblotto import (
-    DimensionError,
+from qblotto import DimensionError, ValidationError
+from qblotto.classical import (
     PlayerRoster,
-    ValidationError,
     classical_payoffs,
+    payoff_terms,
     sgn_eps,
     validate_allocation,
 )
@@ -26,6 +29,29 @@ def brute_force_payoffs(rows, eps):
             elif diff < -eps:
                 scores[j] -= 1
     return tuple(scores)
+
+
+def brute_force_terms(rows, eps):
+    # straight-line rival best and sign per cell, for payoff_terms
+    rival_best, terms = [], []
+    for j, row in enumerate(rows):
+        rivals = rows[:j] + rows[j + 1:]
+        best = [max(other[k] for other in rivals) for k in range(len(row))]
+        rival_best.append(best)
+        signs = []
+        for own, rival in zip(row, best):
+            diff = own - rival
+            signs.append(1 if diff > eps else -1 if diff < -eps else 0)
+        terms.append(signs)
+    return rival_best, terms
+
+
+def tied_grid(rng, num_players, n, eps):
+    # values drawn from a few levels, some nudged by less than eps, so
+    # exact ties and sub-eps gaps are common
+    levels = rng.choice((0.0, 0.25, 0.5, 1.0, 3.0), size=(num_players, n))
+    nudges = rng.choice((0.0, 0.0, 0.5, -0.5, 1.0, 2.0), size=(num_players, n))
+    return levels + nudges * eps
 
 
 def random_instance(seed, num_players=3, n=3):
@@ -59,6 +85,18 @@ class TestValidateAllocation:
     def test_sum_within_eps(self):
         assert validate_allocation((3.0, 3.0 + 5e-10), 6.0, eps=1e-9) is None
 
+    @pytest.mark.parametrize(
+        "troops, total, index",
+        [
+            ((math.nan, 6.0), 6.0, 1),
+            ((math.inf, 0.0), math.inf, 1),
+            ((3.0, 3.0), math.nan, None),  # the budget-sum test fails on NaN
+        ],
+    )
+    def test_non_finite_rejected(self, troops, total, index):
+        violation = validate_allocation(troops, total)
+        assert violation is not None and violation.index == index
+
 
 class TestSgnEps:
     def test_cases(self):
@@ -84,12 +122,10 @@ class TestSgnEps:
 
 
 class TestPlayerRoster:
-    @pytest.mark.filterwarnings("ignore:two-player")
     def test_blotto_must_lead(self):
         with pytest.raises(ValidationError, match="largest"):
             PlayerRoster((3.0, 5.0))
 
-    @pytest.mark.filterwarnings("ignore:two-player")
     def test_blotto_positive(self):
         with pytest.raises(ValidationError, match="positive"):
             PlayerRoster((0.0, 0.0))
@@ -98,9 +134,18 @@ class TestPlayerRoster:
         with pytest.raises(ValidationError):
             PlayerRoster((5.0,))
 
-    def test_two_players_warn(self):
-        with pytest.warns(UserWarning):
-            PlayerRoster((5.0, 3.0))
+    def test_two_players_accepted_without_warning(self):
+        # validate_scenario's notice is the only two-player report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert PlayerRoster((5.0, 3.0)).num_players == 2
+
+    @pytest.mark.parametrize(
+        "totals, player", [((6.0, 4.0, math.nan), 3), ((math.inf, 4.0, 3.0), 1)]
+    )
+    def test_non_finite_budget_rejected(self, totals, player):
+        with pytest.raises(ValidationError, match=f"player {player} budget .* finite"):
+            PlayerRoster(totals)
 
 
 class TestClassicalPayoffs:
@@ -110,8 +155,7 @@ class TestClassicalPayoffs:
         assert payoffs == (0, -1, -1)
 
     def test_identical_allocations_all_tie(self):
-        with pytest.warns(UserWarning):
-            roster = PlayerRoster((4.0, 4.0))
+        roster = PlayerRoster((4.0, 4.0))
         assert classical_payoffs(((2.0, 2.0), (2.0, 2.0)), roster) == (0, 0)
 
     def test_length_mismatch(self):
@@ -126,7 +170,30 @@ class TestClassicalPayoffs:
         roster = PlayerRoster(totals)
         assert classical_payoffs(rows, roster) == brute_force_payoffs(rows, 1e-9)
 
-    @pytest.mark.filterwarnings("ignore:two-player")
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3])
+    def test_matches_brute_force_with_ties(self, eps):
+        # exact ties and gaps inside the tie band, which Dirichlet rows miss
+        rng = np.random.default_rng(0x71E5)
+        for _ in range(300):
+            num_players = int(rng.integers(2, 10))
+            n = int(rng.integers(1, 6))
+            grid = tied_grid(rng, num_players, n, eps)
+            rows = grid.tolist()
+            rival_best, terms = payoff_terms(grid, eps)
+            expected_best, expected_terms = brute_force_terms(rows, eps)
+            assert rival_best.tolist() == expected_best
+            assert terms.tolist() == expected_terms
+            roster = PlayerRoster((1.0,) * num_players)  # shape only
+            assert classical_payoffs(rows, roster, eps) == brute_force_payoffs(rows, eps)
+
+    def test_payoff_terms_rejects_bad_input(self):
+        with pytest.raises(ValidationError, match="tie tolerance"):
+            payoff_terms([[1.0], [0.0]], -1.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            payoff_terms([[1.0], [math.nan]])
+        with pytest.raises(ValidationError, match="two players"):
+            payoff_terms([[1.0, 0.0]])
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4))
     def test_payoff_bounds(self, seed, num_players, n):

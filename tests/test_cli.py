@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from qblotto import Scenario, dump_scenario, load_scenario, scenario_from_dict
+from qblotto import Scenario, dump_scenario, load_scenario
+from qblotto.scenario_io import scenario_from_dict
 from qblotto.cli import main
 
 GOLDEN_DOC = {
@@ -111,6 +112,50 @@ class TestPlay:
     def test_non_finite_eps_exit_2(self, golden_file, capsys, eps):
         assert main(["play", golden_file, "--eps", eps]) == 2
         assert "tie tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["play", "oracle"])
+    @pytest.mark.parametrize(
+        "totals, allocations, message",
+        [
+            ((6, 4, 3), [[math.nan, 6], [3, 1], [0, 3]],
+             "player 1 (Blotto): battlefield 1 allocation is not finite"),
+            ((6, 4, math.nan), [[3, 3], [3, 1], [math.nan, 0]],
+             "player 3 budget nan is not finite"),
+            ((math.inf, 4, 3), [[math.inf, 0], [3, 1], [0, 3]],
+             "player 1 budget inf is not finite"),
+        ],
+    )
+    def test_non_finite_budget_or_allocation_exit_2(
+        self, tmp_path, capsys, command, totals, allocations, message
+    ):
+        players = [
+            {"name": p["name"], "total": t}
+            for p, t in zip(GOLDEN_DOC["players"], totals)
+        ]
+        doc = dict(GOLDEN_DOC, players=players, allocations=allocations)
+        assert main([command, write_doc(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--out", "x"],
+            ["verify", "--jobs", "3"],
+            ["verify", "--degrees"],
+            ["oracle", "{golden}", "--out", "o.csv"],
+            ["oracle", "{golden}", "--jobs", "0"],
+            ["play", "{golden}", "--jobs", "2"],
+        ],
+    )
+    def test_unread_flag_exit_2(self, golden_file, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(golden=golden_file) for arg in argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMemoryError:
@@ -232,10 +277,6 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "FAIL tie-absorption" in captured.out
         assert "verification failed" in captured.err
-
-    def test_excluded_battlefield_variant_fails_golden(self, capsys):
-        assert main(["verify", "--exclude-own-battlefield"]) == 1
-        assert "FAIL golden-payoffs" in capsys.readouterr().out
 
 
 class TestOracle:

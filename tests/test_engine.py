@@ -7,34 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qblotto import (
+from qblotto import NumericalIntegrityError, Scenario, ValidationError, evaluate
+from qblotto.classical import sgn_eps
+from qblotto.engine import (
     EntanglerConfig,
-    NumericalIntegrityError,
     QuantumStrategy,
-    Scenario,
-    TensorDims,
-    ValidationError,
-    allclose,
-    dagger,
-    density_matrix,
     entangler,
     entangler_generator,
-    evaluate,
     evaluate_strategies,
     evolve,
-    expectation,
     initial_state,
-    kron,
-    kron_all,
     measurements,
-    partial_trace,
     player_operator,
-    quantum_payoffs,
     rotation_angle,
-    sgn_eps,
     strategies_of,
     strategy_gate,
     validate_scenario,
+)
+from qblotto.tensor import (
+    TensorDims,
+    allclose,
+    dagger,
+    density_matrix,
+    expectation,
+    kron,
+    kron_all,
+    partial_trace,
 )
 
 HALF_PI = math.pi / 2
@@ -383,7 +381,7 @@ class TestEvolve:
     def test_zero_strategies_leave_initial_state(self):
         # budget rules forbid an all-zero scenario (Blotto must spend a
         # positive budget), so the degenerate case lives at strategy level
-        from qblotto import evolve_strategies
+        from qblotto.engine import evolve_strategies
 
         idle = QuantumStrategy((0.0, 0.0), (0.0, 0.0))
         config = EntanglerConfig(0.0, (1, -1))
@@ -458,7 +456,7 @@ class TestMeasurements:
             assert table.values[j] == pytest.approx(GOLDEN_GRID[j], abs=1e-10)
 
     def test_all_zero_strategies(self):
-        from qblotto import evaluate_strategies
+        from qblotto.engine import evaluate_strategies
 
         idle = QuantumStrategy((0.0, 0.0), (0.0, 0.0))
         config = EntanglerConfig(HALF_PI, (1, -1))
@@ -516,7 +514,6 @@ class TestQuantumPayoffs:
     def test_worked_example(self, worked_example):
         table = evaluate(worked_example)
         assert table.payoffs == (0, -1, -1)
-        assert quantum_payoffs(table) == (0, -1, -1)
 
     def test_identical_strategies_tie_everywhere(self):
         scenario = Scenario.create(
@@ -533,9 +530,11 @@ class TestQuantumPayoffs:
         table = evaluate(scenario)
         assert table.payoffs[2] > 0
 
-    def test_exclude_own_battlefield_variant_breaks_golden(self, worked_example):
+    def test_exclude_own_battlefield_variant_breaks_golden(
+        self, worked_example, own_battlefield_excluded
+    ):
         table = evaluate(worked_example)
-        variant = quantum_payoffs(table, exclude_own_battlefield=True)
+        variant = own_battlefield_excluded(table)
         assert variant == (0, 0, -1)
         assert variant != table.payoffs
 
@@ -635,7 +634,7 @@ class TestClassicalCorrespondence:
     def test_payoffs_match_oracle_for_any_entanglement(self, worked_example):
         from dataclasses import replace
 
-        from qblotto import PlayerRoster, classical_payoffs
+        from qblotto.classical import PlayerRoster, classical_payoffs
 
         roster = PlayerRoster(worked_example.totals)
         expected = classical_payoffs(worked_example.allocations, roster)

@@ -7,20 +7,20 @@ import numpy as np
 import pytest
 
 from qblotto import (
-    BestResponse,
-    QuantumStrategy,
     Scenario,
     SweepResult,
     SweepSpec,
     ValidationError,
     best_response_grid,
-    check_phase_insensitivity,
-    evaluate_strategies,
     run_sweep,
+)
+from qblotto.engine import (
+    QuantumStrategy,
+    evaluate_strategies,
     strategies_of,
     validate_scenario,
 )
-from qblotto.sweep import SWEEP_PARAMETERS
+from qblotto.sweep import SWEEP_PARAMETERS, BestResponse, check_phase_insensitivity
 
 HALF_PI = math.pi / 2
 

@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qblotto import (
-    DimensionError,
-    NumericalIntegrityError,
+from qblotto import DimensionError, NumericalIntegrityError, ValidationError
+from qblotto.engine import strategy_gate
+from qblotto.tensor import (
+    MAX_DIM,
     TensorDims,
-    ValidationError,
     allclose,
+    assert_unit_norm,
     dagger,
     density_matrix,
     expectation,
     kron,
     kron_all,
     partial_trace,
-    strategy_gate,
 )
-from qblotto.tensor import MAX_DIM, assert_unit_norm
 
 I2 = np.eye(2, dtype=complex)
 
