@@ -6,11 +6,12 @@ A player's troop commitment on battlefield k becomes a rotation angle of
 their qubit, applied conditionally on the register; an optional phase
 per battlefield is the purely quantum part of the strategy. An
 entangling operator is applied before the strategy operators and undone
-after them. Measurement contracts the final density matrix, reduced to
-one player's qubit and the register, against the "qubit in state 1 on
-battlefield k" projector, and payoffs compare those measured strengths
-across players with the classical game's rule,
-:func:`qblotto.classical.payoff_terms`.
+after them; its generator has one nonzero per row, so it is applied to
+the state as a signed, phased reversal of the qubit index rather than as
+a matrix. Strength (j, k) is read off the final state as the probability
+of player j's qubit in state 1 with the register on battlefield k, and
+payoffs compare those measured strengths across players with the
+classical game's rule, :func:`qblotto.classical.payoff_terms`.
 
 All operations are pure functions of their inputs; evaluating the same
 scenario twice produces bit-identical results.
@@ -433,13 +434,14 @@ def player_operator(
 def entangler_generator(
     num_players: int, sign_pattern: Sequence[int]
 ) -> ComplexMatrix:
-    """Generator of the entangling operator.
+    """Generator of the entangling operator, as a dense matrix.
 
     A scaled tensor product of one antisymmetric flip block per player
     with a diagonal battlefield block of ``sign * i`` entries. It
     squares to plus the identity for an odd player count and minus the
     identity for an even one, which decides whether an entangler can be
-    built from it.
+    built from it. Reference for tests and :func:`entangler`; evaluation
+    applies it with :func:`generator_weights` and :func:`apply_generator`.
     """
     pattern = EntanglerConfig(0.0, sign_pattern).sign_pattern  # checks entries
     if num_players < 1:
@@ -447,6 +449,30 @@ def entangler_generator(
     register_block = np.diag([1j * s for s in pattern]).astype(complex)
     generator = tensor.kron_all([_FLIP] * num_players + [register_block])
     return ((-1.0) ** num_players) * generator
+
+
+def generator_weights(
+    num_players: int, sign_pattern: Sequence[int], *, adjoint: bool = False
+) -> np.ndarray:
+    """The generator's one nonzero per row, on the ``(2^N, n)`` state grid.
+
+    Row ``(s, k)`` of ``G`` holds ``(-1)^(N + popcount(s)) * i * sign_k``
+    in column ``(2^N - 1 - s, k)``: every flip block swaps a qubit's
+    state, with a minus sign when it is 1. ``G^+ = -(-1)^N G``, so the
+    adjoint's weights drop the ``(-1)^N`` and negate. ``sign_pattern``
+    is taken as checked, as :class:`EntanglerConfig` holds it.
+    """
+    parity = np.ones(1)
+    for _ in range(num_players):
+        parity = np.concatenate([parity, -parity])  # (-1)^popcount(s)
+    scale = -1.0 if adjoint else (-1.0) ** num_players
+    register = 1j * np.asarray(sign_pattern, dtype=float)
+    return (scale * parity)[:, None] * register
+
+
+def apply_generator(weights: np.ndarray, psi: StateVector) -> StateVector:
+    """``G psi``, or ``G^+ psi`` for the adjoint's :func:`generator_weights`."""
+    return (weights * psi.reshape(weights.shape)[::-1]).reshape(-1)
 
 
 def generator_square_scalar(generator: ComplexMatrix) -> complex:
@@ -535,11 +561,14 @@ def evolve_strategies(
     change the outcome; the parameter exists to make that checkable.
 
     The entangler ``J = c I + i s G`` (``c, s = cos, sin(gamma/2)``) acts
-    as ``c psi + i s (G psi)`` and its inverse as ``c psi - i s (G^+ psi)``;
-    neither ``J`` nor a dense unitarity or commutation probe is formed.
-    ``max|J^+ J - I|`` is exactly ``|sin(gamma)|`` for an even player
-    count (the generator squares to ``-I``) and 0 for an odd one, so an
-    even count with ``|sin(gamma)| > UNITARITY_EPS`` raises
+    as ``c psi + i s (G psi)`` and its inverse as ``c psi - i s (G^+ psi)``.
+    ``G`` has one nonzero per row, so ``G psi`` and ``G^+ psi`` reverse
+    the qubit index of the ``(2^N, n)`` view of ``psi`` and multiply by
+    :func:`generator_weights`; neither ``G``, ``J`` nor a dense unitarity
+    or commutation probe is formed. The strategy operators are dense
+    matrices. ``max|J^+ J - I|`` is exactly ``|sin(gamma)|`` for an even
+    player count (the generator squares to ``-I``) and 0 for an odd one,
+    so an even count with ``|sin(gamma)| > UNITARITY_EPS`` raises
     :class:`NumericalIntegrityError`. The final state's norm is checked.
     """
     count = len(strategies)
@@ -564,16 +593,16 @@ def evolve_strategies(
             f"generator squares to -I, which happens for an even number of "
             f"players: use an odd player count or gamma = 0"
         )
-    generator = entangler_generator(count, config.sign_pattern)
+    forward = generator_weights(count, config.sign_pattern)
+    inverse = generator_weights(count, config.sign_pattern, adjoint=True)
     half = config.gamma / 2.0
     c, s = math.cos(half), math.sin(half)
 
     psi = initial_state(count, n)
-    psi = c * psi + (1j * s) * (generator @ psi)
+    psi = c * psi + (1j * s) * apply_generator(forward, psi)
     for player in order:
         psi = player_operator(player, strategies[player - 1], count) @ psi
-    # G^+ psi == conj(conj(psi) @ G), without a transposed copy of G.
-    psi = c * psi - (1j * s) * np.conj(np.conj(psi) @ generator)
+    psi = c * psi - (1j * s) * apply_generator(inverse, psi)
     tensor.assert_unit_norm(psi)
     return psi
 

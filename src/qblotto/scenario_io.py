@@ -45,7 +45,10 @@ PLAYER_KEYS = {"name", "total"}
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where}: integer too large for a float") from None
 
 
 def _require_grid(
@@ -176,7 +179,8 @@ def load_scenario(
 
     Returns the normalized scenario and the validation notices. JSON
     syntax errors surface as :class:`ValidationError` with the line and
-    column of the parse failure.
+    column of the parse failure. An integer literal too long to parse or
+    too large for a float raises :class:`ValidationError` as well.
     """
     path = Path(path)
     try:
@@ -188,6 +192,10 @@ def load_scenario(
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ValidationError(
+            f"{path}: invalid JSON: integer literal too long"
         ) from exc
     scenario = scenario_from_dict(doc, degrees=degrees)
     return validate_scenario(scenario)

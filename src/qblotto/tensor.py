@@ -2,9 +2,10 @@
 
 This module holds Kronecker products, conjugate transposes, partial
 traces and operator expectation values, all on plain ``numpy`` arrays.
-The engine uses the dimensions, ``kron_all`` and the norm check; the
-density matrix, partial trace and expectation value are the reference
-measurement that tests compare the engine's strengths against. The
+Evaluation uses only the dimensions and the norm check. The rest is the
+dense reference that tests compare the engine against: ``kron_all``
+builds the entangler's generator as a matrix, and the density matrix,
+partial trace and expectation value give the reference measurement. The
 factor structure of the composite space (one qubit per player followed
 by the battlefield register) travels alongside the arrays as a
 :class:`TensorDims` value, and all factor indices in the public

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,18 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "qblotto.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class TestPlay:
@@ -137,6 +153,24 @@ class TestPlay:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+    def test_total_too_large_for_float_exit_2(self, tmp_path):
+        players = [dict(GOLDEN_DOC["players"][0], total=10**400)]
+        doc = dict(GOLDEN_DOC, players=players + GOLDEN_DOC["players"][1:])
+        done = run_cli("play", write_doc(tmp_path, doc))
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "error: players[1].total: integer too large for a float\n"
+
+    def test_integer_literal_past_digit_limit_exit_2(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        text = json.dumps(GOLDEN_DOC).replace('"total": 6', '"total": 1' + "0" * 5000)
+        path.write_text(text, encoding="utf-8")
+        done = run_cli("play", str(path))
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 class TestFlagsPerCommand:

@@ -12,10 +12,12 @@ from qblotto.classical import sgn_eps
 from qblotto.engine import (
     EntanglerConfig,
     QuantumStrategy,
+    apply_generator,
     entangler,
     entangler_generator,
     evaluate_strategies,
     evolve,
+    generator_weights,
     initial_state,
     measurements,
     player_operator,
@@ -178,9 +180,36 @@ def dense_evaluate(strategies, config, eps, order):
     return grid, payoffs
 
 
+def dense_generator_evaluate(scenario):
+    """evaluate() with the entangler applied through the dense generator."""
+    scenario, _ = validate_scenario(scenario)
+    count, n = scenario.num_players, scenario.num_battlefields
+    generator = entangler_generator(count, scenario.sign_pattern)
+    c, s = math.cos(scenario.gamma / 2.0), math.sin(scenario.gamma / 2.0)
+    psi = initial_state(count, n)
+    psi = c * psi + (1j * s) * (generator @ psi)
+    for player, strategy in enumerate(strategies_of(scenario), start=1):
+        psi = player_operator(player, strategy, count) @ psi
+    psi = c * psi - (1j * s) * np.conj(np.conj(psi) @ generator)
+    return measurements(psi, scenario.dims, scenario.eps)
+
+
 def random_strategy(rng, n):
     phases = rng.uniform(0.0, 2 * math.pi, n) * (rng.random(n) < 0.8)
     return QuantumStrategy(tuple(rng.uniform(0.0, HALF_PI, n)), tuple(phases))
+
+
+def random_scenario(rng, count, n, gamma):
+    blotto = float(rng.uniform(1.0, 20.0))
+    totals = [blotto] + [float(rng.uniform(0.1, blotto)) for _ in range(count - 1)]
+    phases = rng.uniform(0.0, 2 * math.pi, (count, n)) * (rng.random((count, n)) < 0.8)
+    return Scenario.create(
+        totals=totals,
+        allocations=[rng.dirichlet(np.ones(n)) * t for t in totals],
+        gamma=gamma,
+        phases=phases,
+        sign_pattern=[int(s) for s in rng.choice((-1, 1), n)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +356,21 @@ class TestEntanglerGenerator:
         with pytest.raises(ValidationError):
             entangler_generator(2, ())
 
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_matrix_free_matches_dense_exactly(self, count):
+        rng = np.random.default_rng(0x6E4 + count)
+        for n in range(1, 5):
+            pattern = tuple(int(s) for s in rng.choice((-1, 1), n))
+            dense = entangler_generator(count, pattern)
+            dim = 2**count * n
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            forward = generator_weights(count, pattern)
+            adjoint = generator_weights(count, pattern, adjoint=True)
+            assert np.array_equal(apply_generator(forward, psi), dense @ psi)
+            assert np.array_equal(
+                apply_generator(adjoint, psi), dense.conj().T @ psi
+            ), (count, n)
+
 
 class TestEntangler:
     def test_zero_gamma_is_exact_identity(self):
@@ -437,6 +481,26 @@ class TestEvolve:
             worst = np.abs(np.array(table.values) - grid).max()
             assert worst <= 1e-12, (count, n, worst)
             assert table.payoffs == payoffs, (count, n)
+
+    def test_evaluate_equals_dense_generator_exactly(self):
+        # odd counts with entanglement; even counts at the two gammas the
+        # unitarity rule admits
+        rng = np.random.default_rng(0x6E40)
+        cases = [(count, n, None) for count in (3, 5, 7) for n in (1, 2, 3, 4)] * 2
+        cases += [(9, 1, None), (9, 2, None)]
+        cases += [
+            (count, n, gamma)
+            for count in (2, 4, 6)
+            for n in (1, 2, 3)
+            for gamma in (0.0, 1e-11)
+        ]
+        for count, n, gamma in cases:
+            if gamma is None:
+                gamma = float(rng.uniform(0.0, HALF_PI))
+            scenario = random_scenario(rng, count, n, gamma)
+            assert evaluate(scenario) == dense_generator_evaluate(scenario), (
+                count, n, gamma
+            )
 
     def test_order_permutations_agree(self, worked_example):
         from dataclasses import replace
