@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, classical_payoffs
-from .engine import MeasurementTable, Scenario, evaluate, validate_scenario
+from .engine import MeasurementTable, Scenario, evaluate
 from .errors import NumericalIntegrityError, ValidationError
 from .scenario_io import load_scenario
 from .selfcheck import run_verification
@@ -32,10 +31,7 @@ def _fmt(value: float) -> str:
 
 
 def _load(args) -> tuple[Scenario, list[str]]:
-    scenario, notices = load_scenario(args.scenario, degrees=args.degrees)
-    if args.eps is not None:
-        scenario, _ = validate_scenario(replace(scenario, eps=args.eps))
-    return scenario, notices
+    return load_scenario(args.scenario, degrees=args.degrees, eps=args.eps)
 
 
 def _print_report(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -173,11 +174,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def load_scenario(
-    path: str | Path, *, degrees: bool = False
+    path: str | Path, *, degrees: bool = False, eps: float | None = None
 ) -> tuple[Scenario, list[str]]:
     """Load, schema-check and validate a scenario file.
 
-    Returns the normalized scenario and the validation notices. JSON
+    A given ``eps`` replaces the file's tie tolerance before validation,
+    so it also sets the tolerance of the budget sums. Returns the
+    normalized scenario and the validation notices. JSON
     syntax errors surface as :class:`ValidationError` with the line and
     column of the parse failure. An integer literal too long to parse or
     too large for a float raises :class:`ValidationError` as well.
@@ -198,6 +201,8 @@ def load_scenario(
             f"{path}: invalid JSON: integer literal too long"
         ) from exc
     scenario = scenario_from_dict(doc, degrees=degrees)
+    if eps is not None:
+        scenario = replace(scenario, eps=eps)
     return validate_scenario(scenario)
 
 

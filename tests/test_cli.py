@@ -109,6 +109,40 @@ class TestPlay:
         assert main(["play", golden_file, "--eps", "1e-6"]) == 0
         assert "1e-06" in capsys.readouterr().out
 
+    def test_eps_flag_sets_budget_tolerance(self, tmp_path, capsys):
+        # Blotto's allocations sum to 6.0 against a budget of 6.000001
+        blotto = dict(GOLDEN_DOC["players"][0], total=6.000001)
+        doc = dict(GOLDEN_DOC, players=[blotto, *GOLDEN_DOC["players"][1:]])
+        flagged = write_doc(tmp_path, doc, "flagged.json")
+        in_file = write_doc(tmp_path, dict(doc, eps=1e-3), "in_file.json")
+        assert main(["play", flagged, "--eps", "1e-3"]) == 0
+        flagged_out = capsys.readouterr().out
+        assert main(["play", in_file]) == 0
+        assert flagged_out == capsys.readouterr().out
+        assert main(["play", in_file, "--eps", "1e-12"]) == 2
+        assert "budget is 6.000001" in capsys.readouterr().err
+
+    def test_eps_flag_validates_once_on_load(self, monkeypatch, capsys):
+        import qblotto.engine
+
+        real = qblotto.engine.validate_scenario
+        calls = []
+
+        def counted(scenario):
+            calls.append(scenario.eps)
+            return real(scenario)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("qblotto") and (
+                getattr(module, "validate_scenario", None) is real
+            ):
+                monkeypatch.setattr(module, "validate_scenario", counted)
+        root = Path(__file__).resolve().parents[1]
+        scenario = root / "scenarios" / "three_players.json"
+        assert main(["play", "--eps", "1e-6", str(scenario)]) == 0
+        assert calls == [1e-6, 1e-6]  # load_scenario, then evaluate
+
     def test_unwritable_out_exit_2(self, golden_file, tmp_path, capsys):
         out_path = tmp_path / "missing" / "report.csv"
         assert main(["play", golden_file, "--out", str(out_path)]) == 2

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qblotto.sweep
 from qblotto import (
     Scenario,
     SweepResult,
@@ -14,13 +15,20 @@ from qblotto import (
     best_response_grid,
     run_sweep,
 )
+from qblotto.classical import payoff_terms
 from qblotto.engine import (
     QuantumStrategy,
     evaluate_strategies,
     strategies_of,
     validate_scenario,
 )
-from qblotto.sweep import SWEEP_PARAMETERS, BestResponse, check_phase_insensitivity
+from qblotto.sweep import (
+    MAX_GRID_POINTS,
+    SWEEP_PARAMETERS,
+    BestResponse,
+    _fit_strengths,
+    check_phase_insensitivity,
+)
 
 HALF_PI = math.pi / 2
 
@@ -354,3 +362,178 @@ def test_separable_search_matches_exhaustive_reference(num_players, n):
             assert best_response_grid(scenario, player, steps) == (
                 exhaustive_best_response(scenario, player, steps)
             ), (scenario, player, steps)
+
+
+def direct_best_response(base, player, steps):
+    """Reference search: evaluate every value of the phase axis.
+
+    One evaluation per axis value, with all of the player's phases at
+    that value; the first index maximizing each battlefield's term wins.
+    """
+    scenario, _ = validate_scenario(base)
+    strategies = list(strategies_of(scenario))
+    config = scenario.entangler_config
+    eps = scenario.eps
+    angles = strategies[player - 1].angles
+    n = scenario.num_battlefields
+    axis = [float(v) for v in np.linspace(0.0, HALF_PI, steps)]
+
+    rows = []
+    for phase in axis:
+        strategies[player - 1] = QuantumStrategy(angles, (phase,) * n)
+        table = evaluate_strategies(strategies, config, eps)
+        rows.append(payoff_terms(table.values, eps)[1][player - 1])
+    terms = np.array(rows)
+    return BestResponse(
+        player=player,
+        payoff=int(terms.max(axis=0).sum()),
+        phases=tuple(axis[s] for s in terms.argmax(axis=0)),
+    )
+
+
+def with_copied_rival(rng, scenario):
+    """One rival (never Blotto) takes another player's budget and move."""
+    players = range(1, scenario.num_players + 1)
+    target = rng.randint(2, scenario.num_players)
+    source = rng.choice([j for j in players if j != target])
+    rows = {
+        name: list(getattr(scenario, name))
+        for name in ("totals", "allocations", "phases")
+    }
+    for row in rows.values():
+        row[target - 1] = row[source - 1]
+    return replace(scenario, **{name: tuple(row) for name, row in rows.items()})
+
+
+def differential_case(rng, num_players):
+    """A seeded search: scenario, player and steps under the grid cap.
+
+    At eps = 0 a fractional split can miss its budget by an ulp; such a
+    scenario is invalid and is drawn again.
+    """
+    n = rng.randint(1, 4)
+    # even player counts admit only gamma = 0
+    classical = num_players % 2 == 0 or rng.random() < 0.2
+    gamma = 0.0 if classical else rng.uniform(0.05, HALF_PI)
+    eps = rng.choice((0.0, 1e-9, 1e-3))
+    copied = rng.random() < 0.3
+    while True:
+        scenario = replace(random_grid_scenario(rng, num_players, n, gamma), eps=eps)
+        if copied:
+            scenario = with_copied_rival(rng, scenario)
+        try:
+            validate_scenario(scenario)
+            break
+        except ValidationError:
+            pass
+    steps = rng.randint(2, 64)
+    while steps**n > MAX_GRID_POINTS:
+        steps -= 1
+    return scenario, rng.randint(1, num_players), steps
+
+
+# Searches per player count: 304 in all.
+DIFFERENTIAL_SEARCHES = {2: 110, 3: 110, 5: 60, 7: 24}
+
+
+@pytest.mark.parametrize("num_players", sorted(DIFFERENTIAL_SEARCHES))
+def test_fitted_search_matches_direct_reference(num_players):
+    rng = random.Random(7000 + num_players)
+    for _ in range(DIFFERENTIAL_SEARCHES[num_players]):
+        scenario, player, steps = differential_case(rng, num_players)
+        assert best_response_grid(scenario, player, steps) == (
+            direct_best_response(scenario, player, steps)
+        ), (scenario, player, steps)
+
+
+def counting_evaluations(monkeypatch):
+    calls = []
+    real = qblotto.sweep.evaluate_strategies
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qblotto.sweep, "evaluate_strategies", counted)
+    return calls
+
+
+class TestFittedSearchCost:
+    def test_generic_search_makes_five_evaluations(
+        self, monkeypatch, worked_example
+    ):
+        rng = random.Random(11)
+        generic = Scenario.create(
+            totals=(6.0, 4.5, 3.2),
+            allocations=((2.5, 1.5, 2.0), (1.1, 2.3, 1.1), (0.7, 0.9, 1.6)),
+            gamma=1.1,
+            phases=[
+                [rng.uniform(0.0, 2 * math.pi) for _ in range(3)] for _ in range(3)
+            ],
+        )
+        calls = counting_evaluations(monkeypatch)
+        for scenario, player, steps in ((generic, 2, 64), (worked_example, 3, 33)):
+            calls.clear()
+            best = best_response_grid(scenario, player, steps)
+            assert len(calls) == 5
+            assert best == direct_best_response(scenario, player, steps)
+
+    def test_exact_ties_fall_back_within_steps(self, monkeypatch, worked_example):
+        # Without entanglement the phases do nothing, so enemy 1 ties
+        # its copy exactly at every grid value; at eps = 0 every fitted
+        # value must be evaluated.
+        scenario = replace(
+            worked_example,
+            gamma=0.0,
+            eps=0.0,
+            totals=(6.0, 4.0, 4.0),
+            allocations=((3.0, 3.0), (3.0, 1.0), (3.0, 1.0)),
+        )
+        steps = 17
+        calls = counting_evaluations(monkeypatch)
+        best = best_response_grid(scenario, 2, steps)
+        assert 5 < len(calls) <= steps
+        assert best == direct_best_response(scenario, 2, steps)
+
+    def test_margin_at_tie_band_edge_falls_back(
+        self, monkeypatch, worked_example
+    ):
+        # eps set to enemy 1's margin on battlefield 2, which no phase
+        # moves without entanglement: every fitted value sits on the
+        # band's edge and must be evaluated. No margin is near zero.
+        classical = replace(
+            worked_example,
+            gamma=0.0,
+            allocations=((3.0, 3.0), (2.5, 1.5), (0.0, 3.0)),
+        )
+        table = evaluate_strategies(
+            strategies_of(classical), classical.entangler_config
+        )
+        margin = table.values[1][1] - table.rival_best[1][1]
+        assert margin < 0
+        scenario = replace(classical, eps=-margin)
+        steps = 12
+        calls = counting_evaluations(monkeypatch)
+        best = best_response_grid(scenario, 2, steps)
+        assert len(calls) == steps
+        assert best == direct_best_response(scenario, 2, steps)
+
+
+@pytest.mark.parametrize("num_players", [2, 3, 5, 7])
+def test_five_node_fit_predicts_every_grid_value(num_players):
+    rng = random.Random(900 + num_players)
+    for _ in range(8):
+        scenario, player, steps = differential_case(rng, num_players)
+        steps = max(steps, 6)
+        strategies = list(strategies_of(validate_scenario(scenario)[0]))
+        angles = strategies[player - 1].angles
+        axis = np.linspace(0.0, HALF_PI, steps)
+        grids = []
+        for phase in axis:
+            strategies[player - 1] = QuantumStrategy(angles, (phase,) * len(angles))
+            table = evaluate_strategies(strategies, scenario.entangler_config)
+            grids.append(table.values)
+        grids = np.array(grids)
+        nodes = np.round(np.linspace(0, steps - 1, 5)).astype(int)
+        fitted = _fit_strengths(axis[nodes], grids[nodes], axis)
+        assert np.abs(fitted - grids).max() <= 1e-14, (scenario, player, steps)
