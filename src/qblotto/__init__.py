@@ -7,8 +7,8 @@ oracle for cross-validation, parameter sweep tooling and a CLI
 what a caller needs to build, evaluate, sweep and store a scenario;
 everything else lives in its submodule: the payoff rule and the
 classical game in ``qblotto.classical``, the engine's building blocks
-in ``qblotto.engine``, and the dense Kronecker/partial-trace reference
-used by the tests in ``qblotto.tensor``.
+in ``qblotto.engine`` and the composite space's dimensions in
+``qblotto.tensor``. A scenario is validated when it is built.
 """
 
 from .engine import MeasurementTable, Scenario, evaluate

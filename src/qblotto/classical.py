@@ -110,8 +110,8 @@ class PlayerRoster:
     Budgets must be finite, and Blotto must hold the largest (strictly
     positive) one; every rotation angle in the quantum game is
     normalized by it. Two-player games are accepted, since nothing in
-    the payoff rule breaks for them; :func:`qblotto.engine.validate_scenario`
-    reports them with a notice.
+    the payoff rule breaks for them; :func:`qblotto.engine.scenario_notices`
+    reports them.
     """
 
     totals: tuple[float, ...]

@@ -14,7 +14,7 @@ import math
 import sys
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, classical_payoffs
-from .engine import MeasurementTable, Scenario, evaluate
+from .engine import MeasurementTable, Scenario, evaluate, reduced_phase
 from .errors import NumericalIntegrityError, ValidationError
 from .scenario_io import load_scenario
 from .selfcheck import run_verification
@@ -124,7 +124,7 @@ def cmd_sweep(args) -> int:
         hi=hi,
         steps=args.steps,
     )
-    result = run_sweep(spec, jobs=args.jobs)
+    result = run_sweep(spec)
     csv_text = _sweep_csv(result, scenario.num_players, scenario.num_battlefields)
     if args.out:
         _write_out(args.out, csv_text)
@@ -167,7 +167,7 @@ def cmd_oracle(args) -> int:
         (j + 1, k + 1)
         for j, row in enumerate(scenario.phases)
         for k, phase in enumerate(row)
-        if phase != 0.0
+        if reduced_phase(phase) != 0.0
     ]
     if nonzero:
         raise ValidationError(
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--steps", type=int, default=DEFAULT_SWEEP_STEPS, help="grid points"
     )
-    swp.add_argument("--jobs", type=int, default=1, help="parallel evaluations")
     swp.set_defaults(handler=cmd_sweep)
 
     ver = sub.add_parser("verify", parents=[eps], help="run the built-in golden checks")

@@ -13,6 +13,8 @@ of player j's qubit in state 1 with the register on battlefield k, and
 payoffs compare those measured strengths across players with the
 classical game's rule, :func:`qblotto.classical.payoff_terms`.
 
+A :class:`Scenario` is validated once, when it is built, so every
+scenario that exists is valid and evaluation does not check it again.
 All operations are pure functions of their inputs; evaluating the same
 scenario twice produces bit-identical results.
 """
@@ -20,7 +22,7 @@ scenario twice produces bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +41,9 @@ from .tensor import ComplexMatrix, StateVector, TensorDims
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
 
-# Tolerances for the even-count unitarity rule, the [0, 1] range of a
-# strength and the reference entangler's unitarity and commutation probes.
+# Tolerance of the even-count unitarity rule and of a strength's [0, 1]
+# range.
 UNITARITY_EPS = 1e-10
-COMMUTATION_EPS = 1e-10
 
 _ANGLE_SLACK = 1e-12
 
@@ -211,7 +212,10 @@ class Scenario:
 
     Player 1 is Blotto and must hold the largest budget. ``allocations``
     and ``phases`` are player-major grids of shape N x n; ``eps`` is the
-    absolute tie tolerance used for payoffs and budget sums.
+    absolute tie tolerance used for payoffs and budget sums. Building a
+    scenario (``dataclasses.replace`` included) validates it and raises
+    :class:`ValidationError` on the first broken rule; phases are stored
+    as given and reduced by :func:`strategies_of`.
     """
 
     player_names: tuple[str, ...]
@@ -262,6 +266,15 @@ class Scenario:
         if len(pattern) != n:
             raise DimensionError(n, len(pattern), "sign pattern")
         check_tie_eps(self.eps)
+        TensorDims.for_game(count, n)  # dimension guard, before anything costly
+        PlayerRoster(totals)  # two or more finite budgets, Blotto's the largest
+        for j, row in enumerate(allocations):
+            violation = validate_allocation(row, totals[j], self.eps)
+            if violation is not None:
+                raise ValidationError(
+                    f"player {j + 1} ({names[j]}): {violation.message}"
+                )
+        EntanglerConfig(self.gamma, pattern)  # gamma's domain, +-1 entries
 
     @classmethod
     def create(
@@ -322,12 +335,16 @@ class Scenario:
         return EntanglerConfig(self.gamma, self.sign_pattern)
 
 
-def validate_scenario(scenario: Scenario) -> tuple[Scenario, list[str]]:
-    """Validate a scenario and normalize its phases.
+def reduced_phase(phase: float) -> float:
+    """A phase reduced by its period 2*pi; one in [0, 2*pi) is returned as is."""
+    return phase if 0.0 <= phase < TWO_PI else phase % TWO_PI
 
-    Returns the normalized scenario plus human-readable notices (phase
-    reductions, two-player acceptance, uniform sign pattern). Hard
-    violations raise :class:`ValidationError`.
+
+def scenario_notices(scenario: Scenario) -> list[str]:
+    """Human-readable notes on the unusual choices of a valid scenario.
+
+    A two-player game, a uniform sign pattern and each phase outside
+    [0, 2*pi), with the value :func:`reduced_phase` gives it.
     """
     notices: list[str] = []
     if scenario.num_players == 2:
@@ -335,62 +352,33 @@ def validate_scenario(scenario: Scenario) -> tuple[Scenario, list[str]]:
             "two-player game accepted; the game is usually played with "
             "three or more players"
         )
-
-    # Triggers the composite-dimension guardrail before anything costly.
-    scenario.dims
-
-    # Enforces at least two players, finite budgets and Blotto-has-most.
-    PlayerRoster(scenario.totals)
-
-    for j, row in enumerate(scenario.allocations):
-        violation = validate_allocation(row, scenario.totals[j], scenario.eps)
-        if violation is not None:
-            raise ValidationError(
-                f"player {j + 1} ({scenario.player_names[j]}): {violation.message}"
-            )
-
-    # EntanglerConfig checks gamma's domain and the pattern values.
-    scenario.entangler_config
     pattern = scenario.sign_pattern
     if len(set(pattern)) == 1 and len(pattern) > 1:
         notices.append(
             f"uniform sign pattern {pattern} accepted as an explicit "
             f"override; the default flips the last battlefield's sign"
         )
-
-    normalized = []
-    changed = False
     for j, row in enumerate(scenario.phases, start=1):
-        out_row = []
         for k, p in enumerate(row, start=1):
-            if 0.0 <= p < TWO_PI:
-                out_row.append(p)
-            else:
-                q = p % TWO_PI
+            q = reduced_phase(p)
+            if q != p:
                 notices.append(
                     f"phase for player {j}, battlefield {k} reduced "
                     f"from {p!r} to {q!r} (period 2*pi)"
                 )
-                out_row.append(q)
-                changed = True
-        normalized.append(tuple(out_row))
-
-    if changed:
-        scenario = replace(scenario, phases=tuple(normalized))
-    return scenario, notices
+    return notices
 
 
 def strategies_of(scenario: Scenario) -> tuple[QuantumStrategy, ...]:
-    """Per-player strategies derived from the scenario's allocations."""
+    """Per-player strategies: allocations' angles and reduced phases."""
     return tuple(
         QuantumStrategy.from_allocation(
-            scenario.allocations[j], scenario.blotto_total, scenario.phases[j]
+            scenario.allocations[j],
+            scenario.blotto_total,
+            [reduced_phase(p) for p in scenario.phases[j]],
         )
         for j in range(scenario.num_players)
     )
-
-
-_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
 def initial_state(num_players: int, num_battlefields: int) -> StateVector:
@@ -431,26 +419,6 @@ def player_operator(
     return op.reshape(dims.dim, dims.dim)
 
 
-def entangler_generator(
-    num_players: int, sign_pattern: Sequence[int]
-) -> ComplexMatrix:
-    """Generator of the entangling operator, as a dense matrix.
-
-    A scaled tensor product of one antisymmetric flip block per player
-    with a diagonal battlefield block of ``sign * i`` entries. It
-    squares to plus the identity for an odd player count and minus the
-    identity for an even one, which decides whether an entangler can be
-    built from it. Reference for tests and :func:`entangler`; evaluation
-    applies it with :func:`generator_weights` and :func:`apply_generator`.
-    """
-    pattern = EntanglerConfig(0.0, sign_pattern).sign_pattern  # checks entries
-    if num_players < 1:
-        raise ValidationError("a game needs at least one player")
-    register_block = np.diag([1j * s for s in pattern]).astype(complex)
-    generator = tensor.kron_all([_FLIP] * num_players + [register_block])
-    return ((-1.0) ** num_players) * generator
-
-
 def generator_weights(
     num_players: int, sign_pattern: Sequence[int], *, adjoint: bool = False
 ) -> np.ndarray:
@@ -473,79 +441,6 @@ def generator_weights(
 def apply_generator(weights: np.ndarray, psi: StateVector) -> StateVector:
     """``G psi``, or ``G^+ psi`` for the adjoint's :func:`generator_weights`."""
     return (weights * psi.reshape(weights.shape)[::-1]).reshape(-1)
-
-
-def generator_square_scalar(generator: ComplexMatrix) -> complex:
-    """Scalar s with ``generator @ generator == s * I`` (diagnostic)."""
-    generator = tensor.as_matrix(generator)
-    square = generator @ generator
-    return complex(square[0, 0])
-
-
-def entangler(
-    gamma: float,
-    generator: ComplexMatrix,
-    dims: TensorDims | None = None,
-) -> ComplexMatrix:
-    """Entangling operator ``cos(gamma/2) I + i sin(gamma/2) generator``.
-
-    Checked reference builder used by tests; evaluation applies the
-    entangler to the state without forming this matrix. The closed form
-    is only unitary when the generator squares to the identity, which
-    holds for an odd number of players; an even count is rejected with a
-    diagnostic. When ``dims`` is given, the result is additionally
-    checked to commute with a pseudo-randomly sampled classical
-    (phase-free) strategy operator, which every valid entangler must do.
-    """
-    generator = tensor.as_matrix(generator)
-    dim = generator.shape[0]
-    if generator.shape != (dim, dim):
-        raise DimensionError((dim, dim), generator.shape, "entangler generator")
-    half = float(gamma) / 2.0
-    out = math.cos(half) * np.eye(dim, dtype=complex) + (
-        1j * math.sin(half)
-    ) * generator
-
-    deviation = float(np.abs(tensor.dagger(out) @ out - np.eye(dim)).max())
-    if deviation > UNITARITY_EPS:
-        square = generator_square_scalar(generator)
-        hint = ""
-        if abs(square + 1.0) < 1e-6:
-            hint = (
-                "; the generator squares to -I, which happens for an even "
-                "number of players: use an odd player count or gamma = 0"
-            )
-        raise NumericalIntegrityError(
-            f"entangler is not unitary (max deviation {deviation:.3e}){hint}"
-        )
-
-    if dims is not None:
-        if dims.dim != dim:
-            raise DimensionError(dims.dim, dim, "entangler dims")
-        _check_classical_commutation(out, dims)
-    return out
-
-
-def _check_classical_commutation(op: ComplexMatrix, dims: TensorDims) -> None:
-    """Verify ``op`` commutes with a sampled phase-free strategy operator."""
-    num_players = len(dims) - 1
-    n = dims.factors[-1]
-    if num_players < 1:
-        return
-    rng = np.random.default_rng(0x51B10)  # fixed seed keeps runs bit-identical
-    player = int(rng.integers(1, num_players + 1))
-    angles = rng.uniform(0.0, HALF_PI, size=n)
-    probe = player_operator(
-        player,
-        QuantumStrategy(tuple(angles), (0.0,) * n),
-        num_players,
-    )
-    residue = float(np.abs(op @ probe - probe @ op).max())
-    if residue > COMMUTATION_EPS:
-        raise NumericalIntegrityError(
-            f"entangler fails to commute with a classical strategy operator "
-            f"(max residue {residue:.3e})"
-        )
 
 
 def evolve_strategies(
@@ -619,8 +514,7 @@ def _check_order(order: Sequence[int] | None, count: int) -> list[int]:
 
 
 def evolve(scenario: Scenario, order: Sequence[int] | None = None) -> StateVector:
-    """Final normalized state of a validated scenario."""
-    scenario, _ = validate_scenario(scenario)
+    """Final normalized state of a scenario."""
     return evolve_strategies(
         strategies_of(scenario), scenario.entangler_config, order
     )
@@ -635,8 +529,8 @@ def measurements(
     with the register on battlefield k: the sum of ``|psi|^2`` over the
     basis states with qubit j set and register index k. This equals the
     committed-qubit projector's expectation on the density matrix
-    reduced to qubit j and the register, which ``qblotto.tensor`` keeps
-    as the reference. A value outside [0, 1] beyond tolerance, NaN
+    reduced to qubit j and the register, which the tests' dense
+    reference computes. A value outside [0, 1] beyond tolerance, NaN
     included, raises :class:`NumericalIntegrityError`. Rival bests and
     payoffs come from :func:`qblotto.classical.payoff_terms` applied to
     the strength grid.
@@ -672,10 +566,8 @@ def measurements(
 def evaluate(
     scenario: Scenario, order: Sequence[int] | None = None
 ) -> MeasurementTable:
-    """Validate, evolve and measure a scenario in one call."""
-    scenario, _ = validate_scenario(scenario)
-    psi = evolve_strategies(strategies_of(scenario), scenario.entangler_config, order)
-    return measurements(psi, scenario.dims, scenario.eps)
+    """Evolve and measure a scenario in one call."""
+    return measurements(evolve(scenario, order), scenario.dims, scenario.eps)
 
 
 def evaluate_strategies(

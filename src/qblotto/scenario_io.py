@@ -1,9 +1,10 @@
-"""Scenario file loading, validation and canonical serialization.
+"""Scenario file loading and canonical serialization.
 
 Scenario files are UTF-8 JSON documents with strict key checking, so a
 typo like "phases_" fails loudly instead of silently running a different
-experiment. Angles are radians unless the caller asks for degree
-conversion on ingestion.
+experiment. The checks here cover the document's form; the game's rules
+are checked when the :class:`Scenario` is built. Angles are radians
+unless the caller asks for degree conversion on ingestion.
 
 Schema::
 
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from .engine import EntanglerConfig, Scenario, validate_scenario
-from .classical import DEFAULT_TIE_EPS
+from .engine import EntanglerConfig, Scenario, scenario_notices
+from .classical import DEFAULT_TIE_EPS, check_tie_eps
 from .errors import ValidationError
 
 TOP_KEYS = {
@@ -70,8 +70,14 @@ def _require_grid(
     return grid
 
 
-def scenario_from_dict(doc: Any, *, degrees: bool = False) -> Scenario:
-    """Build a Scenario from a parsed JSON document, strictly."""
+def scenario_from_dict(
+    doc: Any, *, degrees: bool = False, eps: float | None = None
+) -> Scenario:
+    """Build a Scenario from a parsed JSON document, strictly.
+
+    A given ``eps`` replaces the document's tie tolerance, which must
+    still be valid, before the scenario is built.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("scenario document must be a JSON object")
     unknown = set(doc) - TOP_KEYS
@@ -138,9 +144,12 @@ def scenario_from_dict(doc: Any, *, degrees: bool = False) -> Scenario:
     else:
         sign_pattern = list(EntanglerConfig.default_pattern(battlefields))
 
-    eps = DEFAULT_TIE_EPS
+    tie_eps = DEFAULT_TIE_EPS
     if "eps" in doc:
-        eps = _require_number(doc["eps"], "eps")
+        tie_eps = _require_number(doc["eps"], "eps")
+    if eps is not None:
+        check_tie_eps(tie_eps)
+        tie_eps = eps
 
     if degrees:
         gamma = math.radians(gamma)
@@ -153,7 +162,7 @@ def scenario_from_dict(doc: Any, *, degrees: bool = False) -> Scenario:
         phases=tuple(tuple(row) for row in phases),
         gamma=gamma,
         sign_pattern=tuple(sign_pattern),
-        eps=eps,
+        eps=tie_eps,
     )
 
 
@@ -176,11 +185,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def load_scenario(
     path: str | Path, *, degrees: bool = False, eps: float | None = None
 ) -> tuple[Scenario, list[str]]:
-    """Load, schema-check and validate a scenario file.
+    """Load, schema-check and build a scenario file.
 
-    A given ``eps`` replaces the file's tie tolerance before validation,
-    so it also sets the tolerance of the budget sums. Returns the
-    normalized scenario and the validation notices. JSON
+    A given ``eps`` replaces the file's tie tolerance before the
+    scenario is built, so it also sets the tolerance of the budget sums.
+    Returns the scenario, validated once when it was built, and its
+    :func:`~qblotto.engine.scenario_notices`. JSON
     syntax errors surface as :class:`ValidationError` with the line and
     column of the parse failure. An integer literal too long to parse or
     too large for a float raises :class:`ValidationError` as well.
@@ -200,10 +210,8 @@ def load_scenario(
         raise ValidationError(
             f"{path}: invalid JSON: integer literal too long"
         ) from exc
-    scenario = scenario_from_dict(doc, degrees=degrees)
-    if eps is not None:
-        scenario = replace(scenario, eps=eps)
-    return validate_scenario(scenario)
+    scenario = scenario_from_dict(doc, degrees=degrees, eps=eps)
+    return scenario, scenario_notices(scenario)
 
 
 def dump_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -10,13 +10,14 @@ so one axis of ``steps`` phase values stands for the ``steps**n`` grid.
 Along that axis every strength is a trigonometric polynomial of degree
 2, so the search evaluates five axis values and fits the rest,
 evaluating a fitted value only where a margin sits at a tie-band edge.
+Both take a built scenario, which was validated then, and do not check
+it again.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
@@ -30,7 +31,6 @@ from .engine import (
     Scenario,
     evaluate_strategies,
     strategies_of,
-    validate_scenario,
 )
 from .errors import ValidationError
 
@@ -189,7 +189,7 @@ SweepResult.points = property(SweepResult._unpack, doc="Grid points in order.")
 
 def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
     """Closure evaluating the base scenario with one parameter replaced."""
-    base, _ = validate_scenario(spec.base)
+    base = spec.base
     strategies = strategies_of(base)
     player = spec.target_player
     battlefield = spec.target_battlefield
@@ -217,47 +217,32 @@ def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
     return evaluate_at
 
 
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    jobs: int = 1,
-    locate_transitions: bool = True,
-) -> SweepResult:
-    """Evaluate the sweep grid and localize payoff transitions.
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the sweep grid and localize every payoff transition.
 
-    The result is a pure function of ``spec``: grid points are reported
-    in grid order regardless of ``jobs``, and repeat runs are
+    The result is a pure function of ``spec``: repeat runs are
     bit-identical.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     evaluate_at = _evaluator(spec)
     values = [float(v) for v in spec.grid()]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            tables = list(pool.map(evaluate_at, values))
-    else:
-        tables = [evaluate_at(v) for v in values]
-
+    tables = [evaluate_at(v) for v in values]
     points = [
         SweepPoint(value=v, payoffs=t.payoffs, values=t.values)
         for v, t in zip(values, tables)
     ]
 
     transitions: list[PayoffTransition] = []
-    if locate_transitions:
-        for left, right in zip(points, points[1:]):
-            if left.payoffs != right.payoffs:
-                transitions.extend(
-                    _bisect_transitions(
-                        evaluate_at,
-                        left.value,
-                        right.value,
-                        left.payoffs,
-                        right.payoffs,
-                    )
+    for left, right in zip(points, points[1:]):
+        if left.payoffs != right.payoffs:
+            transitions.extend(
+                _bisect_transitions(
+                    evaluate_at,
+                    left.value,
+                    right.value,
+                    left.payoffs,
+                    right.payoffs,
                 )
+            )
     return SweepResult(spec=spec, points=points, transitions=tuple(transitions))
 
 
@@ -291,61 +276,6 @@ def _bisect_transitions(
         )
         lo, lo_payoffs = upper, upper_payoffs
     return found
-
-
-@dataclass(frozen=True)
-class PhaseInsensitivityReport:
-    """Payoffs across interior phase samples versus the zero-phase point.
-
-    ``interior_uniform`` says whether every sampled interior phase gave
-    the same payoff vector; ``differs_at_zero`` whether that common
-    vector jumps when the phase is set exactly to zero.
-    """
-
-    samples: tuple[tuple[float, tuple[int, ...]], ...]
-    interior_uniform: bool
-    zero_payoffs: tuple[int, ...]
-    differs_at_zero: bool
-
-
-def check_phase_insensitivity(
-    base: Scenario,
-    player: int,
-    battlefield: int,
-    samples: Sequence[float],
-) -> PhaseInsensitivityReport:
-    """Probe payoff dependence on one phase strictly inside (0, pi/2)."""
-    if not samples:
-        raise ValidationError("need at least one sample phase")
-    for value in samples:
-        if not 0.0 < float(value) < HALF_PI:
-            raise ValidationError(
-                f"sample phase {value!r} must lie strictly inside (0, pi/2)"
-            )
-    spec = SweepSpec(
-        base=base,
-        target_player=player,
-        target_battlefield=battlefield,
-        parameter="phi",
-        lo=0.0,
-        hi=HALF_PI,
-        steps=2,
-    )
-    evaluate_at = _evaluator(spec)
-
-    sampled = tuple(
-        (float(v), evaluate_at(float(v)).payoffs) for v in samples
-    )
-    first = sampled[0][1]
-    interior_uniform = all(payoffs == first for _, payoffs in sampled)
-    zero_payoffs = evaluate_at(0.0).payoffs
-    differs = interior_uniform and zero_payoffs != first
-    return PhaseInsensitivityReport(
-        samples=sampled,
-        interior_uniform=interior_uniform,
-        zero_payoffs=zero_payoffs,
-        differs_at_zero=differs,
-    )
 
 
 @dataclass(frozen=True)
@@ -407,12 +337,11 @@ def best_response_grid(
     """
     if phi_grid_steps < 2:
         raise ValidationError(f"need at least 2 grid steps, got {phi_grid_steps}")
-    scenario, _ = validate_scenario(base)
-    if not 1 <= player <= scenario.num_players:
+    if not 1 <= player <= base.num_players:
         raise ValidationError(
-            f"player index {player} outside 1..{scenario.num_players}"
+            f"player index {player} outside 1..{base.num_players}"
         )
-    n = scenario.num_battlefields
+    n = base.num_battlefields
     total_points = phi_grid_steps**n
     if total_points > MAX_GRID_POINTS:
         raise ValidationError(
@@ -420,9 +349,9 @@ def best_response_grid(
             f"{MAX_GRID_POINTS}; lower the step count or battlefield count"
         )
 
-    strategies = list(strategies_of(scenario))
-    config = scenario.entangler_config
-    eps = scenario.eps
+    strategies = list(strategies_of(base))
+    config = base.entangler_config
+    eps = base.eps
     angles = strategies[player - 1].angles
     axis = np.linspace(0.0, HALF_PI, phi_grid_steps)
 
@@ -435,7 +364,7 @@ def best_response_grid(
     nodes = np.unique(np.round(nodes).astype(int))
     fitted = np.ones(phi_grid_steps, dtype=bool)
     fitted[nodes] = False
-    values = np.empty((phi_grid_steps, scenario.num_players, n))
+    values = np.empty((phi_grid_steps, base.num_players, n))
     values[nodes] = [strengths_at(s) for s in nodes]
     if fitted.any():
         values[fitted] = _fit_strengths(axis[nodes], values[nodes], axis[fitted])

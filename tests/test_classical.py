@@ -135,7 +135,7 @@ class TestPlayerRoster:
             PlayerRoster((5.0,))
 
     def test_two_players_accepted_without_warning(self):
-        # validate_scenario's notice is the only two-player report
+        # scenario_notices gives the only two-player report
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert PlayerRoster((5.0, 3.0)).num_players == 2

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from qblotto import Scenario, dump_scenario, load_scenario
+from qblotto import (
+    Scenario,
+    SweepSpec,
+    best_response_grid,
+    dump_scenario,
+    evaluate,
+    load_scenario,
+    run_sweep,
+)
 from qblotto.scenario_io import scenario_from_dict
 from qblotto.cli import main
 
@@ -122,27 +130,6 @@ class TestPlay:
         assert main(["play", in_file, "--eps", "1e-12"]) == 2
         assert "budget is 6.000001" in capsys.readouterr().err
 
-    def test_eps_flag_validates_once_on_load(self, monkeypatch, capsys):
-        import qblotto.engine
-
-        real = qblotto.engine.validate_scenario
-        calls = []
-
-        def counted(scenario):
-            calls.append(scenario.eps)
-            return real(scenario)
-
-        for module in list(sys.modules.values()):
-            name = getattr(module, "__name__", "")
-            if name.startswith("qblotto") and (
-                getattr(module, "validate_scenario", None) is real
-            ):
-                monkeypatch.setattr(module, "validate_scenario", counted)
-        root = Path(__file__).resolve().parents[1]
-        scenario = root / "scenarios" / "three_players.json"
-        assert main(["play", "--eps", "1e-6", str(scenario)]) == 0
-        assert calls == [1e-6, 1e-6]  # load_scenario, then evaluate
-
     def test_unwritable_out_exit_2(self, golden_file, tmp_path, capsys):
         out_path = tmp_path / "missing" / "report.csv"
         assert main(["play", golden_file, "--out", str(out_path)]) == 2
@@ -207,6 +194,51 @@ class TestPlay:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def counting_validations(monkeypatch):
+    """Record the tie tolerance of every validation pass, one per build."""
+    calls = []
+    real = Scenario.__post_init__
+
+    def counted(scenario):
+        calls.append(scenario.eps)
+        real(scenario)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counted)
+    return calls
+
+
+class TestSingleValidation:
+    THREE_PLAYERS = str(
+        Path(__file__).resolve().parents[1] / "scenarios" / "three_players.json"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, eps",
+        [
+            (["play"], 1e-9),
+            (["play", "--eps", "1e-6"], 1e-6),
+            (["oracle"], 1e-9),
+            (
+                ["sweep", "--player", "3", "--battlefield", "1", "--param", "phi",
+                 "--from", "0", "--to", "1.5", "--steps", "11"],
+                1e-9,
+            ),
+        ],
+    )
+    def test_each_command_validates_once(self, monkeypatch, capsys, argv, eps):
+        calls = counting_validations(monkeypatch)
+        assert main([argv[0], self.THREE_PLAYERS, *argv[1:]]) == 0
+        assert calls == [eps]
+
+    def test_built_scenario_is_not_validated_again(self, monkeypatch, worked_example):
+        spec = SweepSpec(worked_example, 3, 1, "phi", 0.0, math.pi / 2, 11)
+        calls = counting_validations(monkeypatch)
+        evaluate(worked_example)
+        run_sweep(spec)
+        best_response_grid(worked_example, 3, 9)
+        assert calls == []
+
+
 class TestFlagsPerCommand:
     @pytest.mark.parametrize(
         "argv",
@@ -217,6 +249,8 @@ class TestFlagsPerCommand:
             ["oracle", "{golden}", "--out", "o.csv"],
             ["oracle", "{golden}", "--jobs", "0"],
             ["play", "{golden}", "--jobs", "2"],
+            ["sweep", "{golden}", "--player", "3", "--battlefield", "1",
+             "--param", "phi", "--from", "0", "--to", "1", "--jobs", "2"],
         ],
     )
     def test_unread_flag_exit_2(self, golden_file, capsys, argv):

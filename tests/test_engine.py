@@ -13,8 +13,6 @@ from qblotto.engine import (
     EntanglerConfig,
     QuantumStrategy,
     apply_generator,
-    entangler,
-    entangler_generator,
     evaluate_strategies,
     evolve,
     generator_weights,
@@ -22,15 +20,17 @@ from qblotto.engine import (
     measurements,
     player_operator,
     rotation_angle,
+    scenario_notices,
     strategies_of,
     strategy_gate,
-    validate_scenario,
 )
-from qblotto.tensor import (
-    TensorDims,
+from qblotto.tensor import TensorDims
+from reference import (
     allclose,
     dagger,
     density_matrix,
+    entangler,
+    entangler_generator,
     expectation,
     kron,
     kron_all,
@@ -182,7 +182,6 @@ def dense_evaluate(strategies, config, eps, order):
 
 def dense_generator_evaluate(scenario):
     """evaluate() with the entangler applied through the dense generator."""
-    scenario, _ = validate_scenario(scenario)
     count, n = scenario.num_players, scenario.num_battlefields
     generator = entangler_generator(count, scenario.sign_pattern)
     c, s = math.cos(scenario.gamma / 2.0), math.sin(scenario.gamma / 2.0)
@@ -610,30 +609,28 @@ class TestQuantumPayoffs:
 
 class TestScenarioValidation:
     def test_single_player_rejected(self):
-        scenario = Scenario.create(totals=(3.0,), allocations=((3.0,),), gamma=0.0)
         with pytest.raises(ValidationError):
-            validate_scenario(scenario)
+            Scenario.create(totals=(3.0,), allocations=((3.0,),), gamma=0.0)
 
     def test_two_player_notice(self):
         scenario = Scenario.create(
             totals=(3.0, 2.0), allocations=((1.0, 2.0), (1.0, 1.0)), gamma=0.0
         )
-        _, notices = validate_scenario(scenario)
+        notices = scenario_notices(scenario)
         assert any("two-player" in note for note in notices)
 
     def test_budget_mismatch_names_player(self, worked_example):
         from dataclasses import replace
 
-        broken = replace(worked_example, allocations=((3.0, 3.0), (3.0, 2.0), (0.0, 3.0)))
         with pytest.raises(ValidationError, match="player 2"):
-            validate_scenario(broken)
+            replace(worked_example, allocations=((3.0, 3.0), (3.0, 2.0), (0.0, 3.0)))
 
     def test_phase_reduction_notice(self, worked_example):
         from dataclasses import replace
 
         scenario = replace(worked_example, phases=((0.0, 0.0), (0.0, 0.0), (7.0, 0.0)))
-        normalized, notices = validate_scenario(scenario)
-        assert normalized.phases[2][0] == pytest.approx(7.0 - 2 * math.pi)
+        notices = scenario_notices(scenario)
+        assert strategies_of(scenario)[2].phases[0] == pytest.approx(7.0 - 2 * math.pi)
         assert any("reduced" in note for note in notices)
 
     def test_non_finite_phase_rejected(self, worked_example):
@@ -656,24 +653,83 @@ class TestScenarioValidation:
         from dataclasses import replace
 
         scenario = replace(worked_example, sign_pattern=(1, 1))
-        _, notices = validate_scenario(scenario)
+        notices = scenario_notices(scenario)
         assert any("uniform sign pattern" in note for note in notices)
 
     def test_gamma_domain(self, worked_example):
         from dataclasses import replace
 
         with pytest.raises(ValidationError):
-            validate_scenario(replace(worked_example, gamma=2.0))
+            replace(worked_example, gamma=2.0)
 
     def test_guardrail(self):
         count = 21  # 2^21 battlefieldless qubits alone exceed the cap
-        scenario = Scenario.create(
-            totals=(1.0,) * count,
-            allocations=tuple((1.0,) for _ in range(count)),
-            gamma=0.0,
-        )
         with pytest.raises(ValidationError, match="guardrail"):
-            validate_scenario(scenario)
+            Scenario.create(
+                totals=(1.0,) * count,
+                allocations=tuple((1.0,) for _ in range(count)),
+                gamma=0.0,
+            )
+
+    # Each build raises the message that loading or evaluating the same
+    # scenario gave when validation ran there; the last case keeps the
+    # eps rule ahead of the budget sums.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                dict(allocations=((3.0, 3.0), (5.0, -1.0), (0.0, 3.0))),
+                "player 2 (enemy 1): battlefield 2 allocation is negative (-1.0)",
+            ),
+            (
+                dict(
+                    totals=(6.0, 4.0, math.inf),
+                    allocations=((3.0, 3.0), (3.0, 1.0), (math.inf, 0.0)),
+                ),
+                "player 3 budget inf is not finite",
+            ),
+            (
+                dict(
+                    totals=(6.0, 7.0, 3.0),
+                    allocations=((3.0, 3.0), (4.0, 3.0), (0.0, 3.0)),
+                ),
+                "player 2 budget 7.0 exceeds Blotto's 6.0; player 1 must hold "
+                "the largest budget",
+            ),
+            (
+                dict(allocations=((3.0, 3.0), (3.0, 2.0), (0.0, 3.0))),
+                "player 2 (enemy 1): allocations sum to 5.0, budget is 4.0",
+            ),
+            (dict(gamma=2.0), "entanglement parameter 2.0 outside [0, pi/2]"),
+            (
+                dict(sign_pattern=(1, 2)),
+                "sign pattern entries must be +1 or -1, got (1, 2)",
+            ),
+            (
+                dict(totals=(1.0,) * 21, allocations=((1.0,),) * 21),
+                "composite dimension 2097152 exceeds the guardrail 1048576; "
+                "reduce the player count or battlefield count",
+            ),
+            (
+                dict(eps=-1e-9),
+                "tie tolerance must be finite and non-negative, got -1e-09",
+            ),
+            (
+                dict(eps=math.nan, allocations=((3.0, 3.0), (3.0, 2.0), (0.0, 3.0))),
+                "tie tolerance must be finite and non-negative, got nan",
+            ),
+        ],
+    )
+    def test_build_raises_the_first_broken_rule(self, changes, message):
+        fields = {
+            "totals": (6.0, 4.0, 3.0),
+            "allocations": ((3.0, 3.0), (3.0, 1.0), (0.0, 3.0)),
+            "gamma": HALF_PI,
+            **changes,
+        }
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create(**fields)
+        assert str(raised.value) == message
 
     def test_default_pattern_and_names(self):
         scenario = Scenario.create(

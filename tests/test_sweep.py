@@ -16,19 +16,14 @@ from qblotto import (
     run_sweep,
 )
 from qblotto.classical import payoff_terms
-from qblotto.engine import (
-    QuantumStrategy,
-    evaluate_strategies,
-    strategies_of,
-    validate_scenario,
-)
+from qblotto.engine import QuantumStrategy, evaluate_strategies, strategies_of
 from qblotto.sweep import (
     MAX_GRID_POINTS,
     SWEEP_PARAMETERS,
     BestResponse,
     _fit_strengths,
-    check_phase_insensitivity,
 )
+from reference import check_phase_insensitivity
 
 HALF_PI = math.pi / 2
 
@@ -113,15 +108,9 @@ class TestRunSweep:
         spec = threshold_sweep_spec(worked_example, steps=11)
         assert run_sweep(spec) == run_sweep(spec)
 
-    def test_jobs_do_not_change_results(self, worked_example):
-        spec = threshold_sweep_spec(worked_example, steps=11)
-        assert run_sweep(spec) == run_sweep(spec, jobs=4)
-        with pytest.raises(ValidationError):
-            run_sweep(spec, jobs=0)
-
     def test_refinement_keeps_coarse_vectors(self, worked_example):
-        coarse = run_sweep(threshold_sweep_spec(worked_example, steps=11), locate_transitions=False)
-        fine = run_sweep(threshold_sweep_spec(worked_example, steps=21), locate_transitions=False)
+        coarse = run_sweep(threshold_sweep_spec(worked_example, steps=11))
+        fine = run_sweep(threshold_sweep_spec(worked_example, steps=21))
         fine_by_value = {round(p.value, 12): p.payoffs for p in fine.points}
         for point in coarse.points:
             assert fine_by_value[round(point.value, 12)] == point.payoffs
@@ -262,12 +251,9 @@ class TestBestResponseGrid:
     def test_single_player_rejected_upstream(self):
         from qblotto import Scenario
 
-        lonely = Scenario.create(totals=(3.0,), allocations=((3.0,),), gamma=0.0)
+        # a one-player scenario cannot be built, so neither search sees one
         with pytest.raises(ValidationError, match="two players"):
-            best_response_grid(lonely, 1, 5)
-        spec = SweepSpec(lonely, 1, 1, "phi", 0.0, 1.0, 3)
-        with pytest.raises(ValidationError, match="two players"):
-            run_sweep(spec)
+            Scenario.create(totals=(3.0,), allocations=((3.0,),), gamma=0.0)
 
     def test_guardrails(self, worked_example):
         from qblotto import Scenario
@@ -286,13 +272,12 @@ class TestBestResponseGrid:
             best_response_grid(scenario, 2, 64)
 
 
-def exhaustive_best_response(base, player, steps):
+def exhaustive_best_response(scenario, player, steps):
     """Reference search: evaluate every point of the phase grid.
 
     Walks the grid in lexicographic order, most significant battlefield
     first, and keeps the first point reaching the best payoff.
     """
-    scenario, _ = validate_scenario(base)
     strategies = list(strategies_of(scenario))
     config = scenario.entangler_config
     n = scenario.num_battlefields
@@ -364,13 +349,12 @@ def test_separable_search_matches_exhaustive_reference(num_players, n):
             ), (scenario, player, steps)
 
 
-def direct_best_response(base, player, steps):
+def direct_best_response(scenario, player, steps):
     """Reference search: evaluate every value of the phase axis.
 
     One evaluation per axis value, with all of the player's phases at
     that value; the first index maximizing each battlefield's term wins.
     """
-    scenario, _ = validate_scenario(base)
     strategies = list(strategies_of(scenario))
     config = scenario.entangler_config
     eps = scenario.eps
@@ -391,8 +375,11 @@ def direct_best_response(base, player, steps):
     )
 
 
-def with_copied_rival(rng, scenario):
-    """One rival (never Blotto) takes another player's budget and move."""
+def with_copied_rival(rng, scenario, **changes):
+    """One rival (never Blotto) takes another player's budget and move.
+
+    ``changes`` are further fields to replace in the same build.
+    """
     players = range(1, scenario.num_players + 1)
     target = rng.randint(2, scenario.num_players)
     source = rng.choice([j for j in players if j != target])
@@ -402,7 +389,8 @@ def with_copied_rival(rng, scenario):
     }
     for row in rows.values():
         row[target - 1] = row[source - 1]
-    return replace(scenario, **{name: tuple(row) for name, row in rows.items()})
+    rows = {name: tuple(row) for name, row in rows.items()}
+    return replace(scenario, **rows, **changes)
 
 
 def differential_case(rng, num_players):
@@ -418,11 +406,12 @@ def differential_case(rng, num_players):
     eps = rng.choice((0.0, 1e-9, 1e-3))
     copied = rng.random() < 0.3
     while True:
-        scenario = replace(random_grid_scenario(rng, num_players, n, gamma), eps=eps)
-        if copied:
-            scenario = with_copied_rival(rng, scenario)
+        scenario = random_grid_scenario(rng, num_players, n, gamma)
         try:
-            validate_scenario(scenario)
+            if copied:
+                scenario = with_copied_rival(rng, scenario, eps=eps)
+            else:
+                scenario = replace(scenario, eps=eps)
             break
         except ValidationError:
             pass
@@ -525,7 +514,7 @@ def test_five_node_fit_predicts_every_grid_value(num_players):
     for _ in range(8):
         scenario, player, steps = differential_case(rng, num_players)
         steps = max(steps, 6)
-        strategies = list(strategies_of(validate_scenario(scenario)[0]))
+        strategies = list(strategies_of(scenario))
         angles = strategies[player - 1].angles
         axis = np.linspace(0.0, HALF_PI, steps)
         grids = []

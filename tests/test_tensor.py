@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from qblotto import DimensionError, NumericalIntegrityError, ValidationError
 from qblotto.engine import strategy_gate
-from qblotto.tensor import (
-    MAX_DIM,
-    TensorDims,
+from qblotto.tensor import MAX_DIM, TensorDims, assert_unit_norm
+from reference import (
     allclose,
-    assert_unit_norm,
     dagger,
     density_matrix,
     expectation,
+    kept,
     kron,
     kron_all,
     partial_trace,
@@ -58,8 +57,8 @@ class TestTensorDims:
 
     def test_kept(self):
         dims = TensorDims.for_game(3, 4)
-        assert dims.kept({3, 4}).factors == (2, 4)
-        assert dims.kept([1]).factors == (2,)
+        assert kept(dims, {3, 4}).factors == (2, 4)
+        assert kept(dims, [1]).factors == (2,)
 
 
 class TestKron:
