@@ -443,6 +443,41 @@ def apply_generator(weights: np.ndarray, psi: StateVector) -> StateVector:
     return (weights * psi.reshape(weights.shape)[::-1]).reshape(-1)
 
 
+def entangle(num_players: int, config: EntanglerConfig) -> StateVector:
+    """The initial state with the entangler ``J = c I + i s G`` applied.
+
+    ``c, s = cos, sin(gamma/2)``, and ``J`` acts as ``c psi + i s (G psi)``.
+    ``max|J^+ J - I|`` is exactly ``|sin(gamma)|`` for an even player
+    count (the generator squares to ``-I``) and 0 for an odd one, so an
+    even count with ``|sin(gamma)| > UNITARITY_EPS`` raises
+    :class:`NumericalIntegrityError`.
+    """
+    deviation = abs(math.sin(config.gamma)) if num_players % 2 == 0 else 0.0
+    if deviation > UNITARITY_EPS:
+        raise NumericalIntegrityError(
+            f"entangler is not unitary (max deviation {deviation:.3e}); the "
+            f"generator squares to -I, which happens for an even number of "
+            f"players: use an odd player count or gamma = 0"
+        )
+    half = config.gamma / 2.0
+    c, s = math.cos(half), math.sin(half)
+    psi = initial_state(num_players, len(config.sign_pattern))
+    forward = generator_weights(num_players, config.sign_pattern)
+    return c * psi + (1j * s) * apply_generator(forward, psi)
+
+
+def disentangle(
+    psi: StateVector, num_players: int, config: EntanglerConfig
+) -> StateVector:
+    """``J^+ psi = c psi - i s (G^+ psi)``, the final state; its norm is checked."""
+    half = config.gamma / 2.0
+    c, s = math.cos(half), math.sin(half)
+    inverse = generator_weights(num_players, config.sign_pattern, adjoint=True)
+    psi = c * psi - (1j * s) * apply_generator(inverse, psi)
+    tensor.assert_unit_norm(psi)
+    return psi
+
+
 def evolve_strategies(
     strategies: Sequence[QuantumStrategy],
     config: EntanglerConfig,
@@ -450,21 +485,19 @@ def evolve_strategies(
 ) -> StateVector:
     """Run the protocol for explicit strategies and an entangler config.
 
-    The entangler is applied, every player's strategy operator in
-    ``order`` (1-based; ascending by default), then the entangler's
-    inverse. Strategy operators commute pairwise, so the order cannot
-    change the outcome; the parameter exists to make that checkable.
+    The entangler is applied (:func:`entangle`), every player's strategy
+    operator in ``order`` (1-based; ascending by default), then the
+    entangler's inverse (:func:`disentangle`). Strategy operators commute
+    pairwise, so the order cannot change the outcome; the parameter
+    exists to make that checkable.
 
-    The entangler ``J = c I + i s G`` (``c, s = cos, sin(gamma/2)``) acts
-    as ``c psi + i s (G psi)`` and its inverse as ``c psi - i s (G^+ psi)``.
     ``G`` has one nonzero per row, so ``G psi`` and ``G^+ psi`` reverse
     the qubit index of the ``(2^N, n)`` view of ``psi`` and multiply by
     :func:`generator_weights`; neither ``G``, ``J`` nor a dense unitarity
     or commutation probe is formed. The strategy operators are dense
-    matrices. ``max|J^+ J - I|`` is exactly ``|sin(gamma)|`` for an even
-    player count (the generator squares to ``-I``) and 0 for an odd one,
-    so an even count with ``|sin(gamma)| > UNITARITY_EPS`` raises
-    :class:`NumericalIntegrityError`. The final state's norm is checked.
+    matrices. An even player count with ``|sin(gamma)| > UNITARITY_EPS``
+    raises :class:`NumericalIntegrityError`, and the final state's norm
+    is checked.
     """
     count = len(strategies)
     if count < 2:
@@ -481,25 +514,10 @@ def evolve_strategies(
     order = _check_order(order, count)
     TensorDims.for_game(count, n)  # composite-dimension guardrail
 
-    deviation = abs(math.sin(config.gamma)) if count % 2 == 0 else 0.0
-    if deviation > UNITARITY_EPS:
-        raise NumericalIntegrityError(
-            f"entangler is not unitary (max deviation {deviation:.3e}); the "
-            f"generator squares to -I, which happens for an even number of "
-            f"players: use an odd player count or gamma = 0"
-        )
-    forward = generator_weights(count, config.sign_pattern)
-    inverse = generator_weights(count, config.sign_pattern, adjoint=True)
-    half = config.gamma / 2.0
-    c, s = math.cos(half), math.sin(half)
-
-    psi = initial_state(count, n)
-    psi = c * psi + (1j * s) * apply_generator(forward, psi)
+    psi = entangle(count, config)
     for player in order:
         psi = player_operator(player, strategies[player - 1], count) @ psi
-    psi = c * psi - (1j * s) * apply_generator(inverse, psi)
-    tensor.assert_unit_norm(psi)
-    return psi
+    return disentangle(psi, count, config)
 
 
 def _check_order(order: Sequence[int] | None, count: int) -> list[int]:
@@ -518,6 +536,33 @@ def evolve(scenario: Scenario, order: Sequence[int] | None = None) -> StateVecto
     return evolve_strategies(
         strategies_of(scenario), scenario.entangler_config, order
     )
+
+
+def qubit_sums(values: np.ndarray, num_players: int) -> np.ndarray:
+    """Sums of ``values[..., s, k]`` over the basis states s with each qubit set.
+
+    Entry ``[..., j, k]`` sums over the states with player j+1's qubit
+    in state 1; player 1 is the most significant bit of s.
+    """
+    shifts = np.arange(num_players - 1, -1, -1)[:, None]
+    bits = (np.arange(2**num_players) >> shifts) & 1
+    return bits.astype(float) @ values
+
+
+def check_strengths(grid: np.ndarray) -> None:
+    """Raise :class:`NumericalIntegrityError` for a strength outside [0, 1].
+
+    The tolerance is ``UNITARITY_EPS``, and NaN fails. The last two axes
+    of ``grid`` are player and battlefield.
+    """
+    in_range = (grid >= -UNITARITY_EPS) & (grid <= 1.0 + UNITARITY_EPS)
+    if not in_range.all():
+        index = tuple(np.argwhere(~in_range)[0])
+        j, k = index[-2:]
+        raise NumericalIntegrityError(
+            f"measurement for player {j + 1}, battlefield {k + 1} outside "
+            f"[0, 1]: {float(grid[index])!r}"
+        )
 
 
 def measurements(
@@ -542,18 +587,8 @@ def measurements(
         raise DimensionError((dims.dim,), psi.shape, "state vector")
 
     probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, n)
-    # bits[j, s] is player j+1's qubit in basis state s; player 1 is the
-    # most significant bit.
-    shifts = np.arange(num_players - 1, -1, -1)[:, None]
-    bits = (np.arange(2**num_players) >> shifts) & 1
-    grid = bits.astype(float) @ probabilities
-    in_range = (grid >= -UNITARITY_EPS) & (grid <= 1.0 + UNITARITY_EPS)
-    if not in_range.all():
-        j, k = np.argwhere(~in_range)[0]
-        raise NumericalIntegrityError(
-            f"measurement for player {j + 1}, battlefield {k + 1} outside "
-            f"[0, 1]: {float(grid[j, k])!r}"
-        )
+    grid = qubit_sums(probabilities, num_players)
+    check_strengths(grid)
 
     rival_best, terms = payoff_terms(grid, eps)
     return MeasurementTable(

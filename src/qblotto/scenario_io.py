@@ -192,14 +192,20 @@ def load_scenario(
     Returns the scenario, validated once when it was built, and its
     :func:`~qblotto.engine.scenario_notices`. JSON
     syntax errors surface as :class:`ValidationError` with the line and
-    column of the parse failure. An integer literal too long to parse or
-    too large for a float raises :class:`ValidationError` as well.
+    column of the parse failure. A file that is not UTF-8, a document
+    nested past the decoder's recursion limit, and an integer literal
+    too long to parse or too large for a float raise
+    :class:`ValidationError` as well.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -210,6 +216,8 @@ def load_scenario(
         raise ValidationError(
             f"{path}: invalid JSON: integer literal too long"
         ) from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: invalid JSON: nested too deeply") from exc
     scenario = scenario_from_dict(doc, degrees=degrees, eps=eps)
     return scenario, scenario_notices(scenario)
 

@@ -7,9 +7,10 @@ bisection. A grid search over one player's phases finds their best
 reachable payoff with allocations held fixed. The payoff is a sum of
 per-battlefield terms and the phase on battlefield k moves only term k,
 so one axis of ``steps`` phase values stands for the ``steps**n`` grid.
-Along that axis every strength is a trigonometric polynomial of degree
-2, so the search evaluates five axis values and fits the rest,
-evaluating a fitted value only where a margin sits at a tie-band edge.
+Along that axis the final state is linear in ``(1, cos p, sin p)``, so
+the search forms three final states and reads every strength on the
+axis off one quadratic form, evaluating a value directly only where a
+margin sits at a tie-band edge.
 Both take a built scenario, which was validated then, and do not check
 it again.
 """
@@ -29,7 +30,12 @@ from .engine import (
     MeasurementTable,
     QuantumStrategy,
     Scenario,
+    check_strengths,
+    disentangle,
+    entangle,
     evaluate_strategies,
+    player_operator,
+    qubit_sums,
     strategies_of,
 )
 from .errors import ValidationError
@@ -46,15 +52,11 @@ TRANSITION_RESOLUTION = 1e-6
 # kept so that the accepted inputs stay as they were.
 MAX_GRID_POINTS = 64**4
 
-# Grid values the phase best response evaluates, one per coefficient of
-# its degree-2 trigonometric fit; the rest of its axis is fitted.
-FIT_NODES = 5
-
-# A fitted point is evaluated instead when the player's margin on some
-# battlefield is this close to a tie-band edge (+-eps), where the fit's
-# rounding could move the term. On 300 seeded scenarios (N 3/5/7, n 1-4,
-# steps 6-64) the largest |fit - direct| strength was 7.8e-16, over 1000
-# times below this guard.
+# A phase-axis value is evaluated directly when the player's margin on
+# some battlefield is this close to a tie-band edge (+-eps), where the
+# quadratic form's rounding could move the term. On 300 seeded scenarios
+# (N 3/5/7, n 1-4, steps 2-64) the largest |form - direct| strength was
+# 6.7e-16, over 1000 times below this guard.
 DECISION_GUARD = 1e-12
 
 DEFAULT_SWEEP_STEPS = 101
@@ -285,28 +287,54 @@ class BestResponse:
     phases: tuple[float, ...]
 
 
-def _trig_basis(phases) -> np.ndarray:
-    """Rows ``[1, cos p, sin p, cos 2p, sin 2p]``, one per phase ``p``."""
-    p = np.asarray(phases, dtype=float)
-    return np.stack(
-        [np.ones_like(p), np.cos(p), np.sin(p), np.cos(2 * p), np.sin(2 * p)],
+def _phase_axis_strengths(
+    strategies: Sequence[QuantumStrategy],
+    config: EntanglerConfig,
+    player: int,
+    axis: np.ndarray,
+) -> np.ndarray:
+    """Strength grids ``[s, j, k]`` with all of ``player``'s phases at ``axis[s]``.
+
+    The player's gate on battlefield k at phase p is ``R + cos p C +
+    sin p D``, with ``R = [[0, -sin], [sin, 0]]``, ``C = cos I`` and
+    ``D = i cos diag(1, -1)`` of that battlefield's angle. The protocol
+    is linear in the gate, so the final state is ``u + cos p v + sin p
+    w``: the state after the entangler and every rival's operator is
+    formed once, the player's operator is applied at p = 0, pi and
+    pi/2, and the three final states give u, v and w. Each strength is
+    then a quadratic form in ``(1, cos p, sin p)`` whose six
+    coefficients are qubit sums of products of u, v and w. The final
+    states' norms and every strength's [0, 1] range are checked, as an
+    evaluation checks them.
+    """
+    count = len(strategies)
+    angles = strategies[player - 1].angles
+    rivals = entangle(count, config)
+    for j in range(1, count + 1):
+        if j != player:
+            rivals = player_operator(j, strategies[j - 1], count) @ rivals
+    at_0, at_pi, at_half_pi = (
+        disentangle(
+            player_operator(player, QuantumStrategy(angles, (p,) * len(angles)), count)
+            @ rivals,
+            count,
+            config,
+        ).reshape(2**count, -1)
+        for p in (0.0, math.pi, HALF_PI)
+    )
+    u, v = 0.5 * (at_0 + at_pi), 0.5 * (at_0 - at_pi)
+    w = at_half_pi - u
+    pairs = ((u, u), (v, v), (w, w), (u, v), (u, w), (v, w))
+    products = np.stack([(x.conj() * y).real for x, y in pairs])
+    coefficients = qubit_sums(products, count)  # [pair, j, k]
+    cos, sin = np.cos(axis), np.sin(axis)
+    basis = np.stack(
+        [np.ones_like(axis), cos * cos, sin * sin, 2 * cos, 2 * sin, 2 * cos * sin],
         axis=-1,
     )
-
-
-def _fit_strengths(node_phases, node_values, phases) -> np.ndarray:
-    """Strength grids at ``phases`` from the grids at five node phases.
-
-    Each strength cell is ``a0 + a1 cos p + b1 sin p + a2 cos 2p +
-    b2 sin 2p`` in the phase ``p`` shared by one player's battlefields;
-    one 5x5 solve gives every cell's coefficients.
-    """
-    node_values = np.asarray(node_values, dtype=float)
-    coefficients = np.linalg.solve(
-        _trig_basis(node_phases), node_values.reshape(len(node_values), -1)
-    )
-    fitted = _trig_basis(phases) @ coefficients
-    return fitted.reshape((len(fitted),) + node_values.shape[1:])
+    values = np.tensordot(basis, coefficients, axes=1)
+    check_strengths(values)
+    return values
 
 
 def best_response_grid(
@@ -323,17 +351,14 @@ def best_response_grid(
     battlefield k moves only term k. So the strengths with all of the
     player's phases at one grid value score every battlefield at once,
     and the first index maximizing each term (``argmax``) gives the
-    optimum. With those phases at one value ``p``, strength (j, k)
-    depends on ``p`` only through battlefield k's gate, whose entries
-    are ``exp(+-i p)`` times constants, so it is a trigonometric
-    polynomial of degree 2 in ``p``. Five grid values are evaluated;
-    the rest of the axis takes its strengths from the fit through them
-    (:func:`_fit_strengths`). A fitted point where the player's margin
-    on some battlefield lies within ``DECISION_GUARD`` of a tie-band
-    edge is evaluated instead, so the result is the one that evaluating
-    every grid value gives, at 5 evaluations on generic inputs and never
-    more than ``phi_grid_steps``. The cap on ``phi_grid_steps**n`` is
-    kept for compatibility.
+    optimum. Those strengths come from :func:`_phase_axis_strengths`:
+    three final states give every grid value's strengths as a quadratic
+    form in ``(1, cos p, sin p)``. A grid value where the player's
+    margin on some battlefield lies within ``DECISION_GUARD`` of a
+    tie-band edge is evaluated directly, so the result is the one that
+    evaluating every grid value gives, at no evaluation on generic
+    inputs and never more than ``phi_grid_steps``. The cap on
+    ``phi_grid_steps**n`` is kept for compatibility.
     """
     if phi_grid_steps < 2:
         raise ValidationError(f"need at least 2 grid steps, got {phi_grid_steps}")
@@ -354,28 +379,17 @@ def best_response_grid(
     eps = base.eps
     angles = strategies[player - 1].angles
     axis = np.linspace(0.0, HALF_PI, phi_grid_steps)
-
-    def strengths_at(s: int) -> np.ndarray:
-        strategies[player - 1] = QuantumStrategy(angles, (float(axis[s]),) * n)
-        return np.array(evaluate_strategies(strategies, config, eps).values)
-
-    # Up to 5 steps, every grid value is a node and nothing is fitted.
-    nodes = np.linspace(0, phi_grid_steps - 1, FIT_NODES)
-    nodes = np.unique(np.round(nodes).astype(int))
-    fitted = np.ones(phi_grid_steps, dtype=bool)
-    fitted[nodes] = False
-    values = np.empty((phi_grid_steps, base.num_players, n))
-    values[nodes] = [strengths_at(s) for s in nodes]
-    if fitted.any():
-        values[fitted] = _fit_strengths(axis[nodes], values[nodes], axis[fitted])
+    values = _phase_axis_strengths(strategies, config, player, axis)
 
     # Player-major grids, one column per grid value: [j, s, k].
     rival_best, terms = payoff_terms(values.transpose(1, 0, 2), eps)
     terms = terms[player - 1]  # terms[s, k]: battlefield k's term at axis[s]
     margin = values[:, player - 1] - rival_best[player - 1]
-    unsure = fitted & (abs(abs(margin) - eps) <= DECISION_GUARD).any(axis=1)
+    unsure = (abs(abs(margin) - eps) <= DECISION_GUARD).any(axis=1)
     for s in np.flatnonzero(unsure):
-        terms[s] = payoff_terms(strengths_at(s), eps)[1][player - 1]
+        strategies[player - 1] = QuantumStrategy(angles, (float(axis[s]),) * n)
+        table = evaluate_strategies(strategies, config, eps)
+        terms[s] = payoff_terms(table.values, eps)[1][player - 1]
     return BestResponse(
         player=player,
         payoff=int(terms.max(axis=0).sum()),

@@ -193,6 +193,34 @@ class TestPlay:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["play"],
+            ["oracle"],
+            ["sweep", "--player", "1", "--battlefield", "1", "--param", "phi",
+             "--from", "0", "--to", "1", "--steps", "3"],
+        ],
+        ids=["play", "oracle", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (json.dumps(GOLDEN_DOC).encode("utf-8").replace(b"enemy", b"\xffnemy"),
+             "not UTF-8 text"),
+            (b"[" * 100000, "invalid JSON: nested too deeply"),
+        ],
+        ids=["not-utf8", "nested-too-deeply"],
+    )
+    def test_undecodable_file_exit_2(self, tmp_path, argv, content, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        done = run_cli(argv[0], str(path), *argv[1:])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: {path}: {message}")
+        assert done.stderr.count("\n") == 1 and done.stdout == ""
+
 
 def counting_validations(monkeypatch):
     """Record the tie tolerance of every validation pass, one per build."""

@@ -8,11 +8,13 @@ import pytest
 
 import qblotto.sweep
 from qblotto import (
+    NumericalIntegrityError,
     Scenario,
     SweepResult,
     SweepSpec,
     ValidationError,
     best_response_grid,
+    evaluate,
     run_sweep,
 )
 from qblotto.classical import payoff_terms
@@ -21,7 +23,7 @@ from qblotto.sweep import (
     MAX_GRID_POINTS,
     SWEEP_PARAMETERS,
     BestResponse,
-    _fit_strengths,
+    _phase_axis_strengths,
 )
 from reference import check_phase_insensitivity
 
@@ -435,20 +437,55 @@ def test_fitted_search_matches_direct_reference(num_players):
         ), (scenario, player, steps)
 
 
-def counting_evaluations(monkeypatch):
+EVEN_PLAYER_GAMES = {
+    2: dict(totals=(5.0, 3.0), allocations=((2.5, 2.5), (1.0, 2.0))),
+    4: dict(
+        totals=(6.0, 4.0, 3.0, 2.0),
+        allocations=((3.0, 3.0), (3.0, 1.0), (0.0, 3.0), (1.5, 0.5)),
+    ),
+}
+
+
+class TestEvenPlayerCount:
+    @pytest.mark.parametrize("num_players", sorted(EVEN_PLAYER_GAMES))
+    @pytest.mark.parametrize("gamma", [2e-10, 1e-3, HALF_PI])
+    def test_entangled_search_raises_as_evaluate_does(self, num_players, gamma):
+        scenario = Scenario.create(gamma=gamma, **EVEN_PLAYER_GAMES[num_players])
+        with pytest.raises(NumericalIntegrityError, match="even"):
+            evaluate(scenario)
+        for player in range(1, num_players + 1):
+            with pytest.raises(NumericalIntegrityError, match="even"):
+                best_response_grid(scenario, player, 9)
+
+    @pytest.mark.parametrize("num_players", sorted(EVEN_PLAYER_GAMES))
+    @pytest.mark.parametrize("gamma", [0.0, 1e-11])
+    def test_unentangled_search_matches_direct_reference(self, num_players, gamma):
+        scenario = Scenario.create(
+            gamma=gamma,
+            phases=[(0.3 * j, 1.1) for j in range(num_players)],
+            **EVEN_PLAYER_GAMES[num_players],
+        )
+        for player in range(1, num_players + 1):
+            assert best_response_grid(scenario, player, 9) == (
+                direct_best_response(scenario, player, 9)
+            )
+
+
+def counting_evaluations(monkeypatch, name="evaluate_strategies"):
+    """Record the calls the search makes to ``qblotto.sweep.<name>``."""
     calls = []
-    real = qblotto.sweep.evaluate_strategies
+    real = getattr(qblotto.sweep, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(qblotto.sweep, "evaluate_strategies", counted)
+    monkeypatch.setattr(qblotto.sweep, name, counted)
     return calls
 
 
 class TestFittedSearchCost:
-    def test_generic_search_makes_five_evaluations(
+    def test_generic_search_forms_three_final_states(
         self, monkeypatch, worked_example
     ):
         rng = random.Random(11)
@@ -461,10 +498,13 @@ class TestFittedSearchCost:
             ],
         )
         calls = counting_evaluations(monkeypatch)
+        final_states = counting_evaluations(monkeypatch, "disentangle")
         for scenario, player, steps in ((generic, 2, 64), (worked_example, 3, 33)):
             calls.clear()
+            final_states.clear()
             best = best_response_grid(scenario, player, steps)
-            assert len(calls) == 5
+            assert len(calls) == 0
+            assert len(final_states) == 3
             assert best == direct_best_response(scenario, player, steps)
 
     def test_exact_ties_fall_back_within_steps(self, monkeypatch, worked_example):
@@ -509,7 +549,7 @@ class TestFittedSearchCost:
 
 
 @pytest.mark.parametrize("num_players", [2, 3, 5, 7])
-def test_five_node_fit_predicts_every_grid_value(num_players):
+def test_axis_form_predicts_every_grid_value(num_players):
     rng = random.Random(900 + num_players)
     for _ in range(8):
         scenario, player, steps = differential_case(rng, num_players)
@@ -517,12 +557,12 @@ def test_five_node_fit_predicts_every_grid_value(num_players):
         strategies = list(strategies_of(scenario))
         angles = strategies[player - 1].angles
         axis = np.linspace(0.0, HALF_PI, steps)
+        config = scenario.entangler_config
+        form = _phase_axis_strengths(strategies, config, player, axis)
         grids = []
         for phase in axis:
             strategies[player - 1] = QuantumStrategy(angles, (phase,) * len(angles))
-            table = evaluate_strategies(strategies, scenario.entangler_config)
+            table = evaluate_strategies(strategies, config)
             grids.append(table.values)
         grids = np.array(grids)
-        nodes = np.round(np.linspace(0, steps - 1, 5)).astype(int)
-        fitted = _fit_strengths(axis[nodes], grids[nodes], axis)
-        assert np.abs(fitted - grids).max() <= 1e-14, (scenario, player, steps)
+        assert np.abs(form - grids).max() <= 1e-14, (scenario, player, steps)
