@@ -6,9 +6,9 @@ oracle for cross-validation, parameter sweep tooling and a CLI
 (``qblotto play | sweep | verify | oracle``). The top level exports
 what a caller needs to build, evaluate, sweep and store a scenario;
 everything else lives in its submodule: the payoff rule and the
-classical game in ``qblotto.classical``, the engine's building blocks
-in ``qblotto.engine`` and the composite space's dimensions in
-``qblotto.tensor``. A scenario is validated when it is built.
+classical game in ``qblotto.classical`` and the engine's building
+blocks, which read a scenario's angle and phase grids, in
+``qblotto.engine``. A scenario is validated once, when it is built.
 """
 
 from .engine import MeasurementTable, Scenario, evaluate

@@ -37,9 +37,10 @@ def _load(args) -> tuple[Scenario, list[str]]:
 def _print_report(
     scenario: Scenario, table: MeasurementTable, notices: list[str]
 ) -> None:
+    dim = 2**scenario.num_players * scenario.num_battlefields
     print(
         f"players: {scenario.num_players}  battlefields: "
-        f"{scenario.num_battlefields}  composite dim: {scenario.dims.dim}"
+        f"{scenario.num_battlefields}  composite dim: {dim}"
     )
     pattern = " ".join(f"{s:+d}" for s in scenario.sign_pattern)
     print(

@@ -13,10 +13,12 @@ of player j's qubit in state 1 with the register on battlefield k, and
 payoffs compare those measured strengths across players with the
 classical game's rule, :func:`qblotto.classical.payoff_terms`.
 
-A :class:`Scenario` is validated once, when it is built, so every
-scenario that exists is valid and evaluation does not check it again.
-All operations are pure functions of their inputs; evaluating the same
-scenario twice produces bit-identical results.
+The engine's strategy input is two player-major N x n grids, rotation
+angles and phases (:func:`strategies_of`), plus ``gamma`` and the sign
+pattern. A :class:`Scenario` is validated once, when it is built, so
+every scenario that exists is valid and evaluation does not check it
+again. All operations are pure functions of their inputs; evaluating
+the same scenario twice produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import tensor
 from .classical import (
     DEFAULT_TIE_EPS,
     PlayerRoster,
@@ -36,16 +37,24 @@ from .classical import (
     validate_allocation,
 )
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
-from .tensor import ComplexMatrix, StateVector, TensorDims
 
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
 
-# Tolerance of the even-count unitarity rule and of a strength's [0, 1]
-# range.
+# Tolerance of the even-count unitarity rule, of the final state's norm
+# and of a strength's [0, 1] range.
 UNITARITY_EPS = 1e-10
 
+# Hard cap on the composite dimension 2^N * n; dense storage stays
+# tractable below this and exponential blowups fail fast above it.
+MAX_DIM = 2**20
+
 _ANGLE_SLACK = 1e-12
+
+# A player's rotation angles or phases, one per battlefield.
+Row = Sequence[float]
+# Player-major N x n grid of rows.
+Grid = Sequence[Row]
 
 
 def rotation_angle(soldiers: float, blotto_total: float) -> float:
@@ -73,7 +82,7 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
     return min(HALF_PI * soldiers / blotto_total, HALF_PI)
 
 
-def strategy_gate(angle: float, phase: float = 0.0) -> ComplexMatrix:
+def strategy_gate(angle: float, phase: float = 0.0) -> np.ndarray:
     """Single-qubit strategy gate.
 
     ::
@@ -90,97 +99,9 @@ def strategy_gate(angle: float, phase: float = 0.0) -> ComplexMatrix:
     return np.array([[ph * c, -s], [s, ph.conjugate() * c]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class QuantumStrategy:
-    """One player's move: a rotation angle and a phase per battlefield."""
-
-    angles: tuple[float, ...]
-    phases: tuple[float, ...]
-
-    def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles)
-        phases = tuple(float(p) for p in self.phases)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "phases", phases)
-        if not angles:
-            raise ValidationError("strategy needs at least one battlefield")
-        if len(phases) != len(angles):
-            raise DimensionError(len(angles), len(phases), "strategy phases")
-        for k, (a, p) in enumerate(zip(angles, phases), start=1):
-            if not -_ANGLE_SLACK <= a <= HALF_PI + _ANGLE_SLACK:
-                raise ValidationError(
-                    f"battlefield {k} rotation angle {a!r} outside [0, pi/2]"
-                )
-            if not math.isfinite(p):
-                raise ValidationError(f"battlefield {k} phase {p!r} is not finite")
-
-    @classmethod
-    def from_allocation(
-        cls,
-        troops: Sequence[float],
-        blotto_total: float,
-        phases: Sequence[float] | None = None,
-    ) -> "QuantumStrategy":
-        """Derive the rotation angles of an allocation vector."""
-        angles = tuple(rotation_angle(x, blotto_total) for x in troops)
-        if phases is None:
-            phases = (0.0,) * len(angles)
-        return cls(angles=angles, phases=tuple(float(p) for p in phases))
-
-    @property
-    def num_battlefields(self) -> int:
-        return len(self.angles)
-
-    def with_angle(self, battlefield: int, value: float) -> "QuantumStrategy":
-        """Copy with the 1-based battlefield's rotation angle replaced."""
-        angles = list(self.angles)
-        angles[_battlefield_slot(battlefield, len(angles))] = float(value)
-        return QuantumStrategy(tuple(angles), self.phases)
-
-    def with_phase(self, battlefield: int, value: float) -> "QuantumStrategy":
-        """Copy with the 1-based battlefield's phase replaced."""
-        phases = list(self.phases)
-        phases[_battlefield_slot(battlefield, len(phases))] = float(value)
-        return QuantumStrategy(self.angles, tuple(phases))
-
-
-def _battlefield_slot(battlefield: int, n: int) -> int:
-    if not 1 <= battlefield <= n:
-        raise ValidationError(
-            f"battlefield index {battlefield} outside 1..{n}"
-        )
-    return battlefield - 1
-
-
-@dataclass(frozen=True)
-class EntanglerConfig:
-    """Entanglement strength and the generator's battlefield sign pattern."""
-
-    gamma: float
-    sign_pattern: tuple[int, ...]
-
-    def __post_init__(self):
-        gamma = float(self.gamma)
-        pattern = tuple(int(s) for s in self.sign_pattern)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "sign_pattern", pattern)
-        if not -_ANGLE_SLACK <= gamma <= HALF_PI + _ANGLE_SLACK:
-            raise ValidationError(
-                f"entanglement parameter {gamma!r} outside [0, pi/2]"
-            )
-        if not pattern:
-            raise ValidationError("sign pattern needs at least one entry")
-        if any(s not in (-1, 1) for s in pattern):
-            raise ValidationError(
-                f"sign pattern entries must be +1 or -1, got {pattern}"
-            )
-
-    @staticmethod
-    def default_pattern(num_battlefields: int) -> tuple[int, ...]:
-        """Deterministic default: all +1 with the last battlefield flipped."""
-        if num_battlefields < 1:
-            raise ValidationError("a game needs at least one battlefield")
-        return (1,) * (num_battlefields - 1) + (-1,)
+def default_pattern(num_battlefields: int) -> tuple[int, ...]:
+    """Deterministic default sign pattern: all +1 with the last battlefield flipped."""
+    return (1,) * (num_battlefields - 1) + (-1,)
 
 
 @dataclass(frozen=True)
@@ -215,7 +136,12 @@ class Scenario:
     absolute tie tolerance used for payoffs and budget sums. Building a
     scenario (``dataclasses.replace`` included) validates it and raises
     :class:`ValidationError` on the first broken rule; phases are stored
-    as given and reduced by :func:`strategies_of`.
+    as given and reduced by :func:`strategies_of`. The rules: matching
+    shapes, finite phases, a valid tie tolerance, the composite-dimension
+    guard ``2^N * n <= MAX_DIM``, the budgets (:class:`PlayerRoster`),
+    each player's allocation (:func:`validate_allocation`), ``gamma`` in
+    [0, pi/2], sign entries of +1 or -1, and no commitment above Blotto's
+    budget (:func:`rotation_angle`).
     """
 
     player_names: tuple[str, ...]
@@ -266,7 +192,12 @@ class Scenario:
         if len(pattern) != n:
             raise DimensionError(n, len(pattern), "sign pattern")
         check_tie_eps(self.eps)
-        TensorDims.for_game(count, n)  # dimension guard, before anything costly
+        dim = 2**count * n  # checked before anything costly
+        if dim > MAX_DIM:
+            raise ValidationError(
+                f"composite dimension {dim} exceeds the guardrail {MAX_DIM}; "
+                f"reduce the player count or battlefield count"
+            )
         PlayerRoster(totals)  # two or more finite budgets, Blotto's the largest
         for j, row in enumerate(allocations):
             violation = validate_allocation(row, totals[j], self.eps)
@@ -274,7 +205,19 @@ class Scenario:
                 raise ValidationError(
                     f"player {j + 1} ({names[j]}): {violation.message}"
                 )
-        EntanglerConfig(self.gamma, pattern)  # gamma's domain, +-1 entries
+        if not -_ANGLE_SLACK <= self.gamma <= HALF_PI + _ANGLE_SLACK:
+            raise ValidationError(
+                f"entanglement parameter {self.gamma!r} outside [0, pi/2]"
+            )
+        if any(s not in (-1, 1) for s in pattern):
+            raise ValidationError(
+                f"sign pattern entries must be +1 or -1, got {pattern}"
+            )
+        # A row can sum to its budget within eps and still hold one
+        # commitment above Blotto's budget.
+        for row in allocations:
+            for x in row:
+                rotation_angle(x, totals[0])
 
     @classmethod
     def create(
@@ -291,7 +234,7 @@ class Scenario:
         """Build a scenario, filling in the standard defaults.
 
         Phases default to all zero (the classical game), the sign
-        pattern to :meth:`EntanglerConfig.default_pattern`, and names to
+        pattern to :func:`default_pattern`, and names to
         "Blotto", "enemy 1", "enemy 2", ...
         """
         rows = [tuple(float(x) for x in row) for row in allocations]
@@ -301,7 +244,7 @@ class Scenario:
         if phases is None:
             phases = [(0.0,) * n for _ in rows]
         if sign_pattern is None:
-            sign_pattern = EntanglerConfig.default_pattern(n)
+            sign_pattern = default_pattern(n)
         if names is None:
             names = ["Blotto"] + [f"enemy {j}" for j in range(1, len(rows))]
         return cls(
@@ -325,14 +268,6 @@ class Scenario:
     @property
     def blotto_total(self) -> float:
         return self.totals[0]
-
-    @property
-    def dims(self) -> TensorDims:
-        return TensorDims.for_game(self.num_players, self.num_battlefields)
-
-    @property
-    def entangler_config(self) -> EntanglerConfig:
-        return EntanglerConfig(self.gamma, self.sign_pattern)
 
 
 def reduced_phase(phase: float) -> float:
@@ -369,54 +304,51 @@ def scenario_notices(scenario: Scenario) -> list[str]:
     return notices
 
 
-def strategies_of(scenario: Scenario) -> tuple[QuantumStrategy, ...]:
-    """Per-player strategies: allocations' angles and reduced phases."""
-    return tuple(
-        QuantumStrategy.from_allocation(
-            scenario.allocations[j],
-            scenario.blotto_total,
-            [reduced_phase(p) for p in scenario.phases[j]],
-        )
-        for j in range(scenario.num_players)
+def strategies_of(scenario: Scenario) -> tuple[Grid, Grid]:
+    """The scenario's ``(angles, phases)`` grids.
+
+    Each allocation's rotation angle (:func:`rotation_angle`) and each
+    phase reduced by :func:`reduced_phase`, player-major.
+    """
+    blotto_total = scenario.blotto_total
+    angles = tuple(
+        tuple(rotation_angle(x, blotto_total) for x in row)
+        for row in scenario.allocations
     )
+    phases = tuple(tuple(reduced_phase(p) for p in row) for row in scenario.phases)
+    return angles, phases
 
 
-def initial_state(num_players: int, num_battlefields: int) -> StateVector:
+def initial_state(num_players: int, num_battlefields: int) -> np.ndarray:
     """All qubits in state 0, battlefield register uniformly superposed."""
-    dims = TensorDims.for_game(num_players, num_battlefields)
     qubits = np.zeros(2**num_players, dtype=complex)
     qubits[0] = 1.0
     register = np.full(num_battlefields, 1.0 / math.sqrt(num_battlefields), complex)
-    psi = np.kron(qubits, register)
-    assert psi.shape == (dims.dim,)
-    return psi
+    return np.kron(qubits, register)
 
 
 def player_operator(
-    player: int, strategy: QuantumStrategy, num_players: int
-) -> ComplexMatrix:
+    player: int, angles: Row, phases: Row, num_players: int
+) -> np.ndarray:
     """Full-space strategy operator of the 1-based ``player``.
 
-    Sum over battlefields of the player's gate on their own qubit,
-    identities on everyone else's, tensored with the battlefield
-    projector; block-diagonal in the register basis and unitary. Built
-    by writing each battlefield's gate into its diagonal block in one
-    indexed assignment, with no Kronecker products.
+    ``angles`` and ``phases`` are the player's rows of the strategy
+    grids. The operator is the sum over battlefields of the player's
+    gate on their own qubit, identities on everyone else's, tensored
+    with the battlefield projector; block-diagonal in the register basis
+    and unitary. Built by writing each battlefield's gate into its
+    diagonal block in one indexed assignment, with no Kronecker products.
     """
-    if not 1 <= player <= num_players:
-        raise ValidationError(f"player index {player} outside 1..{num_players}")
-    n = strategy.num_battlefields
-    dims = TensorDims.for_game(num_players, n)
-    gates = np.array(
-        [strategy_gate(a, p) for a, p in zip(strategy.angles, strategy.phases)]
-    )
+    n = len(angles)
+    gates = np.array([strategy_gate(a, p) for a, p in zip(angles, phases)])
     # Row (a, x, b, k) and column (c, y, d, l) over the qubits before the
     # player's, the player's qubit, the qubits after it and the register.
     before, after = 2 ** (player - 1), 2 ** (num_players - player)
     op = np.zeros((before, 2, after, n) * 2, dtype=complex)
     a, x, b, k, y = np.ogrid[:before, :2, :after, :n, :2]
     op[a, x, b, k, a, y, b, k] = gates[k, x, y]
-    return op.reshape(dims.dim, dims.dim)
+    dim = 2**num_players * n
+    return op.reshape(dim, dim)
 
 
 def generator_weights(
@@ -428,7 +360,7 @@ def generator_weights(
     in column ``(2^N - 1 - s, k)``: every flip block swaps a qubit's
     state, with a minus sign when it is 1. ``G^+ = -(-1)^N G``, so the
     adjoint's weights drop the ``(-1)^N`` and negate. ``sign_pattern``
-    is taken as checked, as :class:`EntanglerConfig` holds it.
+    is taken as checked, as a :class:`Scenario` holds it.
     """
     parity = np.ones(1)
     for _ in range(num_players):
@@ -438,12 +370,14 @@ def generator_weights(
     return (scale * parity)[:, None] * register
 
 
-def apply_generator(weights: np.ndarray, psi: StateVector) -> StateVector:
+def apply_generator(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """``G psi``, or ``G^+ psi`` for the adjoint's :func:`generator_weights`."""
     return (weights * psi.reshape(weights.shape)[::-1]).reshape(-1)
 
 
-def entangle(num_players: int, config: EntanglerConfig) -> StateVector:
+def entangle(
+    num_players: int, gamma: float, sign_pattern: Sequence[int]
+) -> np.ndarray:
     """The initial state with the entangler ``J = c I + i s G`` applied.
 
     ``c, s = cos, sin(gamma/2)``, and ``J`` acts as ``c psi + i s (G psi)``.
@@ -452,44 +386,61 @@ def entangle(num_players: int, config: EntanglerConfig) -> StateVector:
     even count with ``|sin(gamma)| > UNITARITY_EPS`` raises
     :class:`NumericalIntegrityError`.
     """
-    deviation = abs(math.sin(config.gamma)) if num_players % 2 == 0 else 0.0
+    deviation = abs(math.sin(gamma)) if num_players % 2 == 0 else 0.0
     if deviation > UNITARITY_EPS:
         raise NumericalIntegrityError(
             f"entangler is not unitary (max deviation {deviation:.3e}); the "
             f"generator squares to -I, which happens for an even number of "
             f"players: use an odd player count or gamma = 0"
         )
-    half = config.gamma / 2.0
+    half = gamma / 2.0
     c, s = math.cos(half), math.sin(half)
-    psi = initial_state(num_players, len(config.sign_pattern))
-    forward = generator_weights(num_players, config.sign_pattern)
+    psi = initial_state(num_players, len(sign_pattern))
+    forward = generator_weights(num_players, sign_pattern)
     return c * psi + (1j * s) * apply_generator(forward, psi)
 
 
 def disentangle(
-    psi: StateVector, num_players: int, config: EntanglerConfig
-) -> StateVector:
+    psi: np.ndarray, num_players: int, gamma: float, sign_pattern: Sequence[int]
+) -> np.ndarray:
     """``J^+ psi = c psi - i s (G^+ psi)``, the final state; its norm is checked."""
-    half = config.gamma / 2.0
+    half = gamma / 2.0
     c, s = math.cos(half), math.sin(half)
-    inverse = generator_weights(num_players, config.sign_pattern, adjoint=True)
+    inverse = generator_weights(num_players, sign_pattern, adjoint=True)
     psi = c * psi - (1j * s) * apply_generator(inverse, psi)
-    tensor.assert_unit_norm(psi)
+    assert_unit_norm(psi)
     return psi
 
 
-def evolve_strategies(
-    strategies: Sequence[QuantumStrategy],
-    config: EntanglerConfig,
-    order: Sequence[int] | None = None,
-) -> StateVector:
-    """Run the protocol for explicit strategies and an entangler config.
+def assert_unit_norm(psi: np.ndarray) -> None:
+    """Raise if ``psi``'s squared norm strays from 1 by more than UNITARITY_EPS.
 
-    The entangler is applied (:func:`entangle`), every player's strategy
-    operator in ``order`` (1-based; ascending by default), then the
-    entangler's inverse (:func:`disentangle`). Strategy operators commute
-    pairwise, so the order cannot change the outcome; the parameter
-    exists to make that checkable.
+    Written so that a NaN norm fails too.
+    """
+    norm_sq = float(np.vdot(psi, psi).real)
+    if not abs(norm_sq - 1.0) <= UNITARITY_EPS:
+        raise NumericalIntegrityError(
+            f"state vector norm^2 = {norm_sq!r} deviates from 1 beyond "
+            f"{UNITARITY_EPS}"
+        )
+
+
+def evolve_strategies(
+    angles: Grid,
+    phases: Grid,
+    gamma: float,
+    sign_pattern: Sequence[int],
+    order: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Run the protocol for explicit strategy grids, ``gamma`` and sign pattern.
+
+    ``angles`` and ``phases`` are player-major N x n grids, taken as a
+    :class:`Scenario` holds them valid. The entangler is applied
+    (:func:`entangle`), every player's strategy operator in ``order``
+    (1-based; ascending by default), then the entangler's inverse
+    (:func:`disentangle`). Strategy operators commute pairwise, so the
+    order cannot change the outcome; the parameter exists to make that
+    checkable.
 
     ``G`` has one nonzero per row, so ``G psi`` and ``G^+ psi`` reverse
     the qubit index of the ``(2^N, n)`` view of ``psi`` and multiply by
@@ -499,25 +450,16 @@ def evolve_strategies(
     raises :class:`NumericalIntegrityError`, and the final state's norm
     is checked.
     """
-    count = len(strategies)
-    if count < 2:
-        raise ValidationError(f"need at least two players, got {count}")
-    n = strategies[0].num_battlefields
-    for j, strategy in enumerate(strategies, start=1):
-        if strategy.num_battlefields != n:
-            raise DimensionError(
-                n, strategy.num_battlefields, f"player {j} battlefield count"
-            )
-    if len(config.sign_pattern) != n:
-        raise DimensionError(n, len(config.sign_pattern), "sign pattern")
-
+    count = len(angles)
     order = _check_order(order, count)
-    TensorDims.for_game(count, n)  # composite-dimension guardrail
-
-    psi = entangle(count, config)
+    psi = entangle(count, gamma, sign_pattern)
     for player in order:
-        psi = player_operator(player, strategies[player - 1], count) @ psi
-    return disentangle(psi, count, config)
+        # No name holds the last operator, so one is alive at a time.
+        psi = (
+            player_operator(player, angles[player - 1], phases[player - 1], count)
+            @ psi
+        )
+    return disentangle(psi, count, gamma, sign_pattern)
 
 
 def _check_order(order: Sequence[int] | None, count: int) -> list[int]:
@@ -531,10 +473,11 @@ def _check_order(order: Sequence[int] | None, count: int) -> list[int]:
     return order
 
 
-def evolve(scenario: Scenario, order: Sequence[int] | None = None) -> StateVector:
+def evolve(scenario: Scenario, order: Sequence[int] | None = None) -> np.ndarray:
     """Final normalized state of a scenario."""
+    angles, phases = strategies_of(scenario)
     return evolve_strategies(
-        strategies_of(scenario), scenario.entangler_config, order
+        angles, phases, scenario.gamma, scenario.sign_pattern, order
     )
 
 
@@ -566,13 +509,14 @@ def check_strengths(grid: np.ndarray) -> None:
 
 
 def measurements(
-    psi: StateVector, dims: TensorDims, eps: float = DEFAULT_TIE_EPS
+    psi: np.ndarray, num_players: int, eps: float = DEFAULT_TIE_EPS
 ) -> MeasurementTable:
     """Read per-player battlefield strengths off a final state.
 
     Strength (j, k) is the probability of player j's qubit in state 1
     with the register on battlefield k: the sum of ``|psi|^2`` over the
-    basis states with qubit j set and register index k. This equals the
+    basis states with qubit j set and register index k, where ``psi``
+    has ``2^num_players * n`` amplitudes. This equals the
     committed-qubit projector's expectation on the density matrix
     reduced to qubit j and the register, which the tests' dense
     reference computes. A value outside [0, 1] beyond tolerance, NaN
@@ -580,13 +524,7 @@ def measurements(
     payoffs come from :func:`qblotto.classical.payoff_terms` applied to
     the strength grid.
     """
-    num_players = len(dims) - 1
-    n = dims.factors[-1]
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (dims.dim,):
-        raise DimensionError((dims.dim,), psi.shape, "state vector")
-
-    probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, n)
+    probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, -1)
     grid = qubit_sums(probabilities, num_players)
     check_strengths(grid)
 
@@ -602,17 +540,17 @@ def evaluate(
     scenario: Scenario, order: Sequence[int] | None = None
 ) -> MeasurementTable:
     """Evolve and measure a scenario in one call."""
-    return measurements(evolve(scenario, order), scenario.dims, scenario.eps)
+    return measurements(evolve(scenario, order), scenario.num_players, scenario.eps)
 
 
 def evaluate_strategies(
-    strategies: Sequence[QuantumStrategy],
-    config: EntanglerConfig,
+    angles: Grid,
+    phases: Grid,
+    gamma: float,
+    sign_pattern: Sequence[int],
     eps: float = DEFAULT_TIE_EPS,
     order: Sequence[int] | None = None,
 ) -> MeasurementTable:
-    """Evolve and measure explicit strategies (sweep entry point)."""
-    psi = evolve_strategies(strategies, config, order)
-    n = strategies[0].num_battlefields
-    dims = TensorDims.for_game(len(strategies), n)
-    return measurements(psi, dims, eps)
+    """Evolve and measure explicit strategy grids (sweep entry point)."""
+    psi = evolve_strategies(angles, phases, gamma, sign_pattern, order)
+    return measurements(psi, len(angles), eps)

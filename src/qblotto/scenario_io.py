@@ -26,7 +26,7 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .engine import EntanglerConfig, Scenario, scenario_notices
+from .engine import Scenario, default_pattern, scenario_notices
 from .classical import DEFAULT_TIE_EPS, check_tie_eps
 from .errors import ValidationError
 
@@ -142,7 +142,7 @@ def scenario_from_dict(
                 )
             sign_pattern.append(int(value))
     else:
-        sign_pattern = list(EntanglerConfig.default_pattern(battlefields))
+        sign_pattern = list(default_pattern(battlefields))
 
     tie_eps = DEFAULT_TIE_EPS
     if "eps" in doc:

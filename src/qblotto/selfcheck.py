@@ -198,10 +198,10 @@ def _check_order_invariance(rng: np.random.Generator, trials: int) -> CheckResul
     name = "order-invariance"
     for trial in range(trials):
         scenario = random_quantum_scenario(rng)
-        strategies = strategies_of(scenario)
+        angles, phases = strategies_of(scenario)
         count = scenario.num_players
         operators = [
-            player_operator(j, strategies[j - 1], count)
+            player_operator(j, angles[j - 1], phases[j - 1], count)
             for j in range(1, count + 1)
         ]
         for a in range(count):
@@ -222,7 +222,7 @@ def _check_order_invariance(rng: np.random.Generator, trials: int) -> CheckResul
         for _ in range(5):
             order = [int(j) for j in rng.permutation(count) + 1]
             psi = evolve(scenario, order=order)
-            table = measurements(psi, scenario.dims, scenario.eps)
+            table = measurements(psi, count, scenario.eps)
             if table.payoffs != baseline:
                 return CheckResult(
                     name,

@@ -12,7 +12,8 @@ the search forms three final states and reads every strength on the
 axis off one quadratic form, evaluating a value directly only where a
 margin sits at a tie-band edge.
 Both take a built scenario, which was validated then, and do not check
-it again.
+it again; they copy its angle and phase grids from
+:func:`~qblotto.engine.strategies_of` and set one cell or one row.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import numpy as np
 
 from .classical import payoff_terms
 from .engine import (
-    EntanglerConfig,
+    Grid,
     MeasurementTable,
-    QuantumStrategy,
     Scenario,
     check_strengths,
     disentangle,
@@ -47,9 +47,10 @@ SWEEP_PARAMETERS = ("phi", "lambda", "gamma")
 # Bisection width for payoff-transition boundaries, in radians.
 TRANSITION_RESOLUTION = 1e-6
 
-# Cap on the phase grid's full size, steps**n: 64 steps on up to 4
-# battlefields. The search costs at most ``steps`` evaluations; the cap is
-# kept so that the accepted inputs stay as they were.
+# Cap on ``steps**max(n, 2)``: 64 steps on up to 4 battlefields, and at
+# most 4096 steps on one or two. The search costs at most ``steps``
+# evaluations and its memory grows with ``steps``, so one battlefield
+# gets no more steps than two.
 MAX_GRID_POINTS = 64**4
 
 # A phase-axis value is evaluated directly when the player's margin on
@@ -190,33 +191,47 @@ SweepResult.points = property(SweepResult._unpack, doc="Grid points in order.")
 
 
 def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
-    """Closure evaluating the base scenario with one parameter replaced."""
+    """Closure evaluating the base scenario with one parameter replaced.
+
+    A phi value comes from the sweep's range or a bisection midpoint, not
+    from the scenario, so its finiteness is checked here.
+    """
     base = spec.base
-    strategies = strategies_of(base)
-    player = spec.target_player
-    battlefield = spec.target_battlefield
-    eps = base.eps
+    angles, phases = strategies_of(base)
+    j, k = spec.target_player - 1, spec.target_battlefield - 1
+    gamma, pattern, eps = base.gamma, base.sign_pattern, base.eps
 
     if spec.parameter == "gamma":
 
         def evaluate_at(value: float) -> MeasurementTable:
-            config = EntanglerConfig(value, base.sign_pattern)
-            return evaluate_strategies(strategies, config, eps)
+            return evaluate_strategies(angles, phases, value, pattern, eps)
 
-    else:
-        modify = (
-            QuantumStrategy.with_phase
-            if spec.parameter == "phi"
-            else QuantumStrategy.with_angle
-        )
-        config = base.entangler_config
+    elif spec.parameter == "phi":
 
         def evaluate_at(value: float) -> MeasurementTable:
-            moved = list(strategies)
-            moved[player - 1] = modify(moved[player - 1], battlefield, value)
-            return evaluate_strategies(moved, config, eps)
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"battlefield {k + 1} phase {value!r} is not finite"
+                )
+            moved = _with_cell(phases, j, k, value)
+            return evaluate_strategies(angles, moved, gamma, pattern, eps)
+
+    else:
+
+        def evaluate_at(value: float) -> MeasurementTable:
+            moved = _with_cell(angles, j, k, value)
+            return evaluate_strategies(moved, phases, gamma, pattern, eps)
 
     return evaluate_at
+
+
+def _with_cell(grid: Grid, j: int, k: int, value: float) -> list:
+    """Copy of ``grid`` with cell ``[j][k]`` (0-based) set to ``value``."""
+    moved = list(grid)
+    row = list(grid[j])
+    row[k] = value
+    moved[j] = row
+    return moved
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -288,8 +303,10 @@ class BestResponse:
 
 
 def _phase_axis_strengths(
-    strategies: Sequence[QuantumStrategy],
-    config: EntanglerConfig,
+    angles: Grid,
+    phases: Grid,
+    gamma: float,
+    sign_pattern: Sequence[int],
     player: int,
     axis: np.ndarray,
 ) -> np.ndarray:
@@ -307,18 +324,18 @@ def _phase_axis_strengths(
     states' norms and every strength's [0, 1] range are checked, as an
     evaluation checks them.
     """
-    count = len(strategies)
-    angles = strategies[player - 1].angles
-    rivals = entangle(count, config)
+    count = len(angles)
+    rivals = entangle(count, gamma, sign_pattern)
     for j in range(1, count + 1):
         if j != player:
-            rivals = player_operator(j, strategies[j - 1], count) @ rivals
+            rivals = player_operator(j, angles[j - 1], phases[j - 1], count) @ rivals
+    row = angles[player - 1]
     at_0, at_pi, at_half_pi = (
         disentangle(
-            player_operator(player, QuantumStrategy(angles, (p,) * len(angles)), count)
-            @ rivals,
+            player_operator(player, row, (p,) * len(row), count) @ rivals,
             count,
-            config,
+            gamma,
+            sign_pattern,
         ).reshape(2**count, -1)
         for p in (0.0, math.pi, HALF_PI)
     )
@@ -357,8 +374,9 @@ def best_response_grid(
     margin on some battlefield lies within ``DECISION_GUARD`` of a
     tie-band edge is evaluated directly, so the result is the one that
     evaluating every grid value gives, at no evaluation on generic
-    inputs and never more than ``phi_grid_steps``. The cap on
-    ``phi_grid_steps**n`` is kept for compatibility.
+    inputs and never more than ``phi_grid_steps``. ``MAX_GRID_POINTS``
+    caps ``phi_grid_steps**max(n, 2)``: at most 64 steps on four
+    battlefields and 4096 on one or two.
     """
     if phi_grid_steps < 2:
         raise ValidationError(f"need at least 2 grid steps, got {phi_grid_steps}")
@@ -367,28 +385,27 @@ def best_response_grid(
             f"player index {player} outside 1..{base.num_players}"
         )
     n = base.num_battlefields
-    total_points = phi_grid_steps**n
-    if total_points > MAX_GRID_POINTS:
+    if phi_grid_steps ** max(n, 2) > MAX_GRID_POINTS:
         raise ValidationError(
-            f"phase grid has {total_points} points, over the cap "
+            f"{phi_grid_steps} phase grid steps on {n} battlefield(s) are "
+            f"over the cap: steps**max(n, 2) must not exceed "
             f"{MAX_GRID_POINTS}; lower the step count or battlefield count"
         )
 
-    strategies = list(strategies_of(base))
-    config = base.entangler_config
-    eps = base.eps
-    angles = strategies[player - 1].angles
+    angles, phases = strategies_of(base)
+    gamma, pattern, eps = base.gamma, base.sign_pattern, base.eps
     axis = np.linspace(0.0, HALF_PI, phi_grid_steps)
-    values = _phase_axis_strengths(strategies, config, player, axis)
+    values = _phase_axis_strengths(angles, phases, gamma, pattern, player, axis)
 
     # Player-major grids, one column per grid value: [j, s, k].
     rival_best, terms = payoff_terms(values.transpose(1, 0, 2), eps)
     terms = terms[player - 1]  # terms[s, k]: battlefield k's term at axis[s]
     margin = values[:, player - 1] - rival_best[player - 1]
     unsure = (abs(abs(margin) - eps) <= DECISION_GUARD).any(axis=1)
+    moved = list(phases)
     for s in np.flatnonzero(unsure):
-        strategies[player - 1] = QuantumStrategy(angles, (float(axis[s]),) * n)
-        table = evaluate_strategies(strategies, config, eps)
+        moved[player - 1] = (float(axis[s]),) * n
+        table = evaluate_strategies(angles, moved, gamma, pattern, eps)
         terms[s] = payoff_terms(table.values, eps)[1][player - 1]
     return BestResponse(
         player=player,

@@ -5,8 +5,10 @@ traces and expectation values on plain ``numpy`` arrays; the entangler's
 generator and the checked entangler as dense matrices; and a probe of
 payoff dependence on one phase. The engine forms none of these: it
 applies the generator matrix-free and reads strengths off the state
-vector. Factor indices in this interface are 1-based, as in
-:class:`qblotto.tensor.TensorDims`.
+vector. A composite space is described by its tuple of factor sizes,
+``(2,) * N + (n,)`` for a game (:func:`game_factors`), and factor
+indices in this interface are 1-based. Strategies are the engine's
+player-major angle and phase grids.
 
 Matrices are compared entrywise with a max-abs tolerance; exact float
 equality is never meaningful here.
@@ -23,16 +25,20 @@ import numpy as np
 from qblotto.engine import (
     HALF_PI,
     UNITARITY_EPS,
-    EntanglerConfig,
-    QuantumStrategy,
     Scenario,
     player_operator,
 )
 from qblotto.errors import DimensionError, NumericalIntegrityError, ValidationError
 from qblotto.sweep import SweepSpec, _evaluator
-from qblotto.tensor import DEFAULT_EPS, ComplexMatrix, StateVector, TensorDims
 
+# Default tolerance of the entrywise comparisons and of an expectation's
+# imaginary residue.
+DEFAULT_EPS = 1e-10
 COMMUTATION_EPS = 1e-10
+
+# 2-D and 1-D complex arrays.
+ComplexMatrix = np.ndarray
+StateVector = np.ndarray
 
 _FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -42,10 +48,9 @@ _FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 # ---------------------------------------------------------------------------
 
 
-def kept(dims: TensorDims, keep: Iterable[int]) -> TensorDims:
-    """Dims after keeping the given 1-based factors (original order)."""
-    indices = _check_keep_indices(keep, len(dims.factors))
-    return TensorDims(tuple(dims.factors[i - 1] for i in indices))
+def game_factors(num_players: int, num_battlefields: int) -> tuple[int, ...]:
+    """Factor sizes of a game: one qubit per player, then the register."""
+    return (2,) * num_players + (num_battlefields,)
 
 
 def _check_keep_indices(keep: Iterable[int], num_factors: int) -> list[int]:
@@ -71,7 +76,7 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
 
     Entry ((i1,i2),(j1,j2)) of the result is ``a[i1,j1] * b[i2,j2]``; the
     first operand indexes the most significant part of the composite
-    index, matching the factor order of :class:`TensorDims`.
+    index, matching the order of a factor tuple.
     """
     return np.kron(as_matrix(a), as_matrix(b))
 
@@ -107,14 +112,14 @@ def density_matrix(psi: StateVector) -> ComplexMatrix:
 
 
 def partial_trace(
-    rho: ComplexMatrix, dims: TensorDims, keep: Iterable[int]
+    rho: ComplexMatrix, factors: Sequence[int], keep: Iterable[int]
 ) -> ComplexMatrix:
     """Trace out every factor not listed in ``keep``.
 
     Parameters
     ----------
-    rho : square matrix on the composite space described by ``dims``
-    dims : factor structure of ``rho``
+    rho : square matrix on the composite space of ``factors``
+    factors : factor sizes of ``rho``, most significant first
     keep : 1-based factor indices to retain; their original ordering is
         preserved in the result. An empty ``keep`` reduces to the scalar
         trace as a 1x1 matrix.
@@ -123,12 +128,12 @@ def partial_trace(
     rounding.
     """
     rho = as_matrix(rho)
-    dim = dims.dim
+    factors = list(factors)
+    dim = math.prod(factors)
     if rho.shape != (dim, dim):
         raise DimensionError((dim, dim), rho.shape, "partial_trace input")
 
-    indices = _check_keep_indices(keep, len(dims))
-    factors = list(dims.factors)
+    indices = _check_keep_indices(keep, len(factors))
     traced = [i for i in range(1, len(factors) + 1) if i not in indices]
 
     reshaped = rho.reshape(tuple(factors) + tuple(factors))
@@ -137,9 +142,7 @@ def partial_trace(
         reshaped = np.trace(reshaped, axis1=i - 1, axis2=i - 1 + half)
         del factors[i - 1]
 
-    kept_dim = 1
-    for f in factors:
-        kept_dim *= f
+    kept_dim = math.prod(factors)
     return reshaped.reshape(kept_dim, kept_dim)
 
 
@@ -182,10 +185,7 @@ def entangler_generator(
     :func:`qblotto.engine.generator_weights` and
     :func:`qblotto.engine.apply_generator` instead.
     """
-    pattern = EntanglerConfig(0.0, sign_pattern).sign_pattern  # checks entries
-    if num_players < 1:
-        raise ValidationError("a game needs at least one player")
-    register_block = np.diag([1j * s for s in pattern]).astype(complex)
+    register_block = np.diag([1j * s for s in sign_pattern]).astype(complex)
     generator = kron_all([_FLIP] * num_players + [register_block])
     return ((-1.0) ** num_players) * generator
 
@@ -200,13 +200,13 @@ def generator_square_scalar(generator: ComplexMatrix) -> complex:
 def entangler(
     gamma: float,
     generator: ComplexMatrix,
-    dims: TensorDims | None = None,
+    num_players: int | None = None,
 ) -> ComplexMatrix:
     """Entangling operator ``cos(gamma/2) I + i sin(gamma/2) generator``.
 
     The closed form is only unitary when the generator squares to the
     identity, which holds for an odd number of players; an even count is
-    rejected with a diagnostic. When ``dims`` is given, the result is
+    rejected with a diagnostic. When ``num_players`` is given, the result is
     additionally checked to commute with a pseudo-randomly sampled
     classical (phase-free) strategy operator, which every valid
     entangler must do.
@@ -233,27 +233,18 @@ def entangler(
             f"entangler is not unitary (max deviation {deviation:.3e}){hint}"
         )
 
-    if dims is not None:
-        if dims.dim != dim:
-            raise DimensionError(dims.dim, dim, "entangler dims")
-        _check_classical_commutation(out, dims)
+    if num_players is not None:
+        _check_classical_commutation(out, num_players)
     return out
 
 
-def _check_classical_commutation(op: ComplexMatrix, dims: TensorDims) -> None:
+def _check_classical_commutation(op: ComplexMatrix, num_players: int) -> None:
     """Verify ``op`` commutes with a sampled phase-free strategy operator."""
-    num_players = len(dims) - 1
-    n = dims.factors[-1]
-    if num_players < 1:
-        return
+    n = op.shape[0] // 2**num_players
     rng = np.random.default_rng(0x51B10)  # fixed seed keeps runs bit-identical
     player = int(rng.integers(1, num_players + 1))
     angles = rng.uniform(0.0, HALF_PI, size=n)
-    probe = player_operator(
-        player,
-        QuantumStrategy(tuple(angles), (0.0,) * n),
-        num_players,
-    )
+    probe = player_operator(player, angles, (0.0,) * n, num_players)
     residue = float(np.abs(op @ probe - probe @ op).max())
     if residue > COMMUTATION_EPS:
         raise NumericalIntegrityError(

@@ -14,7 +14,6 @@ import pytest
 from qblotto import NumericalIntegrityError, evaluate, run_sweep
 from qblotto.classical import PlayerRoster, classical_payoffs
 from qblotto.engine import (
-    QuantumStrategy,
     Scenario,
     evolve,
     measurements,
@@ -35,6 +34,7 @@ from reference import (
     density_matrix,
     entangler,
     entangler_generator,
+    game_factors,
     partial_trace,
 )
 
@@ -155,9 +155,9 @@ def test_criterion_6_order_invariance():
     worst_residue = 0.0
     for trial in range(100):
         scenario = random_quantum_scenario(rng)
-        strategies = strategies_of(scenario)
+        angles, phases = strategies_of(scenario)
         operators = [
-            player_operator(j, strategies[j - 1], scenario.num_players)
+            player_operator(j, angles[j - 1], phases[j - 1], scenario.num_players)
             for j in range(1, scenario.num_players + 1)
         ]
         for a in range(len(operators)):
@@ -171,7 +171,7 @@ def test_criterion_6_order_invariance():
         for _ in range(5):
             order = [int(j) for j in rng.permutation(scenario.num_players) + 1]
             psi = evolve(scenario, order=order)
-            payoffs = measurements(psi, scenario.dims, scenario.eps).payoffs
+            payoffs = measurements(psi, scenario.num_players, scenario.eps).payoffs
             assert payoffs == baseline, (
                 f"trial {trial}: order {order} gave {payoffs}, expected {baseline}"
             )
@@ -188,31 +188,28 @@ def test_criterion_7_structural_invariants():
     scenarios += [random_classical_scenario(rng) for _ in range(15)]
     scenarios += [random_quantum_scenario(rng) for _ in range(15)]
     for scenario in scenarios:
-        dims = scenario.dims
         count = scenario.num_players
+        factors = game_factors(count, scenario.num_battlefields)
         psi = evolve(scenario)
         rho = density_matrix(psi)
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert float(np.abs(rho - dagger(rho)).max()) <= 1e-12
         for j in range(1, count + 1):
-            reduced = partial_trace(rho, dims, keep={j, count + 1})
+            reduced = partial_trace(rho, factors, keep={j, count + 1})
             assert abs(np.trace(reduced).real - 1.0) <= 1e-10
             assert float(np.abs(reduced - dagger(reduced)).max()) <= 1e-12
 
-        strategies = strategies_of(scenario)
-        eye = np.eye(dims.dim)
-        for j, strategy in enumerate(strategies, start=1):
-            op = player_operator(j, strategy, count)
+        angles, phases = strategies_of(scenario)
+        eye = np.eye(psi.size)
+        for j in range(1, count + 1):
+            op = player_operator(j, angles[j - 1], phases[j - 1], count)
             assert float(np.abs(dagger(op) @ op - eye).max()) <= 1e-10
         generator = entangler_generator(count, scenario.sign_pattern)
-        entangle = entangler(scenario.gamma, generator, dims)
+        entangle = entangler(scenario.gamma, generator, count)
         assert float(np.abs(dagger(entangle) @ entangle - eye).max()) <= 1e-10
-        for j, strategy in enumerate(strategies, start=1):
-            classical_op = player_operator(
-                j,
-                QuantumStrategy(strategy.angles, (0.0,) * len(strategy.angles)),
-                count,
-            )
+        for j in range(1, count + 1):
+            row = angles[j - 1]
+            classical_op = player_operator(j, row, (0.0,) * len(row), count)
             residue = float(
                 np.abs(entangle @ classical_op - classical_op @ entangle).max()
             )

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from qblotto import NumericalIntegrityError, Scenario, ValidationError, evaluate
 from qblotto.classical import sgn_eps
 from qblotto.engine import (
-    EntanglerConfig,
-    QuantumStrategy,
     apply_generator,
+    default_pattern,
     evaluate_strategies,
     evolve,
+    evolve_strategies,
     generator_weights,
     initial_state,
     measurements,
@@ -24,7 +24,6 @@ from qblotto.engine import (
     strategies_of,
     strategy_gate,
 )
-from qblotto.tensor import TensorDims
 from reference import (
     allclose,
     dagger,
@@ -32,6 +31,7 @@ from reference import (
     entangler,
     entangler_generator,
     expectation,
+    game_factors,
     kron,
     kron_all,
     partial_trace,
@@ -43,6 +43,9 @@ GOLDEN_GRID = (
     (0.25, 0.5 * math.sin(math.pi / 12) ** 2),
     (0.0, 0.25),
 )
+# The worked example's allocations with Blotto over budget on battlefield
+# 1; the row still sums to 6 within the default eps.
+OVER_BUDGET = ((6.0000000001, 0.0), (3.0, 1.0), (0.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,37 +140,36 @@ def register_projector(k, n):
     return projector
 
 
-def dense_player_operator(player, strategy, num_players):
+def dense_player_operator(player, angles, phases, num_players):
     """Sum over battlefields of one Kronecker chain per battlefield."""
-    n = strategy.num_battlefields
+    n = len(angles)
     dim = 2**num_players * n
     op = np.zeros((dim, dim), dtype=complex)
     identity = np.eye(2, dtype=complex)
     for k in range(n):
         factors = [identity] * num_players
-        factors[player - 1] = strategy_gate(strategy.angles[k], strategy.phases[k])
+        factors[player - 1] = strategy_gate(angles[k], phases[k])
         factors.append(register_projector(k, n))
         op += kron_all(factors)
     return op
 
 
-def dense_evaluate(strategies, config, eps, order):
+def dense_evaluate(angles, phases, gamma, sign_pattern, eps, order):
     """Strengths and payoffs with every operator and the density matrix formed."""
-    count = len(strategies)
-    n = strategies[0].num_battlefields
-    dims = TensorDims.for_game(count, n)
-    generator = entangler_generator(count, config.sign_pattern)
-    entangle = entangler(config.gamma, generator, dims)
+    count = len(angles)
+    n = len(angles[0])
+    generator = entangler_generator(count, sign_pattern)
+    entangle = entangler(gamma, generator, count)
     psi = entangle @ initial_state(count, n)
-    for player in order:
-        psi = dense_player_operator(player, strategies[player - 1], count) @ psi
+    for j in order:
+        psi = dense_player_operator(j, angles[j - 1], phases[j - 1], count) @ psi
     psi = dagger(entangle) @ psi
 
     rho = density_matrix(psi)
     committed = np.diag([0.0, 1.0]).astype(complex)
     grid = np.empty((count, n))
     for j in range(count):
-        reduced = partial_trace(rho, dims, keep={j + 1, count + 1})
+        reduced = partial_trace(rho, game_factors(count, n), keep={j + 1, count + 1})
         for k in range(n):
             grid[j, k] = expectation(kron(committed, register_projector(k, n)), reduced)
     payoffs = tuple(
@@ -187,15 +189,18 @@ def dense_generator_evaluate(scenario):
     c, s = math.cos(scenario.gamma / 2.0), math.sin(scenario.gamma / 2.0)
     psi = initial_state(count, n)
     psi = c * psi + (1j * s) * (generator @ psi)
-    for player, strategy in enumerate(strategies_of(scenario), start=1):
-        psi = player_operator(player, strategy, count) @ psi
+    angles, phases = strategies_of(scenario)
+    for player in range(1, count + 1):
+        op = player_operator(player, angles[player - 1], phases[player - 1], count)
+        psi = op @ psi
     psi = c * psi - (1j * s) * np.conj(np.conj(psi) @ generator)
-    return measurements(psi, scenario.dims, scenario.eps)
+    return measurements(psi, count, scenario.eps)
 
 
 def random_strategy(rng, n):
+    """One player's random ``(angles, phases)`` rows; 20% of phases zero."""
     phases = rng.uniform(0.0, 2 * math.pi, n) * (rng.random(n) < 0.8)
-    return QuantumStrategy(tuple(rng.uniform(0.0, HALF_PI, n)), tuple(phases))
+    return tuple(rng.uniform(0.0, HALF_PI, n)), tuple(phases)
 
 
 def random_scenario(rng, count, n, gamma):
@@ -264,38 +269,32 @@ class TestStrategyGate:
             assert allclose(strategy_gate(angle, 0.0), plain, 0.0)
 
 
-class TestQuantumStrategy:
-    def test_from_allocation(self):
-        strategy = QuantumStrategy.from_allocation((3.0, 1.0), 6.0)
-        assert strategy.angles == (rotation_angle(3, 6), rotation_angle(1, 6))
-        assert strategy.phases == (0.0, 0.0)
+class TestStrategiesOf:
+    def test_grids_of_allocations_and_phases(self, worked_example):
+        from dataclasses import replace
 
-    def test_angle_range_enforced(self):
-        with pytest.raises(ValidationError):
-            QuantumStrategy((2.0,), (0.0,))
-
-    def test_phase_length_enforced(self):
-        with pytest.raises(Exception):
-            QuantumStrategy((0.1, 0.2), (0.0,))
-
-    def test_with_phase_and_angle(self):
-        strategy = QuantumStrategy((0.1, 0.2), (0.0, 0.0))
-        assert strategy.with_phase(2, 1.5).phases == (0.0, 1.5)
-        assert strategy.with_angle(1, 0.7).angles == (0.7, 0.2)
-        with pytest.raises(ValidationError):
-            strategy.with_phase(3, 1.0)
+        scenario = replace(worked_example, phases=((0.0, -0.5), (7.0, 0.0), (1.0, 0.3)))
+        angles, phases = strategies_of(scenario)
+        assert angles == tuple(
+            tuple(rotation_angle(x, 6.0) for x in row) for row in scenario.allocations
+        )
+        assert angles[1] == (math.pi / 4, rotation_angle(1, 6))
+        assert phases == (
+            (0.0, -0.5 % (2 * math.pi)),
+            (7.0 - 2 * math.pi, 0.0),
+            (1.0, 0.3),
+        )
 
 
 class TestPlayerOperator:
     def test_zero_strategy_is_identity(self):
-        strategy = QuantumStrategy((0.0, 0.0), (0.0, 0.0))
-        op = player_operator(2, strategy, 3)
+        op = player_operator(2, (0.0, 0.0), (0.0, 0.0), 3)
         assert allclose(op, np.eye(16), 0.0)
 
     def test_single_player_block_structure(self):
         # direct 4x4 expansion: block diagonal over the battlefield index
-        strategy = QuantumStrategy.from_allocation((3.0, 1.0), 6.0)
-        op = player_operator(1, strategy, 1).reshape(2, 2, 2, 2)
+        angles = (rotation_angle(3, 6), rotation_angle(1, 6))
+        op = player_operator(1, angles, (0.0, 0.0), 1).reshape(2, 2, 2, 2)
         for k, angle in enumerate((math.pi / 4, math.pi / 12)):
             assert allclose(op[:, k, :, k], strategy_gate(angle), 1e-15)
         assert allclose(op[:, 0, :, 1], np.zeros((2, 2)), 0.0)
@@ -307,21 +306,20 @@ class TestPlayerOperator:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         count = int(rng.integers(2, 5))
-        strategy = QuantumStrategy(
-            tuple(rng.uniform(0, HALF_PI, n)), tuple(rng.uniform(0, 2 * math.pi, n))
-        )
+        angles = tuple(rng.uniform(0, HALF_PI, n))
+        phases = tuple(rng.uniform(0, 2 * math.pi, n))
         player = int(rng.integers(1, count + 1))
-        op = player_operator(player, strategy, count)
+        op = player_operator(player, angles, phases, count)
         assert allclose(dagger(op) @ op, np.eye(op.shape[0]), 1e-12)
 
     def test_matches_kronecker_reference_exactly(self):
         rng = np.random.default_rng(0x0B5)
         for count in range(2, 7):
             for n in range(1, 5):
-                strategy = random_strategy(rng, n)
+                angles, phases = random_strategy(rng, n)
                 for player in range(1, count + 1):
-                    op = player_operator(player, strategy, count)
-                    reference = dense_player_operator(player, strategy, count)
+                    op = player_operator(player, angles, phases, count)
+                    reference = dense_player_operator(player, angles, phases, count)
                     assert np.array_equal(op, reference), (count, n, player)
 
     def test_blotto_row_without_entanglement(self, worked_example):
@@ -349,12 +347,6 @@ class TestEntanglerGenerator:
         assert allclose(generator @ generator, -np.eye(8), 1e-12)
         assert allclose(dagger(generator), -generator, 0.0)
 
-    def test_pattern_validation(self):
-        with pytest.raises(ValidationError):
-            entangler_generator(2, (1, 2))
-        with pytest.raises(ValidationError):
-            entangler_generator(2, ())
-
     @pytest.mark.parametrize("count", range(1, 10))
     def test_matrix_free_matches_dense_exactly(self, count):
         rng = np.random.default_rng(0x6E4 + count)
@@ -379,14 +371,15 @@ class TestEntangler:
 
     def test_unitary_at_full_entanglement(self):
         generator = entangler_generator(3, (1, -1))
-        op = entangler(HALF_PI, generator, TensorDims.for_game(3, 2))
+        op = entangler(HALF_PI, generator, 3)
         assert allclose(dagger(op) @ op, np.eye(16), 1e-12)
 
     def test_commutes_with_classical_strategies(self, worked_example):
         generator = entangler_generator(3, (1, -1))
-        op = entangler(HALF_PI, generator, TensorDims.for_game(3, 2))
-        for player, strategy in enumerate(strategies_of(worked_example), start=1):
-            probe = player_operator(player, strategy, 3)
+        op = entangler(HALF_PI, generator, 3)
+        angles, phases = strategies_of(worked_example)
+        for player in range(1, 4):
+            probe = player_operator(player, angles[player - 1], phases[player - 1], 3)
             assert float(np.abs(op @ probe - probe @ op).max()) < 1e-12
 
     def test_even_player_count_rejected(self):
@@ -424,11 +417,8 @@ class TestEvolve:
     def test_zero_strategies_leave_initial_state(self):
         # budget rules forbid an all-zero scenario (Blotto must spend a
         # positive budget), so the degenerate case lives at strategy level
-        from qblotto.engine import evolve_strategies
-
-        idle = QuantumStrategy((0.0, 0.0), (0.0, 0.0))
-        config = EntanglerConfig(0.0, (1, -1))
-        psi = evolve_strategies([idle, idle, idle], config)
+        idle = ((0.0, 0.0),) * 3
+        psi = evolve_strategies(idle, idle, 0.0, (1, -1))
         assert allclose(psi, initial_state(3, 2), 0.0)
 
     def test_matches_amplitude_oracle(self, worked_example):
@@ -444,7 +434,7 @@ class TestEvolve:
         )
         assert allclose(psi, hand_vector(state, 3, 2), 1e-12)
 
-        table = measurements(psi, scenario.dims)
+        table = measurements(psi, 3)
         assert np.abs(
             np.array(table.values) - hand_measurements(state, 3, 2)
         ).max() < 1e-12
@@ -469,14 +459,15 @@ class TestEvolve:
         cases += [(7, n) for n in (1, 2, 3, 4)]
         cases += [(count, n) for count in (2, 4, 6) for n in (1, 2, 3)]
         for count, n in cases:
-            strategies = [random_strategy(rng, n) for _ in range(count)]
+            rows = [random_strategy(rng, n) for _ in range(count)]
             if rng.random() < 0.25:
-                strategies[1] = strategies[0]  # exact ties on every battlefield
+                rows[1] = rows[0]  # exact ties on every battlefield
+            angles, phases = (tuple(grid) for grid in zip(*rows))
             gamma = float(rng.uniform(0.0, HALF_PI)) if count % 2 else 0.0
-            config = EntanglerConfig(gamma, tuple(rng.choice((-1, 1), n)))
+            pattern = tuple(int(s) for s in rng.choice((-1, 1), n))
             order = [int(j) for j in rng.permutation(count) + 1]
-            table = evaluate_strategies(strategies, config, 1e-9, order)
-            grid, payoffs = dense_evaluate(strategies, config, 1e-9, order)
+            table = evaluate_strategies(angles, phases, gamma, pattern, 1e-9, order)
+            grid, payoffs = dense_evaluate(angles, phases, gamma, pattern, 1e-9, order)
             worst = np.abs(np.array(table.values) - grid).max()
             assert worst <= 1e-12, (count, n, worst)
             assert table.payoffs == payoffs, (count, n)
@@ -519,11 +510,8 @@ class TestMeasurements:
             assert table.values[j] == pytest.approx(GOLDEN_GRID[j], abs=1e-10)
 
     def test_all_zero_strategies(self):
-        from qblotto.engine import evaluate_strategies
-
-        idle = QuantumStrategy((0.0, 0.0), (0.0, 0.0))
-        config = EntanglerConfig(HALF_PI, (1, -1))
-        table = evaluate_strategies([idle, idle, idle], config)
+        idle = ((0.0, 0.0),) * 3
+        table = evaluate_strategies(idle, idle, HALF_PI, (1, -1))
         assert all(v == pytest.approx(0.0, abs=1e-12) for row in table.values for v in row)
 
     def test_classical_closed_form(self):
@@ -550,7 +538,7 @@ class TestMeasurements:
         # keep player 3's qubit and the register, then contract by hand
         psi = evolve(worked_example)
         rho = density_matrix(psi)
-        reduced = partial_trace(rho, worked_example.dims, keep={3, 4})
+        reduced = partial_trace(rho, game_factors(3, 2), keep={3, 4})
         assert reduced.shape == (4, 4)
         committed_bf1 = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
         committed_bf2 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
@@ -560,7 +548,7 @@ class TestMeasurements:
     def test_nan_state_fails_range_check(self):
         psi = np.full(16, math.nan, dtype=complex)
         with pytest.raises(NumericalIntegrityError, match="outside"):
-            measurements(psi, TensorDims.for_game(3, 2))
+            measurements(psi, 3)
 
     def test_density_matrix_properties(self, worked_example):
         psi = evolve(worked_example)
@@ -568,7 +556,7 @@ class TestMeasurements:
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert allclose(rho, dagger(rho), 1e-12)
         for j in (1, 2, 3):
-            reduced = partial_trace(rho, worked_example.dims, keep={j, 4})
+            reduced = partial_trace(rho, game_factors(3, 2), keep={j, 4})
             assert abs(np.trace(reduced) - 1.0) < 1e-10
             assert allclose(reduced, dagger(reduced), 1e-12)
 
@@ -630,7 +618,7 @@ class TestScenarioValidation:
 
         scenario = replace(worked_example, phases=((0.0, 0.0), (0.0, 0.0), (7.0, 0.0)))
         notices = scenario_notices(scenario)
-        assert strategies_of(scenario)[2].phases[0] == pytest.approx(7.0 - 2 * math.pi)
+        assert strategies_of(scenario)[1][2][0] == pytest.approx(7.0 - 2 * math.pi)
         assert any("reduced" in note for note in notices)
 
     def test_non_finite_phase_rejected(self, worked_example):
@@ -639,8 +627,6 @@ class TestScenarioValidation:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError, match="not finite"):
                 replace(worked_example, phases=((0.0, 0.0), (0.0, 0.0), (bad, 0.0)))
-            with pytest.raises(ValidationError, match="not finite"):
-                QuantumStrategy((0.1, 0.2), (0.0, bad))
 
     def test_non_finite_eps_rejected(self, worked_example):
         from dataclasses import replace
@@ -659,17 +645,41 @@ class TestScenarioValidation:
     def test_gamma_domain(self, worked_example):
         from dataclasses import replace
 
-        with pytest.raises(ValidationError):
-            replace(worked_example, gamma=2.0)
+        for gamma in (-1e-12, 0.0, HALF_PI, HALF_PI + 1e-12):
+            assert replace(worked_example, gamma=gamma).gamma == gamma
+        for gamma in (-3e-12, HALF_PI + 3e-12, 2.0, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match="entanglement parameter"):
+                replace(worked_example, gamma=gamma)
+
+    @pytest.mark.parametrize("pattern", [(1, 0), (-2, 1), (1, 3)])
+    def test_sign_entries_must_be_plus_or_minus_one(self, worked_example, pattern):
+        from dataclasses import replace
+
+        with pytest.raises(ValidationError, match=r"must be \+1 or -1"):
+            replace(worked_example, sign_pattern=pattern)
 
     def test_guardrail(self):
-        count = 21  # 2^21 battlefieldless qubits alone exceed the cap
+        # 2^19 * 2 == 2^20 is the largest composite dimension allowed
+        # (never evaluated here: its operators would not fit in memory)
+        Scenario.create(totals=(2.0,) * 19, allocations=((1.0, 1.0),) * 19, gamma=0.0)
         with pytest.raises(ValidationError, match="guardrail"):
             Scenario.create(
-                totals=(1.0,) * count,
-                allocations=tuple((1.0,) for _ in range(count)),
-                gamma=0.0,
+                totals=(3.0,) * 19, allocations=((1.0, 1.0, 1.0),) * 19, gamma=0.0
             )
+
+    def test_commitment_above_blottos_budget_rejected_at_build(self, worked_example):
+        from dataclasses import replace
+
+        message = (
+            "troop commitment 6.0000000001 exceeds Blotto's budget 6.0; "
+            "no valid allocation can reach this"
+        )
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create((6.0, 4.0, 3.0), OVER_BUDGET, HALF_PI)
+        assert str(raised.value) == message
+        with pytest.raises(ValidationError) as raised:
+            replace(worked_example, allocations=OVER_BUDGET)
+        assert str(raised.value) == message
 
     # Each build raises the message that loading or evaluating the same
     # scenario gave when validation ran there; the last case keeps the
@@ -677,6 +687,10 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "changes, message",
         [
+            (
+                dict(phases=((0.0, 0.0), (0.0,), (0.0, 0.0))),
+                "player 2 phases: expected dims 2, got 1",
+            ),
             (
                 dict(allocations=((3.0, 3.0), (5.0, -1.0), (0.0, 3.0))),
                 "player 2 (enemy 1): battlefield 2 allocation is negative (-1.0)",
@@ -704,6 +718,14 @@ class TestScenarioValidation:
             (
                 dict(sign_pattern=(1, 2)),
                 "sign pattern entries must be +1 or -1, got (1, 2)",
+            ),
+            (
+                dict(gamma=2.0, allocations=OVER_BUDGET),
+                "entanglement parameter 2.0 outside [0, pi/2]",
+            ),
+            (
+                dict(sign_pattern=(1, 0), allocations=OVER_BUDGET),
+                "sign pattern entries must be +1 or -1, got (1, 0)",
             ),
             (
                 dict(totals=(1.0,) * 21, allocations=((1.0,),) * 21),
@@ -739,7 +761,7 @@ class TestScenarioValidation:
         )
         assert scenario.sign_pattern == (1, 1, -1)
         assert scenario.player_names == ("Blotto", "enemy 1", "enemy 2")
-        assert EntanglerConfig.default_pattern(1) == (-1,)
+        assert default_pattern(1) == (-1,)
 
 
 class TestClassicalCorrespondence:

@@ -18,7 +18,7 @@ from qblotto import (
     run_sweep,
 )
 from qblotto.classical import payoff_terms
-from qblotto.engine import QuantumStrategy, evaluate_strategies, strategies_of
+from qblotto.engine import evaluate_strategies, strategies_of
 from qblotto.sweep import (
     MAX_GRID_POINTS,
     SWEEP_PARAMETERS,
@@ -156,18 +156,21 @@ class TestPackedSweepResult:
         base = replace(worked_example, phases=((0.0, 0.3), (0.2, 0.0), (1.0, 0.5)))
         spec = SweepSpec(base, 2, 1, parameter, 0.0, HALF_PI, 21)
         result = run_sweep(spec)
-        strategies = strategies_of(base)
         assert len(result.points) == spec.steps
         for point, value in zip(result.points, spec.grid()):
-            moved = list(strategies)
-            config = base.entangler_config
+            angles, phases = (
+                [list(row) for row in grid] for grid in strategies_of(base)
+            )
+            gamma = base.gamma
             if parameter == "phi":
-                moved[1] = moved[1].with_phase(1, value)
+                phases[1][0] = float(value)
             elif parameter == "lambda":
-                moved[1] = moved[1].with_angle(1, value)
+                angles[1][0] = float(value)
             else:
-                config = replace(config, gamma=float(value))
-            table = evaluate_strategies(moved, config, base.eps)
+                gamma = float(value)
+            table = evaluate_strategies(
+                angles, phases, gamma, base.sign_pattern, base.eps
+            )
             assert _point_bits(point.value, point.payoffs, point.values) == (
                 _point_bits(value, table.payoffs, table.values)
             )
@@ -273,6 +276,21 @@ class TestBestResponseGrid:
         with pytest.raises(ValidationError, match="cap"):
             best_response_grid(scenario, 2, 64)
 
+    def test_one_battlefield_gets_no_more_steps_than_two(self, monkeypatch):
+        # The search's memory grows with the step count, so one
+        # battlefield is capped as two are: 4096 = 64**2 steps.
+        scenario = Scenario.create(
+            totals=(4.0, 3.0, 2.0), allocations=((4.0,), (3.0,), (2.0,)), gamma=1.1
+        )
+        assert best_response_grid(scenario, 2, 4096).player == 2
+
+        def refuse(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(qblotto.sweep, "entangle", refuse)
+        with pytest.raises(ValidationError, match="^4097 phase grid steps on 1 "):
+            best_response_grid(scenario, 2, 4097)
+
 
 def exhaustive_best_response(scenario, player, steps):
     """Reference search: evaluate every point of the phase grid.
@@ -280,8 +298,8 @@ def exhaustive_best_response(scenario, player, steps):
     Walks the grid in lexicographic order, most significant battlefield
     first, and keeps the first point reaching the best payoff.
     """
-    strategies = list(strategies_of(scenario))
-    config = scenario.entangler_config
+    angles, base_phases = strategies_of(scenario)
+    gamma, pattern = scenario.gamma, scenario.sign_pattern
     n = scenario.num_battlefields
     axis = [float(v) for v in np.linspace(0.0, HALF_PI, steps)]
 
@@ -290,9 +308,9 @@ def exhaustive_best_response(scenario, player, steps):
     counters = [0] * n
     while True:
         phases = tuple(axis[c] for c in counters)
-        moved = list(strategies)
-        moved[player - 1] = QuantumStrategy(moved[player - 1].angles, phases)
-        table = evaluate_strategies(moved, config, scenario.eps)
+        moved = list(base_phases)
+        moved[player - 1] = phases
+        table = evaluate_strategies(angles, moved, gamma, pattern, scenario.eps)
         payoff = table.payoffs[player - 1]
         if best_payoff is None or payoff > best_payoff:
             best_payoff = payoff
@@ -357,17 +375,16 @@ def direct_best_response(scenario, player, steps):
     One evaluation per axis value, with all of the player's phases at
     that value; the first index maximizing each battlefield's term wins.
     """
-    strategies = list(strategies_of(scenario))
-    config = scenario.entangler_config
-    eps = scenario.eps
-    angles = strategies[player - 1].angles
+    angles, phases = strategies_of(scenario)
+    phases = list(phases)
+    gamma, pattern, eps = scenario.gamma, scenario.sign_pattern, scenario.eps
     n = scenario.num_battlefields
     axis = [float(v) for v in np.linspace(0.0, HALF_PI, steps)]
 
     rows = []
     for phase in axis:
-        strategies[player - 1] = QuantumStrategy(angles, (phase,) * n)
-        table = evaluate_strategies(strategies, config, eps)
+        phases[player - 1] = (phase,) * n
+        table = evaluate_strategies(angles, phases, gamma, pattern, eps)
         rows.append(payoff_terms(table.values, eps)[1][player - 1])
     terms = np.array(rows)
     return BestResponse(
@@ -536,7 +553,7 @@ class TestFittedSearchCost:
             allocations=((3.0, 3.0), (2.5, 1.5), (0.0, 3.0)),
         )
         table = evaluate_strategies(
-            strategies_of(classical), classical.entangler_config
+            *strategies_of(classical), classical.gamma, classical.sign_pattern
         )
         margin = table.values[1][1] - table.rival_best[1][1]
         assert margin < 0
@@ -554,15 +571,15 @@ def test_axis_form_predicts_every_grid_value(num_players):
     for _ in range(8):
         scenario, player, steps = differential_case(rng, num_players)
         steps = max(steps, 6)
-        strategies = list(strategies_of(scenario))
-        angles = strategies[player - 1].angles
+        angles, phases = strategies_of(scenario)
+        gamma, pattern = scenario.gamma, scenario.sign_pattern
         axis = np.linspace(0.0, HALF_PI, steps)
-        config = scenario.entangler_config
-        form = _phase_axis_strengths(strategies, config, player, axis)
+        form = _phase_axis_strengths(angles, phases, gamma, pattern, player, axis)
+        phases = list(phases)
         grids = []
         for phase in axis:
-            strategies[player - 1] = QuantumStrategy(angles, (phase,) * len(angles))
-            table = evaluate_strategies(strategies, config)
+            phases[player - 1] = (phase,) * scenario.num_battlefields
+            table = evaluate_strategies(angles, phases, gamma, pattern)
             grids.append(table.values)
         grids = np.array(grids)
         assert np.abs(form - grids).max() <= 1e-14, (scenario, player, steps)

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qblotto import DimensionError, NumericalIntegrityError, ValidationError
-from qblotto.engine import strategy_gate
-from qblotto.tensor import MAX_DIM, TensorDims, assert_unit_norm
+from qblotto import DimensionError, NumericalIntegrityError
+from qblotto.engine import assert_unit_norm, strategy_gate
 from reference import (
     allclose,
     dagger,
     density_matrix,
     expectation,
-    kept,
+    game_factors,
     kron,
     kron_all,
     partial_trace,
@@ -33,32 +32,9 @@ def random_density(rng, dim):
     return density_matrix(psi)
 
 
-class TestTensorDims:
-    def test_game_dims(self):
-        dims = TensorDims.for_game(3, 2)
-        assert dims.factors == (2, 2, 2, 2)
-        assert dims.dim == 16
-        assert len(dims) == 4
-
-    def test_battlefield_register_may_differ(self):
-        assert TensorDims((2, 2, 5)).dim == 20
-        assert TensorDims((7,)).dim == 7
-
-    def test_non_final_odd_factor_rejected(self):
-        with pytest.raises(ValidationError):
-            TensorDims((3, 2))
-
-    def test_guardrail(self):
-        # 2^19 * 2 == 2^20 is the largest allowed composite dimension
-        TensorDims.for_game(19, 2)
-        with pytest.raises(ValidationError, match="guardrail"):
-            TensorDims.for_game(19, 3)
-        assert TensorDims.for_game(19, 2).dim == MAX_DIM
-
-    def test_kept(self):
-        dims = TensorDims.for_game(3, 4)
-        assert kept(dims, {3, 4}).factors == (2, 4)
-        assert kept(dims, [1]).factors == (2,)
+def test_game_factors():
+    assert game_factors(3, 2) == (2, 2, 2, 2)
+    assert game_factors(2, 5) == (2, 2, 5)
 
 
 class TestKron:
@@ -132,28 +108,27 @@ class TestDagger:
 class TestPartialTrace:
     def test_product_state(self):
         rho = density_matrix(np.array([1, 0, 0, 0], dtype=complex))  # |00><00|
-        reduced = partial_trace(rho, TensorDims((2, 2)), keep={2})
+        reduced = partial_trace(rho, (2, 2), keep={2})
         assert allclose(reduced, np.diag([1.0, 0.0]), 0.0)
 
     def test_bell_state(self):
         bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-        reduced = partial_trace(density_matrix(bell), TensorDims((2, 2)), keep={1})
+        reduced = partial_trace(density_matrix(bell), (2, 2), keep={1})
         assert allclose(reduced, I2 / 2, 1e-15)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(11)
         rho = random_density(rng, 12)
-        dims = TensorDims((2, 6))
         for keep in ({1}, {2}, {1, 2}):
-            reduced = partial_trace(rho, dims, keep)
+            reduced = partial_trace(rho, (2, 6), keep)
             assert abs(np.trace(reduced) - np.trace(rho)) < 1e-12
 
     def test_keep_all_and_none(self):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 8)
-        dims = TensorDims.for_game(2, 2)
-        assert allclose(partial_trace(rho, dims, keep={1, 2, 3}), rho, 0.0)
-        scalar = partial_trace(rho, dims, keep=set())
+        factors = game_factors(2, 2)
+        assert allclose(partial_trace(rho, factors, keep={1, 2, 3}), rho, 0.0)
+        scalar = partial_trace(rho, factors, keep=set())
         assert scalar.shape == (1, 1)
         assert abs(scalar[0, 0] - np.trace(rho)) < 1e-12
 
@@ -165,18 +140,18 @@ class TestPartialTrace:
         rho1 = random_density(rng, 2)
         rho2 = random_density(rng, 3) * rng.uniform(0.2, 2.0)
         product = np.kron(rho1, rho2)
-        reduced = partial_trace(product, TensorDims((2, 3)), keep={1})
+        reduced = partial_trace(product, (2, 3), keep={1})
         assert allclose(reduced, rho1 * np.trace(rho2), 1e-12)
 
     def test_dimension_mismatch_reports_dims(self):
         rho = np.eye(5, dtype=complex)
         with pytest.raises(DimensionError, match=r"expected dims \(4, 4\)"):
-            partial_trace(rho, TensorDims((2, 2)), keep={1})
+            partial_trace(rho, (2, 2), keep={1})
 
     def test_bad_keep_index(self):
         rho = np.eye(4, dtype=complex)
         with pytest.raises(DimensionError):
-            partial_trace(rho, TensorDims((2, 2)), keep={3})
+            partial_trace(rho, (2, 2), keep={3})
 
 
 class TestExpectation:
@@ -191,11 +166,10 @@ class TestExpectation:
         rng = np.random.default_rng(9)
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi /= np.linalg.norm(psi)
-        dims = TensorDims.for_game(3, 2)
         rho = density_matrix(psi)
         observable = kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
 
-        reduced = partial_trace(rho, dims, keep={2, 4})
+        reduced = partial_trace(rho, game_factors(3, 2), keep={2, 4})
         via_reduced = expectation(observable, reduced)
         padded = kron_all([I2, np.diag([0.0, 1.0]), I2, np.diag([1.0, 0.0])])
         via_full = expectation(padded, rho)
