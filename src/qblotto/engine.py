@@ -24,6 +24,7 @@ the same scenario twice produces bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -140,8 +141,9 @@ class Scenario:
     shapes, finite phases, a valid tie tolerance, the composite-dimension
     guard ``2^N * n <= MAX_DIM``, the budgets (:class:`PlayerRoster`),
     each player's allocation (:func:`validate_allocation`), ``gamma`` in
-    [0, pi/2], sign entries of +1 or -1, and no commitment above Blotto's
-    budget (:func:`rotation_angle`).
+    [0, pi/2], sign entries of exactly +1 or -1, and no commitment above
+    Blotto's budget (:func:`rotation_angle`). ``gamma``, ``eps`` and the
+    sign entries must be real numbers; a bool is not one.
     """
 
     player_names: tuple[str, ...]
@@ -157,7 +159,13 @@ class Scenario:
         totals = tuple(float(t) for t in self.totals)
         allocations = tuple(tuple(float(x) for x in row) for row in self.allocations)
         phases = tuple(tuple(float(p) for p in row) for row in self.phases)
-        pattern = tuple(int(s) for s in self.sign_pattern)
+        # A sign entry that is not a number exactly +1 or -1 is kept as
+        # given, for the sign rule to reject; a bool is not a number here.
+        pattern = tuple(
+            int(s) if _is_number(s) and s in (-1, 1) else s
+            for s in self.sign_pattern
+        )
+        raw_gamma, raw_eps = self.gamma, self.eps
         object.__setattr__(self, "player_names", names)
         object.__setattr__(self, "totals", totals)
         object.__setattr__(self, "allocations", allocations)
@@ -191,6 +199,8 @@ class Scenario:
                     )
         if len(pattern) != n:
             raise DimensionError(n, len(pattern), "sign pattern")
+        if not _is_number(raw_eps):
+            raise ValidationError(f"tie tolerance must be a number, got {raw_eps!r}")
         check_tie_eps(self.eps)
         dim = 2**count * n  # checked before anything costly
         if dim > MAX_DIM:
@@ -205,11 +215,15 @@ class Scenario:
                 raise ValidationError(
                     f"player {j + 1} ({names[j]}): {violation.message}"
                 )
+        if not _is_number(raw_gamma):
+            raise ValidationError(
+                f"entanglement parameter must be a number, got {raw_gamma!r}"
+            )
         if not -_ANGLE_SLACK <= self.gamma <= HALF_PI + _ANGLE_SLACK:
             raise ValidationError(
                 f"entanglement parameter {self.gamma!r} outside [0, pi/2]"
             )
-        if any(s not in (-1, 1) for s in pattern):
+        if any(not _is_number(s) or s not in (-1, 1) for s in pattern):
             raise ValidationError(
                 f"sign pattern entries must be +1 or -1, got {pattern}"
             )
@@ -268,6 +282,11 @@ class Scenario:
     @property
     def blotto_total(self) -> float:
         return self.totals[0]
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def reduced_phase(phase: float) -> float:
@@ -375,12 +394,9 @@ def apply_generator(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (weights * psi.reshape(weights.shape)[::-1]).reshape(-1)
 
 
-def entangle(
-    num_players: int, gamma: float, sign_pattern: Sequence[int]
-) -> np.ndarray:
-    """The initial state with the entangler ``J = c I + i s G`` applied.
+def check_entangler_unitary(num_players: int, gamma: float) -> None:
+    """The even-count rule: raise if the entangler ``J`` is not unitary.
 
-    ``c, s = cos, sin(gamma/2)``, and ``J`` acts as ``c psi + i s (G psi)``.
     ``max|J^+ J - I|`` is exactly ``|sin(gamma)|`` for an even player
     count (the generator squares to ``-I``) and 0 for an odd one, so an
     even count with ``|sin(gamma)| > UNITARITY_EPS`` raises
@@ -393,6 +409,17 @@ def entangle(
             f"generator squares to -I, which happens for an even number of "
             f"players: use an odd player count or gamma = 0"
         )
+
+
+def entangle(
+    num_players: int, gamma: float, sign_pattern: Sequence[int]
+) -> np.ndarray:
+    """The initial state with the entangler ``J = c I + i s G`` applied.
+
+    ``c, s = cos, sin(gamma/2)``, and ``J`` acts as ``c psi + i s (G psi)``.
+    :func:`check_entangler_unitary` runs first.
+    """
+    check_entangler_unitary(num_players, gamma)
     half = gamma / 2.0
     c, s = math.cos(half), math.sin(half)
     psi = initial_state(num_players, len(sign_pattern))
@@ -408,19 +435,22 @@ def disentangle(
     c, s = math.cos(half), math.sin(half)
     inverse = generator_weights(num_players, sign_pattern, adjoint=True)
     psi = c * psi - (1j * s) * apply_generator(inverse, psi)
-    assert_unit_norm(psi)
+    check_norm_sq(np.vdot(psi, psi).real)
     return psi
 
 
-def assert_unit_norm(psi: np.ndarray) -> None:
-    """Raise if ``psi``'s squared norm strays from 1 by more than UNITARITY_EPS.
+def check_norm_sq(norm_sq) -> None:
+    """Raise if a squared norm strays from 1 by more than UNITARITY_EPS.
 
-    Written so that a NaN norm fails too.
+    ``norm_sq`` is one value or an array of them; of an array, the value
+    furthest from 1 is checked and reported, a NaN first. Written so
+    that a NaN norm fails too.
     """
-    norm_sq = float(np.vdot(psi, psi).real)
+    if isinstance(norm_sq, np.ndarray):
+        norm_sq = norm_sq[np.argmax(abs(norm_sq - 1.0))]
     if not abs(norm_sq - 1.0) <= UNITARITY_EPS:
         raise NumericalIntegrityError(
-            f"state vector norm^2 = {norm_sq!r} deviates from 1 beyond "
+            f"state vector norm^2 = {float(norm_sq)!r} deviates from 1 beyond "
             f"{UNITARITY_EPS}"
         )
 

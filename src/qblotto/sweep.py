@@ -7,10 +7,11 @@ bisection. A grid search over one player's phases finds their best
 reachable payoff with allocations held fixed. The payoff is a sum of
 per-battlefield terms and the phase on battlefield k moves only term k,
 so one axis of ``steps`` phase values stands for the ``steps**n`` grid.
-Along that axis the final state is linear in ``(1, cos p, sin p)``, so
-the search forms three final states and reads every strength on the
-axis off one quadratic form, evaluating a value directly only where a
-margin sits at a tie-band edge.
+Each battlefield's branch of the game is an N-qubit EWL circuit with a
+closed form, so along that axis every strength is a degree-2
+trigonometric polynomial whose five coefficients come from two overlaps
+per player, with no state vector; the search evaluates a value directly
+only where a margin sits at a tie-band edge.
 Both take a built scenario, which was validated then, and do not check
 it again; they copy its angle and phase grids from
 :func:`~qblotto.engine.strategies_of` and set one cell or one row.
@@ -29,13 +30,12 @@ from .classical import payoff_terms
 from .engine import (
     Grid,
     MeasurementTable,
+    Row,
     Scenario,
+    check_entangler_unitary,
+    check_norm_sq,
     check_strengths,
-    disentangle,
-    entangle,
     evaluate_strategies,
-    player_operator,
-    qubit_sums,
     strategies_of,
 )
 from .errors import ValidationError
@@ -55,9 +55,9 @@ MAX_GRID_POINTS = 64**4
 
 # A phase-axis value is evaluated directly when the player's margin on
 # some battlefield is this close to a tie-band edge (+-eps), where the
-# quadratic form's rounding could move the term. On 300 seeded scenarios
-# (N 3/5/7, n 1-4, steps 2-64) the largest |form - direct| strength was
-# 6.7e-16, over 1000 times below this guard.
+# closed form's rounding could move the term. On 700 seeded searches
+# (N 2-9, n 1-4, phases in [-20, 20], steps 2-64) the largest
+# |form - direct| strength was 8.9e-16, over 1000 times below this guard.
 DECISION_GUARD = 1e-12
 
 DEFAULT_SWEEP_STEPS = 101
@@ -312,46 +312,132 @@ def _phase_axis_strengths(
 ) -> np.ndarray:
     """Strength grids ``[s, j, k]`` with all of ``player``'s phases at ``axis[s]``.
 
-    The player's gate on battlefield k at phase p is ``R + cos p C +
-    sin p D``, with ``R = [[0, -sin], [sin, 0]]``, ``C = cos I`` and
-    ``D = i cos diag(1, -1)`` of that battlefield's angle. The protocol
-    is linear in the gate, so the final state is ``u + cos p v + sin p
-    w``: the state after the entangler and every rival's operator is
-    formed once, the player's operator is applied at p = 0, pi and
-    pi/2, and the three final states give u, v and w. Each strength is
-    then a quadratic form in ``(1, cos p, sin p)`` whose six
-    coefficients are qubit sums of products of u, v and w. The final
-    states' norms and every strength's [0, 1] range are checked, as an
+    Along the axis every strength is ``a0 + a1 cos p + b1 sin p + a2 cos
+    2p + b2 sin 2p``. Each battlefield's closed form
+    (:func:`_battlefield_form`) gives the five coefficients of every
+    cell, in O(N) per battlefield and with no state vector; they are
+    then evaluated at each axis value. The even-count rule runs first,
+    and the final state's norm^2 (:func:`check_norm_sq`) and every
+    strength's [0, 1] range are checked at every axis value, as an
     evaluation checks them.
     """
-    count = len(angles)
-    rivals = entangle(count, gamma, sign_pattern)
-    for j in range(1, count + 1):
-        if j != player:
-            rivals = player_operator(j, angles[j - 1], phases[j - 1], count) @ rivals
-    row = angles[player - 1]
-    at_0, at_pi, at_half_pi = (
-        disentangle(
-            player_operator(player, row, (p,) * len(row), count) @ rivals,
-            count,
-            gamma,
-            sign_pattern,
-        ).reshape(2**count, -1)
-        for p in (0.0, math.pi, HALF_PI)
-    )
-    u, v = 0.5 * (at_0 + at_pi), 0.5 * (at_0 - at_pi)
-    w = at_half_pi - u
-    pairs = ((u, u), (v, v), (w, w), (u, v), (u, w), (v, w))
-    products = np.stack([(x.conj() * y).real for x, y in pairs])
-    coefficients = qubit_sums(products, count)  # [pair, j, k]
-    cos, sin = np.cos(axis), np.sin(axis)
-    basis = np.stack(
-        [np.ones_like(axis), cos * cos, sin * sin, 2 * cos, 2 * sin, 2 * cos * sin],
-        axis=-1,
-    )
+    check_entangler_unitary(len(angles), gamma)
+    n = len(sign_pattern)
+    columns = [
+        _battlefield_form(
+            [row[k] for row in angles], [row[k] for row in phases], gamma, sign, player
+        )
+        for k, sign in enumerate(sign_pattern)
+    ]
+    # Coefficients of the basis: [5, j, k] for the cells, [5] for norm^2.
+    coefficients = np.array([cells for cells, _ in columns]).transpose(2, 1, 0) / n
+    norm_sq = np.array([norm for _, norm in columns]).sum(axis=0) / n
+    harmonics = [f(m * axis) for m in (1, 2) for f in (np.cos, np.sin)]
+    basis = np.stack([np.ones_like(axis), *harmonics], axis=-1)
+    check_norm_sq(basis @ norm_sq)
     values = np.tensordot(basis, coefficients, axes=1)
     check_strengths(values)
     return values
+
+
+def _battlefield_form(
+    angles: Row, phases: Row, gamma: float, sign: int, player: int
+) -> tuple[list[tuple[float, ...]], tuple[float, ...]]:
+    """Coefficients, times n, of one battlefield's strengths along ``player``'s axis.
+
+    ``angles`` and ``phases`` hold each player's values on the
+    battlefield. Returns every player's five coefficients in the basis
+    ``(1, cos p, sin p, cos 2p, sin 2p)``, and those of the branch's
+    norm^2.
+
+    Every operator is diagonal in the register, so the branch is an
+    N-qubit EWL circuit of weight ``1/sqrt(n)``. With ``u = U|0>`` and
+    ``v = U|1>`` for each player's gate ``U``, ``F = [[0, 1], [-1, 0]]``
+    and ``A, B = cos, sin(gamma/2)``, its final state is ``A^2 (x)u - A
+    B sign ((x)v + (x)Fu) + B^2 (x)Fv``. The four vectors have unit
+    length and ``<u|v> = <Fu|Fv> = 0``; each player's two other overlaps
+    are ``tau = <u|Fu> = -<v|Fv>`` and ``mu = <u|Fv> = -conj(<v|Fu>)``.
+    Strength l is the four diagonal pairs' weights times player l's
+    projected overlaps ``<x|P|x>``, plus twice the real part of a sum
+    over the pairs (u, Fu), (u, Fv), (v, Fu) and (v, Fv): weight, times
+    player l's projected overlap ``<x|P|y>``, times every other player's
+    overlap. Those products leave one player out and come from prefix
+    and suffix products, never from division (``tau`` is 0 at zero
+    phase). Norm^2 is the same sum with player l's projector dropped.
+    The searcher's overlaps and projected overlaps are trigonometric
+    polynomials of degree 2 in its phase p, so each sum's coefficients
+    follow in closed form (:func:`_rival_form`, :func:`_own_form`).
+    """
+    searcher = player - 1
+    a, b = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+    ab = a * b
+    weights = (-a * a * ab * sign, ab * ab, ab * ab, -b * b * ab * sign)
+    overlaps, projected, diagonals = [], [], []
+    for angle, phase in zip(angles, phases):
+        c, s = math.cos(angle), math.sin(angle)
+        e = complex(math.cos(phase), math.sin(phase))
+        tau = -2j * c * s * e.imag
+        mu = (e.conjugate() * c) ** 2 + s * s
+        overlaps.append((tau, mu, -mu.conjugate(), -tau))
+        projected.append((-c * s * e, s * s, -((e * c) ** 2), c * s * e))
+        diagonals.append((a**4 + b**4) * s * s + 2 * (ab * c) ** 2)
+    overlaps[searcher] = (1.0,) * 4
+
+    # others[l]: the weights times every overlap but player l's and the
+    # searcher's.
+    before, after = [weights], [(1.0,) * 4]
+    for g in overlaps[:-1]:
+        before.append(tuple(x * y for x, y in zip(before[-1], g)))
+    for g in overlaps[:0:-1]:
+        after.append(tuple(x * y for x, y in zip(after[-1], g)))
+    others = [
+        tuple(x * y for x, y in zip(p, q)) for p, q in zip(before, reversed(after))
+    ]
+
+    c, s = math.cos(angles[searcher]), math.sin(angles[searcher])
+    searcher_gate = (c * s, c * c, s * s)
+    cells = [
+        _own_form(diagonal, rest, *searcher_gate)
+        if l == searcher
+        else _rival_form(diagonal, [x * y for x, y in zip(rest, own)], *searcher_gate)
+        for l, (diagonal, rest, own) in enumerate(zip(diagonals, others, projected))
+    ]
+    norm_sq = _rival_form((a * a + b * b) ** 2, others[searcher], *searcher_gate)
+    return cells, norm_sq
+
+
+def _rival_form(constant, x, cs, c2, s2) -> tuple[float, ...]:
+    """Coefficients of ``constant + 2 Re sum_pair x[pair] * g[pair](p)``.
+
+    ``g`` are the searcher's overlaps at phase p, with ``cs, c2, s2`` of
+    the searcher's angle: ``(tau, mu, -conj(mu), -tau)`` with ``tau =
+    -2i cs sin p`` and ``mu = c2 exp(-2ip) + s2``.
+    """
+    tau_part, mu_part = x[0] - x[3], x[1] - x[2]
+    return (
+        constant + 2 * s2 * mu_part.real,
+        0.0,
+        4 * cs * tau_part.imag,
+        2 * c2 * mu_part.real,
+        2 * c2 * (x[1].imag + x[2].imag),
+    )
+
+
+def _own_form(constant, x, cs, c2, s2) -> tuple[float, ...]:
+    """Coefficients of ``constant + 2 Re sum_pair x[pair] * q[pair](p)``.
+
+    ``q`` are the searcher's projected overlaps at phase p, with ``cs,
+    c2, s2`` of its angle: ``(-cs z, s2, -c2 z^2, cs z)`` with ``z =
+    exp(ip)``.
+    """
+    tau_part = x[0] - x[3]
+    return (
+        constant + 2 * s2 * x[1].real,
+        -2 * cs * tau_part.real,
+        2 * cs * tau_part.imag,
+        -2 * c2 * x[2].real,
+        2 * c2 * x[2].imag,
+    )
 
 
 def best_response_grid(
@@ -369,10 +455,11 @@ def best_response_grid(
     player's phases at one grid value score every battlefield at once,
     and the first index maximizing each term (``argmax``) gives the
     optimum. Those strengths come from :func:`_phase_axis_strengths`:
-    three final states give every grid value's strengths as a quadratic
-    form in ``(1, cos p, sin p)``. A grid value where the player's
-    margin on some battlefield lies within ``DECISION_GUARD`` of a
-    tie-band edge is evaluated directly, so the result is the one that
+    five trigonometric coefficients per cell from each battlefield's
+    closed form, in O(N n) and with no state vector. A grid value where
+    the player's margin on some battlefield lies within
+    ``DECISION_GUARD`` of a tie-band edge is evaluated directly (through
+    :func:`evaluate_strategies`), so the result is the one that
     evaluating every grid value gives, at no evaluation on generic
     inputs and never more than ``phi_grid_steps``. ``MAX_GRID_POINTS``
     caps ``phi_grid_steps**max(n, 2)``: at most 64 steps on four

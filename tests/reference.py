@@ -2,8 +2,9 @@
 
 Kronecker products, conjugate transposes, density matrices, partial
 traces and expectation values on plain ``numpy`` arrays; the entangler's
-generator and the checked entangler as dense matrices; and a probe of
-payoff dependence on one phase. The engine forms none of these: it
+generator and the checked entangler as dense matrices; strengths from
+one state vector per battlefield; and a probe of payoff dependence on
+one phase. The engine forms none of these: it
 applies the generator matrix-free and reads strengths off the state
 vector. A composite space is described by its tuple of factor sizes,
 ``(2,) * N + (n,)`` for a game (:func:`game_factors`), and factor
@@ -26,7 +27,10 @@ from qblotto.engine import (
     HALF_PI,
     UNITARITY_EPS,
     Scenario,
+    disentangle,
+    entangle,
     player_operator,
+    strategy_gate,
 )
 from qblotto.errors import DimensionError, NumericalIntegrityError, ValidationError
 from qblotto.sweep import SweepSpec, _evaluator
@@ -251,6 +255,40 @@ def _check_classical_commutation(op: ComplexMatrix, num_players: int) -> None:
             f"entangler fails to commute with a classical strategy operator "
             f"(max residue {residue:.3e})"
         )
+
+
+# ---------------------------------------------------------------------------
+# One battlefield at a time
+# ---------------------------------------------------------------------------
+
+
+def branch_strengths(
+    angles: Sequence[Sequence[float]],
+    phases: Sequence[Sequence[float]],
+    gamma: float,
+    sign_pattern: Sequence[int],
+) -> np.ndarray:
+    """Strength grid ``[j, k]`` from one 2^N state vector per battlefield.
+
+    Every operator is diagonal in the register, so battlefield k's branch
+    is the N-qubit game with sign ``sign_pattern[k]``, weighted ``1/n``.
+    Each branch is entangled and disentangled by the engine's stages with
+    a one-entry pattern, and each player's gate is applied to their own
+    qubit axis; no operator on the whole space is formed, so this runs
+    at player counts whose strategy operators would not fit in memory.
+    """
+    count, n = len(angles), len(sign_pattern)
+    grid = np.empty((count, n))
+    for k, sign in enumerate(sign_pattern):
+        psi = entangle(count, gamma, (sign,)).reshape((2,) * count)
+        for j in range(count):
+            gate = strategy_gate(angles[j][k], phases[j][k])
+            psi = np.moveaxis(np.tensordot(gate, psi, axes=([1], [j])), 0, j)
+        psi = disentangle(psi.reshape(-1), count, gamma, (sign,))
+        probabilities = (psi.real**2 + psi.imag**2).reshape((2,) * count)
+        for j in range(count):
+            grid[j, k] = np.take(probabilities, 1, axis=j).sum() / n
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -658,6 +658,64 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match=r"must be \+1 or -1"):
             replace(worked_example, sign_pattern=pattern)
 
+    @pytest.mark.parametrize(
+        "pattern, shown",
+        [
+            ((1.9, -1.5), "(1.9, -1.5)"),
+            ((1, -1.0000001), "(1, -1.0000001)"),
+            ((True, -1), "(True, -1)"),
+            ((1, False), "(1, False)"),
+            ((np.True_, -1), repr((np.True_, -1))),
+            (("1", -1), "('1', -1)"),
+        ],
+    )
+    def test_sign_entries_are_exactly_plus_or_minus_one(
+        self, worked_example, pattern, shown
+    ):
+        from dataclasses import replace
+
+        message = f"sign pattern entries must be +1 or -1, got {shown}"
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create(
+                (6.0, 4.0, 3.0), ((3, 3), (3, 1), (0, 3)), HALF_PI, sign_pattern=pattern
+            )
+        assert str(raised.value) == message
+        with pytest.raises(ValidationError) as raised:
+            replace(worked_example, sign_pattern=pattern)
+        assert str(raised.value) == message
+
+    def test_whole_valued_signs_are_stored_as_ints(self, worked_example):
+        from dataclasses import replace
+
+        for pattern in ((1.0, -1.0), (np.int64(1), np.float64(-1.0))):
+            stored = replace(worked_example, sign_pattern=pattern).sign_pattern
+            assert stored == (1, -1)
+            assert all(type(s) is int for s in stored)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gamma", True, "entanglement parameter must be a number, got True"),
+            ("gamma", False, "entanglement parameter must be a number, got False"),
+            ("eps", True, "tie tolerance must be a number, got True"),
+            ("eps", np.False_, f"tie tolerance must be a number, got {np.False_!r}"),
+        ],
+    )
+    def test_bool_gamma_and_eps_rejected(self, worked_example, field, value, message):
+        from dataclasses import replace
+
+        fields = dict(
+            totals=(6.0, 4.0, 3.0),
+            allocations=((3.0, 3.0), (3.0, 1.0), (0.0, 3.0)),
+            gamma=HALF_PI,
+        )
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create(**{**fields, field: value})
+        assert str(raised.value) == message
+        with pytest.raises(ValidationError) as raised:
+            replace(worked_example, **{field: value})
+        assert str(raised.value) == message
+
     def test_guardrail(self):
         # 2^19 * 2 == 2^20 is the largest composite dimension allowed
         # (never evaluated here: its operators would not fit in memory)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qblotto.engine
 import qblotto.sweep
 from qblotto import (
     NumericalIntegrityError,
@@ -25,7 +26,7 @@ from qblotto.sweep import (
     BestResponse,
     _phase_axis_strengths,
 )
-from reference import check_phase_insensitivity
+from reference import branch_strengths, check_phase_insensitivity
 
 HALF_PI = math.pi / 2
 
@@ -287,7 +288,7 @@ class TestBestResponseGrid:
         def refuse(*args):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(qblotto.sweep, "entangle", refuse)
+        monkeypatch.setattr(qblotto.sweep, "_phase_axis_strengths", refuse)
         with pytest.raises(ValidationError, match="^4097 phase grid steps on 1 "):
             best_response_grid(scenario, 2, 4097)
 
@@ -369,11 +370,17 @@ def test_separable_search_matches_exhaustive_reference(num_players, n):
             ), (scenario, player, steps)
 
 
-def direct_best_response(scenario, player, steps):
+def evaluated_strengths(angles, phases, gamma, pattern):
+    return evaluate_strategies(angles, phases, gamma, pattern).values
+
+
+def direct_best_response(scenario, player, steps, strengths=evaluated_strengths):
     """Reference search: evaluate every value of the phase axis.
 
     One evaluation per axis value, with all of the player's phases at
     that value; the first index maximizing each battlefield's term wins.
+    ``strengths(angles, phases, gamma, pattern)`` gives an evaluation's
+    strength grid.
     """
     angles, phases = strategies_of(scenario)
     phases = list(phases)
@@ -384,8 +391,8 @@ def direct_best_response(scenario, player, steps):
     rows = []
     for phase in axis:
         phases[player - 1] = (phase,) * n
-        table = evaluate_strategies(angles, phases, gamma, pattern, eps)
-        rows.append(payoff_terms(table.values, eps)[1][player - 1])
+        values = strengths(angles, phases, gamma, pattern)
+        rows.append(payoff_terms(values, eps)[1][player - 1])
     terms = np.array(rows)
     return BestResponse(
         player=player,
@@ -488,40 +495,49 @@ class TestEvenPlayerCount:
             )
 
 
-def counting_evaluations(monkeypatch, name="evaluate_strategies"):
-    """Record the calls the search makes to ``qblotto.sweep.<name>``."""
+def counting_evaluations(monkeypatch, name="evaluate_strategies", module=qblotto.sweep):
+    """Record the calls made to ``<module>.<name>``."""
     calls = []
-    real = getattr(qblotto.sweep, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(qblotto.sweep, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
+def generic_scenario(rng, num_players, n, gamma=1.1):
+    """Fractional budgets, splits and phases: no tie is likely."""
+    totals = [6.0] + [rng.uniform(1.0, 6.0) for _ in range(num_players - 1)]
+    allocations = []
+    for total in totals:
+        row = [rng.uniform(0.1, 1.0) for _ in range(n)]
+        allocations.append([total * x / sum(row) for x in row])
+    phases = [[rng.uniform(0.0, 2 * math.pi) for _ in range(n)] for _ in totals]
+    return Scenario.create(totals, allocations, gamma, phases=phases, eps=1e-9)
+
+
 class TestFittedSearchCost:
-    def test_generic_search_forms_three_final_states(
-        self, monkeypatch, worked_example
-    ):
-        rng = random.Random(11)
-        generic = Scenario.create(
-            totals=(6.0, 4.5, 3.2),
-            allocations=((2.5, 1.5, 2.0), (1.1, 2.3, 1.1), (0.7, 0.9, 1.6)),
-            gamma=1.1,
-            phases=[
-                [rng.uniform(0.0, 2 * math.pi) for _ in range(3)] for _ in range(3)
-            ],
-        )
+    def test_generic_search_runs_no_state_vector(self, monkeypatch, worked_example):
+        generic = generic_scenario(random.Random(11), 3, 3)
         calls = counting_evaluations(monkeypatch)
-        final_states = counting_evaluations(monkeypatch, "disentangle")
+        stages = [
+            counting_evaluations(monkeypatch, name, qblotto.engine)
+            for name in ("entangle", "disentangle", "player_operator")
+        ]
+        norms = counting_evaluations(monkeypatch, "check_norm_sq")
         for scenario, player, steps in ((generic, 2, 64), (worked_example, 3, 33)):
-            calls.clear()
-            final_states.clear()
+            for recorded in [calls, norms, *stages]:
+                recorded.clear()
             best = best_response_grid(scenario, player, steps)
             assert len(calls) == 0
-            assert len(final_states) == 3
+            assert [len(recorded) for recorded in stages] == [0, 0, 0]
+            # one norm^2 per axis value, checked in one call
+            ((norm_sq,),) = norms
+            assert norm_sq.shape == (steps,)
+            assert np.abs(norm_sq - 1.0).max() <= 1e-14
             assert best == direct_best_response(scenario, player, steps)
 
     def test_exact_ties_fall_back_within_steps(self, monkeypatch, worked_example):
@@ -565,12 +581,17 @@ class TestFittedSearchCost:
         assert best == direct_best_response(scenario, 2, steps)
 
 
-@pytest.mark.parametrize("num_players", [2, 3, 5, 7])
+# Seeded cases per player count; an N=9 evaluation takes up to ~0.2 s,
+# so that count runs fewer cases on at most 12 axis values.
+AXIS_FORM_CASES = {2: 8, 3: 8, 5: 8, 7: 8, 9: 4}
+
+
+@pytest.mark.parametrize("num_players", sorted(AXIS_FORM_CASES))
 def test_axis_form_predicts_every_grid_value(num_players):
     rng = random.Random(900 + num_players)
-    for _ in range(8):
+    for _ in range(AXIS_FORM_CASES[num_players]):
         scenario, player, steps = differential_case(rng, num_players)
-        steps = max(steps, 6)
+        steps = max(steps, 6) if num_players < 9 else min(max(steps, 6), 12)
         angles, phases = strategies_of(scenario)
         gamma, pattern = scenario.gamma, scenario.sign_pattern
         axis = np.linspace(0.0, HALF_PI, steps)
@@ -583,3 +604,38 @@ def test_axis_form_predicts_every_grid_value(num_players):
             grids.append(table.values)
         grids = np.array(grids)
         assert np.abs(form - grids).max() <= 1e-14, (scenario, player, steps)
+
+
+@pytest.mark.parametrize("num_players", [15, 19])
+def test_search_cost_does_not_depend_on_player_count(monkeypatch, num_players):
+    # A state-vector search at N=15 would form a (2^15 * 2)^2 complex
+    # operator, 68.7 GB; the search forms no state at all.
+    rng = random.Random(num_players)
+    scenario = generic_scenario(rng, num_players, 2)
+    player = rng.randint(1, num_players)
+    angles, phases = strategies_of(scenario)
+    gamma, pattern = scenario.gamma, scenario.sign_pattern
+    steps = 5
+    axis = np.linspace(0.0, HALF_PI, steps)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search formed a state vector or evaluated")
+
+    with monkeypatch.context() as patched:
+        for module, name in (
+            (qblotto.engine, "entangle"),
+            (qblotto.engine, "player_operator"),
+            (qblotto.sweep, "evaluate_strategies"),
+        ):
+            patched.setattr(module, name, refuse)
+        best = best_response_grid(scenario, player, steps)
+        form = _phase_axis_strengths(angles, phases, gamma, pattern, player, axis)
+
+    grids = []  # the reference's strengths at each axis value, in order
+
+    def strengths(*args):
+        grids.append(branch_strengths(*args))
+        return grids[-1]
+
+    assert best == direct_best_response(scenario, player, steps, strengths)
+    assert np.abs(form - np.array(grids)).max() <= 1e-14

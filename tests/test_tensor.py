@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qblotto import DimensionError, NumericalIntegrityError
-from qblotto.engine import assert_unit_norm, strategy_gate
+from qblotto.engine import check_norm_sq, strategy_gate
 from reference import (
     allclose,
     dagger,
@@ -186,12 +186,21 @@ class TestExpectation:
             expectation(np.eye(2), np.eye(3))
 
 
-def test_assert_unit_norm():
-    assert_unit_norm(np.array([1.0, 0.0]))
-    with pytest.raises(NumericalIntegrityError):
-        assert_unit_norm(np.array([1.0, 0.5]))
-    with pytest.raises(NumericalIntegrityError):
-        assert_unit_norm(np.array([math.nan, 0.0]))
+def test_check_norm_sq():
+    check_norm_sq(1.0)
+    check_norm_sq(np.array([1.0, 1.0 + 5e-11, 1.0 - 5e-11]))
+    with pytest.raises(NumericalIntegrityError) as raised:
+        check_norm_sq(1.25)
+    assert str(raised.value) == (
+        "state vector norm^2 = 1.25 deviates from 1 beyond 1e-10"
+    )
+    with pytest.raises(NumericalIntegrityError, match="= nan "):
+        check_norm_sq(math.nan)
+    # an array reports the value furthest from 1, a NaN first
+    with pytest.raises(NumericalIntegrityError, match="= 0.5 "):
+        check_norm_sq(np.array([1.0, 1.25, 0.5]))
+    with pytest.raises(NumericalIntegrityError, match="= nan "):
+        check_norm_sq(np.array([1.0, 0.5, math.nan]))
 
 
 def test_allclose_shapes_differ():
