@@ -4,14 +4,17 @@ The composite space holds one soldier qubit per player plus an
 n-dimensional battlefield register prepared in a uniform superposition.
 A player's troop commitment on battlefield k becomes a rotation angle of
 their qubit, applied conditionally on the register; an optional phase
-per battlefield is the purely quantum part of the strategy. An
-entangling operator is applied before the strategy operators and undone
-after them; its generator has one nonzero per row, so it is applied to
-the state as a signed, phased reversal of the qubit index rather than as
-a matrix. Strength (j, k) is read off the final state as the probability
-of player j's qubit in state 1 with the register on battlefield k, and
-payoffs compare those measured strengths across players with the
-classical game's rule, :func:`qblotto.classical.payoff_terms`.
+per battlefield is the purely quantum part of the strategy. There is one
+evolution path: the entangled start state, every player's strategy
+operator in ascending order, then the entangler's inverse. The start
+state ``J|0...0>`` holds two nonzero qubit states per battlefield and is
+written directly; the inverse's generator has one nonzero per row, so it
+is applied as a signed, phased reversal of the qubit index rather than
+as a matrix. Strength (j, k) is read off the final state as the
+probability of player j's qubit in state 1 with the register on
+battlefield k, and payoffs compare those measured strengths across
+players with the classical game's rule,
+:func:`qblotto.classical.payoff_terms`.
 
 The engine's strategy input is two player-major N x n grids, rotation
 angles and phases (:func:`strategies_of`), plus ``gamma`` and the sign
@@ -118,14 +121,6 @@ class MeasurementTable:
     values: tuple[tuple[float, ...], ...]
     rival_best: tuple[tuple[float, ...], ...]
     payoffs: tuple[int, ...]
-
-    @property
-    def num_players(self) -> int:
-        return len(self.values)
-
-    @property
-    def num_battlefields(self) -> int:
-        return len(self.values[0])
 
 
 @dataclass(frozen=True)
@@ -284,9 +279,9 @@ class Scenario:
         return self.totals[0]
 
 
-def _is_number(value) -> bool:
-    """A real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_number(value, kind: type = numbers.Real) -> bool:
+    """A number of ``kind``, a real by default, that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def reduced_phase(phase: float) -> float:
@@ -338,14 +333,6 @@ def strategies_of(scenario: Scenario) -> tuple[Grid, Grid]:
     return angles, phases
 
 
-def initial_state(num_players: int, num_battlefields: int) -> np.ndarray:
-    """All qubits in state 0, battlefield register uniformly superposed."""
-    qubits = np.zeros(2**num_players, dtype=complex)
-    qubits[0] = 1.0
-    register = np.full(num_battlefields, 1.0 / math.sqrt(num_battlefields), complex)
-    return np.kron(qubits, register)
-
-
 def player_operator(
     player: int, angles: Row, phases: Row, num_players: int
 ) -> np.ndarray:
@@ -370,27 +357,24 @@ def player_operator(
     return op.reshape(dim, dim)
 
 
-def generator_weights(
-    num_players: int, sign_pattern: Sequence[int], *, adjoint: bool = False
-) -> np.ndarray:
-    """The generator's one nonzero per row, on the ``(2^N, n)`` state grid.
+def generator_weights(num_players: int, sign_pattern: Sequence[int]) -> np.ndarray:
+    """``G^+``'s one nonzero per row, on the ``(2^N, n)`` state grid.
 
     Row ``(s, k)`` of ``G`` holds ``(-1)^(N + popcount(s)) * i * sign_k``
     in column ``(2^N - 1 - s, k)``: every flip block swaps a qubit's
     state, with a minus sign when it is 1. ``G^+ = -(-1)^N G``, so the
-    adjoint's weights drop the ``(-1)^N`` and negate. ``sign_pattern``
-    is taken as checked, as a :class:`Scenario` holds it.
+    adjoint's weights are ``-(-1)^popcount(s) * i * sign_k``.
+    ``sign_pattern`` is taken as checked, as a :class:`Scenario` holds it.
     """
     parity = np.ones(1)
     for _ in range(num_players):
         parity = np.concatenate([parity, -parity])  # (-1)^popcount(s)
-    scale = -1.0 if adjoint else (-1.0) ** num_players
     register = 1j * np.asarray(sign_pattern, dtype=float)
-    return (scale * parity)[:, None] * register
+    return (-parity)[:, None] * register
 
 
 def apply_generator(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``G psi``, or ``G^+ psi`` for the adjoint's :func:`generator_weights`."""
+    """``weights`` times ``psi`` with its qubit index reversed: ``G^+ psi``."""
     return (weights * psi.reshape(weights.shape)[::-1]).reshape(-1)
 
 
@@ -414,17 +398,21 @@ def check_entangler_unitary(num_players: int, gamma: float) -> None:
 def entangle(
     num_players: int, gamma: float, sign_pattern: Sequence[int]
 ) -> np.ndarray:
-    """The initial state with the entangler ``J = c I + i s G`` applied.
+    """``J|0...0>`` times the uniform register, with ``J = c I + i s G``.
 
-    ``c, s = cos, sin(gamma/2)``, and ``J`` acts as ``c psi + i s (G psi)``.
-    :func:`check_entangler_unitary` runs first.
+    ``c, s = cos, sin(gamma/2)`` and ``r = 1/sqrt(n)``. ``G`` sends qubit
+    state 0...0 on battlefield k to ``i sign_k`` times 1...1, so the
+    state holds ``c r`` at 0...0 and ``-(s r) sign_k`` at 1...1 and is
+    written directly. :func:`check_entangler_unitary` runs first.
     """
     check_entangler_unitary(num_players, gamma)
     half = gamma / 2.0
     c, s = math.cos(half), math.sin(half)
-    psi = initial_state(num_players, len(sign_pattern))
-    forward = generator_weights(num_players, sign_pattern)
-    return c * psi + (1j * s) * apply_generator(forward, psi)
+    r = 1.0 / math.sqrt(len(sign_pattern))
+    psi = np.zeros((2**num_players, len(sign_pattern)), dtype=complex)
+    psi[0] = c * r
+    psi[-1] = -(s * r) * np.asarray(sign_pattern, dtype=float)
+    return psi.reshape(-1)
 
 
 def disentangle(
@@ -433,7 +421,7 @@ def disentangle(
     """``J^+ psi = c psi - i s (G^+ psi)``, the final state; its norm is checked."""
     half = gamma / 2.0
     c, s = math.cos(half), math.sin(half)
-    inverse = generator_weights(num_players, sign_pattern, adjoint=True)
+    inverse = generator_weights(num_players, sign_pattern)
     psi = c * psi - (1j * s) * apply_generator(inverse, psi)
     check_norm_sq(np.vdot(psi, psi).real)
     return psi
@@ -456,59 +444,35 @@ def check_norm_sq(norm_sq) -> None:
 
 
 def evolve_strategies(
-    angles: Grid,
-    phases: Grid,
-    gamma: float,
-    sign_pattern: Sequence[int],
-    order: Sequence[int] | None = None,
+    angles: Grid, phases: Grid, gamma: float, sign_pattern: Sequence[int]
 ) -> np.ndarray:
     """Run the protocol for explicit strategy grids, ``gamma`` and sign pattern.
 
     ``angles`` and ``phases`` are player-major N x n grids, taken as a
-    :class:`Scenario` holds them valid. The entangler is applied
-    (:func:`entangle`), every player's strategy operator in ``order``
-    (1-based; ascending by default), then the entangler's inverse
-    (:func:`disentangle`). Strategy operators commute pairwise, so the
-    order cannot change the outcome; the parameter exists to make that
-    checkable.
+    :class:`Scenario` holds them valid. The entangled start state is
+    written directly (:func:`entangle`), every player's strategy
+    operator is applied in ascending order, then the entangler's
+    inverse (:func:`disentangle`). Strategy operators commute pairwise,
+    so any other order gives the same outcome; the verify command's
+    order-invariance check applies them in random orders.
 
-    ``G`` has one nonzero per row, so ``G psi`` and ``G^+ psi`` reverse
-    the qubit index of the ``(2^N, n)`` view of ``psi`` and multiply by
-    :func:`generator_weights`; neither ``G``, ``J`` nor a dense unitarity
-    or commutation probe is formed. The strategy operators are dense
-    matrices. An even player count with ``|sin(gamma)| > UNITARITY_EPS``
-    raises :class:`NumericalIntegrityError`, and the final state's norm
-    is checked.
+    ``G^+`` has one nonzero per row, so ``G^+ psi`` reverses the qubit
+    index of the ``(2^N, n)`` view of ``psi`` and multiplies by
+    :func:`generator_weights`; neither ``G``, ``J`` nor a dense
+    unitarity or commutation probe is formed. The strategy operators
+    are dense matrices. An even player count with ``|sin(gamma)| >
+    UNITARITY_EPS`` raises :class:`NumericalIntegrityError`, and the
+    final state's norm is checked.
     """
     count = len(angles)
-    order = _check_order(order, count)
     psi = entangle(count, gamma, sign_pattern)
-    for player in order:
+    for player in range(1, count + 1):
         # No name holds the last operator, so one is alive at a time.
         psi = (
             player_operator(player, angles[player - 1], phases[player - 1], count)
             @ psi
         )
     return disentangle(psi, count, gamma, sign_pattern)
-
-
-def _check_order(order: Sequence[int] | None, count: int) -> list[int]:
-    if order is None:
-        return list(range(1, count + 1))
-    order = [int(j) for j in order]
-    if sorted(order) != list(range(1, count + 1)):
-        raise ValidationError(
-            f"order must be a permutation of 1..{count}, got {order}"
-        )
-    return order
-
-
-def evolve(scenario: Scenario, order: Sequence[int] | None = None) -> np.ndarray:
-    """Final normalized state of a scenario."""
-    angles, phases = strategies_of(scenario)
-    return evolve_strategies(
-        angles, phases, scenario.gamma, scenario.sign_pattern, order
-    )
 
 
 def qubit_sums(values: np.ndarray, num_players: int) -> np.ndarray:
@@ -566,11 +530,12 @@ def measurements(
     )
 
 
-def evaluate(
-    scenario: Scenario, order: Sequence[int] | None = None
-) -> MeasurementTable:
+def evaluate(scenario: Scenario) -> MeasurementTable:
     """Evolve and measure a scenario in one call."""
-    return measurements(evolve(scenario, order), scenario.num_players, scenario.eps)
+    angles, phases = strategies_of(scenario)
+    return evaluate_strategies(
+        angles, phases, scenario.gamma, scenario.sign_pattern, scenario.eps
+    )
 
 
 def evaluate_strategies(
@@ -579,8 +544,7 @@ def evaluate_strategies(
     gamma: float,
     sign_pattern: Sequence[int],
     eps: float = DEFAULT_TIE_EPS,
-    order: Sequence[int] | None = None,
 ) -> MeasurementTable:
     """Evolve and measure explicit strategy grids (sweep entry point)."""
-    psi = evolve_strategies(angles, phases, gamma, sign_pattern, order)
+    psi = evolve_strategies(angles, phases, gamma, sign_pattern)
     return measurements(psi, len(angles), eps)

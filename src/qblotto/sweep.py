@@ -20,6 +20,7 @@ it again; they copy its angle and phase grids from
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
@@ -32,6 +33,7 @@ from .engine import (
     MeasurementTable,
     Row,
     Scenario,
+    _is_number,
     check_entangler_unitary,
     check_norm_sq,
     check_strengths,
@@ -53,6 +55,11 @@ TRANSITION_RESOLUTION = 1e-6
 # gets no more steps than two.
 MAX_GRID_POINTS = 64**4
 
+# Cap on a sweep's grid steps. A sweep holds every grid point while it
+# runs, a peak of about 1.2 KB each at three players, so this bounds one
+# near 80 MB.
+MAX_SWEEP_STEPS = 2**16
+
 # A phase-axis value is evaluated directly when the player's margin on
 # some battlefield is this close to a tie-band edge (+-eps), where the
 # closed form's rounding could move the term. On 700 seeded searches
@@ -70,7 +77,8 @@ class SweepSpec:
     ``target_player`` and ``target_battlefield`` are 1-based and select
     whose parameter moves (both are ignored for gamma, which is global,
     but still validated). The grid has ``steps`` evenly spaced points on
-    [lo, hi].
+    [lo, hi], at least 2 and at most ``MAX_SWEEP_STEPS``. The indices
+    and ``steps`` must be integers; a bool is not one.
     """
 
     base: Scenario
@@ -82,9 +90,10 @@ class SweepSpec:
     steps: int
 
     def __post_init__(self):
+        for name in ("target_player", "target_battlefield", "steps"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "steps", int(self.steps))
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValidationError(
                 f"unknown sweep parameter {self.parameter!r}; "
@@ -92,6 +101,11 @@ class SweepSpec:
             )
         if self.steps < 2:
             raise ValidationError(f"need at least 2 steps, got {self.steps}")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise ValidationError(
+                f"{self.steps} sweep steps are over the cap {MAX_SWEEP_STEPS}; "
+                f"lower the step count"
+            )
         if self.lo > self.hi:
             raise ValidationError(
                 f"sweep range is reversed: {self.lo!r} > {self.hi!r}"
@@ -121,6 +135,15 @@ class SweepSpec:
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a non-integer or a bool raises ValidationError."""
+    if not _is_number(value, numbers.Integral):
+        raise ValidationError(
+            f"{name.replace('_', ' ')} must be an integer, got {value!r}"
+        )
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -463,8 +486,11 @@ def best_response_grid(
     evaluating every grid value gives, at no evaluation on generic
     inputs and never more than ``phi_grid_steps``. ``MAX_GRID_POINTS``
     caps ``phi_grid_steps**max(n, 2)``: at most 64 steps on four
-    battlefields and 4096 on one or two.
+    battlefields and 4096 on one or two. ``player`` and
+    ``phi_grid_steps`` must be integers; a bool is not one.
     """
+    player = _integer(player, "player")
+    phi_grid_steps = _integer(phi_grid_steps, "phi_grid_steps")
     if phi_grid_steps < 2:
         raise ValidationError(f"need at least 2 grid steps, got {phi_grid_steps}")
     if not 1 <= player <= base.num_players:

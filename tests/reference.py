@@ -1,12 +1,13 @@
 """Dense reference that the tests compare the engine against.
 
 Kronecker products, conjugate transposes, density matrices, partial
-traces and expectation values on plain ``numpy`` arrays; the entangler's
-generator and the checked entangler as dense matrices; strengths from
-one state vector per battlefield; and a probe of payoff dependence on
-one phase. The engine forms none of these: it
-applies the generator matrix-free and reads strengths off the state
-vector. A composite space is described by its tuple of factor sizes,
+traces and expectation values on plain ``numpy`` arrays; the
+unentangled initial state, the entangler's generator and the checked
+entangler as dense matrices; strengths from one state vector per
+battlefield; and a probe of payoff dependence on one phase. The engine
+forms none of these: it writes the entangled start state directly,
+applies the generator's adjoint matrix-free and reads strengths off the
+state vector. A composite space is described by its tuple of factor sizes,
 ``(2,) * N + (n,)`` for a game (:func:`game_factors`), and factor
 indices in this interface are 1-based. Strategies are the engine's
 player-major angle and phase grids.
@@ -29,7 +30,9 @@ from qblotto.engine import (
     Scenario,
     disentangle,
     entangle,
+    evolve_strategies,
     player_operator,
+    strategies_of,
     strategy_gate,
 )
 from qblotto.errors import DimensionError, NumericalIntegrityError, ValidationError
@@ -172,6 +175,45 @@ def expectation(
 
 
 # ---------------------------------------------------------------------------
+# States
+# ---------------------------------------------------------------------------
+
+
+def initial_state(num_players: int, num_battlefields: int) -> StateVector:
+    """All qubits in state 0, battlefield register uniformly superposed."""
+    qubits = np.zeros(2**num_players, dtype=complex)
+    qubits[0] = 1.0
+    register = np.full(num_battlefields, 1.0 / math.sqrt(num_battlefields), complex)
+    return np.kron(qubits, register)
+
+
+def final_state(scenario: Scenario) -> StateVector:
+    """The engine's final state of a scenario, operators in ascending order."""
+    angles, phases = strategies_of(scenario)
+    return evolve_strategies(angles, phases, scenario.gamma, scenario.sign_pattern)
+
+
+def final_state_in_order(
+    operators: Sequence[ComplexMatrix],
+    order: Sequence[int],
+    gamma: float,
+    sign_pattern: Sequence[int],
+) -> StateVector:
+    """The final state with ``operators[j - 1]`` applied for each j in ``order``.
+
+    ``operators`` holds every player's strategy operator and ``order``
+    is a permutation of the 1-based players. The engine's own stages,
+    with the operators permuted between :func:`~qblotto.engine.entangle`
+    and :func:`~qblotto.engine.disentangle`.
+    """
+    count = len(operators)
+    psi = entangle(count, gamma, sign_pattern)
+    for j in order:
+        psi = operators[j - 1] @ psi
+    return disentangle(psi, count, gamma, sign_pattern)
+
+
+# ---------------------------------------------------------------------------
 # The entangler as a dense matrix
 # ---------------------------------------------------------------------------
 
@@ -185,7 +227,8 @@ def entangler_generator(
     with a diagonal battlefield block of ``sign * i`` entries. It
     squares to plus the identity for an odd player count and minus the
     identity for an even one, which decides whether an entangler can be
-    built from it. Evaluation applies it with
+    built from it. Evaluation writes ``J`` applied to the initial state
+    directly and applies the adjoint with
     :func:`qblotto.engine.generator_weights` and
     :func:`qblotto.engine.apply_generator` instead.
     """

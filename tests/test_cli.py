@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qblotto.selfcheck
 from qblotto import (
     Scenario,
     SweepSpec,
@@ -407,6 +410,41 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "FAIL tie-absorption" in captured.out
         assert "verification failed" in captured.err
+
+    def test_non_commuting_operators_fail_order_check(self, monkeypatch, capsys):
+        built = qblotto.selfcheck.player_operator
+
+        def shifted(player, angles, phases, count):
+            # a cyclic row shift moves amplitude between basis states, so
+            # the operators no longer commute
+            return np.roll(built(player, angles, phases, count), 1, axis=0)
+
+        monkeypatch.setattr(qblotto.selfcheck, "player_operator", shifted)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^FAIL order-invariance: trial 0: players 1,2 commutator residue ",
+            out,
+            re.M,
+        )
+        assert out.count("PASS") == 4
+
+    def test_unentangled_orders_fail_order_check(self, monkeypatch, capsys):
+        entangle = qblotto.selfcheck.entangle
+        monkeypatch.setattr(
+            qblotto.selfcheck,
+            "entangle",
+            lambda count, gamma, pattern: entangle(count, 0.0, pattern),
+        )
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^FAIL order-invariance: trial \d+: order \[[1-3, ]+\] gave "
+            r"\([-\d, ]+\), ascending gave \([-\d, ]+\)$",
+            out,
+            re.M,
+        )
+        assert out.count("PASS") == 4
 
 
 class TestOracle:

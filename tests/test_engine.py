@@ -12,11 +12,10 @@ from qblotto.classical import sgn_eps
 from qblotto.engine import (
     apply_generator,
     default_pattern,
+    entangle,
     evaluate_strategies,
-    evolve,
     evolve_strategies,
     generator_weights,
-    initial_state,
     measurements,
     player_operator,
     rotation_angle,
@@ -31,7 +30,10 @@ from reference import (
     entangler,
     entangler_generator,
     expectation,
+    final_state,
+    final_state_in_order,
     game_factors,
+    initial_state,
     kron,
     kron_all,
     partial_trace,
@@ -355,8 +357,9 @@ class TestEntanglerGenerator:
             dense = entangler_generator(count, pattern)
             dim = 2**count * n
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            forward = generator_weights(count, pattern)
-            adjoint = generator_weights(count, pattern, adjoint=True)
+            adjoint = generator_weights(count, pattern)
+            # G = -(-1)^N G^+, so G's weights are (-1)^(N+1) times G^+'s
+            forward = (-1.0) ** (count + 1) * adjoint
             assert np.array_equal(apply_generator(forward, psi), dense @ psi)
             assert np.array_equal(
                 apply_generator(adjoint, psi), dense.conj().T @ psi
@@ -364,6 +367,18 @@ class TestEntanglerGenerator:
 
 
 class TestEntangler:
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_start_state_equals_dense_generator_exactly(self, count):
+        # J|0...0> written directly, against J applied through dense G
+        rng = np.random.default_rng(0x57A7 + count)
+        for n in range(1, 5):
+            pattern = tuple(int(s) for s in rng.choice((-1, 1), n))
+            gamma = float(rng.uniform(0.0, HALF_PI)) if count % 2 else 0.0
+            c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+            psi = initial_state(count, n)
+            dense = c * psi + (1j * s) * (entangler_generator(count, pattern) @ psi)
+            assert np.array_equal(entangle(count, gamma, pattern), dense), (count, n)
+
     def test_zero_gamma_is_exact_identity(self):
         generator = entangler_generator(3, (1, -1))
         op = entangler(0.0, generator)
@@ -427,7 +442,7 @@ class TestEvolve:
 
         phases = ((0.0, 0.0), (0.0, 0.0), (math.pi / 3, 0.0))
         scenario = replace(worked_example, phases=phases)
-        psi = evolve(scenario)
+        psi = final_state(scenario)
 
         state = hand_evolve(
             scenario.allocations, phases, 6.0, HALF_PI, scenario.sign_pattern
@@ -448,12 +463,13 @@ class TestEvolve:
             gamma=0.9,
             phases=phases,
         )
-        psi = evolve(scenario)
+        psi = final_state(scenario)
         state = hand_evolve(allocations, phases, 4.0, 0.9, scenario.sign_pattern)
         assert allclose(psi, hand_vector(state, 3, 3), 1e-12)
 
     def test_matches_dense_reference(self):
-        # odd counts with entanglement, even counts without; random orders
+        # odd counts with entanglement, even counts without; the engine's
+        # ascending order against a random order in the dense reference
         rng = np.random.default_rng(0xDE45E)
         cases = [(count, n) for count in (3, 5) for n in (1, 2, 3, 4)] * 3
         cases += [(7, n) for n in (1, 2, 3, 4)]
@@ -466,7 +482,7 @@ class TestEvolve:
             gamma = float(rng.uniform(0.0, HALF_PI)) if count % 2 else 0.0
             pattern = tuple(int(s) for s in rng.choice((-1, 1), n))
             order = [int(j) for j in rng.permutation(count) + 1]
-            table = evaluate_strategies(angles, phases, gamma, pattern, 1e-9, order)
+            table = evaluate_strategies(angles, phases, gamma, pattern, 1e-9)
             grid, payoffs = dense_evaluate(angles, phases, gamma, pattern, 1e-9, order)
             worst = np.abs(np.array(table.values) - grid).max()
             assert worst <= 1e-12, (count, n, worst)
@@ -496,11 +512,16 @@ class TestEvolve:
         from dataclasses import replace
 
         scenario = replace(worked_example, phases=((0.0, 1.0), (0.2, 0.0), (1.1, 0.3)))
-        baseline = evolve(scenario)
+        angles, phases = strategies_of(scenario)
+        operators = [
+            player_operator(j, angles[j - 1], phases[j - 1], 3) for j in (1, 2, 3)
+        ]
+        baseline = final_state(scenario)
         for order in ((3, 1, 2), (2, 3, 1), (3, 2, 1)):
-            assert allclose(evolve(scenario, order=order), baseline, 1e-12)
-        with pytest.raises(ValidationError):
-            evolve(scenario, order=(1, 1, 2))
+            psi = final_state_in_order(
+                operators, order, scenario.gamma, scenario.sign_pattern
+            )
+            assert allclose(psi, baseline, 1e-12)
 
 
 class TestMeasurements:
@@ -536,7 +557,7 @@ class TestMeasurements:
 
     def test_reduced_state_matches_enemy2_row(self, worked_example):
         # keep player 3's qubit and the register, then contract by hand
-        psi = evolve(worked_example)
+        psi = final_state(worked_example)
         rho = density_matrix(psi)
         reduced = partial_trace(rho, game_factors(3, 2), keep={3, 4})
         assert reduced.shape == (4, 4)
@@ -551,7 +572,7 @@ class TestMeasurements:
             measurements(psi, 3)
 
     def test_density_matrix_properties(self, worked_example):
-        psi = evolve(worked_example)
+        psi = final_state(worked_example)
         rho = density_matrix(psi)
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert allclose(rho, dagger(rho), 1e-12)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from qblotto.classical import payoff_terms
 from qblotto.engine import evaluate_strategies, strategies_of
 from qblotto.sweep import (
     MAX_GRID_POINTS,
+    MAX_SWEEP_STEPS,
     SWEEP_PARAMETERS,
     BestResponse,
     _phase_axis_strengths,
@@ -60,6 +62,37 @@ class TestSweepSpec:
             SweepSpec(worked_example, 3, 1, "lambda", 0.0, 2.0, 10)
         with pytest.raises(ValidationError):
             SweepSpec(worked_example, 3, 1, "gamma", 0.0, 2.0, 10)
+
+    def test_fractional_steps_rejected(self, worked_example):
+        # not truncated to 2 steps
+        with pytest.raises(ValidationError, match="^steps must be an integer, got 2.9"):
+            SweepSpec(worked_example, 3, 1, "phi", 0.0, 1.0, 2.9)
+
+    def test_float_target_player_rejected_at_build(self, worked_example):
+        # rejected when built, not by an indexing TypeError inside run_sweep
+        with pytest.raises(ValidationError, match="^target player must be an integer"):
+            run_sweep(SweepSpec(worked_example, 3.0, 1, "phi", 0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("index", ["target_player", "target_battlefield", "steps"])
+    def test_bool_rejected(self, worked_example, index):
+        fields = dict(target_player=1, target_battlefield=1, steps=5)
+        fields[index] = True
+        with pytest.raises(ValidationError, match="must be an integer, got True"):
+            SweepSpec(worked_example, parameter="phi", lo=0.0, hi=1.0, **fields)
+
+    def test_numpy_integers_accepted(self, worked_example):
+        spec = SweepSpec(
+            worked_example, np.int64(3), np.int32(1), "phi", 0.0, 1.0, np.int64(5)
+        )
+        assert (spec.target_player, spec.target_battlefield, spec.steps) == (3, 1, 5)
+        assert type(spec.steps) is int
+
+    def test_step_cap_checked_at_build(self, worked_example):
+        # built, never run: a sweep keeps every grid point
+        assert SweepSpec(worked_example, 3, 1, "phi", 0.0, 1.0, MAX_SWEEP_STEPS)
+        too_many = MAX_SWEEP_STEPS + 1
+        with pytest.raises(ValidationError, match=f"^{too_many} sweep steps"):
+            SweepSpec(worked_example, 3, 1, "phi", 0.0, 1.0, too_many)
 
 
 class TestRunSweep:
@@ -260,6 +293,18 @@ class TestBestResponseGrid:
         # a one-player scenario cannot be built, so neither search sees one
         with pytest.raises(ValidationError, match="two players"):
             Scenario.create(totals=(3.0,), allocations=((3.0,),), gamma=0.0)
+
+    @pytest.mark.parametrize(
+        "player, steps, message",
+        [
+            (2.0, 5, "player must be an integer, got 2.0"),
+            (2, 2.5, "phi grid steps must be an integer, got 2.5"),
+            (True, 5, "player must be an integer, got True"),
+        ],
+    )
+    def test_non_integers_rejected(self, worked_example, player, steps, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            best_response_grid(worked_example, player, steps)
 
     def test_guardrails(self, worked_example):
         from qblotto import Scenario
