@@ -24,49 +24,6 @@ from .errors import DimensionError, ValidationError
 DEFAULT_TIE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class AllocationViolation:
-    """First constraint broken by an allocation vector.
-
-    ``index`` is the 1-based battlefield of a negative or non-finite
-    entry, or None when the budget sum is off; ``amount`` carries the
-    offending value.
-    """
-
-    index: int | None
-    amount: float
-    message: str
-
-
-def validate_allocation(
-    troops: Sequence[float], total: float, eps: float = DEFAULT_TIE_EPS
-) -> AllocationViolation | None:
-    """Check finite non-negative entries and the budget sum.
-
-    Returns None when the allocation is valid, otherwise an
-    :class:`AllocationViolation` naming the first violated constraint.
-    """
-    troops = [float(x) for x in troops]
-    for k, x in enumerate(troops, start=1):
-        if not 0 <= x < math.inf:
-            problem = "is negative" if x < 0 else "is not finite"
-            return AllocationViolation(
-                index=k,
-                amount=x,
-                message=f"battlefield {k} allocation {problem} ({x!r})",
-            )
-    total_allocated = sum(troops)
-    if not abs(total_allocated - float(total)) <= eps:
-        return AllocationViolation(
-            index=None,
-            amount=total_allocated,
-            message=(
-                f"allocations sum to {total_allocated!r}, budget is {float(total)!r}"
-            ),
-        )
-    return None
-
-
 def check_tie_eps(eps: float) -> None:
     """Reject a tie tolerance that is negative, infinite or NaN."""
     if not 0 <= eps < math.inf:
@@ -149,8 +106,9 @@ def classical_payoffs(
     """Per-player payoff: battlefields won minus battlefields lost.
 
     The sum of each player's row of :func:`payoff_terms` over the
-    allocation grid. Allocations are assumed budget-valid (see
-    :func:`validate_allocation`); only shapes are checked here.
+    allocation grid. Allocations are assumed budget-valid, as a
+    :class:`qblotto.engine.Scenario` holds them; only shapes are checked
+    here.
     """
     rows = [[float(x) for x in row] for row in allocations]
     if len(rows) != roster.num_players:

@@ -38,7 +38,6 @@ from .classical import (
     PlayerRoster,
     check_tie_eps,
     payoff_terms,
-    validate_allocation,
 )
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
@@ -132,13 +131,17 @@ class Scenario:
     absolute tie tolerance used for payoffs and budget sums. Building a
     scenario (``dataclasses.replace`` included) validates it and raises
     :class:`ValidationError` on the first broken rule; phases are stored
-    as given and reduced by :func:`strategies_of`. The rules: matching
-    shapes, finite phases, a valid tie tolerance, the composite-dimension
-    guard ``2^N * n <= MAX_DIM``, the budgets (:class:`PlayerRoster`),
-    each player's allocation (:func:`validate_allocation`), ``gamma`` in
-    [0, pi/2], sign entries of exactly +1 or -1, and no commitment above
-    Blotto's budget (:func:`rotation_angle`). ``gamma``, ``eps`` and the
-    sign entries must be real numbers; a bool is not one.
+    as given and reduced by :func:`strategies_of`. One number rule comes
+    first: every total, allocation, phase, ``gamma``, ``eps`` and sign
+    entry must be a real number, and a bool is not one; totals,
+    allocations, phases, ``gamma`` and ``eps`` are stored as floats and
+    the signs as ints. The other rules: sign entries of exactly +1 or
+    -1, matching shapes, finite phases, a valid tie tolerance, the
+    composite-dimension guard ``2^N * n <= MAX_DIM``, the budgets
+    (:class:`PlayerRoster`), each player's allocations (finite,
+    non-negative and summing to the budget within ``eps``), ``gamma``
+    in [0, pi/2], and no commitment above Blotto's budget
+    (:func:`rotation_angle`). :meth:`create` holds the defaults.
     """
 
     player_names: tuple[str, ...]
@@ -151,23 +154,26 @@ class Scenario:
 
     def __post_init__(self):
         names = tuple(str(s) for s in self.player_names)
-        totals = tuple(float(t) for t in self.totals)
-        allocations = tuple(tuple(float(x) for x in row) for row in self.allocations)
-        phases = tuple(tuple(float(p) for p in row) for row in self.phases)
-        # A sign entry that is not a number exactly +1 or -1 is kept as
-        # given, for the sign rule to reject; a bool is not a number here.
-        pattern = tuple(
-            int(s) if _is_number(s) and s in (-1, 1) else s
-            for s in self.sign_pattern
+        totals = tuple(
+            _real(t, f"player {j} budget") for j, t in enumerate(self.totals, start=1)
         )
-        raw_gamma, raw_eps = self.gamma, self.eps
+        allocations = _real_grid(self.allocations, "allocation")
+        phases = _real_grid(self.phases, "phase")
+        gamma = _real(self.gamma, "entanglement parameter")
+        eps = _real(self.eps, "tie tolerance")
+        signs = [_is_number(s) and s in (-1, 1) for s in self.sign_pattern]
+        pattern = tuple(int(s) if ok else s for s, ok in zip(self.sign_pattern, signs))
+        if not all(signs):
+            raise ValidationError(
+                f"sign pattern entries must be +1 or -1, got {pattern}"
+            )
         object.__setattr__(self, "player_names", names)
         object.__setattr__(self, "totals", totals)
         object.__setattr__(self, "allocations", allocations)
         object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "sign_pattern", pattern)
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "eps", eps)
 
         count = len(totals)
         if count == 0:
@@ -194,9 +200,7 @@ class Scenario:
                     )
         if len(pattern) != n:
             raise DimensionError(n, len(pattern), "sign pattern")
-        if not _is_number(raw_eps):
-            raise ValidationError(f"tie tolerance must be a number, got {raw_eps!r}")
-        check_tie_eps(self.eps)
+        check_tie_eps(eps)
         dim = 2**count * n  # checked before anything costly
         if dim > MAX_DIM:
             raise ValidationError(
@@ -204,23 +208,24 @@ class Scenario:
                 f"reduce the player count or battlefield count"
             )
         PlayerRoster(totals)  # two or more finite budgets, Blotto's the largest
-        for j, row in enumerate(allocations):
-            violation = validate_allocation(row, totals[j], self.eps)
-            if violation is not None:
+        players = zip(names, allocations, totals)
+        for j, (name, row, total) in enumerate(players, start=1):
+            for k, x in enumerate(row, start=1):
+                if not 0 <= x < math.inf:
+                    problem = "is negative" if x < 0 else "is not finite"
+                    raise ValidationError(
+                        f"player {j} ({name}): battlefield {k} allocation "
+                        f"{problem} ({x!r})"
+                    )
+            allocated = sum(row)
+            if not abs(allocated - total) <= eps:
                 raise ValidationError(
-                    f"player {j + 1} ({names[j]}): {violation.message}"
+                    f"player {j} ({name}): allocations sum to {allocated!r}, "
+                    f"budget is {total!r}"
                 )
-        if not _is_number(raw_gamma):
+        if not -_ANGLE_SLACK <= gamma <= HALF_PI + _ANGLE_SLACK:
             raise ValidationError(
-                f"entanglement parameter must be a number, got {raw_gamma!r}"
-            )
-        if not -_ANGLE_SLACK <= self.gamma <= HALF_PI + _ANGLE_SLACK:
-            raise ValidationError(
-                f"entanglement parameter {self.gamma!r} outside [0, pi/2]"
-            )
-        if any(not _is_number(s) or s not in (-1, 1) for s in pattern):
-            raise ValidationError(
-                f"sign pattern entries must be +1 or -1, got {pattern}"
+                f"entanglement parameter {gamma!r} outside [0, pi/2]"
             )
         # A row can sum to its budget within eps and still hold one
         # commitment above Blotto's budget.
@@ -244,9 +249,10 @@ class Scenario:
 
         Phases default to all zero (the classical game), the sign
         pattern to :func:`default_pattern`, and names to
-        "Blotto", "enemy 1", "enemy 2", ...
+        "Blotto", "enemy 1", "enemy 2", ... Every other value reaches
+        the number rule as the caller passed it.
         """
-        rows = [tuple(float(x) for x in row) for row in allocations]
+        rows = [tuple(row) for row in allocations]
         if not rows or not rows[0]:
             raise ValidationError("allocations must be a non-empty N x n grid")
         n = len(rows[0])
@@ -257,12 +263,12 @@ class Scenario:
         if names is None:
             names = ["Blotto"] + [f"enemy {j}" for j in range(1, len(rows))]
         return cls(
-            player_names=tuple(names),
-            totals=tuple(float(t) for t in totals),
-            allocations=tuple(rows),
-            phases=tuple(tuple(float(p) for p in row) for row in phases),
+            player_names=names,
+            totals=totals,
+            allocations=rows,
+            phases=phases,
             gamma=gamma,
-            sign_pattern=tuple(sign_pattern),
+            sign_pattern=sign_pattern,
             eps=eps,
         )
 
@@ -282,6 +288,32 @@ class Scenario:
 def _is_number(value, kind: type = numbers.Real) -> bool:
     """A number of ``kind``, a real by default, that is not a bool."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _real(value, what: str, *cell: int) -> float:
+    """``value`` as a float under the number rule: a real number, not a bool.
+
+    ``what`` names the value in a message; for a grid cell, its 1-based
+    player and battlefield follow.
+    """
+    if type(value) is float:  # the common case, ahead of the slower ABC check
+        return value
+    if cell:
+        what = "{} for player {}, battlefield {}".format(what, *cell)
+    if not _is_number(value):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is too large for a float") from None
+
+
+def _real_grid(grid: Grid, what: str) -> tuple[tuple[float, ...], ...]:
+    """A player-major grid as floats, each cell under :func:`_real`."""
+    return tuple(
+        tuple(_real(x, what, j, k) for k, x in enumerate(row, start=1))
+        for j, row in enumerate(grid, start=1)
+    )
 
 
 def reduced_phase(phase: float) -> float:

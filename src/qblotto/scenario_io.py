@@ -2,9 +2,13 @@
 
 Scenario files are UTF-8 JSON documents with strict key checking, so a
 typo like "phases_" fails loudly instead of silently running a different
-experiment. The checks here cover the document's form; the game's rules
-are checked when the :class:`Scenario` is built. Angles are radians
-unless the caller asks for degree conversion on ingestion.
+experiment. The checks here cover the document's form, each message
+naming where in the document it failed: a number is a JSON number (not
+a string or a bool, as in the scenario's number rule) that fits a
+float. The scenario is built through :meth:`Scenario.create`, which
+fills in the omitted phases and sign pattern and checks the game's
+rules. Angles are radians unless the caller asks for degree conversion
+on ingestion.
 
 Schema::
 
@@ -26,7 +30,7 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .engine import Scenario, default_pattern, scenario_notices
+from .engine import Scenario, scenario_notices
 from .classical import DEFAULT_TIE_EPS, check_tie_eps
 from .errors import ValidationError
 
@@ -120,13 +124,13 @@ def scenario_from_dict(
     allocations = _require_grid(
         doc["allocations"], len(players), battlefields, "allocations"
     )
+    phases = None
     if "phases" in doc:
         phases = _require_grid(doc["phases"], len(players), battlefields, "phases")
-    else:
-        phases = [[0.0] * battlefields for _ in players]
 
     gamma = _require_number(doc["gamma"], "gamma")
 
+    sign_pattern = None
     if "sign_pattern" in doc:
         raw = doc["sign_pattern"]
         if not isinstance(raw, list) or len(raw) != battlefields:
@@ -140,9 +144,7 @@ def scenario_from_dict(
                 raise ValidationError(
                     f"sign_pattern[{k}]: entries must be +1 or -1, got {s!r}"
                 )
-            sign_pattern.append(int(value))
-    else:
-        sign_pattern = list(default_pattern(battlefields))
+            sign_pattern.append(value)
 
     tie_eps = DEFAULT_TIE_EPS
     if "eps" in doc:
@@ -153,15 +155,16 @@ def scenario_from_dict(
 
     if degrees:
         gamma = math.radians(gamma)
-        phases = [[math.radians(p) for p in row] for row in phases]
+        if phases is not None:
+            phases = [[math.radians(p) for p in row] for row in phases]
 
-    return Scenario(
-        player_names=tuple(names),
-        totals=tuple(totals),
-        allocations=tuple(tuple(row) for row in allocations),
-        phases=tuple(tuple(row) for row in phases),
-        gamma=gamma,
-        sign_pattern=tuple(sign_pattern),
+    return Scenario.create(
+        totals,
+        allocations,
+        gamma,
+        phases=phases,
+        sign_pattern=sign_pattern,
+        names=names,
         eps=tie_eps,
     )
 

@@ -120,17 +120,12 @@ class SweepSpec:
                 f"target battlefield {self.target_battlefield} outside "
                 f"1..{self.base.num_battlefields}"
             )
-        if self.parameter == "lambda" and not (
+        bounded = {"lambda": "rotation-angle", "gamma": "entanglement"}
+        if self.parameter in bounded and not (
             0.0 <= self.lo and self.hi <= HALF_PI + 1e-12
         ):
             raise ValidationError(
-                "rotation-angle sweeps must stay inside [0, pi/2]"
-            )
-        if self.parameter == "gamma" and not (
-            0.0 <= self.lo and self.hi <= HALF_PI + 1e-12
-        ):
-            raise ValidationError(
-                "entanglement sweeps must stay inside [0, pi/2]"
+                f"{bounded[self.parameter]} sweeps must stay inside [0, pi/2]"
             )
 
     def grid(self) -> np.ndarray:
@@ -298,12 +293,16 @@ def _bisect_transitions(
     Bisection narrows one change away from ``lo_payoffs``; the search
     then restarts from that change's upper end until it reaches
     ``hi_payoffs``, so a cell holding several transitions reports each.
+    Where floats are spaced wider than the resolution, narrowing stops
+    at adjacent floats, when the midpoint rounds to a bound.
     """
     found = []
     while lo_payoffs != hi_payoffs:
         upper, upper_payoffs = hi, hi_payoffs
         while upper - lo > TRANSITION_RESOLUTION:
             mid = 0.5 * (lo + upper)
+            if mid == lo or mid == upper:
+                break
             mid_payoffs = evaluate_at(mid).payoffs
             if mid_payoffs == lo_payoffs:
                 lo = mid

@@ -12,7 +12,6 @@ from qblotto.classical import (
     classical_payoffs,
     payoff_terms,
     sgn_eps,
-    validate_allocation,
 )
 
 
@@ -60,42 +59,6 @@ def random_instance(seed, num_players=3, n=3):
     totals = [blotto] + [rng.uniform(0.0, blotto) for _ in range(num_players - 1)]
     rows = [tuple(rng.dirichlet(np.ones(n)) * t) for t in totals]
     return totals, rows
-
-
-class TestValidateAllocation:
-    def test_worked_example(self):
-        assert validate_allocation((3.0, 3.0), 6.0) is None
-
-    def test_degenerate_zero_player(self):
-        assert validate_allocation((0.0,) * 5, 0.0) is None
-
-    def test_sum_mismatch(self):
-        violation = validate_allocation((4.0, 3.0), 6.0)
-        assert violation is not None
-        assert violation.index is None
-        assert violation.amount == 7.0
-        assert "6.0" in violation.message
-
-    def test_negative_entry_names_index(self):
-        violation = validate_allocation((1.0, -0.5, 5.5), 6.0)
-        assert violation is not None
-        assert violation.index == 2
-        assert violation.amount == -0.5
-
-    def test_sum_within_eps(self):
-        assert validate_allocation((3.0, 3.0 + 5e-10), 6.0, eps=1e-9) is None
-
-    @pytest.mark.parametrize(
-        "troops, total, index",
-        [
-            ((math.nan, 6.0), 6.0, 1),
-            ((math.inf, 0.0), math.inf, 1),
-            ((3.0, 3.0), math.nan, None),  # the budget-sum test fails on NaN
-        ],
-    )
-    def test_non_finite_rejected(self, troops, total, index):
-        violation = validate_allocation(troops, total)
-        assert violation is not None and violation.index == index
 
 
 class TestSgnEps:

@@ -47,8 +47,12 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
-def run_cli(*argv):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def run_cli(*argv, timeout=None):
+    """Run the CLI in a fresh interpreter, as a user would.
+
+    A run still going after ``timeout`` seconds raises
+    ``subprocess.TimeoutExpired``, so a hang fails the test.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -56,6 +60,7 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
@@ -389,6 +394,23 @@ class TestSweep:
         args[args.index("--param") + 1] = "phi"
         args[args.index("--steps") + 1] = "1"
         assert main(args) == 2
+
+    def test_bisection_ends_where_floats_are_coarse(self, golden_file):
+        # Near 1e17 adjacent floats are 16 rad apart, far above the
+        # bisection resolution, so narrowing stops at adjacent floats.
+        done = run_cli(
+            "sweep", golden_file, "--player", "3", "--battlefield", "1",
+            "--param", "phi", "--from", "0", "--to", "1e17", "--steps", "5",
+            timeout=60,
+        )
+        # With the CSV on stdout, the transitions go to stderr.
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [
+            "payoff transition near phi = 4.58291597457e+16: "
+            "(0, -1, -1) -> (-1, -2, 1)",
+            "payoff transition near phi = 7.70855081772e+16: "
+            "(-1, -2, 1) -> (0, -1, -1)",
+        ]
 
     def test_unwritable_out_exit_2(self, golden_file, tmp_path, capsys):
         out_path = tmp_path / "missing" / "sweep.csv"

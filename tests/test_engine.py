@@ -832,6 +832,106 @@ class TestScenarioValidation:
             Scenario.create(**fields)
         assert str(raised.value) == message
 
+    # Each case is valid once coerced with float(), so only the number
+    # rule rejects it.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(totals=("6", 4.0, 3.0)), "player 1 budget must be a number, got '6'"),
+            (
+                dict(
+                    totals=(6.0, 4.0, True),
+                    allocations=((3.0, 3.0), (3.0, 1.0), (0.0, 1.0)),
+                ),
+                "player 3 budget must be a number, got True",
+            ),
+            (
+                dict(
+                    totals=(6.0, 4.0, np.True_),
+                    allocations=((3.0, 3.0), (3.0, 1.0), (0.0, 1.0)),
+                ),
+                f"player 3 budget must be a number, got {np.True_!r}",
+            ),
+            (
+                dict(allocations=(("3", 3.0), (3.0, 1.0), (0.0, 3.0))),
+                "allocation for player 1, battlefield 1 must be a number, got '3'",
+            ),
+            (
+                dict(allocations=((3.0, 3.0), (3.0, True), (0.0, 3.0))),
+                "allocation for player 2, battlefield 2 must be a number, got True",
+            ),
+            (
+                dict(allocations=((3.0, 3.0), (3.0, np.True_), (0.0, 3.0))),
+                "allocation for player 2, battlefield 2 must be a number, "
+                f"got {np.True_!r}",
+            ),
+            (
+                dict(phases=((0.0, 0.0), (0.0, 0.0), ("1.0", 0.0))),
+                "phase for player 3, battlefield 1 must be a number, got '1.0'",
+            ),
+            (
+                dict(phases=((0.0, 0.0), (0.0, 0.0), (True, 0.0))),
+                "phase for player 3, battlefield 1 must be a number, got True",
+            ),
+            (
+                dict(phases=((0.0, np.True_), (0.0, 0.0), (0.0, 0.0))),
+                f"phase for player 1, battlefield 2 must be a number, got {np.True_!r}",
+            ),
+        ],
+    )
+    def test_grid_entries_follow_the_number_rule(
+        self, worked_example, changes, message
+    ):
+        from dataclasses import replace
+
+        fields = {
+            "totals": (6.0, 4.0, 3.0),
+            "allocations": ((3.0, 3.0), (3.0, 1.0), (0.0, 3.0)),
+            "gamma": HALF_PI,
+            **changes,
+        }
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create(**fields)
+        assert str(raised.value) == message
+        with pytest.raises(ValidationError) as raised:
+            replace(worked_example, **changes)
+        assert str(raised.value) == message
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create((10**400, 4, 3), ((3, 3), (3, 1), (0, 3)), HALF_PI)
+        assert str(raised.value) == "player 1 budget is too large for a float"
+
+    def test_numpy_numbers_build_as_floats(self, worked_example):
+        from dataclasses import replace
+
+        built = (
+            Scenario.create(
+                totals=np.array([6.0, 4.0, 3.0]),
+                allocations=np.array([[3, 3], [3, 1], [0, 3]]),
+                gamma=np.float64(HALF_PI),
+                phases=np.zeros((3, 2), dtype=np.int64),
+                eps=np.float64(1e-9),
+            ),
+            replace(
+                worked_example,
+                totals=(np.int64(6), np.float64(4.0), 3),
+                allocations=((np.int64(3), 3.0), (3.0, np.float64(1.0)), (0, 3)),
+                phases=((np.float64(0.0), np.int64(0)),) * 3,
+                gamma=np.float64(HALF_PI),
+            ),
+        )
+        for scenario in built:
+            assert scenario == worked_example
+            numbers = [
+                *scenario.totals,
+                *(x for row in scenario.allocations for x in row),
+                *(p for row in scenario.phases for p in row),
+                scenario.gamma,
+                scenario.eps,
+            ]
+            assert all(type(x) is float for x in numbers)
+
     def test_default_pattern_and_names(self):
         scenario = Scenario.create(
             totals=(2.0, 1.0, 1.0),
@@ -841,6 +941,46 @@ class TestScenarioValidation:
         assert scenario.sign_pattern == (1, 1, -1)
         assert scenario.player_names == ("Blotto", "enemy 1", "enemy 2")
         assert default_pattern(1) == (-1,)
+
+
+class TestAllocationRule:
+    """Each player's allocations: finite, non-negative, summing to the budget."""
+
+    TOTALS = (6.0, 4.0, 3.0)
+
+    def test_sum_off_by_more_than_eps_rejected(self):
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create(
+                self.TOTALS, ((4.0, 3.0), (3.0, 1.0), (0.0, 3.0)), HALF_PI
+            )
+        assert str(raised.value) == (
+            "player 1 (Blotto): allocations sum to 7.0, budget is 6.0"
+        )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((4.5, -0.5), "battlefield 2 allocation is negative (-0.5)"),
+            ((math.nan, 4.0), "battlefield 1 allocation is not finite (nan)"),
+            ((math.inf, 0.0), "battlefield 1 allocation is not finite (inf)"),
+        ],
+    )
+    def test_negative_or_non_finite_entry_rejected(self, row, message):
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create(self.TOTALS, ((3.0, 3.0), row, (0.0, 3.0)), HALF_PI)
+        assert str(raised.value) == f"player 2 (enemy 1): {message}"
+
+    def test_sum_within_eps_accepted(self):
+        allocations = ((3.0, 3.0 + 5e-10), (3.0, 1.0), (0.0, 3.0))
+        scenario = Scenario.create(self.TOTALS, allocations, HALF_PI, eps=1e-9)
+        assert scenario.allocations == allocations
+
+    def test_enemy_with_zero_budget_and_zero_row_builds(self):
+        scenario = Scenario.create(
+            (6.0, 0.0, 3.0), ((3.0, 3.0), (0.0, 0.0), (0.0, 3.0)), HALF_PI
+        )
+        assert scenario.totals[1] == 0.0
+        assert scenario.allocations[1] == (0.0, 0.0)
 
 
 class TestClassicalCorrespondence:
