@@ -12,6 +12,7 @@ in its classical limit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,37 @@ from .errors import DimensionError, ValidationError
 # Absolute tie tolerance for sign comparisons and budget sums. Troop
 # counts and measurement values are O(1), so absolute beats relative.
 DEFAULT_TIE_EPS = 1e-9
+
+
+def _is_number(value, kind: type = numbers.Real) -> bool:
+    """A number of ``kind``, a real by default, that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _real(value, what: str, *cell: int) -> float:
+    """``value`` as a float under the number rule: a real number, not a bool.
+
+    ``what`` names the value in a message; for a grid cell, its 1-based
+    player and battlefield follow.
+    """
+    if type(value) is float:  # the common case, ahead of the slower ABC check
+        return value
+    if cell:
+        what = "{} for player {}, battlefield {}".format(what, *cell)
+    if not _is_number(value):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is too large for a float") from None
+
+
+def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
+    """A player-major grid as floats, each cell under :func:`_real`."""
+    return tuple(
+        tuple(_real(x, what, j, k) for k, x in enumerate(row, start=1))
+        for j, row in enumerate(grid, start=1)
+    )
 
 
 def check_tie_eps(eps: float) -> None:
@@ -60,11 +92,12 @@ def payoff_terms(grid, eps: float = DEFAULT_TIE_EPS) -> tuple[np.ndarray, np.nda
     return rival_best, (d > eps).astype(int) - (d < -eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlayerRoster:
     """Troop budgets, with player 1 fixed as Blotto.
 
-    Budgets must be finite, and Blotto must hold the largest (strictly
+    Budgets follow the number rule (:func:`_real`), are stored as floats
+    and must be finite, and Blotto must hold the largest (strictly
     positive) one; every rotation angle in the quantum game is
     normalized by it. Two-player games are accepted, since nothing in
     the payoff rule breaks for them; :func:`qblotto.engine.scenario_notices`
@@ -74,7 +107,8 @@ class PlayerRoster:
     totals: tuple[float, ...]
 
     def __post_init__(self):
-        totals = tuple(float(t) for t in self.totals)
+        budgets = enumerate(self.totals, start=1)
+        totals = tuple(_real(t, f"player {j} budget") for j, t in budgets)
         object.__setattr__(self, "totals", totals)
         if len(totals) < 2:
             raise ValidationError(
@@ -107,10 +141,10 @@ def classical_payoffs(
 
     The sum of each player's row of :func:`payoff_terms` over the
     allocation grid. Allocations are assumed budget-valid, as a
-    :class:`qblotto.engine.Scenario` holds them; only shapes are checked
-    here.
+    :class:`qblotto.engine.Scenario` holds them; only the number rule
+    (:func:`_real`) and shapes are checked here.
     """
-    rows = [[float(x) for x in row] for row in allocations]
+    rows = _real_grid(allocations, "allocation")
     if len(rows) != roster.num_players:
         raise DimensionError(roster.num_players, len(rows), "allocation rows")
     n = len(rows[0]) if rows else 0

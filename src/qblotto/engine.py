@@ -26,19 +26,15 @@ the same scenario twice produces bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .classical import (
-    DEFAULT_TIE_EPS,
-    PlayerRoster,
-    check_tie_eps,
-    payoff_terms,
-)
+from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps, payoff_terms
+from .classical import _is_number, _real, _real_grid  # the number rule
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
 HALF_PI = math.pi / 2
@@ -107,22 +103,41 @@ def default_pattern(num_battlefields: int) -> tuple[int, ...]:
     return (1,) * (num_battlefields - 1) + (-1,)
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=MAX_DIM.bit_length())  # every count MAX_DIM admits
+def default_names(num_players: int) -> tuple[str, ...]:
+    """Default names "Blotto", "enemy 1", ...: built once per player count."""
+    return ("Blotto",) + tuple(f"enemy {j}" for j in range(1, num_players))
+
+
+@dataclass(frozen=True, slots=True)
 class MeasurementTable:
     """Measured strengths per player and battlefield, with payoffs.
 
-    ``values[j][k]`` is player j+1's strength on battlefield k+1, a
-    probability-like number in [0, 1]. ``rival_best`` holds, for each
-    cell, the best strength among the other players on that battlefield,
-    and ``payoffs`` the resulting signed scores in [-n, n].
+    ``values[j][k]`` is player j+1's strength on battlefield k+1, in
+    [0, 1], and ``payoffs`` the signed scores in [-n, n]; only these are
+    stored. ``rival_best``, each cell's best rival strength on its
+    battlefield, is derived on read: the floats :func:`payoff_terms` selects.
     """
 
     values: tuple[tuple[float, ...], ...]
-    rival_best: tuple[tuple[float, ...], ...]
     payoffs: tuple[int, ...]
 
+    @property
+    def rival_best(self) -> tuple[tuple[float, ...], ...]:
+        """Each cell's best rival strength, from a top-two pass per column."""
+        columns = []
+        for column in zip(*self.values):
+            top = second = -math.inf
+            for v in column:
+                if v > top:
+                    top, second = v, top
+                elif v > second:
+                    second = v
+            columns.append([second if v == top else top for v in column])
+        return tuple(zip(*columns))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """Complete description of one game.
 
@@ -154,9 +169,8 @@ class Scenario:
 
     def __post_init__(self):
         names = tuple(str(s) for s in self.player_names)
-        totals = tuple(
-            _real(t, f"player {j} budget") for j, t in enumerate(self.totals, start=1)
-        )
+        budgets = enumerate(self.totals, start=1)
+        totals = tuple(_real(t, f"player {j} budget") for j, t in budgets)
         allocations = _real_grid(self.allocations, "allocation")
         phases = _real_grid(self.phases, "phase")
         gamma = _real(self.gamma, "entanglement parameter")
@@ -249,8 +263,8 @@ class Scenario:
 
         Phases default to all zero (the classical game), the sign
         pattern to :func:`default_pattern`, and names to
-        "Blotto", "enemy 1", "enemy 2", ... Every other value reaches
-        the number rule as the caller passed it.
+        :func:`default_names`, whose strings every scenario of that size
+        shares. Every other value reaches the number rule as passed.
         """
         rows = [tuple(row) for row in allocations]
         if not rows or not rows[0]:
@@ -261,7 +275,7 @@ class Scenario:
         if sign_pattern is None:
             sign_pattern = default_pattern(n)
         if names is None:
-            names = ["Blotto"] + [f"enemy {j}" for j in range(1, len(rows))]
+            names = default_names(len(rows))
         return cls(
             player_names=names,
             totals=totals,
@@ -283,37 +297,6 @@ class Scenario:
     @property
     def blotto_total(self) -> float:
         return self.totals[0]
-
-
-def _is_number(value, kind: type = numbers.Real) -> bool:
-    """A number of ``kind``, a real by default, that is not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _real(value, what: str, *cell: int) -> float:
-    """``value`` as a float under the number rule: a real number, not a bool.
-
-    ``what`` names the value in a message; for a grid cell, its 1-based
-    player and battlefield follow.
-    """
-    if type(value) is float:  # the common case, ahead of the slower ABC check
-        return value
-    if cell:
-        what = "{} for player {}, battlefield {}".format(what, *cell)
-    if not _is_number(value):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{what} is too large for a float") from None
-
-
-def _real_grid(grid: Grid, what: str) -> tuple[tuple[float, ...], ...]:
-    """A player-major grid as floats, each cell under :func:`_real`."""
-    return tuple(
-        tuple(_real(x, what, j, k) for k, x in enumerate(row, start=1))
-        for j, row in enumerate(grid, start=1)
-    )
 
 
 def reduced_phase(phase: float) -> float:
@@ -546,18 +529,17 @@ def measurements(
     committed-qubit projector's expectation on the density matrix
     reduced to qubit j and the register, which the tests' dense
     reference computes. A value outside [0, 1] beyond tolerance, NaN
-    included, raises :class:`NumericalIntegrityError`. Rival bests and
-    payoffs come from :func:`qblotto.classical.payoff_terms` applied to
-    the strength grid.
+    included, raises :class:`NumericalIntegrityError`. Payoffs come
+    from :func:`qblotto.classical.payoff_terms` applied to the strength
+    grid; the table keeps no rival bests, it derives them when read.
     """
     probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, -1)
     grid = qubit_sums(probabilities, num_players)
     check_strengths(grid)
 
-    rival_best, terms = payoff_terms(grid, eps)
+    _, terms = payoff_terms(grid, eps)
     return MeasurementTable(
         values=tuple(map(tuple, grid.tolist())),
-        rival_best=tuple(map(tuple, rival_best.tolist())),
         payoffs=tuple(int(p) for p in terms.sum(axis=1)),
     )
 

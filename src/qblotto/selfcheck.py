@@ -81,7 +81,7 @@ def random_quantum_scenario(rng: np.random.Generator) -> Scenario:
     return replace(base, phases=phases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool

@@ -27,13 +27,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classical import payoff_terms
+from .classical import _is_number, _real, payoff_terms
 from .engine import (
     Grid,
     MeasurementTable,
     Row,
     Scenario,
-    _is_number,
     check_entangler_unitary,
     check_norm_sq,
     check_strengths,
@@ -70,7 +69,7 @@ DECISION_GUARD = 1e-12
 DEFAULT_SWEEP_STEPS = 101
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     """One-dimensional sweep over phi, lambda or gamma.
 
@@ -78,7 +77,7 @@ class SweepSpec:
     whose parameter moves (both are ignored for gamma, which is global,
     but still validated). The grid has ``steps`` evenly spaced points on
     [lo, hi], at least 2 and at most ``MAX_SWEEP_STEPS``. The indices
-    and ``steps`` must be integers; a bool is not one.
+    and ``steps`` are integers and ``lo``, ``hi`` real; a bool is neither.
     """
 
     base: Scenario
@@ -92,8 +91,8 @@ class SweepSpec:
     def __post_init__(self):
         for name in ("target_player", "target_battlefield", "steps"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValidationError(
                 f"unknown sweep parameter {self.parameter!r}; "
@@ -141,14 +140,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     value: float
     payoffs: tuple[int, ...]
     values: tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayoffTransition:
     """Bisection-localized boundary between two payoff vectors."""
 
@@ -157,7 +156,7 @@ class PayoffTransition:
     above: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepResult:
     """Grid points and located transitions of one sweep.
 
@@ -317,7 +316,7 @@ def _bisect_transitions(
     return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BestResponse:
     player: int
     payoff: int

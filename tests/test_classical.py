@@ -111,6 +111,28 @@ class TestPlayerRoster:
             PlayerRoster(totals)
 
 
+    @pytest.mark.parametrize(
+        "totals, message",
+        [
+            (("6", True), "^player 1 budget must be a number, got '6'"),
+            ((6.0, True), "^player 2 budget must be a number, got True"),
+            ((6.0, np.True_), "^player 2 budget must be a number"),
+            ((10**400, 1.0), "^player 1 budget is too large for a float"),
+        ],
+        ids=["str", "bool", "numpy-bool", "huge"],
+    )
+    def test_budgets_follow_the_number_rule(self, totals, message):
+        # not coerced to (6.0, 1.0) by float()
+        with pytest.raises(ValidationError, match=message):
+            PlayerRoster(totals)
+
+    def test_numeric_budgets_stored_as_floats(self):
+        # passes at the parent too: numbers are still accepted
+        roster = PlayerRoster((6, np.float32(4.0), np.int64(3)))
+        assert roster.totals == (6.0, 4.0, 3.0)
+        assert all(type(t) is float for t in roster.totals)
+
+
 class TestClassicalPayoffs:
     def test_worked_example(self, worked_example):
         roster = PlayerRoster(worked_example.totals)
@@ -120,6 +142,22 @@ class TestClassicalPayoffs:
     def test_identical_allocations_all_tie(self):
         roster = PlayerRoster((4.0, 4.0))
         assert classical_payoffs(((2.0, 2.0), (2.0, 2.0)), roster) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "rows, cell, got",
+        [
+            ((("3", True), (True, 0)), "player 1, battlefield 1", "'3'"),
+            (((3.0, True), (1.0, 0)), "player 1, battlefield 2", "True"),
+            (((3.0, 1.0), (np.True_, 0)), "player 2, battlefield 1", "(np\\.)?True_?"),
+        ],
+        ids=["str", "bool", "numpy-bool"],
+    )
+    def test_allocations_follow_the_number_rule(self, rows, cell, got):
+        # not scored as (2, -2) after float() made True 1.0
+        roster = PlayerRoster((4.0, 1.0))
+        message = f"^allocation for {cell} must be a number, got {got}$"
+        with pytest.raises(ValidationError, match=message):
+            classical_payoffs(rows, roster)
 
     def test_length_mismatch(self):
         roster = PlayerRoster((4.0, 3.0, 2.0))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qblotto import NumericalIntegrityError, Scenario, ValidationError, evaluate
-from qblotto.classical import sgn_eps
+from qblotto.classical import payoff_terms, sgn_eps
 from qblotto.engine import (
     apply_generator,
     default_pattern,
@@ -614,6 +614,40 @@ class TestQuantumPayoffs:
         table = evaluate(worked_example)
         assert table.rival_best[0] == pytest.approx((0.25, 0.25), abs=1e-10)
         assert table.rival_best[2] == pytest.approx((0.25, 0.25), abs=1e-10)
+
+    def test_derived_rival_best_is_payoff_terms_grid_bit_for_bit(self):
+        # Passes at the parent too, which stored payoff_terms' grid; this
+        # pins the derived property to it. A fifth of the scenarios have
+        # zero phases, and about half copy one player's strategy to a
+        # rival, so columns tie exactly.
+        rng = np.random.default_rng(1414)
+        shapes = [(N, n) for N in range(2, 10) for n in range(1, 5) if 2**N * n <= 1024]
+        tied_tops = 0
+        for case in range(320):
+            N, n = shapes[case % len(shapes)]
+            totals = [float(rng.uniform(1.0, 8.0))]
+            totals += [float(rng.uniform(0.0, totals[0])) for _ in range(N - 1)]
+            allocations = [list(rng.dirichlet(np.ones(n)) * t) for t in totals]
+            phases = rng.uniform(-20.0, 20.0, (N, n)).tolist()
+            if case % 5 == 0:
+                phases = [[0.0] * n for _ in range(N)]
+            if case % 2 == 0:
+                # the twin is an enemy, so Blotto keeps the largest budget
+                source, twin = sorted(rng.choice(N, 2, replace=False))
+                totals[twin] = totals[source]
+                allocations[twin] = list(allocations[source])
+                phases[twin] = list(phases[source])
+            gamma = 0.0 if N % 2 == 0 else float(rng.uniform(0.0, HALF_PI))
+            scenario = Scenario.create(totals, allocations, gamma, phases=phases)
+            table = evaluate(scenario)
+            expected, _ = payoff_terms(table.values, scenario.eps)
+            derived = np.array(table.rival_best)
+            assert derived.shape == (N, n)
+            assert all(type(v) is float for row in table.rival_best for v in row)
+            assert np.array_equal(derived.view(np.uint64), expected.view(np.uint64))
+            ranked = np.sort(table.values, axis=0)
+            tied_tops += int((ranked[-1] == ranked[-2]).sum())
+        assert tied_tops >= 40  # the tie branch is exercised (87 column tops)
 
 
 class TestScenarioValidation:

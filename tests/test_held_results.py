@@ -1,0 +1,145 @@
+"""What a held result costs: slotted value classes and a lean table."""
+
+import copy
+import importlib
+import math
+import pickle
+import pkgutil
+import tracemalloc
+from dataclasses import is_dataclass, replace
+
+import numpy as np
+import pytest
+
+import qblotto
+from qblotto import (
+    Scenario,
+    SweepResult,
+    SweepSpec,
+    best_response_grid,
+    evaluate,
+    run_sweep,
+)
+from qblotto.classical import PlayerRoster
+from qblotto.engine import evolve_strategies, measurements, strategies_of
+from qblotto.selfcheck import CheckResult
+
+# Bytes that 1000 held (7, 3) scenarios and their tables may take under
+# tracemalloc, inputs excluded. Measured at 2.52-2.55 MB (about 1440 B
+# per scenario and 1070 B per table) with Python 3.11; a table that
+# also stored its rival bests, beside classes with a per-instance dict
+# and fresh default names per scenario, took 4.0 MB.
+HELD_BUDGET = 3_000_000
+
+
+def worked_scenario() -> Scenario:
+    """The worked three-player example (budgets 6/4/3, two battlefields)."""
+    allocations = ((3.0, 3.0), (3.0, 1.0), (0.0, 3.0))
+    return Scenario.create((6.0, 4.0, 3.0), allocations, math.pi / 2)
+
+
+def held_inputs(count: int):
+    """Seeded (7, 3) scenario inputs as lists, as a caller would pass them."""
+    rng = np.random.default_rng(7)
+    inputs = []
+    for _ in range(count):
+        totals = [6.0] + rng.uniform(1.0, 6.0, 6).tolist()
+        allocations = [(rng.dirichlet(np.ones(3)) * t).tolist() for t in totals]
+        phases = rng.uniform(0.0, 2.0 * math.pi, (7, 3)).tolist()
+        gamma = float(rng.uniform(0.1, 1.5))
+        inputs.append(([sum(row) for row in allocations], allocations, gamma, phases))
+    return inputs
+
+
+def test_held_scenarios_and_tables_fit_the_budget():
+    # Final states are computed untraced; the traced part builds each
+    # scenario and measures its state, which is how evaluate ends.
+    inputs = held_inputs(1000)
+    built = [Scenario.create(t, a, g, phases=p) for t, a, g, p in inputs]
+    states = [
+        evolve_strategies(*strategies_of(s), s.gamma, s.sign_pattern) for s in built
+    ]
+    assert measurements(states[0], 7) == evaluate(built[0])
+    del built
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        held = []
+        for (totals, allocations, gamma, phases), psi in zip(inputs, states):
+            scenario = Scenario.create(totals, allocations, gamma, phases=phases)
+            held.append((scenario, measurements(psi, 7, scenario.eps)))
+        size = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1000
+    assert size <= HELD_BUDGET, size
+
+
+def slotted_values(scenario):
+    """One instance of every frozen value class the package hands out."""
+    spec = SweepSpec(scenario, 3, 1, "phi", 0.0, math.pi / 2, 101)
+    result = run_sweep(spec)
+    assert result.transitions
+    return [
+        scenario,
+        evaluate(scenario),
+        spec,
+        result,
+        result.points[0],
+        result.transitions[0],
+        best_response_grid(scenario, 3, 5),
+        PlayerRoster(scenario.totals),
+        CheckResult("golden-payoffs", True, "detail"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def values():
+    return slotted_values(worked_scenario())
+
+
+def test_every_value_class_is_covered(values):
+    # passes at the parent too: it keeps the round-trip test complete
+    modules = [
+        importlib.import_module(f"qblotto.{info.name}")
+        for info in pkgutil.iter_modules(qblotto.__path__)
+    ]
+    declared = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if is_dataclass(cls) and cls.__module__ == module.__name__
+    }
+    covered = {type(value) for value in values}
+    assert declared == covered
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_slotted_value_round_trips(values, index):
+    value = values[index]
+    assert not hasattr(value, "__dict__")
+    assert "__slots__" in type(value).__dict__
+    again = pickle.loads(pickle.dumps(value))
+    assert again == value and type(again) is type(value)
+    assert copy.deepcopy(value) == value
+    # SweepResult's points are an init-only argument, so replace needs them
+    extra = {"points": value.points} if isinstance(value, SweepResult) else {}
+    assert replace(value, **extra) == value
+
+
+def test_derived_rival_best_survives_round_trips():
+    table = evaluate(worked_scenario())
+    for again in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert again.rival_best == table.rival_best
+    # halving every strength halves every rival best: none is kept stale
+    halved = tuple(tuple(v / 2 for v in row) for row in table.values)
+    expected = tuple(tuple(v / 2 for v in row) for row in table.rival_best)
+    assert replace(table, values=halved).rival_best == expected
+
+
+def test_default_names_are_shared():
+    first = worked_scenario()
+    allocations = ((4.0, 1.0), (2.0, 2.0), (1.0, 1.0))
+    second = Scenario.create((5.0, 4.0, 2.0), allocations, 0.3)
+    assert first.player_names == ("Blotto", "enemy 1", "enemy 2")
+    assert all(a is b for a, b in zip(first.player_names, second.player_names))

@@ -87,6 +87,27 @@ class TestSweepSpec:
         assert (spec.target_player, spec.target_battlefield, spec.steps) == (3, 1, 5)
         assert type(spec.steps) is int
 
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            ("0", True, "^lo must be a number, got '0'"),
+            (0.0, True, "^hi must be a number, got True"),
+            (np.True_, 1.0, "^lo must be a number, got "),
+            (0.0, 10**400, "^hi is too large for a float"),
+        ],
+        ids=["str-lo", "bool-hi", "numpy-bool-lo", "huge-hi"],
+    )
+    def test_range_follows_the_number_rule(self, worked_example, lo, hi, message):
+        # not coerced to the range 0.0 to 1.0 by float()
+        with pytest.raises(ValidationError, match=message):
+            SweepSpec(worked_example, 3, 1, "phi", lo, hi, 5)
+
+    def test_numeric_range_stored_as_floats(self, worked_example):
+        # passes at the parent too: numbers are still accepted
+        spec = SweepSpec(worked_example, 3, 1, "phi", 0, np.float32(0.5), 5)
+        assert (spec.lo, spec.hi) == (0.0, 0.5)
+        assert type(spec.lo) is float and type(spec.hi) is float
+
     def test_step_cap_checked_at_build(self, worked_example):
         # built, never run: a sweep keeps every grid point
         assert SweepSpec(worked_example, 3, 1, "phi", 0.0, 1.0, MAX_SWEEP_STEPS)
