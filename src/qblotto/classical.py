@@ -7,6 +7,10 @@ a player strictly beaten by the best rival, and 0 on a tie.
 the quantum engine applies it to measured strengths, and this module
 applies it to allocations as the oracle the engine is checked against
 in its classical limit.
+
+It also holds the package's input rules, each implemented once: the
+number rule (a real number, not a bool, that fits a float), the integer
+rule and the sign rule (a number equal to +1 or -1).
 """
 
 from __future__ import annotations
@@ -46,6 +50,20 @@ def _real(value, what: str, *cell: int) -> float:
         return float(value)
     except OverflowError:
         raise ValidationError(f"{what} is too large for a float") from None
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a non-integer or a bool raises ValidationError."""
+    if not _is_number(value, numbers.Integral):
+        raise ValidationError(
+            f"{name.replace('_', ' ')} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
+def _is_sign(value) -> bool:
+    """A sign entry: a number, not a bool, equal to +1 or -1."""
+    return _is_number(value) and value in (-1, 1)
 
 
 def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:

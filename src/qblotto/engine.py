@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps, payoff_terms
-from .classical import _is_number, _real, _real_grid  # the number rule
+from .classical import _is_sign, _real, _real_grid  # the input rules
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
 HALF_PI = math.pi / 2
@@ -62,10 +62,11 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
     The angle is ``(pi/2) * soldiers / blotto_total``: committing
     Blotto's entire budget rotates the qubit all the way from state 0 to
     state 1. No player can commit more than Blotto's budget to a single
-    battlefield, so values outside the domain are rejected.
+    battlefield, so values outside the domain are rejected; both
+    arguments follow the number rule (:func:`~qblotto.classical._real`).
     """
-    soldiers = float(soldiers)
-    blotto_total = float(blotto_total)
+    soldiers = _real(soldiers, "troop commitment")
+    blotto_total = _real(blotto_total, "Blotto's budget")
     if blotto_total <= 0:
         raise ValidationError(
             f"Blotto's budget must be positive, got {blotto_total!r}"
@@ -77,6 +78,11 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
             f"troop commitment {soldiers!r} exceeds Blotto's budget "
             f"{blotto_total!r}; no valid allocation can reach this"
         )
+    return _angle(soldiers, blotto_total)
+
+
+def _angle(soldiers: float, blotto_total: float) -> float:
+    """The angle of a commitment that :func:`rotation_angle` has checked."""
     # The product can round one ulp above pi/2 when soldiers == blotto_total.
     return min(HALF_PI * soldiers / blotto_total, HALF_PI)
 
@@ -175,7 +181,7 @@ class Scenario:
         phases = _real_grid(self.phases, "phase")
         gamma = _real(self.gamma, "entanglement parameter")
         eps = _real(self.eps, "tie tolerance")
-        signs = [_is_number(s) and s in (-1, 1) for s in self.sign_pattern]
+        signs = [_is_sign(s) for s in self.sign_pattern]
         pattern = tuple(int(s) if ok else s for s, ok in zip(self.sign_pattern, signs))
         if not all(signs):
             raise ValidationError(
@@ -336,12 +342,13 @@ def scenario_notices(scenario: Scenario) -> list[str]:
 def strategies_of(scenario: Scenario) -> tuple[Grid, Grid]:
     """The scenario's ``(angles, phases)`` grids.
 
-    Each allocation's rotation angle (:func:`rotation_angle`) and each
-    phase reduced by :func:`reduced_phase`, player-major.
+    Each allocation's rotation angle (:func:`rotation_angle`, whose
+    checks the scenario's build ran) and each phase reduced by
+    :func:`reduced_phase`, player-major.
     """
     blotto_total = scenario.blotto_total
     angles = tuple(
-        tuple(rotation_angle(x, blotto_total) for x in row)
+        tuple(_angle(x, blotto_total) for x in row)
         for row in scenario.allocations
     )
     phases = tuple(tuple(reduced_phase(p) for p in row) for row in scenario.phases)

@@ -3,12 +3,14 @@
 Scenario files are UTF-8 JSON documents with strict key checking, so a
 typo like "phases_" fails loudly instead of silently running a different
 experiment. The checks here cover the document's form, each message
-naming where in the document it failed: a number is a JSON number (not
-a string or a bool, as in the scenario's number rule) that fits a
-float. The scenario is built through :meth:`Scenario.create`, which
-fills in the omitted phases and sign pattern and checks the game's
-rules. Angles are radians unless the caller asks for degree conversion
-on ingestion.
+naming where in the document it failed: its keys, lists and names, an
+integer ``battlefields`` of at least 1, grid shapes and sign entries of
++1 or -1. Every number reaches :meth:`Scenario.create` as parsed, so it
+meets the library's number rule (:mod:`qblotto.classical`) once and a
+bad one gets the library's message; the scenario fills in the omitted
+phases and sign pattern and checks the game's rules. Angles are radians
+unless the caller asks for degree conversion on ingestion, which puts
+``gamma`` and the phases through the number rule first.
 
 Schema::
 
@@ -32,6 +34,7 @@ from typing import Any
 
 from .engine import Scenario, scenario_notices
 from .classical import DEFAULT_TIE_EPS, check_tie_eps
+from .classical import _integer, _is_sign, _real, _real_grid  # the input rules
 from .errors import ValidationError
 
 TOP_KEYS = {
@@ -47,31 +50,20 @@ REQUIRED_KEYS = {"players", "battlefields", "allocations", "gamma"}
 PLAYER_KEYS = {"name", "total"}
 
 
-def _require_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{where}: integer too large for a float") from None
-
-
 def _require_grid(
     value: Any, num_players: int, num_battlefields: int, where: str
-) -> list[list[float]]:
+) -> None:
+    """Raise unless ``value`` is a list of N lists of n entries."""
     if not isinstance(value, list) or len(value) != num_players:
         raise ValidationError(
             f"{where}: expected {num_players} rows (one per player)"
         )
-    grid = []
     for j, row in enumerate(value, start=1):
         if not isinstance(row, list) or len(row) != num_battlefields:
             raise ValidationError(
                 f"{where}: player {j} row must list {num_battlefields} "
                 f"battlefield values"
             )
-        grid.append([_require_number(x, f"{where}[player {j}]") for x in row])
-    return grid
 
 
 def scenario_from_dict(
@@ -98,7 +90,7 @@ def scenario_from_dict(
     if not isinstance(players, list) or not players:
         raise ValidationError("players: expected a non-empty list of objects")
     names: list[str] = []
-    totals: list[float] = []
+    totals: list = []
     for j, entry in enumerate(players, start=1):
         if not isinstance(entry, dict):
             raise ValidationError(f"players[{j}]: expected an object")
@@ -113,50 +105,42 @@ def scenario_from_dict(
         if not isinstance(entry["name"], str):
             raise ValidationError(f"players[{j}].name: expected a string")
         names.append(entry["name"])
-        totals.append(_require_number(entry["total"], f"players[{j}].total"))
+        totals.append(entry["total"])
 
-    battlefields = doc["battlefields"]
-    if isinstance(battlefields, bool) or not isinstance(battlefields, int):
-        raise ValidationError("battlefields: expected an integer count")
+    battlefields = _integer(doc["battlefields"], "battlefields")
     if battlefields < 1:
         raise ValidationError(f"battlefields: must be >= 1, got {battlefields}")
 
-    allocations = _require_grid(
-        doc["allocations"], len(players), battlefields, "allocations"
-    )
-    phases = None
+    allocations = doc["allocations"]
+    _require_grid(allocations, len(players), battlefields, "allocations")
+    phases = doc.get("phases")
     if "phases" in doc:
-        phases = _require_grid(doc["phases"], len(players), battlefields, "phases")
+        _require_grid(phases, len(players), battlefields, "phases")
 
-    gamma = _require_number(doc["gamma"], "gamma")
+    gamma = doc["gamma"]
 
-    sign_pattern = None
+    sign_pattern = doc.get("sign_pattern")
     if "sign_pattern" in doc:
-        raw = doc["sign_pattern"]
-        if not isinstance(raw, list) or len(raw) != battlefields:
+        if not isinstance(sign_pattern, list) or len(sign_pattern) != battlefields:
             raise ValidationError(
                 f"sign_pattern: expected {battlefields} entries of +1 or -1"
             )
-        sign_pattern = []
-        for k, s in enumerate(raw, start=1):
-            value = _require_number(s, f"sign_pattern[{k}]")
-            if value not in (-1.0, 1.0):
+        for k, s in enumerate(sign_pattern, start=1):
+            if not _is_sign(s):
                 raise ValidationError(
                     f"sign_pattern[{k}]: entries must be +1 or -1, got {s!r}"
                 )
-            sign_pattern.append(value)
 
-    tie_eps = DEFAULT_TIE_EPS
-    if "eps" in doc:
-        tie_eps = _require_number(doc["eps"], "eps")
+    tie_eps = doc.get("eps", DEFAULT_TIE_EPS)
     if eps is not None:
-        check_tie_eps(tie_eps)
+        check_tie_eps(_real(tie_eps, "tie tolerance"))
         tie_eps = eps
 
     if degrees:
-        gamma = math.radians(gamma)
+        gamma = math.radians(_real(gamma, "entanglement parameter"))
         if phases is not None:
-            phases = [[math.radians(p) for p in row] for row in phases]
+            rows = _real_grid(phases, "phase")
+            phases = [[math.radians(p) for p in row] for row in rows]
 
     return Scenario.create(
         totals,

@@ -20,14 +20,13 @@ it again; they copy its angle and phase grids from
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .classical import _is_number, _real, payoff_terms
+from .classical import _integer, _real, payoff_terms
 from .engine import (
     Grid,
     MeasurementTable,
@@ -129,15 +128,6 @@ class SweepSpec:
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a non-integer or a bool raises ValidationError."""
-    if not _is_number(value, numbers.Integral):
-        raise ValidationError(
-            f"{name.replace('_', ' ')} must be an integer, got {value!r}"
-        )
-    return int(value)
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qblotto.cli
 import qblotto.selfcheck
 from qblotto import (
+    MeasurementTable,
     Scenario,
     SweepSpec,
+    ValidationError,
     best_response_grid,
     dump_scenario,
     evaluate,
@@ -39,6 +42,9 @@ def golden_file(tmp_path):
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(GOLDEN_DOC), encoding="utf-8")
     return str(path)
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -190,7 +196,7 @@ class TestPlay:
         done = run_cli("play", write_doc(tmp_path, doc))
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
-        assert done.stderr == "error: players[1].total: integer too large for a float\n"
+        assert done.stderr == "error: player 1 budget is too large for a float\n"
 
     def test_integer_literal_past_digit_limit_exit_2(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -412,6 +418,28 @@ class TestSweep:
             "(-1, -2, 1) -> (0, -1, -1)",
         ]
 
+    def test_degrees_sweep_matches_radians_sweep(self, tmp_path, monkeypatch, capsys):
+        three = ROOT / "scenarios" / "three_players.json"
+        degrees_doc = dict(json.loads(three.read_text(encoding="utf-8")), gamma=90)
+        runs = {
+            "radians": [str(three), "--from", "0", "--to", "1.5707963267948966"],
+            "degrees": [
+                write_doc(tmp_path, degrees_doc, "three_degrees.json"),
+                "--degrees", "--from", "0", "--to", "90",
+            ],
+        }
+        outputs = {}
+        for label, args in runs.items():
+            (tmp_path / label).mkdir()
+            monkeypatch.chdir(tmp_path / label)
+            argv = ["sweep", args[0], "--player", "3", "--battlefield", "1",
+                    "--param", "phi", *args[1:], "--steps", "101", "--out", "sweep.csv"]
+            assert main(argv) == 0
+            csv = (tmp_path / label / "sweep.csv").read_bytes()
+            outputs[label] = (csv, capsys.readouterr())
+        assert outputs["degrees"] == outputs["radians"]
+        assert outputs["radians"][1].out.startswith("wrote sweep.csv\n")
+
     def test_unwritable_out_exit_2(self, golden_file, tmp_path, capsys):
         out_path = tmp_path / "missing" / "sweep.csv"
         assert main(self.sweep_args(golden_file, out_path, steps="5")) == 2
@@ -491,6 +519,20 @@ class TestOracle:
         path = write_doc(tmp_path, doc)
         assert main(["oracle", path]) == 0
 
+    def test_differing_payoffs_fail(self, monkeypatch, capsys):
+        def other_payoffs(scenario):
+            table = evaluate(scenario)
+            return MeasurementTable(table.values, (1, 0, -2))
+
+        monkeypatch.setattr(qblotto.cli, "evaluate", other_payoffs)
+        three = str(ROOT / "scenarios" / "three_players.json")
+        assert main(["oracle", three]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "classical payoffs: (0, -1, -1)\nquantum payoffs:   (1, 0, -2)\n"
+        )
+        assert captured.err == "FAIL: payoff vectors differ\n"
+
     def test_nonzero_phase_exit_2(self, tmp_path, capsys):
         doc = dict(GOLDEN_DOC, phases=[[0, 0], [0, 0], [0.3, 0]])
         path = write_doc(tmp_path, doc)
@@ -527,6 +569,163 @@ class TestScenarioIO:
         doc = dict(GOLDEN_DOC, allocations=[[3, 3], [3], [0, 3]])
         with pytest.raises(Exception, match="player 2"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, kwargs, message",
+        [
+            ([], {}, "scenario document must be a JSON object"),
+            (
+                {k: v for k, v in GOLDEN_DOC.items() if k != "gamma"},
+                {},
+                "missing required scenario keys: ['gamma']",
+            ),
+            (
+                dict(GOLDEN_DOC, players=[]),
+                {},
+                "players: expected a non-empty list of objects",
+            ),
+            (
+                dict(GOLDEN_DOC, players={"name": "Blotto", "total": 6}),
+                {},
+                "players: expected a non-empty list of objects",
+            ),
+            (
+                dict(GOLDEN_DOC, players=["Blotto", *GOLDEN_DOC["players"][1:]]),
+                {},
+                "players[1]: expected an object",
+            ),
+            (
+                dict(GOLDEN_DOC, players=[
+                    GOLDEN_DOC["players"][0], {"name": "enemy 1"},
+                    GOLDEN_DOC["players"][2],
+                ]),
+                {},
+                "players[2]: needs 'name' and 'total'",
+            ),
+            (
+                dict(GOLDEN_DOC, players=[
+                    *GOLDEN_DOC["players"][:2], {"total": 3},
+                ]),
+                {},
+                "players[3]: needs 'name' and 'total'",
+            ),
+            (
+                dict(GOLDEN_DOC, players=[
+                    {"name": 1, "total": 6}, *GOLDEN_DOC["players"][1:],
+                ]),
+                {},
+                "players[1].name: expected a string",
+            ),
+            (dict(GOLDEN_DOC, battlefields=0), {}, "battlefields: must be >= 1, got 0"),
+            (
+                dict(GOLDEN_DOC, allocations=[[3, 3], [3, 1]]),
+                {},
+                "allocations: expected 3 rows (one per player)",
+            ),
+            (
+                dict(GOLDEN_DOC, phases=[[0, 0], [0], [0, 0]]),
+                {},
+                "phases: player 2 row must list 2 battlefield values",
+            ),
+            (
+                dict(GOLDEN_DOC, sign_pattern=[1, -1, 1]),
+                {},
+                "sign_pattern: expected 2 entries of +1 or -1",
+            ),
+            # A file's numbers meet the library's number, integer and sign rules.
+            (
+                dict(GOLDEN_DOC, battlefields=2.0),
+                {},
+                "battlefields must be an integer, got 2.0",
+            ),
+            (
+                dict(GOLDEN_DOC, battlefields=True),
+                {},
+                "battlefields must be an integer, got True",
+            ),
+            (
+                dict(GOLDEN_DOC, players=[
+                    {"name": "Blotto", "total": "6"}, *GOLDEN_DOC["players"][1:],
+                ]),
+                {},
+                "player 1 budget must be a number, got '6'",
+            ),
+            (
+                dict(GOLDEN_DOC, allocations=[[3, 3], ["3", 1], [0, 3]]),
+                {},
+                "allocation for player 2, battlefield 1 must be a number, got '3'",
+            ),
+            (
+                dict(GOLDEN_DOC, allocations=[[3, 3], [3, 1], [0, True]]),
+                {},
+                "allocation for player 3, battlefield 2 must be a number, got True",
+            ),
+            (
+                dict(GOLDEN_DOC, phases=[[0, 0], [0, None], [0, 0]]),
+                {},
+                "phase for player 2, battlefield 2 must be a number, got None",
+            ),
+            (
+                dict(GOLDEN_DOC, phases=[[0, 0], [0, 10**400], [0, 0]]),
+                {},
+                "phase for player 2, battlefield 2 is too large for a float",
+            ),
+            (
+                dict(GOLDEN_DOC, gamma="90"),
+                {},
+                "entanglement parameter must be a number, got '90'",
+            ),
+            (
+                dict(GOLDEN_DOC, gamma="90"),
+                {"degrees": True},
+                "entanglement parameter must be a number, got '90'",
+            ),
+            (
+                dict(GOLDEN_DOC, phases=[[0, 0], [0, 0], [False, 0]]),
+                {"degrees": True},
+                "phase for player 3, battlefield 1 must be a number, got False",
+            ),
+            (
+                dict(GOLDEN_DOC, sign_pattern=[1, "-1"]),
+                {},
+                "sign_pattern[2]: entries must be +1 or -1, got '-1'",
+            ),
+            (
+                dict(GOLDEN_DOC, sign_pattern=[True, -1]),
+                {},
+                "sign_pattern[1]: entries must be +1 or -1, got True",
+            ),
+            (
+                dict(GOLDEN_DOC, eps="1e-9"),
+                {},
+                "tie tolerance must be a number, got '1e-9'",
+            ),
+            (
+                dict(GOLDEN_DOC, eps="1e-9"),
+                {"eps": 1e-6},
+                "tie tolerance must be a number, got '1e-9'",
+            ),
+            (
+                dict(GOLDEN_DOC, eps=-1.0),
+                {"eps": 1e-6},
+                "tie tolerance must be finite and non-negative, got -1.0",
+            ),
+        ],
+    )
+    def test_document_rules_and_messages(self, doc, kwargs, message):
+        with pytest.raises(ValidationError) as raised:
+            scenario_from_dict(doc, **kwargs)
+        assert str(raised.value) == message
+
+    def test_bad_file_number_gets_the_library_message(self, tmp_path, capsys):
+        allocations = [[3, 3], ["3", 1], [0, 3]]
+        message = "allocation for player 2, battlefield 1 must be a number, got '3'"
+        path = write_doc(tmp_path, dict(GOLDEN_DOC, allocations=allocations))
+        assert main(["play", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create((6, 4, 3), allocations, math.pi / 2)
+        assert str(raised.value) == message
 
     def test_degrees_ingestion(self):
         doc = dict(GOLDEN_DOC, gamma=90.0, phases=[[0, 0], [0, 0], [45.0, 0]])

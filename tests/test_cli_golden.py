@@ -41,7 +41,8 @@ WORKED = {
     "gamma": math.pi / 2,
 }
 
-# Invalid scenario files, each rejected with exit code 2.
+# Scenario files written next to the copies of scenarios/*.json; all but
+# the last are invalid, each rejected with exit code 2.
 INPUTS = {
     # Within eps of Blotto's budget in sum, above it on battlefield 1.
     "over_budget.json": {**WORKED, "allocations": [[6.0000000001, 0], [3, 1], [0, 3]]},
@@ -54,6 +55,16 @@ INPUTS = {
     },
     "gamma_2.json": {**WORKED, "gamma": 2},
     "sign_zero.json": {**WORKED, "sign_pattern": [1, 0]},
+    # Valid, with all three notices: two players, a uniform sign pattern
+    # and a phase outside [0, 2*pi).
+    "notices.json": {
+        **WORKED,
+        "players": WORKED["players"][:2],
+        "allocations": [[3, 3], [3, 1]],
+        "phases": [[0, 0], [7.0, 0]],
+        "gamma": 0,
+        "sign_pattern": [1, 1],
+    },
 }
 
 SWEEP = ["--from", "0", "--to", HALF_PI, "--steps", "101"]
@@ -101,6 +112,7 @@ CASES = {
     "play-guard": ["play", "guard.json"],
     "play-gamma-2": ["play", "gamma_2.json"],
     "play-sign-zero": ["play", "sign_zero.json"],
+    "play-notices": ["play", "notices.json"],
 }
 
 

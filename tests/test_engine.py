@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qblotto.engine
 from qblotto import NumericalIntegrityError, Scenario, ValidationError, evaluate
 from qblotto.classical import payoff_terms, sgn_eps
 from qblotto.engine import (
@@ -235,6 +236,21 @@ class TestRotationAngle:
         with pytest.raises(ValidationError):
             rotation_angle(1, 0)
 
+    @pytest.mark.parametrize(
+        "soldiers, total, message",
+        [
+            ("3", "6", "troop commitment must be a number, got '3'"),
+            (True, 6, "troop commitment must be a number, got True"),
+            (3, np.True_, f"Blotto's budget must be a number, got {np.True_!r}"),
+            (3, 10**400, "Blotto's budget is too large for a float"),
+        ],
+        ids=["string", "bool", "numpy-bool", "huge-int"],
+    )
+    def test_arguments_follow_the_number_rule(self, soldiers, total, message):
+        with pytest.raises(ValidationError) as raised:
+            rotation_angle(soldiers, total)
+        assert str(raised.value) == message
+
     @given(
         st.floats(0.0, 1.0, allow_nan=False),
         st.floats(0.0, 1.0, allow_nan=False),
@@ -286,6 +302,17 @@ class TestStrategiesOf:
             (7.0 - 2 * math.pi, 0.0),
             (1.0, 0.3),
         )
+
+    def test_built_scenario_is_not_checked_again(self, worked_example, monkeypatch):
+        expected = evaluate(worked_example)
+
+        def refuse(*args):
+            raise AssertionError("rotation_angle called after the build")
+
+        monkeypatch.setattr(qblotto.engine, "rotation_angle", refuse)
+        assert evaluate(worked_example) == expected
+        with pytest.raises(AssertionError):
+            Scenario.create((6, 4, 3), ((3, 3), (3, 1), (0, 3)), HALF_PI)
 
 
 class TestPlayerOperator:
@@ -930,6 +957,44 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError) as raised:
             replace(worked_example, **changes)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                dict(player_names=(), totals=(), allocations=(), phases=(),
+                     sign_pattern=()),
+                "scenario has no players",
+            ),
+            (dict(player_names=("a", "b")), "player names: expected dims 3, got 2"),
+            (
+                dict(allocations=((3.0, 3.0), (3.0, 1.0))),
+                "allocation rows: expected dims 3, got 2",
+            ),
+            (dict(phases=((0.0, 0.0),)), "phase rows: expected dims 3, got 1"),
+            (
+                dict(allocations=((),) * 3, phases=((),) * 3),
+                "scenario has no battlefields",
+            ),
+            (
+                dict(allocations=((3.0, 3.0), (4.0,), (0.0, 3.0))),
+                "player 2 allocations: expected dims 2, got 1",
+            ),
+            (dict(sign_pattern=(1, -1, 1)), "sign pattern: expected dims 2, got 3"),
+        ],
+    )
+    def test_shape_rules(self, worked_example, changes, message):
+        from dataclasses import replace
+
+        with pytest.raises(ValidationError) as raised:
+            replace(worked_example, **changes)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("allocations", [(), ((),)])
+    def test_create_rejects_an_empty_grid(self, allocations):
+        with pytest.raises(ValidationError) as raised:
+            Scenario.create((6.0,), allocations, 0.0)
+        assert str(raised.value) == "allocations must be a non-empty N x n grid"
 
     def test_integer_too_large_for_a_float_rejected(self):
         with pytest.raises(ValidationError) as raised:
