@@ -306,8 +306,15 @@ class Scenario:
 
 
 def reduced_phase(phase: float) -> float:
-    """A phase reduced by its period 2*pi; one in [0, 2*pi) is returned as is."""
-    return phase if 0.0 <= phase < TWO_PI else phase % TWO_PI
+    """A phase reduced by its period 2*pi into [0, 2*pi).
+
+    One in range is returned as is. A remainder that rounds up to 2*pi,
+    as a tiny negative phase's does, is 0.0, the same point on the circle.
+    """
+    if 0.0 <= phase < TWO_PI:
+        return phase
+    reduced = phase % TWO_PI
+    return 0.0 if reduced == TWO_PI else reduced
 
 
 def scenario_notices(scenario: Scenario) -> list[str]:

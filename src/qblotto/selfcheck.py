@@ -3,13 +3,15 @@
 Runs the golden three-player example, a tie-absorption regression, the
 classical-correspondence property on randomized scenarios and the
 operator-order invariance check, which applies every player's operator
-between the entangler and its inverse in random orders. Randomness is
-drawn from a fixed seed so a verification run is reproducible.
+between the entangler and its inverse in random orders. Scenarios and
+orders are drawn from the standard library's ``random.Random(VERIFY_SEED)``,
+so a verification run is reproducible and needs no numpy generator.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,24 +60,31 @@ def golden_measurement_grid() -> tuple[tuple[float, ...], ...]:
     )
 
 
-def random_classical_scenario(rng: np.random.Generator) -> Scenario:
+def _split(rng: random.Random, total: float, n: int) -> tuple[float, ...]:
+    """``total`` split over ``n`` battlefields, uniformly on the simplex.
+
+    Normalised i.i.d. unit exponentials are a uniform Dirichlet draw.
+    """
+    weights = [rng.expovariate(1.0) for _ in range(n)]
+    scale = total / sum(weights)
+    return tuple(w * scale for w in weights)
+
+
+def random_classical_scenario(rng: random.Random) -> Scenario:
     """Three players, 2 or 3 battlefields, zero phases, random entanglement."""
-    n = int(rng.choice((2, 3)))
-    blotto_total = float(rng.uniform(1.0, 10.0))
+    n = rng.choice((2, 3))
+    blotto_total = rng.uniform(1.0, 10.0)
     totals = (blotto_total,) + tuple(rng.uniform(0.0, blotto_total) for _ in range(2))
-    allocations = tuple(
-        tuple(float(x) for x in rng.dirichlet(np.ones(n)) * total)
-        for total in totals
-    )
-    gamma = float(rng.uniform(0.0, math.pi / 2))
+    allocations = tuple(_split(rng, total, n) for total in totals)
+    gamma = rng.uniform(0.0, math.pi / 2)
     return Scenario.create(totals, allocations, gamma)
 
 
-def random_quantum_scenario(rng: np.random.Generator) -> Scenario:
+def random_quantum_scenario(rng: random.Random) -> Scenario:
     """Like the classical draw, but with nonzero phases on every battlefield."""
     base = random_classical_scenario(rng)
     phases = tuple(
-        tuple(float(p) for p in rng.uniform(0.0, 2.0 * math.pi, base.num_battlefields))
+        tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(base.num_battlefields))
         for _ in range(base.num_players)
     )
     return replace(base, phases=phases)
@@ -95,7 +104,7 @@ def run_verification(eps: float = DEFAULT_TIE_EPS) -> list[CheckResult]:
     classical correspondence on CORRESPONDENCE_TRIALS and operator-order
     invariance on ORDER_TRIALS seeded random scenarios.
     """
-    rng = np.random.default_rng(VERIFY_SEED)
+    rng = random.Random(VERIFY_SEED)
     return [
         _check_golden_measurements(eps),
         _check_golden_payoffs(eps),
@@ -160,7 +169,7 @@ def _check_tie_absorption(eps: float) -> CheckResult:
 
 
 def _check_classical_correspondence(
-    rng: np.random.Generator, eps: float, trials: int
+    rng: random.Random, eps: float, trials: int
 ) -> CheckResult:
     """Zero-phase scenarios must match the classical oracle and closed form."""
     name = "classical-correspondence"
@@ -195,7 +204,7 @@ def _check_classical_correspondence(
     return CheckResult(name, True, f"{trials} randomized scenarios")
 
 
-def _check_order_invariance(rng: np.random.Generator, trials: int) -> CheckResult:
+def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
     """Strategy operators commute, and every order gives evaluate's payoffs."""
     name = "order-invariance"
     for trial in range(trials):
@@ -222,7 +231,7 @@ def _check_order_invariance(rng: np.random.Generator, trials: int) -> CheckResul
                     )
         baseline = evaluate(scenario).payoffs
         for _ in range(5):
-            order = [int(j) for j in rng.permutation(count) + 1]
+            order = rng.sample(range(1, count + 1), count)
             psi = entangle(count, scenario.gamma, scenario.sign_pattern)
             for j in order:
                 psi = operators[j - 1] @ psi

@@ -5,6 +5,7 @@ criterion.
 """
 
 import math
+import random
 import time
 from dataclasses import replace
 
@@ -71,7 +72,7 @@ def test_criterion_2_golden_payoffs():
 
 
 def test_criterion_3_classical_correspondence():
-    rng = np.random.default_rng(2026)
+    rng = random.Random(2026)
     start = time.perf_counter()
     for trial in range(500):
         scenario = random_classical_scenario(rng)
@@ -152,7 +153,7 @@ def test_criterion_5_interior_phase_insensitivity():
 
 
 def test_criterion_6_order_invariance():
-    rng = np.random.default_rng(31337)
+    rng = random.Random(31337)
     worst_residue = 0.0
     for trial in range(100):
         scenario = random_quantum_scenario(rng)
@@ -170,7 +171,9 @@ def test_criterion_6_order_invariance():
                 assert residue < 1e-10, f"trial {trial}: commutator {residue:.3e}"
         baseline = evaluate(scenario).payoffs
         for _ in range(5):
-            order = [int(j) for j in rng.permutation(scenario.num_players) + 1]
+            order = rng.sample(
+                range(1, scenario.num_players + 1), scenario.num_players
+            )
             psi = final_state_in_order(
                 operators, order, scenario.gamma, scenario.sign_pattern
             )
@@ -186,7 +189,7 @@ def test_criterion_6_order_invariance():
 
 
 def test_criterion_7_structural_invariants():
-    rng = np.random.default_rng(777)
+    rng = random.Random(777)
     scenarios = [golden_scenario()]
     scenarios += [random_classical_scenario(rng) for _ in range(15)]
     scenarios += [random_quantum_scenario(rng) for _ in range(15)]

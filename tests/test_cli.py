@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -53,21 +54,26 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
-def run_cli(*argv, timeout=None):
-    """Run the CLI in a fresh interpreter, as a user would.
+def run_python(*args, timeout=None):
+    """Run ``python -c``/``-m`` arguments in a fresh interpreter on src/.
 
     A run still going after ``timeout`` seconds raises
     ``subprocess.TimeoutExpired``, so a hang fails the test.
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "qblotto.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=timeout,
     )
+
+
+def run_cli(*argv, timeout=None):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return run_python("-m", "qblotto.cli", *argv, timeout=timeout)
 
 
 class TestPlay:
@@ -496,6 +502,151 @@ class TestVerify:
         )
         assert out.count("PASS") == 4
 
+    @staticmethod
+    def _drawn(allocations):
+        """Whether allocations come from a random draw, not a fixed example.
+
+        The golden and tie-absorption scenarios share the worked
+        example's two enemy rows.
+        """
+        return allocations[1:] != ((3.0, 1.0), (0.0, 3.0))
+
+    def _patch_evaluate(self, monkeypatch, change, golden):
+        """Route verify's ``evaluate`` through ``change(table)`` for either
+        the golden scenario or the drawn ones."""
+        built = qblotto.selfcheck.evaluate
+        target = qblotto.selfcheck.golden_scenario()
+
+        def patched(scenario):
+            table = built(scenario)
+            hit = scenario == target if golden else self._drawn(scenario.allocations)
+            return change(table) if hit else table
+
+        monkeypatch.setattr(qblotto.selfcheck, "evaluate", patched)
+
+    def _patch_classical(self, monkeypatch, golden):
+        """Raise every classical payoff by one for the golden allocations or
+        the drawn ones."""
+        built = qblotto.selfcheck.classical_payoffs
+        target = qblotto.selfcheck.golden_scenario().allocations
+
+        def patched(allocations, roster, eps):
+            payoffs = built(allocations, roster, eps)
+            hit = allocations == target if golden else self._drawn(allocations)
+            return tuple(p + 1 for p in payoffs) if hit else payoffs
+
+        monkeypatch.setattr(qblotto.selfcheck, "classical_payoffs", patched)
+
+    def _fails_once(self, capsys, pattern):
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        assert re.search(pattern, captured.out, re.M), captured.out
+        assert captured.out.count("FAIL") == 1
+        assert captured.out.count("PASS") == 4
+        assert "verification failed (1 of 5 checks)" in captured.err
+
+    def test_off_grid_golden_measurement_fails(self, monkeypatch, capsys):
+        def shifted(table):
+            rows = [list(row) for row in table.values]
+            rows[0][0] += 2e-10
+            return MeasurementTable(tuple(map(tuple, rows)), table.payoffs)
+
+        self._patch_evaluate(monkeypatch, shifted, golden=True)
+        self._fails_once(
+            capsys,
+            r"^FAIL golden-measurements: measurement grid off by 2\.\d{3}e-10 "
+            r"\(limit 1e-10\)$",
+        )
+
+    def test_wrong_golden_quantum_payoffs_fail(self, monkeypatch, capsys):
+        self._patch_evaluate(
+            monkeypatch,
+            lambda table: MeasurementTable(table.values, (1, -1, -2)),
+            golden=True,
+        )
+        self._fails_once(
+            capsys,
+            r"^FAIL golden-payoffs: quantum payoffs \(1, -1, -2\), "
+            r"expected \(0, -1, -1\)$",
+        )
+
+    def test_wrong_golden_classical_payoffs_fail(self, monkeypatch, capsys):
+        self._patch_classical(monkeypatch, golden=True)
+        self._fails_once(
+            capsys,
+            r"^FAIL golden-payoffs: classical payoffs \(1, 0, 0\), "
+            r"expected \(0, -1, -1\)$",
+        )
+
+    def test_classical_mismatch_fails_correspondence(self, monkeypatch, capsys):
+        self._patch_classical(monkeypatch, golden=False)
+        self._fails_once(
+            capsys,
+            r"^FAIL classical-correspondence: trial 0: quantum \([-\d, ]+\) "
+            r"!= classical \([-\d, ]+\) for \(\(",
+        )
+
+    def test_off_closed_form_fails_correspondence(self, monkeypatch, capsys):
+        # one shift for every cell leaves each strength's margin to its
+        # rivals, and so the payoffs, as they were
+        def shifted(table):
+            values = tuple(tuple(v + 1e-9 for v in row) for row in table.values)
+            return MeasurementTable(values, table.payoffs)
+
+        self._patch_evaluate(monkeypatch, shifted, golden=False)
+        self._fails_once(
+            capsys,
+            r"^FAIL classical-correspondence: trial 0: measurement \S+ "
+            r"deviates from closed form \S+$",
+        )
+
+    def test_draw_contract(self):
+        seen = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            for draw in (
+                qblotto.selfcheck.random_classical_scenario,
+                qblotto.selfcheck.random_quantum_scenario,
+            ):
+                scenario = draw(rng)
+                seen.add(scenario.num_battlefields)
+                assert scenario.num_players == 3
+                assert scenario.totals[0] == max(scenario.totals)
+                for row, total in zip(scenario.allocations, scenario.totals):
+                    assert abs(sum(row) - total) <= scenario.eps
+                assert all(
+                    0.0 <= p < 2 * math.pi for row in scenario.phases for p in row
+                )
+                assert 0.0 <= scenario.gamma <= math.pi / 2
+        assert seen == {2, 3}
+
+    def test_draws_are_seeded(self):
+        for draw in (
+            qblotto.selfcheck.random_classical_scenario,
+            qblotto.selfcheck.random_quantum_scenario,
+        ):
+            assert draw(random.Random(5)) == draw(random.Random(5))
+        run = qblotto.selfcheck.run_verification
+        assert run() == run()
+
+    def test_does_not_load_numpy_random(self):
+        # numpy 1.x imports numpy.random with numpy itself; from 2.0 it
+        # loads on first use, so only verify's own draws could load it
+        done = run_python(
+            "-c",
+            "import sys, numpy\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            "from qblotto.cli import main\n"
+            "code = main(['verify'])\n"
+            "print(code, eager, 'numpy.random' in sys.modules)\n",
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        code, eager, loaded = done.stdout.splitlines()[-1].split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert (code, loaded) == ("0", "False")
+
 
 class TestOracle:
     def test_worked_example_passes(self, golden_file, capsys):
@@ -538,6 +689,11 @@ class TestOracle:
         path = write_doc(tmp_path, doc)
         assert main(["oracle", path]) == 2
         assert "classical limit" in capsys.readouterr().err
+
+    def test_phase_reducing_to_zero_passes(self, tmp_path, capsys):
+        doc = dict(GOLDEN_DOC, phases=[[-1e-20, 0], [0, 2 * math.pi], [0, 0]])
+        assert main(["oracle", write_doc(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
 
 
 class TestScenarioIO:

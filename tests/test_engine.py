@@ -19,6 +19,7 @@ from qblotto.engine import (
     generator_weights,
     measurements,
     player_operator,
+    reduced_phase,
     rotation_angle,
     scenario_notices,
     strategies_of,
@@ -702,6 +703,23 @@ class TestScenarioValidation:
         notices = scenario_notices(scenario)
         assert strategies_of(scenario)[1][2][0] == pytest.approx(7.0 - 2 * math.pi)
         assert any("reduced" in note for note in notices)
+
+    def test_reduced_phase_stays_below_the_period(self, worked_example):
+        from dataclasses import replace
+
+        # a remainder within half an ulp of 2*pi rounds up to 2*pi itself
+        rng = np.random.default_rng(11)
+        tiny = [-float(x) for x in 10.0 ** rng.uniform(-320, -15, 200)]
+        for phase in [*tiny, -2 * math.pi, 2 * math.pi, -0.0, 7.0, -7.0]:
+            assert 0.0 <= reduced_phase(phase) < 2 * math.pi, phase
+        scenario = replace(
+            worked_example, phases=((0.0, 0.0), (0.0, 0.0), (-1e-20, 0.0))
+        )
+        assert strategies_of(scenario)[1][2][0] == 0.0
+        assert scenario_notices(scenario) == [
+            "phase for player 3, battlefield 1 reduced from -1e-20 to 0.0 "
+            "(period 2*pi)"
+        ]
 
     def test_non_finite_phase_rejected(self, worked_example):
         from dataclasses import replace
