@@ -110,6 +110,12 @@ def payoff_terms(grid, eps: float = DEFAULT_TIE_EPS) -> tuple[np.ndarray, np.nda
     return rival_best, (d > eps).astype(int) - (d < -eps)
 
 
+def payoff_vector(grid, eps: float = DEFAULT_TIE_EPS) -> tuple[int, ...]:
+    """Each player's payoff: the sum of their row of :func:`payoff_terms`."""
+    _, terms = payoff_terms(grid, eps)
+    return tuple(int(p) for p in terms.sum(axis=1))
+
+
 @dataclass(frozen=True, slots=True)
 class PlayerRoster:
     """Troop budgets, with player 1 fixed as Blotto.
@@ -157,10 +163,9 @@ def classical_payoffs(
 ) -> tuple[int, ...]:
     """Per-player payoff: battlefields won minus battlefields lost.
 
-    The sum of each player's row of :func:`payoff_terms` over the
-    allocation grid. Allocations are assumed budget-valid, as a
-    :class:`qblotto.engine.Scenario` holds them; only the number rule
-    (:func:`_real`) and shapes are checked here.
+    :func:`payoff_vector` over the allocation grid. Allocations are
+    assumed budget-valid, as a :class:`qblotto.engine.Scenario` holds
+    them; only the number rule (:func:`_real`) and shapes are checked.
     """
     rows = _real_grid(allocations, "allocation")
     if len(rows) != roster.num_players:
@@ -169,5 +174,4 @@ def classical_payoffs(
     for j, row in enumerate(rows, start=1):
         if len(row) != n:
             raise DimensionError(n, len(row), f"player {j} allocation length")
-    _, terms = payoff_terms(rows, eps)
-    return tuple(int(p) for p in terms.sum(axis=1))
+    return payoff_vector(rows, eps)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps, payoff_terms
+from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps, payoff_vector
 from .classical import _is_sign, _real, _real_grid  # the input rules
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
@@ -47,6 +47,10 @@ UNITARITY_EPS = 1e-10
 # Hard cap on the composite dimension 2^N * n; dense storage stays
 # tractable below this and exponential blowups fail fast above it.
 MAX_DIM = 2**20
+
+# Cap on 2^N * n for an evaluation: each dense strategy operator takes
+# 256 MiB at 4096. The phase search's closed form runs up to MAX_DIM.
+MAX_DENSE_DIM = 2**12
 
 _ANGLE_SLACK = 1e-12
 
@@ -489,11 +493,18 @@ def evolve_strategies(
     index of the ``(2^N, n)`` view of ``psi`` and multiplies by
     :func:`generator_weights`; neither ``G``, ``J`` nor a dense
     unitarity or commutation probe is formed. The strategy operators
-    are dense matrices. An even player count with ``|sin(gamma)| >
-    UNITARITY_EPS`` raises :class:`NumericalIntegrityError`, and the
-    final state's norm is checked.
+    are dense, so ``2^N * n`` above ``MAX_DENSE_DIM`` raises
+    :class:`ValidationError` before any is built. An even player count
+    with ``|sin(gamma)| > UNITARITY_EPS`` raises
+    :class:`NumericalIntegrityError`, and the final state's norm is checked.
     """
     count = len(angles)
+    dim = 2**count * len(sign_pattern)
+    if dim > MAX_DENSE_DIM:
+        raise ValidationError(
+            f"composite dimension {dim} is over {MAX_DENSE_DIM}, the largest "
+            f"an evaluation holds; reduce the player count or battlefield count"
+        )
     psi = entangle(count, gamma, sign_pattern)
     for player in range(1, count + 1):
         # No name holds the last operator, so one is alive at a time.
@@ -544,17 +555,14 @@ def measurements(
     reduced to qubit j and the register, which the tests' dense
     reference computes. A value outside [0, 1] beyond tolerance, NaN
     included, raises :class:`NumericalIntegrityError`. Payoffs come
-    from :func:`qblotto.classical.payoff_terms` applied to the strength
+    from :func:`qblotto.classical.payoff_vector` applied to the strength
     grid; the table keeps no rival bests, it derives them when read.
     """
     probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, -1)
     grid = qubit_sums(probabilities, num_players)
     check_strengths(grid)
-
-    _, terms = payoff_terms(grid, eps)
     return MeasurementTable(
-        values=tuple(map(tuple, grid.tolist())),
-        payoffs=tuple(int(p) for p in terms.sum(axis=1)),
+        values=tuple(map(tuple, grid.tolist())), payoffs=payoff_vector(grid, eps)
     )
 
 

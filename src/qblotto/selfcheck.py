@@ -20,7 +20,7 @@ from .classical import (
     DEFAULT_TIE_EPS,
     PlayerRoster,
     classical_payoffs,
-    payoff_terms,
+    payoff_vector,
 )
 from .engine import (
     Scenario,
@@ -176,8 +176,7 @@ def _check_classical_correspondence(
     for trial in range(trials):
         scenario = random_classical_scenario(rng)
         table = evaluate(scenario)
-        _, terms = payoff_terms(table.values, eps)  # the eps under check
-        quantum = tuple(int(p) for p in terms.sum(axis=1))
+        quantum = payoff_vector(table.values, eps)  # the eps under check
         roster = PlayerRoster(scenario.totals)
         classical = classical_payoffs(scenario.allocations, roster, eps)
         if quantum != classical:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,9 +53,9 @@ TRANSITION_RESOLUTION = 1e-6
 # gets no more steps than two.
 MAX_GRID_POINTS = 64**4
 
-# Cap on a sweep's grid steps. A sweep holds every grid point while it
-# runs, a peak of about 1.2 KB each at three players, so this bounds one
-# near 80 MB.
+# Cap on a sweep's grid steps. A sweep packs each grid point as it is
+# evaluated, 80 B at three players on two battlefields and a traced peak
+# near 200 B, so this bounds one near 13 MB.
 MAX_SWEEP_STEPS = 2**16
 
 # A phase-axis value is evaluated directly when the player's margin on
@@ -150,28 +150,21 @@ class PayoffTransition:
 class SweepResult:
     """Grid points and located transitions of one sweep.
 
-    The grid is stored packed: parameter values and strengths as float64
-    bytes, payoffs as int64 bytes. That is several times smaller than a
-    tuple of :class:`SweepPoint` objects, which ``points`` rebuilds bit
-    for bit on each access.
+    The grid is stored packed, as :func:`run_sweep` writes it: parameter
+    values and strengths as float64 bytes, payoffs as int64 bytes. That
+    is several times smaller than a tuple of :class:`SweepPoint`
+    objects, which ``points`` rebuilds bit for bit on each access.
     """
 
     spec: SweepSpec
-    points: InitVar[Sequence[SweepPoint]]
     transitions: tuple[PayoffTransition, ...]
-    grid_bytes: bytes = field(init=False, repr=False)
-    payoff_bytes: bytes = field(init=False, repr=False)
-    strength_bytes: bytes = field(init=False, repr=False)
+    grid_bytes: bytes = field(repr=False)
+    payoff_bytes: bytes = field(repr=False)
+    strength_bytes: bytes = field(repr=False)
 
-    def __post_init__(self, points: Sequence[SweepPoint]):
-        grid = array("d", [p.value for p in points])
-        payoffs = array("q", [x for p in points for x in p.payoffs])
-        strengths = array("d", [v for p in points for row in p.values for v in row])
-        object.__setattr__(self, "grid_bytes", grid.tobytes())
-        object.__setattr__(self, "payoff_bytes", payoffs.tobytes())
-        object.__setattr__(self, "strength_bytes", strengths.tobytes())
-
-    def _unpack(self) -> tuple[SweepPoint, ...]:
+    @property
+    def points(self) -> tuple[SweepPoint, ...]:
+        """Grid points in order."""
         grid, payoffs, strengths = array("d"), array("q"), array("d")
         grid.frombytes(self.grid_bytes)
         payoffs.frombytes(self.payoff_bytes)
@@ -190,11 +183,6 @@ class SweepResult:
             )
             for i, value in enumerate(grid)
         )
-
-
-# Set after the class body: a property defined inside it would become the
-# default of the ``points`` init argument.
-SweepResult.points = property(SweepResult._unpack, doc="Grid points in order.")
 
 
 def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
@@ -244,30 +232,28 @@ def _with_cell(grid: Grid, j: int, k: int, value: float) -> list:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep grid and localize every payoff transition.
 
-    The result is a pure function of ``spec``: repeat runs are
-    bit-identical.
+    Each grid value is evaluated and packed once, and a cell whose end
+    payoffs differ is bisected as soon as both are known, so no table is
+    held. Repeat runs are bit-identical.
     """
     evaluate_at = _evaluator(spec)
-    values = [float(v) for v in spec.grid()]
-    tables = [evaluate_at(v) for v in values]
-    points = [
-        SweepPoint(value=v, payoffs=t.payoffs, values=t.values)
-        for v, t in zip(values, tables)
-    ]
-
+    grid = spec.grid()
+    payoffs, strengths = array("q"), array("d")
     transitions: list[PayoffTransition] = []
-    for left, right in zip(points, points[1:]):
-        if left.payoffs != right.payoffs:
+    lo = below = None
+    for value in map(float, grid):
+        table = evaluate_at(value)
+        if below is not None and table.payoffs != below:
             transitions.extend(
-                _bisect_transitions(
-                    evaluate_at,
-                    left.value,
-                    right.value,
-                    left.payoffs,
-                    right.payoffs,
-                )
+                _bisect_transitions(evaluate_at, lo, value, below, table.payoffs)
             )
-    return SweepResult(spec=spec, points=points, transitions=tuple(transitions))
+        lo, below = value, table.payoffs
+        payoffs.extend(below)
+        for row in table.values:
+            strengths.extend(row)
+    return SweepResult(
+        spec, tuple(transitions), grid.tobytes(), payoffs.tobytes(), strengths.tobytes()
+    )
 
 
 def _bisect_transitions(
@@ -472,9 +458,10 @@ def best_response_grid(
     ``DECISION_GUARD`` of a tie-band edge is evaluated directly (through
     :func:`evaluate_strategies`), so the result is the one that
     evaluating every grid value gives, at no evaluation on generic
-    inputs and never more than ``phi_grid_steps``. ``MAX_GRID_POINTS``
-    caps ``phi_grid_steps**max(n, 2)``: at most 64 steps on four
-    battlefields and 4096 on one or two. ``player`` and
+    inputs and never more than ``phi_grid_steps``; one needed above the
+    engine's ``MAX_DENSE_DIM`` raises ``ValidationError``.
+    ``MAX_GRID_POINTS`` caps ``phi_grid_steps**max(n, 2)``: at most 64
+    steps on four battlefields and 4096 on one or two. ``player`` and
     ``phi_grid_steps`` must be integers; a bool is not one.
     """
     player = _integer(player, "player")

@@ -329,6 +329,57 @@ class TestMemoryError:
         self.assert_one_line_exit_2(argv, capsys)
 
 
+# A child that would build a dense operator too large for the machine
+# gets a MemoryError at once under this address-space cap, instead of
+# exhausting memory; one BLAS thread keeps numpy's own reservation small.
+CHILD_ADDRESS_SPACE = 2 * 2**30
+CAPPED = (
+    "import os, resource, sys\n"
+    "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE},) * 2)\n"
+)
+
+DENSE_LIMIT_MESSAGE = (
+    "composite dimension {dim} is over 4096, the largest an evaluation "
+    "holds; reduce the player count or battlefield count"
+)
+
+
+class TestDenseLimit:
+    """Valid scenarios too large for a dense evaluation are refused."""
+
+    def test_search_fallback_raises_validation_error(self):
+        # Generic axis values take the closed form; a margin at the
+        # tie-band edge (eps = 0) needs an evaluation at N=15, n=2.
+        code = CAPPED + (
+            "from qblotto import Scenario, ValidationError, best_response_grid\n"
+            "s = Scenario.create([6.0] + [4.0] * 14,"
+            " [[3.0, 3.0]] + [[3.0, 1.0]] * 14, 0.0, eps=0.0)\n"
+            "try:\n"
+            "    best_response_grid(s, 2, 9)\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = run_python("-c", code, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == DENSE_LIMIT_MESSAGE.format(dim=65536) + "\n"
+
+    def test_play_exit_2(self, tmp_path):
+        doc = {
+            "players": [{"name": "Blotto", "total": 6}]
+            + [{"name": f"enemy {j}", "total": 4} for j in range(1, 13)],
+            "battlefields": 2,
+            "allocations": [[3, 3]] + [[3, 1]] * 12,
+            "gamma": 0,
+        }
+        code = CAPPED + "from qblotto.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        done = run_python("-c", code, "play", write_doc(tmp_path, doc), timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        message = DENSE_LIMIT_MESSAGE.format(dim=16384)
+        assert done.stderr == f"error: {message}\n"
+
+
 class TestSweep:
     def sweep_args(self, scenario_file, out_path, steps="101"):
         return [

@@ -464,6 +464,16 @@ class TestEvolve:
         psi = evolve_strategies(idle, idle, 0.0, (1, -1))
         assert allclose(psi, initial_state(3, 2), 0.0)
 
+    def test_dense_limit_admits_its_own_dimension(self, worked_example, monkeypatch):
+        # the worked example's composite dimension is 2**3 * 2 = 16
+        monkeypatch.setattr(qblotto.engine, "MAX_DENSE_DIM", 16)
+        assert evaluate(worked_example).payoffs == (0, -1, -1)
+        monkeypatch.setattr(qblotto.engine, "MAX_DENSE_DIM", 15)
+        # refused before any operator is built
+        monkeypatch.setattr(qblotto.engine, "player_operator", None)
+        with pytest.raises(ValidationError, match="^composite dimension 16 is over 15,"):
+            evaluate(worked_example)
+
     def test_matches_amplitude_oracle(self, worked_example):
         # a quantum move on the worked example, checked amplitude by amplitude
         from dataclasses import replace

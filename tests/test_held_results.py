@@ -14,7 +14,6 @@ import pytest
 import qblotto
 from qblotto import (
     Scenario,
-    SweepResult,
     SweepSpec,
     best_response_grid,
     evaluate,
@@ -122,9 +121,7 @@ def test_slotted_value_round_trips(values, index):
     again = pickle.loads(pickle.dumps(value))
     assert again == value and type(again) is type(value)
     assert copy.deepcopy(value) == value
-    # SweepResult's points are an init-only argument, so replace needs them
-    extra = {"points": value.points} if isinstance(value, SweepResult) else {}
-    assert replace(value, **extra) == value
+    assert replace(value) == value
 
 
 def test_derived_rival_best_survives_round_trips():

@@ -1,7 +1,9 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -233,14 +235,13 @@ class TestPackedSweepResult:
 
     def test_round_trip_and_equality(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example, steps=11))
-        again = SweepResult(
-            spec=result.spec, points=result.points, transitions=result.transitions
-        )
+        packed = (result.grid_bytes, result.payoff_bytes, result.strength_bytes)
+        again = SweepResult(result.spec, result.transitions, *packed)
         assert again == result
         assert again.points == result.points
-        fewer = replace(result, points=result.points, transitions=result.transitions[:1])
+        fewer = replace(result, transitions=result.transitions[:1])
         assert fewer != result
-        assert replace(result, points=result.points[:-1]) != result
+        assert fewer.points == result.points
 
     def test_packed_result_is_much_smaller_than_points(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example))
@@ -249,15 +250,87 @@ class TestPackedSweepResult:
             start = tracemalloc.get_traced_memory()[0]
             points = result.points
             unpacked = tracemalloc.get_traced_memory()[0] - start
-            start = tracemalloc.get_traced_memory()[0]
-            packed = SweepResult(
-                spec=result.spec, points=points, transitions=result.transitions
-            )
-            packed_size = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert packed == result
+        packed = (result.grid_bytes, result.payoff_bytes, result.strength_bytes)
+        packed_size = sum(map(sys.getsizeof, packed))
+        assert len(points) == 101
         assert packed_size * 3 < unpacked, (packed_size, unpacked)
+
+    def test_peak_memory_per_grid_point(self, worked_example):
+        # Evaluating the whole grid before packing it peaked at 755 B per
+        # point; packing each point as it is evaluated peaks near 200 B.
+        run_sweep(threshold_sweep_spec(worked_example, steps=2))
+        spec = threshold_sweep_spec(worked_example, steps=4096)
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300 * spec.steps, peak / spec.steps
+
+
+def two_pass_sweep(spec):
+    """Reference sweep: evaluate every grid value, then bisect changing cells.
+
+    Returns the transitions and the grid, payoffs and strengths packed as
+    ``SweepResult`` holds them.
+    """
+    evaluate_at = qblotto.sweep._evaluator(spec)
+    values = [float(v) for v in spec.grid()]
+    tables = [evaluate_at(v) for v in values]
+    transitions = []
+    for i in range(len(values) - 1):
+        below, above = tables[i].payoffs, tables[i + 1].payoffs
+        if below != above:
+            transitions += qblotto.sweep._bisect_transitions(
+                evaluate_at, values[i], values[i + 1], below, above
+            )
+    payoffs = [p for t in tables for p in t.payoffs]
+    strengths = [v for t in tables for row in t.values for v in row]
+    return (
+        transitions,
+        array("d", values).tobytes(),
+        array("q", payoffs).tobytes(),
+        array("d", strengths).tobytes(),
+    )
+
+
+def random_sweep_spec(rng):
+    """A seeded sweep: N 3 or 5, n 1-3, any parameter, 2-33 steps."""
+    num_players, n = rng.choice((3, 5)), rng.randint(1, 3)
+    scenario = random_grid_scenario(rng, num_players, n, rng.uniform(0.1, HALF_PI))
+    parameter = rng.choice(SWEEP_PARAMETERS)
+    if parameter == "phi":
+        lo, hi = sorted(rng.uniform(-1.0, 7.0) for _ in range(2))
+    else:
+        lo, hi = sorted(rng.uniform(0.0, HALF_PI) for _ in range(2))
+    return SweepSpec(
+        scenario,
+        rng.randint(1, num_players),
+        rng.randint(1, n),
+        parameter,
+        lo,
+        hi,
+        rng.randint(2, 33),
+    )
+
+
+def test_one_pass_sweep_matches_two_pass_reference():
+    rng = random.Random(17)
+    changing = 0
+    for _ in range(300):
+        spec = random_sweep_spec(rng)
+        result = run_sweep(spec)
+        transitions, *packed = two_pass_sweep(spec)
+        assert [result.grid_bytes, result.payoff_bytes, result.strength_bytes] == (
+            packed
+        ), spec
+        bits = [(t.boundary.hex(), t.below, t.above) for t in result.transitions]
+        assert bits == [(t.boundary.hex(), t.below, t.above) for t in transitions]
+        changing += bool(transitions)
+    assert changing >= 75, changing  # a quarter of the sweeps bisect
 
 
 class TestPhaseInsensitivity:
