@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,7 +146,7 @@ class PayoffTransition:
     above: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SweepResult:
     """Grid points and located transitions of one sweep.
 
@@ -154,6 +154,8 @@ class SweepResult:
     values and strengths as float64 bytes, payoffs as int64 bytes. That
     is several times smaller than a tuple of :class:`SweepPoint`
     objects, which ``points`` rebuilds bit for bit on each access.
+    Given ``points``, the constructor packs them in place of the three
+    byte fields, so ``replace(result, points=...)`` also works.
     """
 
     spec: SweepSpec
@@ -162,13 +164,25 @@ class SweepResult:
     payoff_bytes: bytes = field(repr=False)
     strength_bytes: bytes = field(repr=False)
 
+    def __init__(
+        self, spec, transitions, grid_bytes=b"", payoff_bytes=b"", strength_bytes=b"",
+        *, points: Sequence[SweepPoint] | None = None,
+    ):
+        if points is not None:
+            grid_bytes = array("d", [p.value for p in points]).tobytes()
+            payoff_bytes = array("q", [x for p in points for x in p.payoffs]).tobytes()
+            strengths = [v for p in points for row in p.values for v in row]
+            strength_bytes = array("d", strengths).tobytes()
+        packed = (spec, transitions, grid_bytes, payoff_bytes, strength_bytes)
+        for f, value in zip(fields(self), packed):
+            object.__setattr__(self, f.name, value)
+
     @property
     def points(self) -> tuple[SweepPoint, ...]:
         """Grid points in order."""
-        grid, payoffs, strengths = array("d"), array("q"), array("d")
-        grid.frombytes(self.grid_bytes)
-        payoffs.frombytes(self.payoff_bytes)
-        strengths.frombytes(self.strength_bytes)
+        grid = array("d", self.grid_bytes)
+        payoffs = array("q", self.payoff_bytes)
+        strengths = array("d", self.strength_bytes)
         players = self.spec.base.num_players
         n = self.spec.base.num_battlefields
         cells = players * n
@@ -196,26 +210,16 @@ def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
     j, k = spec.target_player - 1, spec.target_battlefield - 1
     gamma, pattern, eps = base.gamma, base.sign_pattern, base.eps
 
-    if spec.parameter == "gamma":
-
-        def evaluate_at(value: float) -> MeasurementTable:
+    def evaluate_at(value: float) -> MeasurementTable:
+        if spec.parameter == "gamma":
             return evaluate_strategies(angles, phases, value, pattern, eps)
-
-    elif spec.parameter == "phi":
-
-        def evaluate_at(value: float) -> MeasurementTable:
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"battlefield {k + 1} phase {value!r} is not finite"
-                )
-            moved = _with_cell(phases, j, k, value)
-            return evaluate_strategies(angles, moved, gamma, pattern, eps)
-
-    else:
-
-        def evaluate_at(value: float) -> MeasurementTable:
+        if spec.parameter == "lambda":
             moved = _with_cell(angles, j, k, value)
             return evaluate_strategies(moved, phases, gamma, pattern, eps)
+        if not math.isfinite(value):
+            raise ValidationError(f"battlefield {k + 1} phase {value!r} is not finite")
+        moved = _with_cell(phases, j, k, value)
+        return evaluate_strategies(angles, moved, gamma, pattern, eps)
 
     return evaluate_at
 

@@ -242,6 +242,9 @@ class TestPackedSweepResult:
         fewer = replace(result, transitions=result.transitions[:1])
         assert fewer != result
         assert fewer.points == result.points
+        packing = SweepResult(result.spec, result.transitions, points=result.points)
+        assert packing == result
+        assert replace(result, points=result.points[:-1]) != result
 
     def test_packed_result_is_much_smaller_than_points(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example))
