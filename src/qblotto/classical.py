@@ -74,17 +74,29 @@ def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], 
     )
 
 
-def check_tie_eps(eps: float) -> None:
-    """Reject a tie tolerance that is negative, infinite or NaN."""
+def _real_rows(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
+    """:func:`_real_grid`, with every row as long as the first."""
+    rows = _real_grid(grid, what)
+    n = len(rows[0]) if rows else 0
+    for j, row in enumerate(rows, start=1):
+        if len(row) != n:
+            raise DimensionError(n, len(row), f"player {j} {what} length")
+    return rows
+
+
+def check_tie_eps(eps: float) -> float:
+    """A tie tolerance as a float under the number rule, finite and non-negative."""
+    eps = _real(eps, "tie tolerance")
     if not 0 <= eps < math.inf:
         raise ValidationError(
             f"tie tolerance must be finite and non-negative, got {eps!r}"
         )
+    return eps
 
 
 def sgn_eps(x: float, eps: float = DEFAULT_TIE_EPS) -> int:
     """Signum with a tie band: 0 whenever ``|x| <= eps``."""
-    check_tie_eps(eps)
+    eps = check_tie_eps(eps)
     if abs(x) <= eps:
         return 0
     return 1 if x > 0 else -1
@@ -97,8 +109,16 @@ def payoff_terms(grid, eps: float = DEFAULT_TIE_EPS) -> tuple[np.ndarray, np.nda
     the other players on that battlefield, and the tie-tolerant sign of
     the cell minus that rival best (as :func:`sgn_eps` gives it). A
     player's payoff is the sum of their row of terms.
+
+    A numpy array of integers or floats is taken as it is, so the
+    search's ``[player, step, battlefield]`` stack passes; any other
+    grid must be rectangular and follow the number rule cell by cell.
     """
-    check_tie_eps(eps)
+    eps = check_tie_eps(eps)
+    if not isinstance(grid, np.ndarray):
+        grid = _real_rows(grid, "payoff grid value")
+    elif grid.dtype.kind not in "iuf":
+        raise ValidationError(f"payoff grid must hold numbers, got dtype {grid.dtype}")
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
         raise ValidationError(f"need at least two players, got {len(grid)}")
@@ -167,11 +187,7 @@ def classical_payoffs(
     assumed budget-valid, as a :class:`qblotto.engine.Scenario` holds
     them; only the number rule (:func:`_real`) and shapes are checked.
     """
-    rows = _real_grid(allocations, "allocation")
+    rows = _real_rows(allocations, "allocation")
     if len(rows) != roster.num_players:
         raise DimensionError(roster.num_players, len(rows), "allocation rows")
-    n = len(rows[0]) if rows else 0
-    for j, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise DimensionError(n, len(row), f"player {j} allocation length")
     return payoff_vector(rows, eps)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Iterable, Iterator
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, classical_payoffs
 from .engine import MeasurementTable, Scenario, evaluate, reduced_phase
 from .errors import NumericalIntegrityError, ValidationError
 from .scenario_io import load_scenario
 from .selfcheck import run_verification
-from .sweep import DEFAULT_SWEEP_STEPS, SweepSpec, run_sweep
+from .sweep import DEFAULT_SWEEP_STEPS, SweepResult, SweepSpec, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,21 +66,19 @@ def _print_report(
         print(line.rstrip())
 
 
-def _play_csv(scenario: Scenario, table: MeasurementTable) -> str:
+def _play_csv(scenario: Scenario, table: MeasurementTable) -> Iterator[str]:
     n = scenario.num_battlefields
-    header = "player," + ",".join(f"m_b{k}" for k in range(1, n + 1)) + ",payoff"
-    lines = [header]
+    yield "player," + ",".join(f"m_b{k}" for k in range(1, n + 1)) + ",payoff\n"
     for j, name in enumerate(scenario.player_names):
         cells = ",".join(_fmt(v) for v in table.values[j])
-        lines.append(f"{name},{cells},{table.payoffs[j]}")
-    return "\n".join(lines) + "\n"
+        yield f"{name},{cells},{table.payoffs[j]}\n"
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write ``--out`` text; an unwritable path is an input error."""
+def _write_out(path: str, lines: Iterable[str]) -> None:
+    """Write ``--out`` line by line; an unwritable path is an input error."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ValidationError(
             f"cannot write {path}: {exc.strerror or exc}"
@@ -96,19 +95,15 @@ def cmd_play(args) -> int:
     return EXIT_OK
 
 
-def _sweep_csv(result, num_players: int, num_battlefields: int) -> str:
-    payoff_cols = ",".join(f"payoff_p{j}" for j in range(1, num_players + 1))
-    value_cols = ",".join(
-        f"m_p{j}_b{k}"
-        for j in range(1, num_players + 1)
-        for k in range(1, num_battlefields + 1)
-    )
-    lines = [f"param_value,{payoff_cols},{value_cols}"]
-    for point in result.points:
-        payoffs = ",".join(str(p) for p in point.payoffs)
-        cells = ",".join(_fmt(v) for row in point.values for v in row)
-        lines.append(f"{_fmt(point.value)},{payoffs},{cells}")
-    return "\n".join(lines) + "\n"
+def _sweep_csv(result: SweepResult) -> Iterator[str]:
+    """The sweep's CSV lines, streamed from :meth:`SweepResult.rows`."""
+    players = range(1, result.spec.base.num_players + 1)
+    battlefields = range(1, result.spec.base.num_battlefields + 1)
+    payoff_cols = ",".join(f"payoff_p{j}" for j in players)
+    value_cols = ",".join(f"m_p{j}_b{k}" for j in players for k in battlefields)
+    yield f"param_value,{payoff_cols},{value_cols}\n"
+    for value, payoffs, cells in result.rows():
+        yield ",".join([_fmt(value), *map(str, payoffs), *map(_fmt, cells)]) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -126,13 +121,14 @@ def cmd_sweep(args) -> int:
         steps=args.steps,
     )
     result = run_sweep(spec)
-    csv_text = _sweep_csv(result, scenario.num_players, scenario.num_battlefields)
     if args.out:
-        _write_out(args.out, csv_text)
+        _write_out(args.out, _sweep_csv(result))
         boundary_stream = sys.stdout
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(csv_text)
+        # One write: a reader that closes the pipe early then costs no
+        # BrokenPipeError traceback.
+        sys.stdout.write("".join(_sweep_csv(result)))
         boundary_stream = sys.stderr
     for transition in result.transitions:
         print(

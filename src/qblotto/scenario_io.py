@@ -133,7 +133,7 @@ def scenario_from_dict(
 
     tie_eps = doc.get("eps", DEFAULT_TIE_EPS)
     if eps is not None:
-        check_tie_eps(_real(tie_eps, "tie tolerance"))
+        check_tie_eps(tie_eps)
         tie_eps = eps
 
     if degrees:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +55,8 @@ MAX_GRID_POINTS = 64**4
 
 # Cap on a sweep's grid steps. A sweep packs each grid point as it is
 # evaluated, 80 B at three players on two battlefields and a traced peak
-# near 200 B, so this bounds one near 13 MB.
+# near 200 B, so this bounds one near 13 MB. ``qblotto sweep --out``
+# streams its CSV from ``SweepResult.rows()`` and peaks near the same.
 MAX_SWEEP_STEPS = 2**16
 
 # A phase-axis value is evaluated directly when the player's margin on
@@ -153,9 +154,10 @@ class SweepResult:
     The grid is stored packed, as :func:`run_sweep` writes it: parameter
     values and strengths as float64 bytes, payoffs as int64 bytes. That
     is several times smaller than a tuple of :class:`SweepPoint`
-    objects, which ``points`` rebuilds bit for bit on each access.
-    Given ``points``, the constructor packs them in place of the three
-    byte fields, so ``replace(result, points=...)`` also works.
+    objects. :meth:`rows` is the one reader of the packing and streams
+    the points; ``points`` builds them from it, bit for bit, on each
+    access. Given ``points``, the constructor packs them in place of the
+    three byte fields, so ``replace(result, points=...)`` also works.
     """
 
     spec: SweepSpec
@@ -177,25 +179,25 @@ class SweepResult:
         for f, value in zip(fields(self), packed):
             object.__setattr__(self, f.name, value)
 
+    def rows(self) -> Iterator[tuple[float, tuple[int, ...], tuple[float, ...]]]:
+        """Each grid point's value, payoffs and player-major strengths, in order."""
+        players = self.spec.base.num_players
+        payoffs = iter(memoryview(self.payoff_bytes).cast("q"))
+        strengths = iter(memoryview(self.strength_bytes).cast("d"))
+        # zip(*[it] * k) takes k items of ``it`` at a time.
+        return zip(
+            memoryview(self.grid_bytes).cast("d"),
+            zip(*[payoffs] * players),
+            zip(*[strengths] * (players * self.spec.base.num_battlefields)),
+        )
+
     @property
     def points(self) -> tuple[SweepPoint, ...]:
-        """Grid points in order."""
-        grid = array("d", self.grid_bytes)
-        payoffs = array("q", self.payoff_bytes)
-        strengths = array("d", self.strength_bytes)
-        players = self.spec.base.num_players
+        """Grid points in order, built from :meth:`rows`."""
         n = self.spec.base.num_battlefields
-        cells = players * n
         return tuple(
-            SweepPoint(
-                value=value,
-                payoffs=tuple(payoffs[i * players : (i + 1) * players]),
-                values=tuple(
-                    tuple(strengths[i * cells + j * n : i * cells + (j + 1) * n])
-                    for j in range(players)
-                ),
-            )
-            for i, value in enumerate(grid)
+            SweepPoint(value, payoffs, tuple(zip(*[iter(cells)] * n)))  # n per player
+            for value, payoffs, cells in self.rows()
         )
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from qblotto.classical import (
     PlayerRoster,
     classical_payoffs,
     payoff_terms,
+    payoff_vector,
     sgn_eps,
 )
 
@@ -194,6 +196,74 @@ class TestClassicalPayoffs:
             payoff_terms([[1.0], [math.nan]])
         with pytest.raises(ValidationError, match="two players"):
             payoff_terms([[1.0, 0.0]])
+
+    # A string tolerance raised a bare TypeError and True counted as 1.0.
+    @pytest.mark.parametrize("eps", ["1e-9", True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda eps: classical_payoffs(
+                [[3.0, 3.0], [2.0, 2.0]], PlayerRoster((6.0, 4.0)), eps
+            ),
+            lambda eps: payoff_terms([[3.0, 3.0], [2.0, 2.0]], eps),
+            lambda eps: payoff_vector([[3.0, 3.0], [2.0, 2.0]], eps),
+            lambda eps: sgn_eps(1.0, eps),
+        ],
+        ids=["classical_payoffs", "payoff_terms", "payoff_vector", "sgn_eps"],
+    )
+    def test_tie_tolerance_follows_the_number_rule(self, call, eps):
+        message = f"tie tolerance must be a number, got {eps!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(eps)
+
+    # A ragged grid let numpy's ValueError escape; strings and bools were
+    # coerced to floats.
+    @pytest.mark.parametrize("function", [payoff_terms, payoff_vector])
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            (
+                [[1.0, 2.0], [1.0]],
+                DimensionError,
+                "player 2 payoff grid value length: expected dims 2, got 1",
+            ),
+            (
+                [["1", "2"], ["0", "0"]],
+                ValidationError,
+                "payoff grid value for player 1, battlefield 1 must be a number, "
+                "got '1'",
+            ),
+            (
+                [[1.0, True], [0.0, 0.0]],
+                ValidationError,
+                "payoff grid value for player 1, battlefield 2 must be a number, "
+                "got True",
+            ),
+            (
+                np.array([[True, False], [False, False]]),
+                ValidationError,
+                "payoff grid must hold numbers, got dtype bool",
+            ),
+            (
+                np.array([["1", "2"], ["0", "0"]]),
+                ValidationError,
+                "payoff grid must hold numbers, got dtype <U1",
+            ),
+        ],
+        ids=["ragged", "strings", "bool-cell", "bool-array", "string-array"],
+    )
+    def test_payoff_grid_follows_the_number_rule(self, function, grid, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            function(grid)
+
+    def test_numeric_grids_still_pass(self):
+        grid = [[3, 1.0], [np.float64(1.0), 2]]
+        assert payoff_vector(grid) == (0, 0)
+        assert payoff_vector(np.array([[3, 1], [1, 2]])) == (0, 0)
+        assert payoff_vector(np.array([[3, 1], [1, 2]], dtype=np.uint8)) == (0, 0)
+        stack = np.array([[[3.0, 1.0]] * 4, [[1.0, 2.0]] * 4])  # [player, step, k]
+        _, terms = payoff_terms(stack)
+        assert terms.tolist() == [[[1, -1]] * 4, [[-1, 1]] * 4]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4))

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +497,30 @@ class TestSweep:
             outputs[label] = (csv, capsys.readouterr())
         assert outputs["degrees"] == outputs["radians"]
         assert outputs["radians"][1].out.startswith("wrote sweep.csv\n")
+
+    # Traced peak per grid point of a 4096-step sweep. Formatting the CSV
+    # from ``points`` and joining it peaked at 740-749 B with --out and 686 B
+    # on stdout; streaming it from ``SweepResult.rows()`` stays near the
+    # sweep's own ~200 B with --out, and one joined copy on stdout.
+    @pytest.mark.parametrize("to_file, limit", [(True, 300), (False, 400)])
+    def test_peak_memory_per_grid_point(
+        self, golden_file, tmp_path, monkeypatch, to_file, limit
+    ):
+        args = self.sweep_args(golden_file, tmp_path / "sweep.csv", steps="4096")
+        if not to_file:
+            del args[-2:]
+        assert main(self.sweep_args(golden_file, tmp_path / "warm.csv", "2")) == 0
+        with open(tmp_path / "stdout.txt", "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        csv = tmp_path / ("sweep.csv" if to_file else "stdout.txt")
+        assert len(csv.read_text(encoding="utf-8").splitlines()) == 4097
+        assert peak <= limit * 4096, peak / 4096
 
     def test_unwritable_out_exit_2(self, golden_file, tmp_path, capsys):
         out_path = tmp_path / "missing" / "sweep.csv"

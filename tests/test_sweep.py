@@ -22,6 +22,7 @@ from qblotto import (
     run_sweep,
 )
 from qblotto.classical import payoff_terms
+from qblotto.cli import _fmt, _sweep_csv
 from qblotto.engine import evaluate_strategies, strategies_of
 from qblotto.sweep import (
     MAX_GRID_POINTS,
@@ -233,6 +234,24 @@ class TestPackedSweepResult:
             )
             assert all(type(p) is int for p in point.payoffs)
 
+    def test_rows_read_the_packed_fields(self, worked_example):
+        base = replace(worked_example, phases=((0.0, 0.3), (0.2, 0.0), (1.0, 0.5)))
+        result = run_sweep(SweepSpec(base, 2, 2, "lambda", 0.0, HALF_PI, 13))
+        grid = array("d", result.grid_bytes)
+        payoffs = array("q", result.payoff_bytes)
+        strengths = array("d", result.strength_bytes)
+        rows = list(result.rows())
+        assert len(rows) == len(grid) == 13
+        for i, (value, point_payoffs, cells) in enumerate(rows):
+            assert _point_bits(value, point_payoffs, [cells]) == _point_bits(
+                grid[i], payoffs[3 * i : 3 * i + 3], [strengths[6 * i : 6 * i + 6]]
+            )
+            assert all(type(p) is int for p in point_payoffs)
+            assert type(cells) is tuple and type(point_payoffs) is tuple
+        assert [p.values for p in result.points] == [
+            tuple(zip(cells[0::2], cells[1::2])) for _, _, cells in rows
+        ]
+
     def test_round_trip_and_equality(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example, steps=11))
         packed = (result.grid_bytes, result.payoff_bytes, result.strength_bytes)
@@ -300,8 +319,8 @@ def two_pass_sweep(spec):
     )
 
 
-def random_sweep_spec(rng):
-    """A seeded sweep: N 3 or 5, n 1-3, any parameter, 2-33 steps."""
+def random_sweep_spec(rng, max_steps=33):
+    """A seeded sweep: N 3 or 5, n 1-3, any parameter, 2 to ``max_steps`` steps."""
     num_players, n = rng.choice((3, 5)), rng.randint(1, 3)
     scenario = random_grid_scenario(rng, num_players, n, rng.uniform(0.1, HALF_PI))
     parameter = rng.choice(SWEEP_PARAMETERS)
@@ -316,7 +335,7 @@ def random_sweep_spec(rng):
         parameter,
         lo,
         hi,
-        rng.randint(2, 33),
+        rng.randint(2, max_steps),
     )
 
 
@@ -334,6 +353,33 @@ def test_one_pass_sweep_matches_two_pass_reference():
         assert bits == [(t.boundary.hex(), t.below, t.above) for t in transitions]
         changing += bool(transitions)
     assert changing >= 75, changing  # a quarter of the sweeps bisect
+
+
+def points_sweep_csv(result):
+    """``qblotto sweep``'s CSV as it was built before streaming: from ``points``."""
+    num_players = result.spec.base.num_players
+    num_battlefields = result.spec.base.num_battlefields
+    payoff_cols = ",".join(f"payoff_p{j}" for j in range(1, num_players + 1))
+    value_cols = ",".join(
+        f"m_p{j}_b{k}"
+        for j in range(1, num_players + 1)
+        for k in range(1, num_battlefields + 1)
+    )
+    lines = [f"param_value,{payoff_cols},{value_cols}"]
+    for point in result.points:
+        payoffs = ",".join(str(p) for p in point.payoffs)
+        cells = ",".join(_fmt(v) for row in point.values for v in row)
+        lines.append(f"{_fmt(point.value)},{payoffs},{cells}")
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_csv_matches_points_reference():
+    rng = random.Random(18)
+    for _ in range(300):
+        result = run_sweep(random_sweep_spec(rng, max_steps=101))
+        streamed = "".join(_sweep_csv(result))
+        assert streamed.encode() == points_sweep_csv(result).encode(), result.spec
+        assert streamed.count("\n") == result.spec.steps + 1
 
 
 class TestPhaseInsensitivity:
