@@ -3,7 +3,8 @@
 Players split a fixed troop budget across battlefields; a battlefield
 pays +1 to a player who strictly out-allocates every rival there, -1 to
 a player strictly beaten by the best rival, and 0 on a tie.
-:func:`payoff_terms` is that rule over a player-by-battlefield grid;
+:func:`payoff_terms` is that rule over a player-by-battlefield grid,
+through :func:`rival_best` and the tie band :func:`sgn_eps` uses too;
 the quantum engine applies it to measured strengths, and this module
 applies it to allocations as the oracle the engine is checked against
 in its classical limit.
@@ -19,8 +20,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DimensionError, ValidationError
 
@@ -67,11 +66,22 @@ def _is_sign(value) -> bool:
 
 
 def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
-    """A player-major grid as floats, each cell under :func:`_real`."""
-    return tuple(
-        tuple(_real(x, what, j, k) for k, x in enumerate(row, start=1))
-        for j, row in enumerate(grid, start=1)
-    )
+    """A player-major grid as floats, each cell under :func:`_real`.
+
+    A grid or row that is not iterable raises ValidationError (a row, DimensionError).
+    """
+    try:
+        grid = list(grid)
+    except TypeError:
+        raise ValidationError(f"{what}s must form a grid, got {grid!r}") from None
+    rows = []
+    for j, row in enumerate(grid, start=1):
+        try:
+            cells = enumerate(row, start=1)
+        except TypeError:
+            raise DimensionError(1, 0, f"player {j} {what} row {row!r}") from None
+        rows.append(tuple(_real(x, what, j, k) for k, x in cells))
+    return tuple(rows)
 
 
 def _real_rows(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
@@ -94,46 +104,58 @@ def check_tie_eps(eps: float) -> float:
     return eps
 
 
+def _tie_sign(d, eps: float):
+    """The sign of ``d``, 0 whenever ``|d| <= eps``; elementwise on an array too."""
+    return (d > eps) * 1 - (d < -eps)
+
+
 def sgn_eps(x: float, eps: float = DEFAULT_TIE_EPS) -> int:
-    """Signum with a tie band: 0 whenever ``|x| <= eps``."""
+    """Signum with a tie band: 0 whenever ``|x| <= eps``; ``x`` must be finite."""
     eps = check_tie_eps(eps)
-    if abs(x) <= eps:
-        return 0
-    return 1 if x > 0 else -1
+    x = _real(x, "signed value")
+    if not math.isfinite(x):
+        raise ValidationError(f"signed value {x!r} is not finite")
+    return _tie_sign(x, eps)
 
 
-def payoff_terms(grid, eps: float = DEFAULT_TIE_EPS) -> tuple[np.ndarray, np.ndarray]:
+def rival_best(rows: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
+    """Each cell's best rival value on its battlefield, from its column's top two."""
+    best = [[] for _ in rows]
+    for column in zip(*rows):
+        top, second = sorted(column, reverse=True)[:2]
+        for cells, v in zip(best, column):
+            cells.append(second if v == top else top)
+    return tuple(map(tuple, best))
+
+
+def _terms(rows: tuple[tuple[float, ...], ...], eps: float):
+    """:func:`payoff_terms` on rows already under the number rule."""
+    if len(rows) < 2:
+        raise ValidationError(f"need at least two players, got {len(rows)}")
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValidationError("payoff grid has a non-finite entry")
+    best = rival_best(rows)
+    terms = [[_tie_sign(v - r, eps) for v, r in zip(*pair)] for pair in zip(rows, best)]
+    return best, tuple(map(tuple, terms))
+
+
+def payoff_terms(grid: Sequence[Sequence[float]], eps: float = DEFAULT_TIE_EPS):
     """The payoff rule over a player-by-battlefield grid.
 
-    Returns ``(rival_best, terms)``: for each cell, the best value among
-    the other players on that battlefield, and the tie-tolerant sign of
-    the cell minus that rival best (as :func:`sgn_eps` gives it). A
-    player's payoff is the sum of their row of terms.
-
-    A numpy array of integers or floats is taken as it is, so the
-    search's ``[player, step, battlefield]`` stack passes; any other
-    grid must be rectangular and follow the number rule cell by cell.
+    Returns ``(rival_best, terms)`` as player-major tuples: for each
+    cell, the best value among the other players on that battlefield
+    (:func:`rival_best`), and the tie-tolerant sign of the cell minus
+    that rival best (as :func:`sgn_eps` gives it). A player's payoff is
+    the sum of their row of terms. The grid, a 2-D numpy array included,
+    must be finite, rectangular and follow the number rule cell by cell.
     """
     eps = check_tie_eps(eps)
-    if not isinstance(grid, np.ndarray):
-        grid = _real_rows(grid, "payoff grid value")
-    elif grid.dtype.kind not in "iuf":
-        raise ValidationError(f"payoff grid must hold numbers, got dtype {grid.dtype}")
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2:
-        raise ValidationError(f"need at least two players, got {len(grid)}")
-    if not np.isfinite(grid).all():
-        raise ValidationError("payoff grid has a non-finite entry")
-    ranked = np.sort(grid, axis=0)
-    rival_best = np.where(grid == ranked[-1], ranked[-2], ranked[-1])
-    d = grid - rival_best
-    return rival_best, (d > eps).astype(int) - (d < -eps)
+    return _terms(_real_rows(grid, "payoff grid value"), eps)
 
 
 def payoff_vector(grid, eps: float = DEFAULT_TIE_EPS) -> tuple[int, ...]:
     """Each player's payoff: the sum of their row of :func:`payoff_terms`."""
-    _, terms = payoff_terms(grid, eps)
-    return tuple(int(p) for p in terms.sum(axis=1))
+    return tuple(map(sum, payoff_terms(grid, eps)[1]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,4 +212,4 @@ def classical_payoffs(
     rows = _real_rows(allocations, "allocation")
     if len(rows) != roster.num_players:
         raise DimensionError(roster.num_players, len(rows), "allocation rows")
-    return payoff_vector(rows, eps)
+    return tuple(map(sum, _terms(rows, check_tie_eps(eps))[1]))

@@ -33,8 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps, payoff_vector
+from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps
 from .classical import _is_sign, _real, _real_grid  # the input rules
+from .classical import payoff_vector, rival_best  # the payoff rule
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
 HALF_PI = math.pi / 2
@@ -134,17 +135,8 @@ class MeasurementTable:
 
     @property
     def rival_best(self) -> tuple[tuple[float, ...], ...]:
-        """Each cell's best rival strength, from a top-two pass per column."""
-        columns = []
-        for column in zip(*self.values):
-            top = second = -math.inf
-            for v in column:
-                if v > top:
-                    top, second = v, top
-                elif v > second:
-                    second = v
-            columns.append([second if v == top else top for v in column])
-        return tuple(zip(*columns))
+        """Each cell's best rival strength (:func:`qblotto.classical.rival_best`)."""
+        return rival_best(self.values)  # the module function, not this property
 
 
 @dataclass(frozen=True, slots=True)
@@ -460,15 +452,8 @@ def disentangle(
     return psi
 
 
-def check_norm_sq(norm_sq) -> None:
-    """Raise if a squared norm strays from 1 by more than UNITARITY_EPS.
-
-    ``norm_sq`` is one value or an array of them; of an array, the value
-    furthest from 1 is checked and reported, a NaN first. Written so
-    that a NaN norm fails too.
-    """
-    if isinstance(norm_sq, np.ndarray):
-        norm_sq = norm_sq[np.argmax(abs(norm_sq - 1.0))]
+def check_norm_sq(norm_sq: float) -> None:
+    """Raise if a squared norm, NaN included, strays from 1 beyond UNITARITY_EPS."""
     if not abs(norm_sq - 1.0) <= UNITARITY_EPS:
         raise NumericalIntegrityError(
             f"state vector norm^2 = {float(norm_sq)!r} deviates from 1 beyond "
@@ -515,17 +500,6 @@ def evolve_strategies(
     return disentangle(psi, count, gamma, sign_pattern)
 
 
-def qubit_sums(values: np.ndarray, num_players: int) -> np.ndarray:
-    """Sums of ``values[..., s, k]`` over the basis states s with each qubit set.
-
-    Entry ``[..., j, k]`` sums over the states with player j+1's qubit
-    in state 1; player 1 is the most significant bit of s.
-    """
-    shifts = np.arange(num_players - 1, -1, -1)[:, None]
-    bits = (np.arange(2**num_players) >> shifts) & 1
-    return bits.astype(float) @ values
-
-
 def check_strengths(grid: np.ndarray) -> None:
     """Raise :class:`NumericalIntegrityError` for a strength outside [0, 1].
 
@@ -559,11 +533,13 @@ def measurements(
     grid; the table keeps no rival bests, it derives them when read.
     """
     probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, -1)
-    grid = qubit_sums(probabilities, num_players)
+    # bits[j, s]: player j+1's qubit in basis state s, player 1's the most significant
+    shifts = np.arange(num_players - 1, -1, -1)[:, None]
+    bits = (np.arange(2**num_players) >> shifts) & 1
+    grid = bits.astype(float) @ probabilities
     check_strengths(grid)
-    return MeasurementTable(
-        values=tuple(map(tuple, grid.tolist())), payoffs=payoff_vector(grid, eps)
-    )
+    values = tuple(map(tuple, grid.tolist()))
+    return MeasurementTable(values=values, payoffs=payoff_vector(values, eps))
 
 
 def evaluate(scenario: Scenario) -> MeasurementTable:

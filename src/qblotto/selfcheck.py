@@ -14,8 +14,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .classical import (
     DEFAULT_TIE_EPS,
     PlayerRoster,
@@ -216,11 +214,8 @@ def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
         ]
         for a in range(count):
             for b in range(a + 1, count):
-                residue = float(
-                    np.abs(
-                        operators[a] @ operators[b] - operators[b] @ operators[a]
-                    ).max()
-                )
+                commutator = operators[a] @ operators[b] - operators[b] @ operators[a]
+                residue = float(abs(commutator).max())
                 if residue > 1e-10:
                     return CheckResult(
                         name,

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .classical import _integer, _real, payoff_terms
+from .classical import _integer, _real, _tie_sign, payoff_terms
 from .engine import (
     Grid,
     MeasurementTable,
@@ -36,6 +36,7 @@ from .engine import (
     check_norm_sq,
     check_strengths,
     evaluate_strategies,
+    reduced_phase,
     strategies_of,
 )
 from .errors import ValidationError
@@ -220,7 +221,7 @@ def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
             return evaluate_strategies(moved, phases, gamma, pattern, eps)
         if not math.isfinite(value):
             raise ValidationError(f"battlefield {k + 1} phase {value!r} is not finite")
-        moved = _with_cell(phases, j, k, value)
+        moved = _with_cell(phases, j, k, reduced_phase(value))  # as strategies_of
         return evaluate_strategies(angles, moved, gamma, pattern, eps)
 
     return evaluate_at
@@ -337,7 +338,8 @@ def _phase_axis_strengths(
     norm_sq = np.array([norm for _, norm in columns]).sum(axis=0) / n
     harmonics = [f(m * axis) for m in (1, 2) for f in (np.cos, np.sin)]
     basis = np.stack([np.ones_like(axis), *harmonics], axis=-1)
-    check_norm_sq(basis @ norm_sq)
+    norms = basis @ norm_sq
+    check_norm_sq(norms[np.argmax(abs(norms - 1.0))])  # the furthest from 1, NaN first
     values = np.tensordot(basis, coefficients, axes=1)
     check_strengths(values)
     return values
@@ -479,7 +481,9 @@ def best_response_grid(
             f"player index {player} outside 1..{base.num_players}"
         )
     n = base.num_battlefields
-    if phi_grid_steps ** max(n, 2) > MAX_GRID_POINTS:
+    # steps**max(n, 2) is at least steps**2 and 2**n, so bound those first
+    small = phi_grid_steps**2 <= MAX_GRID_POINTS and 2**n <= MAX_GRID_POINTS
+    if not small or phi_grid_steps ** max(n, 2) > MAX_GRID_POINTS:
         raise ValidationError(
             f"{phi_grid_steps} phase grid steps on {n} battlefield(s) are "
             f"over the cap: steps**max(n, 2) must not exceed "
@@ -491,10 +495,9 @@ def best_response_grid(
     axis = np.linspace(0.0, HALF_PI, phi_grid_steps)
     values = _phase_axis_strengths(angles, phases, gamma, pattern, player, axis)
 
-    # Player-major grids, one column per grid value: [j, s, k].
-    rival_best, terms = payoff_terms(values.transpose(1, 0, 2), eps)
-    terms = terms[player - 1]  # terms[s, k]: battlefield k's term at axis[s]
-    margin = values[:, player - 1] - rival_best[player - 1]
+    # values[s, j, k]; margin[s, k] is the player's lead over the best rival.
+    margin = values[:, player - 1] - np.delete(values, player - 1, axis=1).max(axis=1)
+    terms = _tie_sign(margin, eps)  # terms[s, k]: battlefield k's term at axis[s]
     unsure = (abs(abs(margin) - eps) <= DECISION_GUARD).any(axis=1)
     moved = list(phases)
     for s in np.flatnonzero(unsure):

@@ -79,6 +79,28 @@ class TestSgnEps:
         with pytest.raises(ValidationError, match="finite"):
             sgn_eps(1.0, eps)
 
+    # nan gave -1, inf and True gave 1, and a string raised a bare TypeError
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (math.nan, "signed value nan is not finite"),
+            (math.inf, "signed value inf is not finite"),
+            (-math.inf, "signed value -inf is not finite"),
+            (True, "signed value must be a number, got True"),
+            ("1", "signed value must be a number, got '1'"),
+            (10**400, "signed value is too large for a float"),
+        ],
+        ids=["nan", "inf", "-inf", "bool", "str", "huge"],
+    )
+    def test_value_follows_the_number_rule(self, x, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sgn_eps(x)
+
+    def test_numeric_values_still_pass(self):
+        assert sgn_eps(np.float64(2.0)) == 1
+        assert sgn_eps(-3) == -1
+        assert type(sgn_eps(np.float32(-0.5))) is int
+
     @given(st.floats(-1e6, 1e6), st.floats(0, 1.0))
     def test_range_and_oddness(self, x, eps):
         value = sgn_eps(x, eps)
@@ -182,10 +204,10 @@ class TestClassicalPayoffs:
             n = int(rng.integers(1, 6))
             grid = tied_grid(rng, num_players, n, eps)
             rows = grid.tolist()
-            rival_best, terms = payoff_terms(grid, eps)
+            rival_best, terms = payoff_terms(grid, eps)  # a 2-d array, as rows
             expected_best, expected_terms = brute_force_terms(rows, eps)
-            assert rival_best.tolist() == expected_best
-            assert terms.tolist() == expected_terms
+            assert rival_best == tuple(map(tuple, expected_best))
+            assert terms == tuple(map(tuple, expected_terms))
             roster = PlayerRoster((1.0,) * num_players)  # shape only
             assert classical_payoffs(rows, roster, eps) == brute_force_payoffs(rows, eps)
 
@@ -217,7 +239,9 @@ class TestClassicalPayoffs:
             call(eps)
 
     # A ragged grid let numpy's ValueError escape; strings and bools were
-    # coerced to floats.
+    # coerced to floats. A numpy array goes through the number rule cell by
+    # cell like any grid, and a grid or row that is not iterable is refused
+    # (both raised a bare TypeError).
     @pytest.mark.parametrize("function", [payoff_terms, payoff_vector])
     @pytest.mark.parametrize(
         "grid, error, message",
@@ -242,28 +266,73 @@ class TestClassicalPayoffs:
             (
                 np.array([[True, False], [False, False]]),
                 ValidationError,
-                "payoff grid must hold numbers, got dtype bool",
+                "payoff grid value for player 1, battlefield 1 must be a number, "
+                f"got {np.True_!r}",
             ),
             (
                 np.array([["1", "2"], ["0", "0"]]),
                 ValidationError,
-                "payoff grid must hold numbers, got dtype <U1",
+                "payoff grid value for player 1, battlefield 1 must be a number, "
+                f"got {np.str_('1')!r}",
+            ),
+            (
+                np.array([[[3.0, 1.0]] * 2, [[1.0, 2.0]] * 2]),  # [player, step, k]
+                ValidationError,
+                "payoff grid value for player 1, battlefield 1 must be a number, "
+                "got array([3., 1.])",
+            ),
+            (
+                [1.0, 2.0],
+                DimensionError,
+                "player 1 payoff grid value row 1.0: expected dims 1, got 0",
+            ),
+            (
+                [[1.0, 2.0], 0.5],
+                DimensionError,
+                "player 2 payoff grid value row 0.5: expected dims 1, got 0",
+            ),
+            (
+                5.0,
+                ValidationError,
+                "payoff grid values must form a grid, got 5.0",
             ),
         ],
-        ids=["ragged", "strings", "bool-cell", "bool-array", "string-array"],
+        ids=[
+            "ragged", "strings", "bool-cell", "bool-array", "string-array",
+            "3d-stack", "flat", "scalar-row", "scalar",
+        ],
     )
     def test_payoff_grid_follows_the_number_rule(self, function, grid, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             function(grid)
+
+    @pytest.mark.parametrize(
+        "allocations, error, message",
+        [
+            (
+                [1.0, 2.0],
+                DimensionError,
+                "player 1 allocation row 1.0: expected dims 1, got 0",
+            ),
+            (5.0, ValidationError, "allocations must form a grid, got 5.0"),
+        ],
+        ids=["flat", "scalar"],
+    )
+    def test_allocation_grid_shape_is_checked(self, allocations, error, message):
+        # both raised a bare TypeError: 'float' object is not iterable
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            classical_payoffs(allocations, PlayerRoster((6.0, 4.0)))
 
     def test_numeric_grids_still_pass(self):
         grid = [[3, 1.0], [np.float64(1.0), 2]]
         assert payoff_vector(grid) == (0, 0)
         assert payoff_vector(np.array([[3, 1], [1, 2]])) == (0, 0)
         assert payoff_vector(np.array([[3, 1], [1, 2]], dtype=np.uint8)) == (0, 0)
-        stack = np.array([[[3.0, 1.0]] * 4, [[1.0, 2.0]] * 4])  # [player, step, k]
-        _, terms = payoff_terms(stack)
-        assert terms.tolist() == [[[1, -1]] * 4, [[-1, 1]] * 4]
+        rival_best, terms = payoff_terms(np.array([[3.0, 1.0], [1.0, 2.0]]))
+        assert rival_best == ((1.0, 2.0), (3.0, 1.0))
+        assert terms == ((1, -1), (-1, 1))
+        assert all(type(v) is float for row in rival_best for v in row)
+        assert all(type(t) is int for row in terms for t in row)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4))

@@ -469,11 +469,11 @@ class TestSweep:
         )
         # With the CSV on stdout, the transitions go to stderr.
         assert done.returncode == 0, done.stderr
+        # Each phi is reduced by 2*pi before it is evaluated, as evaluate
+        # reduces a scenario's phases.
         assert done.stderr.splitlines() == [
-            "payoff transition near phi = 4.58291597457e+16: "
+            "payoff transition near phi = 6.14950590043e+16: "
             "(0, -1, -1) -> (-1, -2, 1)",
-            "payoff transition near phi = 7.70855081772e+16: "
-            "(-1, -2, 1) -> (0, -1, -1)",
         ]
 
     def test_degrees_sweep_matches_radians_sweep(self, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import math
+import random
+from array import array
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from reference import (
     kron_all,
     partial_trace,
 )
+from test_classical import brute_force_payoffs, brute_force_terms
 
 HALF_PI = math.pi / 2
 GOLDEN_GRID = (
@@ -50,6 +53,11 @@ GOLDEN_GRID = (
 # The worked example's allocations with Blotto over budget on battlefield
 # 1; the row still sums to 6 within the default eps.
 OVER_BUDGET = ((6.0000000001, 0.0), (3.0, 1.0), (0.0, 3.0))
+
+
+def grid_bits(grid):
+    """A float grid's bytes, so equal grids are equal bit for bit."""
+    return array("d", [v for row in grid for v in row]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +690,49 @@ class TestQuantumPayoffs:
             derived = np.array(table.rival_best)
             assert derived.shape == (N, n)
             assert all(type(v) is float for row in table.rival_best for v in row)
+            expected = np.array(expected)
             assert np.array_equal(derived.view(np.uint64), expected.view(np.uint64))
             ranked = np.sort(table.values, axis=0)
             tied_tops += int((ranked[-1] == ranked[-2]).sum())
         assert tied_tops >= 40  # the tie branch is exercised (87 column tops)
+
+    def test_payoffs_and_rival_best_follow_the_straight_line_rule(self):
+        # 306 evaluations against test_classical's straight-line rule, bit
+        # for bit. N 9 costs about 100 ms an evaluation, so it runs fewer
+        # cases. Budgets are the row sums, so eps 0 admits them; a quarter
+        # of the cases have zero phases, and half copy one player's move
+        # to a rival, so columns tie exactly.
+        rng = random.Random(19)
+        counts = {5: 24, 7: 8, 9: 2}
+        shapes = [(N, n) for N in counts for n in (2, 3, 4) for _ in range(counts[N])]
+        tied_tops = 0
+        for case, ((N, n), eps) in enumerate(
+            itertools.product(shapes, (0.0, 1e-9, 1e-3))
+        ):
+            allocations = [[rng.uniform(0.0, 2.0) for _ in range(n)] for _ in range(N)]
+            phases = [[rng.uniform(-20.0, 20.0) for _ in range(n)] for _ in range(N)]
+            if case % 4 == 0:
+                phases = [[0.0] * n for _ in range(N)]
+            if case % 2 == 0:
+                source, twin = rng.sample(range(N), 2)
+                allocations[twin] = list(allocations[source])
+                phases[twin] = list(phases[source])
+            lead = max(range(N), key=lambda j: sum(allocations[j]))
+            for grid in (allocations, phases):  # Blotto holds the largest budget
+                grid[0], grid[lead] = grid[lead], grid[0]
+            totals = [sum(row) for row in allocations]
+            gamma = rng.uniform(0.0, HALF_PI)
+            scenario = Scenario.create(totals, allocations, gamma, phases=phases, eps=eps)
+            table = evaluate(scenario)
+            rows = [list(row) for row in table.values]
+            expected_best, _ = brute_force_terms(rows, eps)
+            assert table.payoffs == brute_force_payoffs(rows, eps)
+            assert grid_bits(table.rival_best) == grid_bits(expected_best)
+            tied_tops += sum(
+                sorted(column)[-1] == sorted(column)[-2] for column in zip(*rows)
+            )
+        assert case + 1 == 306
+        assert tied_tops >= 40  # the tie branch is exercised (58 column tops)
 
 
 class TestScenarioValidation:

@@ -2,9 +2,11 @@ import math
 import random
 import re
 import sys
+import time
 import tracemalloc
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qblotto import (
     ValidationError,
     best_response_grid,
     evaluate,
+    load_scenario,
     run_sweep,
 )
 from qblotto.classical import payoff_terms
@@ -34,6 +37,7 @@ from qblotto.sweep import (
 from reference import branch_strengths, check_phase_insensitivity
 
 HALF_PI = math.pi / 2
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def threshold_sweep_spec(worked_example, steps=101):
@@ -167,6 +171,20 @@ class TestRunSweep:
     def test_repeat_runs_bit_identical(self, worked_example):
         spec = threshold_sweep_spec(worked_example, steps=11)
         assert run_sweep(spec) == run_sweep(spec)
+
+    def test_phi_sweep_reduces_as_evaluate_does(self):
+        # The swept phase reached the engine unreduced, while evaluate
+        # reduces a scenario's phases into [0, 2*pi): on this sweep 39 of
+        # the 41 points' strengths differed from evaluate's in the last bits.
+        base, _ = load_scenario(SCENARIOS / "quantum_move.json")
+        result = run_sweep(SweepSpec(base, 2, 1, "phi", 20.0, 30.0, 41))
+        for value, payoffs, cells in result.rows():
+            phases = [list(row) for row in base.phases]
+            phases[1][0] = value
+            table = evaluate(replace(base, phases=phases))
+            assert payoffs == table.payoffs
+            expected = array("d", [v for row in table.values for v in row])
+            assert array("d", cells).tobytes() == expected.tobytes()
 
     def test_refinement_keeps_coarse_vectors(self, worked_example):
         coarse = run_sweep(threshold_sweep_spec(worked_example, steps=11))
@@ -480,6 +498,19 @@ class TestBestResponseGrid:
         with pytest.raises(ValidationError, match="^4097 phase grid steps on 1 "):
             best_response_grid(scenario, 2, 4097)
 
+    def test_cap_checked_before_the_power(self):
+        # steps**max(n, 2) was computed exactly before the cap raised:
+        # tens of seconds for 10**1000 steps on 2**14 battlefields.
+        n = 2**14
+        scenario = Scenario.create(
+            totals=(float(n), 1.0), allocations=((1.0,) * n, (1.0 / n,) * n), gamma=0.0
+        )
+        for steps in (10**1000, 4097, 2):
+            start = time.perf_counter()
+            with pytest.raises(ValidationError, match=f"^{steps} phase grid steps on {n} "):
+                best_response_grid(scenario, 2, steps)
+            assert time.perf_counter() - start < 1.0
+
 
 def exhaustive_best_response(scenario, player, steps):
     """Reference search: evaluate every point of the phase grid.
@@ -722,10 +753,9 @@ class TestFittedSearchCost:
             best = best_response_grid(scenario, player, steps)
             assert len(calls) == 0
             assert [len(recorded) for recorded in stages] == [0, 0, 0]
-            # one norm^2 per axis value, checked in one call
+            # one call, on the axis value's norm^2 furthest from 1
             ((norm_sq,),) = norms
-            assert norm_sq.shape == (steps,)
-            assert np.abs(norm_sq - 1.0).max() <= 1e-14
+            assert abs(norm_sq - 1.0) <= 1e-14
             assert best == direct_best_response(scenario, player, steps)
 
     def test_exact_ties_fall_back_within_steps(self, monkeypatch, worked_example):
@@ -792,6 +822,20 @@ def test_axis_form_predicts_every_grid_value(num_players):
             grids.append(table.values)
         grids = np.array(grids)
         assert np.abs(form - grids).max() <= 1e-14, (scenario, player, steps)
+
+
+def test_axis_norm_check_reports_the_worst_value(monkeypatch, worked_example):
+    # Every battlefield's norm^2 gains 0.5 sin 2p: on the axis 0, pi/8,
+    # ..., pi/2 only the inner values drift, pi/4 the furthest.
+    form = qblotto.sweep._battlefield_form
+
+    def drifting(*args):
+        cells, norm = form(*args)
+        return cells, (*norm[:4], norm[4] + 0.5)
+
+    monkeypatch.setattr(qblotto.sweep, "_battlefield_form", drifting)
+    with pytest.raises(NumericalIntegrityError, match=r"norm\^2 = 1\.(5|49999)"):
+        best_response_grid(worked_example, 3, 5)
 
 
 @pytest.mark.parametrize("num_players", [15, 19])
