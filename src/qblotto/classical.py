@@ -65,6 +65,14 @@ def _is_sign(value) -> bool:
     return _is_number(value) and value in (-1, 1)
 
 
+def _sequence(values, what: str) -> list:
+    """``values`` as a list; one that is not iterable raises ValidationError."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValidationError(f"{what} must form a sequence, got {values!r}") from None
+
+
 def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
     """A player-major grid as floats, each cell under :func:`_real`.
 
@@ -82,6 +90,12 @@ def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], 
             raise DimensionError(1, 0, f"player {j} {what} row {row!r}") from None
         rows.append(tuple(_real(x, what, j, k) for k, x in cells))
     return tuple(rows)
+
+
+def _real_budgets(totals: Sequence) -> tuple[float, ...]:
+    """Troop budgets as floats, a sequence each under :func:`_real`."""
+    budgets = enumerate(_sequence(totals, "budgets"), start=1)
+    return tuple(_real(t, f"player {j} budget") for j, t in budgets)
 
 
 def _real_rows(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
@@ -173,8 +187,7 @@ class PlayerRoster:
     totals: tuple[float, ...]
 
     def __post_init__(self):
-        budgets = enumerate(self.totals, start=1)
-        totals = tuple(_real(t, f"player {j} budget") for j, t in budgets)
+        totals = _real_budgets(self.totals)
         object.__setattr__(self, "totals", totals)
         if len(totals) < 2:
             raise ValidationError(

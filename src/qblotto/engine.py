@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps
-from .classical import _is_sign, _real, _real_grid  # the input rules
+from .classical import _is_sign, _real, _real_budgets, _real_grid  # the input rules
+from .classical import _sequence
 from .classical import payoff_vector, rival_best  # the payoff rule
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
@@ -170,15 +171,15 @@ class Scenario:
     eps: float = DEFAULT_TIE_EPS
 
     def __post_init__(self):
-        names = tuple(str(s) for s in self.player_names)
-        budgets = enumerate(self.totals, start=1)
-        totals = tuple(_real(t, f"player {j} budget") for j, t in budgets)
+        names = tuple(map(str, _sequence(self.player_names, "player names")))
+        totals = _real_budgets(self.totals)
         allocations = _real_grid(self.allocations, "allocation")
         phases = _real_grid(self.phases, "phase")
         gamma = _real(self.gamma, "entanglement parameter")
         eps = _real(self.eps, "tie tolerance")
-        signs = [_is_sign(s) for s in self.sign_pattern]
-        pattern = tuple(int(s) if ok else s for s, ok in zip(self.sign_pattern, signs))
+        entries = _sequence(self.sign_pattern, "sign pattern")
+        signs = [_is_sign(s) for s in entries]
+        pattern = tuple(int(s) if ok else s for s, ok in zip(entries, signs))
         if not all(signs):
             raise ValidationError(
                 f"sign pattern entries must be +1 or -1, got {pattern}"
@@ -268,7 +269,11 @@ class Scenario:
         :func:`default_names`, whose strings every scenario of that size
         shares. Every other value reaches the number rule as passed.
         """
-        rows = [tuple(row) for row in allocations]
+        try:
+            rows = [tuple(row) for row in allocations]
+        except TypeError:  # not a grid of rows: raise the build's message for it
+            _real_grid(allocations, "allocation")
+            raise
         if not rows or not rows[0]:
             raise ValidationError("allocations must be a non-empty N x n grid")
         n = len(rows[0])

@@ -7,11 +7,11 @@ bisection. A grid search over one player's phases finds their best
 reachable payoff with allocations held fixed. The payoff is a sum of
 per-battlefield terms and the phase on battlefield k moves only term k,
 so one axis of ``steps`` phase values stands for the ``steps**n`` grid.
-Each battlefield's branch of the game is an N-qubit EWL circuit with a
-closed form, so along that axis every strength is a degree-2
-trigonometric polynomial whose five coefficients come from two overlaps
-per player, with no state vector; the search evaluates a value directly
-only where a margin sits at a tie-band edge.
+Each battlefield's branch is an N-qubit EWL circuit with a closed form:
+along that axis each strength is a degree-2 trigonometric polynomial of
+five coefficients, from two overlaps per player, and one matrix product
+evaluates them all with no state vector. The search evaluates a value
+directly only where a margin sits at a tie-band edge.
 Both take a built scenario, which was validated then, and do not check
 it again; they copy its angle and phase grids from
 :func:`~qblotto.engine.strategies_of` and set one cell or one row.
@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -62,9 +64,9 @@ MAX_SWEEP_STEPS = 2**16
 
 # A phase-axis value is evaluated directly when the player's margin on
 # some battlefield is this close to a tie-band edge (+-eps), where the
-# closed form's rounding could move the term. On 700 seeded searches
-# (N 2-9, n 1-4, phases in [-20, 20], steps 2-64) the largest
-# |form - direct| strength was 8.9e-16, over 1000 times below this guard.
+# closed form's rounding could move the term. The largest |form - direct|
+# strength was 8.9e-16 on 700 seeded searches (N 2-9, n 1-4, steps 2-64)
+# and 7.8e-16 on 40 at N=3 with 1024-4096 steps, phases in [-20, 20].
 DECISION_GUARD = 1e-12
 
 DEFAULT_SWEEP_STEPS = 101
@@ -319,28 +321,28 @@ def _phase_axis_strengths(
     Along the axis every strength is ``a0 + a1 cos p + b1 sin p + a2 cos
     2p + b2 sin 2p``. Each battlefield's closed form
     (:func:`_battlefield_form`) gives the five coefficients of every
-    cell, in O(N) per battlefield and with no state vector; they are
-    then evaluated at each axis value. The even-count rule runs first,
-    and the final state's norm^2 (:func:`check_norm_sq`) and every
-    strength's [0, 1] range are checked at every axis value, as an
-    evaluation checks them.
+    cell, in O(N) per battlefield and with no state vector; one matrix,
+    a row per cell and a last one for norm^2, times the axis's basis
+    evaluates them all. The even-count rule runs first, and the final
+    state's norm^2 (:func:`check_norm_sq`) and every strength's [0, 1]
+    range are checked at every axis value, as an evaluation checks them.
     """
     check_entangler_unitary(len(angles), gamma)
     n = len(sign_pattern)
-    columns = [
-        _battlefield_form(
-            [row[k] for row in angles], [row[k] for row in phases], gamma, sign, player
-        )
-        for k, sign in enumerate(sign_pattern)
-    ]
-    # Coefficients of the basis: [5, j, k] for the cells, [5] for norm^2.
-    coefficients = np.array([cells for cells, _ in columns]).transpose(2, 1, 0) / n
-    norm_sq = np.array([norm for _, norm in columns]).sum(axis=0) / n
-    harmonics = [f(m * axis) for m in (1, 2) for f in (np.cos, np.sin)]
-    basis = np.stack([np.ones_like(axis), *harmonics], axis=-1)
-    norms = basis @ norm_sq
+    columns = zip(zip(*angles), zip(*phases), sign_pattern)  # one per battlefield
+    forms = [_battlefield_form(a, p, gamma, sign, player) for a, p, sign in columns]
+    cells, norm_forms = zip(*forms)
+    rows = [cell for row in zip(*cells) for cell in row]  # player-major cells
+    rows.append([sum(terms) for terms in zip(*norm_forms)])
+    coefficients = np.array(rows) / n
+    basis = np.ones((5, len(axis)))  # rows: 1, cos p, sin p, cos 2p, sin 2p
+    for row, harmonic in ((1, axis), (3, 2.0 * axis)):
+        np.cos(harmonic, out=basis[row])
+        np.sin(harmonic, out=basis[row + 1])
+    fitted = basis.T @ coefficients.T
+    norms = fitted[:, -1]
     check_norm_sq(norms[np.argmax(abs(norms - 1.0))])  # the furthest from 1, NaN first
-    values = np.tensordot(basis, coefficients, axes=1)
+    values = fitted[:, :-1].reshape(len(axis), len(angles), n)
     check_strengths(values)
     return values
 
@@ -366,12 +368,12 @@ def _battlefield_form(
     projected overlaps ``<x|P|x>``, plus twice the real part of a sum
     over the pairs (u, Fu), (u, Fv), (v, Fu) and (v, Fv): weight, times
     player l's projected overlap ``<x|P|y>``, times every other player's
-    overlap. Those products leave one player out and come from prefix
-    and suffix products, never from division (``tau`` is 0 at zero
-    phase). Norm^2 is the same sum with player l's projector dropped.
-    The searcher's overlaps and projected overlaps are trigonometric
-    polynomials of degree 2 in its phase p, so each sum's coefficients
-    follow in closed form (:func:`_rival_form`, :func:`_own_form`).
+    overlap: products that leave one player out, one :func:`_leave_one_out`
+    pass per pair, never a division (``tau`` is 0 at zero phase). Norm^2 is
+    the same sum with player l's projector dropped. The searcher's overlaps
+    and projected overlaps are trigonometric polynomials of degree 2 in its
+    phase p, so each sum's coefficients follow in closed form
+    (:func:`_rival_form`, :func:`_own_form`).
     """
     searcher = player - 1
     a, b = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
@@ -388,27 +390,32 @@ def _battlefield_form(
         diagonals.append((a**4 + b**4) * s * s + 2 * (ab * c) ** 2)
     overlaps[searcher] = (1.0,) * 4
 
-    # others[l]: the weights times every overlap but player l's and the
-    # searcher's.
-    before, after = [weights], [(1.0,) * 4]
-    for g in overlaps[:-1]:
-        before.append(tuple(x * y for x, y in zip(before[-1], g)))
-    for g in overlaps[:0:-1]:
-        after.append(tuple(x * y for x, y in zip(after[-1], g)))
-    others = [
-        tuple(x * y for x, y in zip(p, q)) for p, q in zip(before, reversed(after))
-    ]
-
+    # others[l][pair]: the weight times every overlap but l's and the searcher's
+    others = list(zip(*map(_leave_one_out, zip(*overlaps), weights)))
     c, s = math.cos(angles[searcher]), math.sin(angles[searcher])
     searcher_gate = (c * s, c * c, s * s)
     cells = [
         _own_form(diagonal, rest, *searcher_gate)
         if l == searcher
-        else _rival_form(diagonal, [x * y for x, y in zip(rest, own)], *searcher_gate)
+        else _rival_form(diagonal, tuple(map(mul, rest, own)), *searcher_gate)
         for l, (diagonal, rest, own) in enumerate(zip(diagonals, others, projected))
     ]
     norm_sq = _rival_form((a * a + b * b) ** 2, others[searcher], *searcher_gate)
     return cells, norm_sq
+
+
+def _leave_one_out(factors: Sequence, scale) -> list:
+    """``scale`` times the product of every factor but the l-th, for each l.
+
+    Prefixes from the left meet suffixes from the right: O(N) products and
+    no division, so a zero factor is exact.
+    """
+    products = list(accumulate(factors[:-1], mul, initial=scale))
+    suffix = 1.0
+    for l in range(len(factors) - 1, 0, -1):
+        suffix *= factors[l]
+        products[l - 1] *= suffix
+    return products
 
 
 def _rival_form(constant, x, cs, c2, s2) -> tuple[float, ...]:
@@ -492,20 +499,23 @@ def best_response_grid(
 
     angles, phases = strategies_of(base)
     gamma, pattern, eps = base.gamma, base.sign_pattern, base.eps
-    axis = np.linspace(0.0, HALF_PI, phi_grid_steps)
+    # np.linspace(0.0, HALF_PI, steps) bit for bit, without its per-call cost
+    axis = np.arange(phi_grid_steps) * (HALF_PI / (phi_grid_steps - 1))
+    axis[-1] = HALF_PI
     values = _phase_axis_strengths(angles, phases, gamma, pattern, player, axis)
 
     # values[s, j, k]; margin[s, k] is the player's lead over the best rival.
-    margin = values[:, player - 1] - np.delete(values, player - 1, axis=1).max(axis=1)
+    rivals = [j for j in range(base.num_players) if j != player - 1]
+    margin = values[:, player - 1] - values[:, rivals].max(axis=1)
     terms = _tie_sign(margin, eps)  # terms[s, k]: battlefield k's term at axis[s]
     unsure = (abs(abs(margin) - eps) <= DECISION_GUARD).any(axis=1)
     moved = list(phases)
-    for s in np.flatnonzero(unsure):
+    for s in unsure.nonzero()[0]:
         moved[player - 1] = (float(axis[s]),) * n
         table = evaluate_strategies(angles, moved, gamma, pattern, eps)
         terms[s] = payoff_terms(table.values, eps)[1][player - 1]
     return BestResponse(
         player=player,
         payoff=int(terms.max(axis=0).sum()),
-        phases=tuple(float(axis[s]) for s in terms.argmax(axis=0)),
+        phases=tuple(axis[terms.argmax(axis=0)].tolist()),
     )

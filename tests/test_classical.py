@@ -142,8 +142,10 @@ class TestPlayerRoster:
             ((6.0, True), "^player 2 budget must be a number, got True"),
             ((6.0, np.True_), "^player 2 budget must be a number"),
             ((10**400, 1.0), "^player 1 budget is too large for a float"),
+            # a bare TypeError: 'float' object is not iterable
+            (5.0, "^budgets must form a sequence, got 5.0$"),
         ],
-        ids=["str", "bool", "numpy-bool", "huge"],
+        ids=["str", "bool", "numpy-bool", "huge", "scalar"],
     )
     def test_budgets_follow_the_number_rule(self, totals, message):
         # not coerced to (6.0, 1.0) by float()

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 from array import array
 
 import numpy as np
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qblotto.engine
-from qblotto import NumericalIntegrityError, Scenario, ValidationError, evaluate
+from qblotto import (
+    DimensionError,
+    NumericalIntegrityError,
+    Scenario,
+    ValidationError,
+    evaluate,
+)
 from qblotto.classical import payoff_terms, sgn_eps
 from qblotto.engine import (
     apply_generator,
@@ -1056,6 +1063,15 @@ class TestScenarioValidation:
                 "player 2 allocations: expected dims 2, got 1",
             ),
             (dict(sign_pattern=(1, -1, 1)), "sign pattern: expected dims 2, got 3"),
+            # each of these raised a bare TypeError: not iterable
+            (dict(player_names=5), "player names must form a sequence, got 5"),
+            (dict(totals=5.0), "budgets must form a sequence, got 5.0"),
+            (dict(allocations=5.0), "allocations must form a grid, got 5.0"),
+            (
+                dict(allocations=(1.0, 2.0)),
+                "player 1 allocation row 1.0: expected dims 1, got 0",
+            ),
+            (dict(sign_pattern=1), "sign pattern must form a sequence, got 1"),
         ],
     )
     def test_shape_rules(self, worked_example, changes, message):
@@ -1070,6 +1086,43 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError) as raised:
             Scenario.create((6.0,), allocations, 0.0)
         assert str(raised.value) == "allocations must be a non-empty N x n grid"
+
+    @pytest.mark.parametrize(
+        "totals, allocations, changes, error, message",
+        [
+            (
+                (6.0, 4.0), 5.0, {}, ValidationError,
+                "allocations must form a grid, got 5.0",
+            ),
+            (
+                (6.0, 4.0), [1.0, 2.0], {}, DimensionError,
+                "player 1 allocation row 1.0: expected dims 1, got 0",
+            ),
+            (
+                (6.0, 4.0), [[3.0, 3.0], 4.0], {}, DimensionError,
+                "player 2 allocation row 4.0: expected dims 1, got 0",
+            ),
+            (
+                5.0, [[3.0, 3.0], [2.0, 2.0]], {}, ValidationError,
+                "budgets must form a sequence, got 5.0",
+            ),
+            (
+                (6.0, 4.0), [[3.0, 3.0], [2.0, 2.0]], dict(sign_pattern=1),
+                ValidationError, "sign pattern must form a sequence, got 1",
+            ),
+            (
+                (6.0, 4.0), [[3.0, 3.0], [2.0, 2.0]], dict(names=5),
+                ValidationError, "player names must form a sequence, got 5",
+            ),
+        ],
+        ids=["scalar-grid", "flat-grid", "scalar-row", "budgets", "signs", "names"],
+    )
+    def test_create_reports_a_value_that_is_not_iterable(
+        self, totals, allocations, changes, error, message
+    ):
+        # each raised a bare TypeError: 'float' (or 'int') object is not iterable
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Scenario.create(totals, allocations, 0.0, **changes)
 
     def test_integer_too_large_for_a_float_rejected(self):
         with pytest.raises(ValidationError) as raised:

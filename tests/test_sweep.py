@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import re
@@ -32,6 +33,7 @@ from qblotto.sweep import (
     MAX_SWEEP_STEPS,
     SWEEP_PARAMETERS,
     BestResponse,
+    _leave_one_out,
     _phase_axis_strengths,
 )
 from reference import branch_strengths, check_phase_insensitivity
@@ -498,6 +500,23 @@ class TestBestResponseGrid:
         with pytest.raises(ValidationError, match="^4097 phase grid steps on 1 "):
             best_response_grid(scenario, 2, 4097)
 
+    def test_axis_is_linspace_bit_for_bit(self, monkeypatch, worked_example):
+        # The axis is built from arange rather than np.linspace, whose
+        # per-call cost is a large share of a small search; its values
+        # are np.linspace's at every step count the cap admits.
+        axes = []
+
+        def record(*args):
+            axes.append(args[-1])
+            raise LookupError  # the axis is all this test needs
+
+        monkeypatch.setattr(qblotto.sweep, "_phase_axis_strengths", record)
+        for steps in range(2, 4097):
+            with pytest.raises(LookupError):
+                best_response_grid(worked_example, 3, steps)
+            expected = np.linspace(0.0, HALF_PI, steps)
+            assert axes[-1].tobytes() == expected.tobytes(), steps
+
     def test_cap_checked_before_the_power(self):
         # steps**max(n, 2) was computed exactly before the cap raised:
         # tens of seconds for 10**1000 steps on 2**14 battlefields.
@@ -678,6 +697,68 @@ def test_fitted_search_matches_direct_reference(num_players):
         assert best_response_grid(scenario, player, steps) == (
             direct_best_response(scenario, player, steps)
         ), (scenario, player, steps)
+
+
+def cap_scenario(rng, n, eps, copied):
+    """A seeded N=3 scenario whose splits are quarters, so eps = 0 builds.
+
+    With ``copied``, enemy 2 holds enemy 1's budget and split at zero
+    phase, so the two play the same move at enemy 1's first axis value.
+    """
+    totals = [6.0, rng.randint(8, 24) / 4, rng.randint(4, 24) / 4]
+    allocations = [[x / 4 for x in _split(rng, int(4 * t), n, True)] for t in totals]
+    phases = [[rng.uniform(0.0, 2 * math.pi) for _ in range(n)] for _ in totals]
+    if copied:
+        totals[2], allocations[2], phases[2] = totals[1], allocations[1], [0.0] * n
+    gamma = rng.uniform(0.05, HALF_PI)
+    return Scenario.create(totals, allocations, gamma, phases=phases, eps=eps)
+
+
+@pytest.mark.parametrize(
+    "seed, n, eps, steps, copied",
+    [
+        (1, 1, 0.0, 4096, False),
+        (2, 1, 1e-9, 2048, False),
+        (0, 2, 0.0, 2048, True),
+        (4, 2, 1e-9, 4096, False),
+    ],
+)
+def test_search_at_the_step_cap_matches_direct_reference(
+    monkeypatch, seed, n, eps, steps, copied
+):
+    # The coefficient matrix sums in its own order, so fitted values move
+    # by ulps against an evaluation; at thousands of axis values the
+    # search must still equal evaluating each one.
+    rng = random.Random(seed)
+    scenario = cap_scenario(rng, n, eps, copied)
+    player = 2 if copied else rng.randint(1, 3)
+    calls = counting_evaluations(monkeypatch)
+    best = best_response_grid(scenario, player, steps)
+    assert (len(calls) > 0) == copied  # the tie at zero phase sends one to the guard
+    assert best == direct_best_response(scenario, player, steps)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 9])
+def test_leave_one_out_matches_quadratic_products(count):
+    rng = random.Random(count)
+    for zeros in range(min(count, 3) + 1):
+        draw = [rng.uniform(-2.0, 2.0) for _ in range(2 * count)]
+        factors = [complex(x, y) for x, y in zip(draw[::2], draw[1::2])]
+        for i in rng.sample(range(count), zeros):
+            factors[i] = -2j * 0.6 * 0.8 * math.sin(0.0)  # tau at zero phase
+        scale = rng.uniform(-1.0, 1.0)
+        expected = []
+        for left_out in range(count):
+            product = scale
+            for i, factor in enumerate(factors):
+                if i != left_out:
+                    product *= factor
+            expected.append(product)
+        products = _leave_one_out(factors, scale)
+        assert len(products) == count
+        for got, want in zip(products, expected):
+            assert cmath.isclose(got, want, rel_tol=1e-14), (factors, scale)
+            assert (got == 0) == (want == 0)  # a zero factor is exact, never 0/0
 
 
 EVEN_PLAYER_GAMES = {
