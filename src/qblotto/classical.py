@@ -3,15 +3,16 @@
 Players split a fixed troop budget across battlefields; a battlefield
 pays +1 to a player who strictly out-allocates every rival there, -1 to
 a player strictly beaten by the best rival, and 0 on a tie.
-:func:`payoff_terms` is that rule over a player-by-battlefield grid,
-through :func:`rival_best` and the tie band :func:`sgn_eps` uses too;
-the quantum engine applies it to measured strengths, and this module
-applies it to allocations as the oracle the engine is checked against
-in its classical limit.
+:func:`_payoff_terms` is that rule over a checked player-by-battlefield
+grid, through :func:`rival_best` and the tie band :func:`sgn_eps` uses
+too; the quantum engine applies it to measured strengths, and
+:func:`classical_payoffs` checks allocations and applies it as the
+oracle the engine is checked against in its classical limit.
 
 It also holds the package's input rules, each implemented once: the
 number rule (a real number, not a bool, that fits a float), the integer
-rule and the sign rule (a number equal to +1 or -1).
+rule and the sign rule (a number equal to +1 or -1). They run where
+input enters the package; the payoff rule takes checked input.
 """
 
 from __future__ import annotations
@@ -142,34 +143,17 @@ def rival_best(rows: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]
     return tuple(map(tuple, best))
 
 
-def _terms(rows: tuple[tuple[float, ...], ...], eps: float):
-    """:func:`payoff_terms` on rows already under the number rule."""
-    if len(rows) < 2:
-        raise ValidationError(f"need at least two players, got {len(rows)}")
-    if not all(math.isfinite(v) for row in rows for v in row):
-        raise ValidationError("payoff grid has a non-finite entry")
-    best = rival_best(rows)
-    terms = [[_tie_sign(v - r, eps) for v, r in zip(*pair)] for pair in zip(rows, best)]
-    return best, tuple(map(tuple, terms))
+def _payoff_terms(rows: Sequence[Sequence[float]], eps: float):
+    """The payoff rule: each cell's tie-band sign against its best rival.
 
-
-def payoff_terms(grid: Sequence[Sequence[float]], eps: float = DEFAULT_TIE_EPS):
-    """The payoff rule over a player-by-battlefield grid.
-
-    Returns ``(rival_best, terms)`` as player-major tuples: for each
-    cell, the best value among the other players on that battlefield
-    (:func:`rival_best`), and the tie-tolerant sign of the cell minus
-    that rival best (as :func:`sgn_eps` gives it). A player's payoff is
-    the sum of their row of terms. The grid, a 2-D numpy array included,
-    must be finite, rectangular and follow the number rule cell by cell.
+    ``rows`` is a finite, rectangular player-by-battlefield grid of
+    floats with two or more rows and ``eps`` a checked tie tolerance;
+    nothing is checked here. A player's payoff is their row's sum.
     """
-    eps = check_tie_eps(eps)
-    return _terms(_real_rows(grid, "payoff grid value"), eps)
-
-
-def payoff_vector(grid, eps: float = DEFAULT_TIE_EPS) -> tuple[int, ...]:
-    """Each player's payoff: the sum of their row of :func:`payoff_terms`."""
-    return tuple(map(sum, payoff_terms(grid, eps)[1]))
+    best = rival_best(rows)
+    return tuple(
+        tuple(_tie_sign(v - r, eps) for v, r in zip(*pair)) for pair in zip(rows, best)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,11 +202,15 @@ def classical_payoffs(
 ) -> tuple[int, ...]:
     """Per-player payoff: battlefields won minus battlefields lost.
 
-    :func:`payoff_vector` over the allocation grid. Allocations are
+    :func:`_payoff_terms` over the allocation grid. Allocations are
     assumed budget-valid, as a :class:`qblotto.engine.Scenario` holds
-    them; only the number rule (:func:`_real`) and shapes are checked.
+    them; only the number rule (:func:`_real`), shapes, the tie
+    tolerance and finiteness are checked.
     """
     rows = _real_rows(allocations, "allocation")
     if len(rows) != roster.num_players:
         raise DimensionError(roster.num_players, len(rows), "allocation rows")
-    return tuple(map(sum, _terms(rows, check_tie_eps(eps))[1]))
+    eps = check_tie_eps(eps)
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValidationError("payoff grid has a non-finite entry")
+    return tuple(map(sum, _payoff_terms(rows, eps)))

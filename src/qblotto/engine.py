@@ -14,14 +14,15 @@ as a matrix. Strength (j, k) is read off the final state as the
 probability of player j's qubit in state 1 with the register on
 battlefield k, and payoffs compare those measured strengths across
 players with the classical game's rule,
-:func:`qblotto.classical.payoff_terms`.
+:func:`qblotto.classical._payoff_terms`.
 
 The engine's strategy input is two player-major N x n grids, rotation
 angles and phases (:func:`strategies_of`), plus ``gamma`` and the sign
 pattern. A :class:`Scenario` is validated once, when it is built, so
-every scenario that exists is valid and evaluation does not check it
-again. All operations are pure functions of their inputs; evaluating
-the same scenario twice produces bit-identical results.
+every scenario that exists is valid; evaluation, the angle map and the
+payoff rule do not check it again. All operations are pure functions of
+their inputs; evaluating the same scenario twice produces bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps
 from .classical import _is_sign, _real, _real_budgets, _real_grid  # the input rules
 from .classical import _sequence
-from .classical import payoff_vector, rival_best  # the payoff rule
+from .classical import _payoff_terms, rival_best  # the payoff rule
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
 HALF_PI = math.pi / 2
@@ -63,32 +64,13 @@ Grid = Sequence[Row]
 
 
 def rotation_angle(soldiers: float, blotto_total: float) -> float:
-    """Map a troop commitment to a qubit rotation angle in [0, pi/2].
+    """Map a checked troop commitment to a qubit rotation angle in [0, pi/2].
 
     The angle is ``(pi/2) * soldiers / blotto_total``: committing
     Blotto's entire budget rotates the qubit all the way from state 0 to
-    state 1. No player can commit more than Blotto's budget to a single
-    battlefield, so values outside the domain are rejected; both
-    arguments follow the number rule (:func:`~qblotto.classical._real`).
+    state 1. The commitment is taken as a :class:`Scenario` holds it, in
+    [0, ``blotto_total``]; nothing is checked here.
     """
-    soldiers = _real(soldiers, "troop commitment")
-    blotto_total = _real(blotto_total, "Blotto's budget")
-    if blotto_total <= 0:
-        raise ValidationError(
-            f"Blotto's budget must be positive, got {blotto_total!r}"
-        )
-    if soldiers < 0:
-        raise ValidationError(f"troop commitment is negative: {soldiers!r}")
-    if soldiers > blotto_total:
-        raise ValidationError(
-            f"troop commitment {soldiers!r} exceeds Blotto's budget "
-            f"{blotto_total!r}; no valid allocation can reach this"
-        )
-    return _angle(soldiers, blotto_total)
-
-
-def _angle(soldiers: float, blotto_total: float) -> float:
-    """The angle of a commitment that :func:`rotation_angle` has checked."""
     # The product can round one ulp above pi/2 when soldiers == blotto_total.
     return min(HALF_PI * soldiers / blotto_total, HALF_PI)
 
@@ -128,7 +110,7 @@ class MeasurementTable:
     ``values[j][k]`` is player j+1's strength on battlefield k+1, in
     [0, 1], and ``payoffs`` the signed scores in [-n, n]; only these are
     stored. ``rival_best``, each cell's best rival strength on its
-    battlefield, is derived on read: the floats :func:`payoff_terms` selects.
+    battlefield, is derived on read: the floats the payoff rule compares.
     """
 
     values: tuple[tuple[float, ...], ...]
@@ -158,8 +140,10 @@ class Scenario:
     composite-dimension guard ``2^N * n <= MAX_DIM``, the budgets
     (:class:`PlayerRoster`), each player's allocations (finite,
     non-negative and summing to the budget within ``eps``), ``gamma``
-    in [0, pi/2], and no commitment above Blotto's budget
-    (:func:`rotation_angle`). :meth:`create` holds the defaults.
+    in [0, pi/2], and no commitment above Blotto's budget, so every
+    commitment has a rotation angle (:func:`rotation_angle`). Player
+    names must be a sequence of names: a str, bytes or dict is refused.
+    :meth:`create` holds the defaults.
     """
 
     player_names: tuple[str, ...]
@@ -171,7 +155,12 @@ class Scenario:
     eps: float = DEFAULT_TIE_EPS
 
     def __post_init__(self):
-        names = tuple(map(str, _sequence(self.player_names, "player names")))
+        names = self.player_names
+        if isinstance(names, (str, bytes, dict)):  # iterable, but not a list of names
+            raise ValidationError(
+                f"player names must be a sequence of names, got {names!r}"
+            )
+        names = tuple(map(str, _sequence(names, "player names")))
         totals = _real_budgets(self.totals)
         allocations = _real_grid(self.allocations, "allocation")
         phases = _real_grid(self.phases, "phase")
@@ -248,7 +237,11 @@ class Scenario:
         # commitment above Blotto's budget.
         for row in allocations:
             for x in row:
-                rotation_angle(x, totals[0])
+                if x > totals[0]:
+                    raise ValidationError(
+                        f"troop commitment {x!r} exceeds Blotto's budget "
+                        f"{totals[0]!r}; no valid allocation can reach this"
+                    )
 
     @classmethod
     def create(
@@ -350,13 +343,12 @@ def scenario_notices(scenario: Scenario) -> list[str]:
 def strategies_of(scenario: Scenario) -> tuple[Grid, Grid]:
     """The scenario's ``(angles, phases)`` grids.
 
-    Each allocation's rotation angle (:func:`rotation_angle`, whose
-    checks the scenario's build ran) and each phase reduced by
-    :func:`reduced_phase`, player-major.
+    Each allocation's rotation angle (:func:`rotation_angle`) and each
+    phase reduced by :func:`reduced_phase`, player-major.
     """
     blotto_total = scenario.blotto_total
     angles = tuple(
-        tuple(_angle(x, blotto_total) for x in row)
+        tuple(rotation_angle(x, blotto_total) for x in row)
         for row in scenario.allocations
     )
     phases = tuple(tuple(reduced_phase(p) for p in row) for row in scenario.phases)
@@ -533,9 +525,10 @@ def measurements(
     committed-qubit projector's expectation on the density matrix
     reduced to qubit j and the register, which the tests' dense
     reference computes. A value outside [0, 1] beyond tolerance, NaN
-    included, raises :class:`NumericalIntegrityError`. Payoffs come
-    from :func:`qblotto.classical.payoff_vector` applied to the strength
-    grid; the table keeps no rival bests, it derives them when read.
+    included, raises :class:`NumericalIntegrityError`. Payoffs are the
+    row sums of :func:`qblotto.classical._payoff_terms` on the strength
+    grid, which that range check and a checked ``eps`` make its trusted
+    input; the table keeps no rival bests, it derives them when read.
     """
     probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, -1)
     # bits[j, s]: player j+1's qubit in basis state s, player 1's the most significant
@@ -544,7 +537,8 @@ def measurements(
     grid = bits.astype(float) @ probabilities
     check_strengths(grid)
     values = tuple(map(tuple, grid.tolist()))
-    return MeasurementTable(values=values, payoffs=payoff_vector(values, eps))
+    payoffs = tuple(map(sum, _payoff_terms(values, eps)))
+    return MeasurementTable(values=values, payoffs=payoffs)
 
 
 def evaluate(scenario: Scenario) -> MeasurementTable:

@@ -14,12 +14,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .classical import (
-    DEFAULT_TIE_EPS,
-    PlayerRoster,
-    classical_payoffs,
-    payoff_vector,
-)
+from .classical import DEFAULT_TIE_EPS, PlayerRoster, _payoff_terms, classical_payoffs
 from .engine import (
     Scenario,
     disentangle,
@@ -174,7 +169,7 @@ def _check_classical_correspondence(
     for trial in range(trials):
         scenario = random_classical_scenario(rng)
         table = evaluate(scenario)
-        quantum = payoff_vector(table.values, eps)  # the eps under check
+        quantum = tuple(map(sum, _payoff_terms(table.values, eps)))  # eps under check
         roster = PlayerRoster(scenario.totals)
         classical = classical_payoffs(scenario.allocations, roster, eps)
         if quantum != classical:

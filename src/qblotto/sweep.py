@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .classical import _integer, _real, _tie_sign, payoff_terms
+from .classical import _integer, _payoff_terms, _real, _tie_sign
 from .engine import (
     Grid,
     MeasurementTable,
@@ -513,7 +513,7 @@ def best_response_grid(
     for s in unsure.nonzero()[0]:
         moved[player - 1] = (float(axis[s]),) * n
         table = evaluate_strategies(angles, moved, gamma, pattern, eps)
-        terms[s] = payoff_terms(table.values, eps)[1][player - 1]
+        terms[s] = _payoff_terms(table.values, eps)[player - 1]
     return BestResponse(
         player=player,
         payoff=int(terms.max(axis=0).sum()),

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qblotto import DimensionError, ValidationError
+from qblotto import DimensionError, Scenario, ValidationError
 from qblotto.classical import (
     PlayerRoster,
+    _payoff_terms,
     classical_payoffs,
-    payoff_terms,
-    payoff_vector,
+    rival_best,
     sgn_eps,
 )
 
@@ -33,7 +33,7 @@ def brute_force_payoffs(rows, eps):
 
 
 def brute_force_terms(rows, eps):
-    # straight-line rival best and sign per cell, for payoff_terms
+    # straight-line rival best and sign per cell, for the payoff rule
     rival_best, terms = [], []
     for j, row in enumerate(rows):
         rivals = rows[:j] + rows[j + 1:]
@@ -175,8 +175,23 @@ class TestClassicalPayoffs:
             ((("3", True), (True, 0)), "player 1, battlefield 1", "'3'"),
             (((3.0, True), (1.0, 0)), "player 1, battlefield 2", "True"),
             (((3.0, 1.0), (np.True_, 0)), "player 2, battlefield 1", "(np\\.)?True_?"),
+            (
+                np.array([[True, False], [False, False]]),
+                "player 1, battlefield 1",
+                re.escape(repr(np.True_)),
+            ),
+            (
+                np.array([["1", "2"], ["0", "0"]]),
+                "player 1, battlefield 1",
+                re.escape(repr(np.str_("1"))),
+            ),
+            (
+                np.array([[[3.0, 1.0]] * 2, [[1.0, 2.0]] * 2]),  # [player, step, k]
+                "player 1, battlefield 1",
+                re.escape("array([3., 1.])"),
+            ),
         ],
-        ids=["str", "bool", "numpy-bool"],
+        ids=["str", "bool", "numpy-bool", "bool-array", "string-array", "3d-stack"],
     )
     def test_allocations_follow_the_number_rule(self, rows, cell, got):
         # not scored as (2, -2) after float() made True 1.0
@@ -204,24 +219,22 @@ class TestClassicalPayoffs:
         for _ in range(300):
             num_players = int(rng.integers(2, 10))
             n = int(rng.integers(1, 6))
-            grid = tied_grid(rng, num_players, n, eps)
-            rows = grid.tolist()
-            rival_best, terms = payoff_terms(grid, eps)  # a 2-d array, as rows
+            rows = tied_grid(rng, num_players, n, eps).tolist()
             expected_best, expected_terms = brute_force_terms(rows, eps)
-            assert rival_best == tuple(map(tuple, expected_best))
-            assert terms == tuple(map(tuple, expected_terms))
+            assert rival_best(rows) == tuple(map(tuple, expected_best))
+            assert _payoff_terms(rows, eps) == tuple(map(tuple, expected_terms))
             roster = PlayerRoster((1.0,) * num_players)  # shape only
             assert classical_payoffs(rows, roster, eps) == brute_force_payoffs(rows, eps)
 
-    def test_payoff_terms_rejects_bad_input(self):
+    def test_tolerance_and_finiteness_are_checked(self):
+        roster = PlayerRoster((4.0, 1.0))
         with pytest.raises(ValidationError, match="tie tolerance"):
-            payoff_terms([[1.0], [0.0]], -1.0)
-        with pytest.raises(ValidationError, match="non-finite"):
-            payoff_terms([[1.0], [math.nan]])
-        with pytest.raises(ValidationError, match="two players"):
-            payoff_terms([[1.0, 0.0]])
+            classical_payoffs([[1.0], [0.0]], roster, -1.0)
+        with pytest.raises(ValidationError, match="^payoff grid has a non-finite"):
+            classical_payoffs([[1.0], [math.nan]], roster)
 
     # A string tolerance raised a bare TypeError and True counted as 1.0.
+    # The payoff rule trusts a scenario's eps, so its build checks it too.
     @pytest.mark.parametrize("eps", ["1e-9", True])
     @pytest.mark.parametrize(
         "call",
@@ -229,84 +242,17 @@ class TestClassicalPayoffs:
             lambda eps: classical_payoffs(
                 [[3.0, 3.0], [2.0, 2.0]], PlayerRoster((6.0, 4.0)), eps
             ),
-            lambda eps: payoff_terms([[3.0, 3.0], [2.0, 2.0]], eps),
-            lambda eps: payoff_vector([[3.0, 3.0], [2.0, 2.0]], eps),
             lambda eps: sgn_eps(1.0, eps),
+            lambda eps: Scenario.create(
+                (6.0, 4.0), [[3.0, 3.0], [2.0, 2.0]], 0.0, eps=eps
+            ),
         ],
-        ids=["classical_payoffs", "payoff_terms", "payoff_vector", "sgn_eps"],
+        ids=["classical_payoffs", "sgn_eps", "Scenario.create"],
     )
     def test_tie_tolerance_follows_the_number_rule(self, call, eps):
         message = f"tie tolerance must be a number, got {eps!r}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call(eps)
-
-    # A ragged grid let numpy's ValueError escape; strings and bools were
-    # coerced to floats. A numpy array goes through the number rule cell by
-    # cell like any grid, and a grid or row that is not iterable is refused
-    # (both raised a bare TypeError).
-    @pytest.mark.parametrize("function", [payoff_terms, payoff_vector])
-    @pytest.mark.parametrize(
-        "grid, error, message",
-        [
-            (
-                [[1.0, 2.0], [1.0]],
-                DimensionError,
-                "player 2 payoff grid value length: expected dims 2, got 1",
-            ),
-            (
-                [["1", "2"], ["0", "0"]],
-                ValidationError,
-                "payoff grid value for player 1, battlefield 1 must be a number, "
-                "got '1'",
-            ),
-            (
-                [[1.0, True], [0.0, 0.0]],
-                ValidationError,
-                "payoff grid value for player 1, battlefield 2 must be a number, "
-                "got True",
-            ),
-            (
-                np.array([[True, False], [False, False]]),
-                ValidationError,
-                "payoff grid value for player 1, battlefield 1 must be a number, "
-                f"got {np.True_!r}",
-            ),
-            (
-                np.array([["1", "2"], ["0", "0"]]),
-                ValidationError,
-                "payoff grid value for player 1, battlefield 1 must be a number, "
-                f"got {np.str_('1')!r}",
-            ),
-            (
-                np.array([[[3.0, 1.0]] * 2, [[1.0, 2.0]] * 2]),  # [player, step, k]
-                ValidationError,
-                "payoff grid value for player 1, battlefield 1 must be a number, "
-                "got array([3., 1.])",
-            ),
-            (
-                [1.0, 2.0],
-                DimensionError,
-                "player 1 payoff grid value row 1.0: expected dims 1, got 0",
-            ),
-            (
-                [[1.0, 2.0], 0.5],
-                DimensionError,
-                "player 2 payoff grid value row 0.5: expected dims 1, got 0",
-            ),
-            (
-                5.0,
-                ValidationError,
-                "payoff grid values must form a grid, got 5.0",
-            ),
-        ],
-        ids=[
-            "ragged", "strings", "bool-cell", "bool-array", "string-array",
-            "3d-stack", "flat", "scalar-row", "scalar",
-        ],
-    )
-    def test_payoff_grid_follows_the_number_rule(self, function, grid, error, message):
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            function(grid)
 
     @pytest.mark.parametrize(
         "allocations, error, message",
@@ -317,24 +263,35 @@ class TestClassicalPayoffs:
                 "player 1 allocation row 1.0: expected dims 1, got 0",
             ),
             (5.0, ValidationError, "allocations must form a grid, got 5.0"),
+            (
+                [[1.0, 2.0], 0.5],
+                DimensionError,
+                "player 2 allocation row 0.5: expected dims 1, got 0",
+            ),
+            (
+                [[1.0, 2.0], [1.0]],
+                DimensionError,
+                "player 2 allocation length: expected dims 2, got 1",
+            ),
         ],
-        ids=["flat", "scalar"],
+        ids=["flat", "scalar", "scalar-row", "ragged"],
     )
     def test_allocation_grid_shape_is_checked(self, allocations, error, message):
-        # both raised a bare TypeError: 'float' object is not iterable
+        # the first three raised a bare TypeError: 'float' object is not iterable
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             classical_payoffs(allocations, PlayerRoster((6.0, 4.0)))
 
     def test_numeric_grids_still_pass(self):
-        grid = [[3, 1.0], [np.float64(1.0), 2]]
-        assert payoff_vector(grid) == (0, 0)
-        assert payoff_vector(np.array([[3, 1], [1, 2]])) == (0, 0)
-        assert payoff_vector(np.array([[3, 1], [1, 2]], dtype=np.uint8)) == (0, 0)
-        rival_best, terms = payoff_terms(np.array([[3.0, 1.0], [1.0, 2.0]]))
-        assert rival_best == ((1.0, 2.0), (3.0, 1.0))
-        assert terms == ((1, -1), (-1, 1))
-        assert all(type(v) is float for row in rival_best for v in row)
-        assert all(type(t) is int for row in terms for t in row)
+        roster = PlayerRoster((4.0, 3.0))
+        for grid in (
+            [[3, 1.0], [np.float64(1.0), 2]],
+            np.array([[3, 1], [1, 2]]),
+            np.array([[3, 1], [1, 2]], dtype=np.uint8),
+            np.array([[3.0, 1.0], [1.0, 2.0]]),
+        ):
+            payoffs = classical_payoffs(grid, roster)
+            assert payoffs == (0, 0)
+            assert all(type(p) is int for p in payoffs)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4))

@@ -10,15 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qblotto.classical
 import qblotto.engine
+import qblotto.sweep
 from qblotto import (
     DimensionError,
     NumericalIntegrityError,
     Scenario,
+    SweepSpec,
     ValidationError,
     evaluate,
+    run_sweep,
 )
-from qblotto.classical import payoff_terms, sgn_eps
+from qblotto.classical import sgn_eps
 from qblotto.engine import (
     apply_generator,
     default_pattern,
@@ -244,29 +248,6 @@ class TestRotationAngle:
         assert rotation_angle(0, 6) == 0.0
         assert rotation_angle(1, 6) == pytest.approx(math.pi / 12, abs=1e-15)
 
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            rotation_angle(7, 6)
-        with pytest.raises(ValidationError):
-            rotation_angle(-1, 6)
-        with pytest.raises(ValidationError):
-            rotation_angle(1, 0)
-
-    @pytest.mark.parametrize(
-        "soldiers, total, message",
-        [
-            ("3", "6", "troop commitment must be a number, got '3'"),
-            (True, 6, "troop commitment must be a number, got True"),
-            (3, np.True_, f"Blotto's budget must be a number, got {np.True_!r}"),
-            (3, 10**400, "Blotto's budget is too large for a float"),
-        ],
-        ids=["string", "bool", "numpy-bool", "huge-int"],
-    )
-    def test_arguments_follow_the_number_rule(self, soldiers, total, message):
-        with pytest.raises(ValidationError) as raised:
-            rotation_angle(soldiers, total)
-        assert str(raised.value) == message
-
     @given(
         st.floats(0.0, 1.0, allow_nan=False),
         st.floats(0.0, 1.0, allow_nan=False),
@@ -319,16 +300,48 @@ class TestStrategiesOf:
             (1.0, 0.3),
         )
 
-    def test_built_scenario_is_not_checked_again(self, worked_example, monkeypatch):
-        expected = evaluate(worked_example)
+    # One input rule at a time raises, where it lives and where the engine
+    # and sweeps import it: evaluating and sweeping a built scenario run
+    # none of them, and the build that reads that input does.
+    @pytest.mark.parametrize(
+        "rule, build",
+        [
+            ("_real", "scenario"),
+            ("_real_grid", "scenario"),
+            ("_real_budgets", "scenario"),
+            ("_sequence", "scenario"),
+            ("_is_sign", "scenario"),
+            ("check_tie_eps", "scenario"),
+            ("_integer", "spec"),
+        ],
+        ids=[
+            "_real", "_real_grid", "_real_budgets", "_sequence", "_is_sign",
+            "check_tie_eps", "_integer",
+        ],
+    )
+    def test_built_scenario_is_not_checked_again(
+        self, worked_example, monkeypatch, rule, build
+    ):
+        spec = SweepSpec(worked_example, 3, 1, "phi", 0.0, HALF_PI, 9)
+        expected = evaluate(worked_example), run_sweep(spec)
 
         def refuse(*args):
-            raise AssertionError("rotation_angle called after the build")
+            raise AssertionError("input rule called after the build")
 
-        monkeypatch.setattr(qblotto.engine, "rotation_angle", refuse)
-        assert evaluate(worked_example) == expected
-        with pytest.raises(AssertionError):
-            Scenario.create((6, 4, 3), ((3, 3), (3, 1), (0, 3)), HALF_PI)
+        patched = [
+            module
+            for module in (qblotto.classical, qblotto.engine, qblotto.sweep)
+            if hasattr(module, rule)
+        ]
+        assert patched
+        for module in patched:
+            monkeypatch.setattr(module, rule, refuse)
+        assert (evaluate(worked_example), run_sweep(spec)) == expected
+        with pytest.raises(AssertionError, match="input rule called after the build"):
+            if build == "scenario":
+                Scenario.create((6, 4, 3), ((3, 3), (3, 1), (0, 3)), HALF_PI)
+            else:
+                SweepSpec(worked_example, 3, 1, "phi", 0.0, HALF_PI, 9)
 
 
 class TestPlayerOperator:
@@ -669,9 +682,9 @@ class TestQuantumPayoffs:
         assert table.rival_best[2] == pytest.approx((0.25, 0.25), abs=1e-10)
 
     def test_derived_rival_best_is_payoff_terms_grid_bit_for_bit(self):
-        # Passes at the parent too, which stored payoff_terms' grid; this
-        # pins the derived property to it. A fifth of the scenarios have
-        # zero phases, and about half copy one player's strategy to a
+        # The derived property against test_classical's straight-line rival
+        # best, the grid the payoff rule compares. A fifth of the scenarios
+        # have zero phases, and about half copy one player's strategy to a
         # rival, so columns tie exactly.
         rng = np.random.default_rng(1414)
         shapes = [(N, n) for N in range(2, 10) for n in range(1, 5) if 2**N * n <= 1024]
@@ -693,7 +706,7 @@ class TestQuantumPayoffs:
             gamma = 0.0 if N % 2 == 0 else float(rng.uniform(0.0, HALF_PI))
             scenario = Scenario.create(totals, allocations, gamma, phases=phases)
             table = evaluate(scenario)
-            expected, _ = payoff_terms(table.values, scenario.eps)
+            expected, _ = brute_force_terms([list(row) for row in table.values], 0.0)
             derived = np.array(table.rival_best)
             assert derived.shape == (N, n)
             assert all(type(v) is float for row in table.rival_best for v in row)
@@ -889,7 +902,11 @@ class TestScenarioValidation:
                 totals=(3.0,) * 19, allocations=((1.0, 1.0, 1.0),) * 19, gamma=0.0
             )
 
-    def test_commitment_above_blottos_budget_rejected_at_build(self, worked_example):
+    # The rule lives in __post_init__, so every way of building meets it.
+    @pytest.mark.parametrize("entry", ["create", "replace", "constructor"])
+    def test_commitment_above_blottos_budget_rejected_at_build(
+        self, worked_example, entry
+    ):
         from dataclasses import replace
 
         message = (
@@ -897,10 +914,39 @@ class TestScenarioValidation:
             "no valid allocation can reach this"
         )
         with pytest.raises(ValidationError) as raised:
-            Scenario.create((6.0, 4.0, 3.0), OVER_BUDGET, HALF_PI)
+            if entry == "create":
+                Scenario.create((6.0, 4.0, 3.0), OVER_BUDGET, HALF_PI)
+            elif entry == "replace":
+                replace(worked_example, allocations=OVER_BUDGET)
+            else:
+                Scenario(
+                    worked_example.player_names,
+                    worked_example.totals,
+                    OVER_BUDGET,
+                    worked_example.phases,
+                    worked_example.gamma,
+                    worked_example.sign_pattern,
+                )
         assert str(raised.value) == message
+
+    # Each built, its names split into characters or keys; replace meets
+    # the same rule in test_shape_rules.
+    @pytest.mark.parametrize("entry", ["create", "constructor"])
+    @pytest.mark.parametrize(
+        "names, shown",
+        [("AB", "'AB'"), (b"AB", "b'AB'"), ({"A": 1, "B": 2}, "{'A': 1, 'B': 2}")],
+        ids=["str", "bytes", "dict"],
+    )
+    def test_names_must_be_a_sequence_of_names(self, names, shown, entry):
+        message = f"player names must be a sequence of names, got {shown}"
         with pytest.raises(ValidationError) as raised:
-            replace(worked_example, allocations=OVER_BUDGET)
+            if entry == "create":
+                Scenario.create((6.0, 4.0), [[3.0, 3.0], [2.0, 2.0]], 0.0, names=names)
+            else:
+                Scenario(
+                    names, (6.0, 4.0), ((3.0, 3.0), (2.0, 2.0)),
+                    ((0.0, 0.0), (0.0, 0.0)), 0.0, (1, -1),
+                )
         assert str(raised.value) == message
 
     # Each build raises the message that loading or evaluating the same
@@ -961,6 +1007,16 @@ class TestScenarioValidation:
             (
                 dict(eps=math.nan, allocations=((3.0, 3.0), (3.0, 2.0), (0.0, 3.0))),
                 "tie tolerance must be finite and non-negative, got nan",
+            ),
+            # the row sums to Blotto's budget within eps
+            (
+                dict(allocations=((7.0, 0.0), (3.0, 1.0), (0.0, 3.0)), eps=1.0),
+                "troop commitment 7.0 exceeds Blotto's budget 6.0; "
+                "no valid allocation can reach this",
+            ),
+            (
+                dict(totals=(0.0, 0.0, 0.0), allocations=((0.0, 0.0),) * 3),
+                "Blotto's budget must be positive, got 0.0",
             ),
         ],
     )
@@ -1072,6 +1128,20 @@ class TestScenarioValidation:
                 "player 1 allocation row 1.0: expected dims 1, got 0",
             ),
             (dict(sign_pattern=1), "sign pattern must form a sequence, got 1"),
+            # each of these built, its names split into characters or keys
+            (
+                dict(player_names="ABC"),
+                "player names must be a sequence of names, got 'ABC'",
+            ),
+            (
+                dict(player_names=b"ABC"),
+                "player names must be a sequence of names, got b'ABC'",
+            ),
+            (
+                dict(player_names={"A": 1, "B": 2, "C": 3}),
+                "player names must be a sequence of names, "
+                "got {'A': 1, 'B': 2, 'C': 3}",
+            ),
         ],
     )
     def test_shape_rules(self, worked_example, changes, message):

@@ -25,7 +25,7 @@ from qblotto import (
     load_scenario,
     run_sweep,
 )
-from qblotto.classical import payoff_terms
+from qblotto.classical import _payoff_terms
 from qblotto.cli import _fmt, _sweep_csv
 from qblotto.engine import evaluate_strategies, strategies_of
 from qblotto.sweep import (
@@ -630,7 +630,7 @@ def direct_best_response(scenario, player, steps, strengths=evaluated_strengths)
     for phase in axis:
         phases[player - 1] = (phase,) * n
         values = strengths(angles, phases, gamma, pattern)
-        rows.append(payoff_terms(values, eps)[1][player - 1])
+        rows.append(_payoff_terms(np.asarray(values).tolist(), eps)[player - 1])
     terms = np.array(rows)
     return BestResponse(
         player=player,
