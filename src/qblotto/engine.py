@@ -20,9 +20,12 @@ The engine's strategy input is two player-major N x n grids, rotation
 angles and phases (:func:`strategies_of`), plus ``gamma`` and the sign
 pattern. A :class:`Scenario` is validated once, when it is built, so
 every scenario that exists is valid; evaluation, the angle map and the
-payoff rule do not check it again. All operations are pure functions of
-their inputs; evaluating the same scenario twice produces bit-identical
-results.
+payoff rule do not check it again. The one exception is the tie
+tolerance handed to :func:`measurements` (and so to
+:func:`evaluate_strategies`): one that is not a finite, non-negative
+float goes through :func:`check_tie_eps` there. All
+operations are pure functions of their inputs; evaluating the same
+scenario twice produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -501,10 +504,12 @@ def check_strengths(grid: np.ndarray) -> None:
     """Raise :class:`NumericalIntegrityError` for a strength outside [0, 1].
 
     The tolerance is ``UNITARITY_EPS``, and NaN fails. The last two axes
-    of ``grid`` are player and battlefield.
+    of ``grid`` are player and battlefield. Its minimum and maximum
+    decide; only a failure looks for the first cell out of range, whose
+    player and battlefield the message names.
     """
-    in_range = (grid >= -UNITARITY_EPS) & (grid <= 1.0 + UNITARITY_EPS)
-    if not in_range.all():
+    if not (grid.min() >= -UNITARITY_EPS and grid.max() <= 1.0 + UNITARITY_EPS):
+        in_range = (grid >= -UNITARITY_EPS) & (grid <= 1.0 + UNITARITY_EPS)
         index = tuple(np.argwhere(~in_range)[0])
         j, k = index[-2:]
         raise NumericalIntegrityError(
@@ -527,9 +532,14 @@ def measurements(
     reference computes. A value outside [0, 1] beyond tolerance, NaN
     included, raises :class:`NumericalIntegrityError`. Payoffs are the
     row sums of :func:`qblotto.classical._payoff_terms` on the strength
-    grid, which that range check and a checked ``eps`` make its trusted
+    grid, which that range check and ``eps``'s check make its trusted
     input; the table keeps no rival bests, it derives them when read.
+    An ``eps`` that is not a finite, non-negative float goes through
+    :func:`check_tie_eps` first, so a bad one raises its
+    :class:`ValidationError`; a built scenario's passes without that call.
     """
+    if not (type(eps) is float and 0.0 <= eps < math.inf):  # as a Scenario holds it
+        eps = check_tie_eps(eps)  # raises, or converts a valid non-float
     probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, -1)
     # bits[j, s]: player j+1's qubit in basis state s, player 1's the most significant
     shifts = np.arange(num_players - 1, -1, -1)[:, None]

@@ -11,7 +11,9 @@ Each battlefield's branch is an N-qubit EWL circuit with a closed form:
 along that axis each strength is a degree-2 trigonometric polynomial of
 five coefficients, from two overlaps per player, and one matrix product
 evaluates them all with no state vector. The search evaluates a value
-directly only where a margin sits at a tie-band edge.
+directly only where a margin sits at a tie-band edge. Its fixed cost is
+the coefficients' O(N n) Python arithmetic and about 25 numpy calls;
+the axis and its basis are kept for the last 8 step counts searched.
 Both take a built scenario, which was validated then, and do not check
 it again; they copy its angle and phase grids from
 :func:`~qblotto.engine.strategies_of` and set one cell or one row.
@@ -19,16 +21,16 @@ it again; they copy its angle and phase grids from
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .classical import _integer, _payoff_terms, _real, _tie_sign
+from .classical import _integer, _payoff_terms, _real
 from .engine import (
     Grid,
     MeasurementTable,
@@ -65,7 +67,7 @@ MAX_SWEEP_STEPS = 2**16
 # A phase-axis value is evaluated directly when the player's margin on
 # some battlefield is this close to a tie-band edge (+-eps), where the
 # closed form's rounding could move the term. The largest |form - direct|
-# strength was 8.9e-16 on 700 seeded searches (N 2-9, n 1-4, steps 2-64)
+# strength was 1.0e-15 on 700 seeded searches (N 2-9, n 1-4, steps 2-64)
 # and 7.8e-16 on 40 at N=3 with 1024-4096 steps, phases in [-20, 20].
 DECISION_GUARD = 1e-12
 
@@ -308,54 +310,75 @@ class BestResponse:
     phases: tuple[float, ...]
 
 
+@functools.lru_cache(maxsize=8)
+def _phase_axis(steps: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """The search's ``steps`` phase values on [0, pi/2] and their basis.
+
+    The axis is ``np.linspace(0.0, HALF_PI, steps)`` bit for bit, without
+    its per-call cost, as a tuple. The basis is read-only, 5 x ``steps``,
+    with rows ``1, cos p, sin p, cos 2p, sin 2p``. Searches repeat a step
+    count, so the last 8 counts are kept; at the 4096-step cap one entry
+    holds about 0.3 MB, so the cache holds at most about 2.5 MB.
+    """
+    axis = np.arange(steps) * (HALF_PI / (steps - 1))
+    axis[-1] = HALF_PI
+    basis = np.ones((5, steps))
+    for row, harmonic in ((1, axis), (3, 2.0 * axis)):
+        np.cos(harmonic, out=basis[row])
+        np.sin(harmonic, out=basis[row + 1])
+    basis.flags.writeable = False  # every search of this step count shares it
+    return tuple(axis.tolist()), basis
+
+
 def _phase_axis_strengths(
     angles: Grid,
     phases: Grid,
     gamma: float,
     sign_pattern: Sequence[int],
     player: int,
-    axis: np.ndarray,
+    steps: int,
 ) -> np.ndarray:
-    """Strength grids ``[s, j, k]`` with all of ``player``'s phases at ``axis[s]``.
+    """Strength grids ``[s, j, k]`` with all of ``player``'s phases at axis value s.
 
-    Along the axis every strength is ``a0 + a1 cos p + b1 sin p + a2 cos
-    2p + b2 sin 2p``. Each battlefield's closed form
-    (:func:`_battlefield_form`) gives the five coefficients of every
-    cell, in O(N) per battlefield and with no state vector; one matrix,
-    a row per cell and a last one for norm^2, times the axis's basis
-    evaluates them all. The even-count rule runs first, and the final
-    state's norm^2 (:func:`check_norm_sq`) and every strength's [0, 1]
-    range are checked at every axis value, as an evaluation checks them.
+    The axis is :func:`_phase_axis`'s ``steps`` values. Along it every
+    strength is ``a0 + a1 cos p + b1 sin p + a2 cos 2p + b2 sin 2p``. Each
+    battlefield's closed form (:func:`_battlefield_form`) gives the five
+    coefficients of every cell, in O(N) per battlefield and with no state
+    vector; one matrix, a row per cell and a last one for norm^2, times
+    the axis's basis evaluates them all. The even-count rule runs first,
+    and the final state's norm^2 (:func:`check_norm_sq`) and every
+    strength's [0, 1] range are checked at every axis value, as an
+    evaluation checks them.
     """
     check_entangler_unitary(len(angles), gamma)
     n = len(sign_pattern)
+    half = gamma / 2.0
+    entangler = (math.cos(half), math.sin(half))
     columns = zip(zip(*angles), zip(*phases), sign_pattern)  # one per battlefield
-    forms = [_battlefield_form(a, p, gamma, sign, player) for a, p, sign in columns]
+    forms = [
+        _battlefield_form(a, p, entangler, sign, player) for a, p, sign in columns
+    ]
     cells, norm_forms = zip(*forms)
     rows = [cell for row in zip(*cells) for cell in row]  # player-major cells
     rows.append([sum(terms) for terms in zip(*norm_forms)])
-    coefficients = np.array(rows) / n
-    basis = np.ones((5, len(axis)))  # rows: 1, cos p, sin p, cos 2p, sin 2p
-    for row, harmonic in ((1, axis), (3, 2.0 * axis)):
-        np.cos(harmonic, out=basis[row])
-        np.sin(harmonic, out=basis[row + 1])
-    fitted = basis.T @ coefficients.T
+    coefficients = np.divide(rows, n)
+    fitted = _phase_axis(steps)[1].T @ coefficients.T
     norms = fitted[:, -1]
-    check_norm_sq(norms[np.argmax(abs(norms - 1.0))])  # the furthest from 1, NaN first
-    values = fitted[:, :-1].reshape(len(axis), len(angles), n)
+    check_norm_sq(norms.item(abs(norms - 1.0).argmax()))  # the furthest from 1, NaN first
+    values = fitted[:, :-1].reshape(steps, len(angles), n)
     check_strengths(values)
     return values
 
 
 def _battlefield_form(
-    angles: Row, phases: Row, gamma: float, sign: int, player: int
+    angles: Row, phases: Row, entangler: tuple[float, float], sign: int, player: int
 ) -> tuple[list[tuple[float, ...]], tuple[float, ...]]:
     """Coefficients, times n, of one battlefield's strengths along ``player``'s axis.
 
     ``angles`` and ``phases`` hold each player's values on the
-    battlefield. Returns every player's five coefficients in the basis
-    ``(1, cos p, sin p, cos 2p, sin 2p)``, and those of the branch's
-    norm^2.
+    battlefield and ``entangler`` is ``cos, sin(gamma/2)``. Returns every
+    player's five coefficients in the basis ``(1, cos p, sin p, cos 2p,
+    sin 2p)``, and those of the branch's norm^2.
 
     Every operator is diagonal in the register, so the branch is an
     N-qubit EWL circuit of weight ``1/sqrt(n)``. With ``u = U|0>`` and
@@ -368,53 +391,65 @@ def _battlefield_form(
     projected overlaps ``<x|P|x>``, plus twice the real part of a sum
     over the pairs (u, Fu), (u, Fv), (v, Fu) and (v, Fv): weight, times
     player l's projected overlap ``<x|P|y>``, times every other player's
-    overlap: products that leave one player out, one :func:`_leave_one_out`
-    pass per pair, never a division (``tau`` is 0 at zero phase). Norm^2 is
-    the same sum with player l's projector dropped. The searcher's overlaps
-    and projected overlaps are trigonometric polynomials of degree 2 in its
-    phase p, so each sum's coefficients follow in closed form
-    (:func:`_rival_form`, :func:`_own_form`).
+    overlap: products that leave one player out, all four pairs in one
+    :func:`_leave_one_out` pass, never a division (``tau`` is 0 at zero
+    phase). Norm^2 is the same sum with player l's projector dropped. The
+    searcher's overlaps and projected overlaps are trigonometric
+    polynomials of degree 2 in its phase p, so each sum's coefficients
+    follow in closed form (:func:`_rival_form`, :func:`_own_form`).
     """
     searcher = player - 1
-    a, b = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+    a, b = entangler
     ab = a * b
     weights = (-a * a * ab * sign, ab * ab, ab * ab, -b * b * ab * sign)
+    diagonal_weight = a**4 + b**4
     overlaps, projected, diagonals = [], [], []
-    for angle, phase in zip(angles, phases):
+    for l, (angle, phase) in enumerate(zip(angles, phases)):
         c, s = math.cos(angle), math.sin(angle)
+        diagonals.append(diagonal_weight * s * s + 2 * (ab * c) ** 2)
+        if l == searcher:  # its overlaps vary along the axis; the forms take its gate
+            overlaps.append((1.0,) * 4)
+            projected.append(None)
+            cs, c2, s2 = c * s, c * c, s * s
+            continue
         e = complex(math.cos(phase), math.sin(phase))
         tau = -2j * c * s * e.imag
         mu = (e.conjugate() * c) ** 2 + s * s
         overlaps.append((tau, mu, -mu.conjugate(), -tau))
         projected.append((-c * s * e, s * s, -((e * c) ** 2), c * s * e))
-        diagonals.append((a**4 + b**4) * s * s + 2 * (ab * c) ** 2)
-    overlaps[searcher] = (1.0,) * 4
 
     # others[l][pair]: the weight times every overlap but l's and the searcher's
-    others = list(zip(*map(_leave_one_out, zip(*overlaps), weights)))
-    c, s = math.cos(angles[searcher]), math.sin(angles[searcher])
-    searcher_gate = (c * s, c * c, s * s)
+    others = _leave_one_out(overlaps, weights)
     cells = [
-        _own_form(diagonal, rest, *searcher_gate)
-        if l == searcher
-        else _rival_form(diagonal, tuple(map(mul, rest, own)), *searcher_gate)
-        for l, (diagonal, rest, own) in enumerate(zip(diagonals, others, projected))
+        _own_form(diagonal, rest, cs, c2, s2)
+        if own is None
+        else _rival_form(diagonal, tuple(map(mul, rest, own)), cs, c2, s2)
+        for diagonal, rest, own in zip(diagonals, others, projected)
     ]
-    norm_sq = _rival_form((a * a + b * b) ** 2, others[searcher], *searcher_gate)
+    norm_sq = _rival_form((a * a + b * b) ** 2, others[searcher], cs, c2, s2)
     return cells, norm_sq
 
 
-def _leave_one_out(factors: Sequence, scale) -> list:
+def _leave_one_out(factors: Sequence[tuple], scale: tuple) -> list[tuple]:
     """``scale`` times the product of every factor but the l-th, for each l.
 
-    Prefixes from the left meet suffixes from the right: O(N) products and
-    no division, so a zero factor is exact.
+    ``scale`` and each factor are 4-tuples, one entry per pair channel,
+    and every channel is multiplied on its own. One prefix pass from the
+    left meets one suffix pass from the right: O(N) products and no
+    division, so a zero factor is exact.
     """
-    products = list(accumulate(factors[:-1], mul, initial=scale))
-    suffix = 1.0
+    products = []
+    w, x, y, z = scale
+    for f in factors[:-1]:
+        products.append((w, x, y, z))
+        w, x, y, z = w * f[0], x * f[1], y * f[2], z * f[3]
+    products.append((w, x, y, z))
+    sw = sx = sy = sz = 1.0
     for l in range(len(factors) - 1, 0, -1):
-        suffix *= factors[l]
-        products[l - 1] *= suffix
+        f = factors[l]
+        sw, sx, sy, sz = sw * f[0], sx * f[1], sy * f[2], sz * f[3]
+        w, x, y, z = products[l - 1]
+        products[l - 1] = (w * sw, x * sx, y * sy, z * sz)
     return products
 
 
@@ -468,7 +503,10 @@ def best_response_grid(
     and the first index maximizing each term (``argmax``) gives the
     optimum. Those strengths come from :func:`_phase_axis_strengths`:
     five trigonometric coefficients per cell from each battlefield's
-    closed form, in O(N n) and with no state vector. A grid value where
+    closed form, in O(N n) and with no state vector, times the axis's
+    basis, which :func:`_phase_axis` keeps for the last 8 step counts.
+    Past that the search makes about 25 numpy calls, for the checks,
+    the margins and the decision, at any size. A grid value where
     the player's margin on some battlefield lies within
     ``DECISION_GUARD`` of a tie-band edge is evaluated directly (through
     :func:`evaluate_strategies`), so the result is the one that
@@ -499,23 +537,28 @@ def best_response_grid(
 
     angles, phases = strategies_of(base)
     gamma, pattern, eps = base.gamma, base.sign_pattern, base.eps
-    # np.linspace(0.0, HALF_PI, steps) bit for bit, without its per-call cost
-    axis = np.arange(phi_grid_steps) * (HALF_PI / (phi_grid_steps - 1))
-    axis[-1] = HALF_PI
-    values = _phase_axis_strengths(angles, phases, gamma, pattern, player, axis)
+    axis = _phase_axis(phi_grid_steps)[0]
+    values = _phase_axis_strengths(
+        angles, phases, gamma, pattern, player, phi_grid_steps
+    )
 
-    # values[s, j, k]; margin[s, k] is the player's lead over the best rival.
+    # values[s, j, k]; margin[s, k] is the player's lead over the best rival,
+    # and gap[s, k] how far |margin| lies outside the tie band: > 0 exactly
+    # when |margin| > eps, since with gradual underflow a difference of
+    # floats is 0 only when they are equal.
     rivals = [j for j in range(base.num_players) if j != player - 1]
     margin = values[:, player - 1] - values[:, rivals].max(axis=1)
-    terms = _tie_sign(margin, eps)  # terms[s, k]: battlefield k's term at axis[s]
-    unsure = (abs(abs(margin) - eps) <= DECISION_GUARD).any(axis=1)
+    gap = abs(margin) - eps
+    terms = np.copysign(gap > 0, margin)  # battlefield k's term at axis[s]; -0.0 is 0
+    unsure = np.flatnonzero(abs(gap) <= DECISION_GUARD).tolist()  # cells s * n + k
     moved = list(phases)
-    for s in unsure.nonzero()[0]:
-        moved[player - 1] = (float(axis[s]),) * n
+    for s in sorted({cell // n for cell in unsure}):
+        moved[player - 1] = (axis[s],) * n
         table = evaluate_strategies(angles, moved, gamma, pattern, eps)
         terms[s] = _payoff_terms(table.values, eps)[player - 1]
+    best = terms.argmax(axis=0).tolist()  # the first axis value maximizing each term
     return BestResponse(
         player=player,
-        payoff=int(terms.max(axis=0).sum()),
-        phases=tuple(axis[terms.argmax(axis=0)].tolist()),
+        payoff=int(sum(terms[s, k] for k, s in enumerate(best))),
+        phases=tuple(axis[s] for s in best),
     )

@@ -637,6 +637,23 @@ class TestMeasurements:
         with pytest.raises(NumericalIntegrityError, match="outside"):
             measurements(psi, 3)
 
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            (math.nan, "tie tolerance must be finite and non-negative, got nan"),
+            (-1.0, "tie tolerance must be finite and non-negative, got -1.0"),
+            ("1e-9", "tie tolerance must be a number, got '1e-9'"),
+        ],
+        ids=["nan", "negative", "string"],
+    )
+    def test_explicit_tie_tolerance_is_checked(self, worked_example, eps, message):
+        # Strategy grids reach the engine without a Scenario; a tie band
+        # of nan or -1.0 would score every cell a tie.
+        angles, phases = strategies_of(worked_example)
+        gamma, pattern = worked_example.gamma, worked_example.sign_pattern
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate_strategies(angles, phases, gamma, pattern, eps)
+
     def test_density_matrix_properties(self, worked_example):
         psi = final_state(worked_example)
         rho = density_matrix(psi)

@@ -34,6 +34,7 @@ from qblotto.sweep import (
     SWEEP_PARAMETERS,
     BestResponse,
     _leave_one_out,
+    _phase_axis,
     _phase_axis_strengths,
 )
 from reference import branch_strengths, check_phase_insensitivity
@@ -500,22 +501,32 @@ class TestBestResponseGrid:
         with pytest.raises(ValidationError, match="^4097 phase grid steps on 1 "):
             best_response_grid(scenario, 2, 4097)
 
-    def test_axis_is_linspace_bit_for_bit(self, monkeypatch, worked_example):
+    def test_axis_is_linspace_bit_for_bit(self):
         # The axis is built from arange rather than np.linspace, whose
         # per-call cost is a large share of a small search; its values
-        # are np.linspace's at every step count the cap admits.
-        axes = []
-
-        def record(*args):
-            axes.append(args[-1])
-            raise LookupError  # the axis is all this test needs
-
-        monkeypatch.setattr(qblotto.sweep, "_phase_axis_strengths", record)
+        # are np.linspace's at every step count the cap admits, and the
+        # basis rows are its harmonics.
         for steps in range(2, 4097):
-            with pytest.raises(LookupError):
-                best_response_grid(worked_example, 3, steps)
+            axis, basis = _phase_axis(steps)
             expected = np.linspace(0.0, HALF_PI, steps)
-            assert axes[-1].tobytes() == expected.tobytes(), steps
+            assert np.array(axis).tobytes() == expected.tobytes(), steps
+            harmonics = [np.ones(steps)]
+            for p in (expected, 2.0 * expected):
+                harmonics += [np.cos(p), np.sin(p)]
+            assert basis.tobytes() == np.array(harmonics).tobytes(), steps
+
+    def test_cached_axis_cannot_change_a_result(self, worked_example):
+        # More step counts than the cache holds, so the first is evicted
+        # and built again; the search must not tell the difference.
+        counts = range(5, 17)
+        first = [best_response_grid(worked_example, 3, steps) for steps in counts]
+        assert _phase_axis.cache_info().currsize <= 8
+        assert best_response_grid(worked_example, 3, counts[0]) == first[0]
+        for steps, best in zip(counts, first):
+            assert best_response_grid(worked_example, 3, steps) == best
+        _, basis = _phase_axis(counts[0])
+        with pytest.raises(ValueError, match="read-only"):
+            basis[1, 0] = 0.5
 
     def test_cap_checked_before_the_power(self):
         # steps**max(n, 2) was computed exactly before the cap raised:
@@ -738,27 +749,44 @@ def test_search_at_the_step_cap_matches_direct_reference(
     assert best == direct_best_response(scenario, player, steps)
 
 
+def channel_leave_one_out(factors, scale):
+    """One channel's prefix-times-suffix pass, in the search's order."""
+    products = [scale]
+    for factor in factors[:-1]:
+        products.append(products[-1] * factor)
+    suffix = 1.0
+    for l in range(len(factors) - 1, 0, -1):
+        suffix *= factors[l]
+        products[l - 1] *= suffix
+    return products
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 9])
 def test_leave_one_out_matches_quadratic_products(count):
+    # Four channels in one pass, each as a pass of its own would give it,
+    # bit for bit, and within rounding of the quadratic products.
     rng = random.Random(count)
     for zeros in range(min(count, 3) + 1):
-        draw = [rng.uniform(-2.0, 2.0) for _ in range(2 * count)]
-        factors = [complex(x, y) for x, y in zip(draw[::2], draw[1::2])]
+        draw = [rng.uniform(-2.0, 2.0) for _ in range(8 * count)]
+        values = [complex(x, y) for x, y in zip(draw[::2], draw[1::2])]
+        factors = [tuple(values[4 * l : 4 * l + 4]) for l in range(count)]
         for i in rng.sample(range(count), zeros):
-            factors[i] = -2j * 0.6 * 0.8 * math.sin(0.0)  # tau at zero phase
-        scale = rng.uniform(-1.0, 1.0)
-        expected = []
-        for left_out in range(count):
-            product = scale
-            for i, factor in enumerate(factors):
-                if i != left_out:
-                    product *= factor
-            expected.append(product)
+            tau = -2j * 0.6 * 0.8 * math.sin(0.0)  # tau at zero phase
+            factors[i] = (tau, *factors[i][1:3], -tau)
+        scale = tuple(rng.uniform(-1.0, 1.0) for _ in range(4))
         products = _leave_one_out(factors, scale)
         assert len(products) == count
-        for got, want in zip(products, expected):
-            assert cmath.isclose(got, want, rel_tol=1e-14), (factors, scale)
-            assert (got == 0) == (want == 0)  # a zero factor is exact, never 0/0
+        for channel in range(4):
+            column = [factor[channel] for factor in factors]
+            got = [p[channel] for p in products]
+            assert got == channel_leave_one_out(column, scale[channel])
+            for left_out, value in enumerate(got):
+                want = scale[channel]
+                for i, factor in enumerate(column):
+                    if i != left_out:
+                        want *= factor
+                assert cmath.isclose(value, want, rel_tol=1e-14), (factors, scale)
+                assert (value == 0) == (want == 0)  # a zero factor is exact, never 0/0
 
 
 EVEN_PLAYER_GAMES = {
@@ -894,7 +922,7 @@ def test_axis_form_predicts_every_grid_value(num_players):
         angles, phases = strategies_of(scenario)
         gamma, pattern = scenario.gamma, scenario.sign_pattern
         axis = np.linspace(0.0, HALF_PI, steps)
-        form = _phase_axis_strengths(angles, phases, gamma, pattern, player, axis)
+        form = _phase_axis_strengths(angles, phases, gamma, pattern, player, steps)
         phases = list(phases)
         grids = []
         for phase in axis:
@@ -919,6 +947,27 @@ def test_axis_norm_check_reports_the_worst_value(monkeypatch, worked_example):
         best_response_grid(worked_example, 3, 5)
 
 
+@pytest.mark.parametrize("rise", [4.0, math.nan], ids=["above-one", "nan"])
+def test_axis_range_check_names_the_first_bad_cell(monkeypatch, worked_example, rise):
+    # Enemy 1's constant coefficient on battlefield 2 rises by 2n = 4
+    # (the form is n times the strength), so that strength lies above 1,
+    # or is NaN, at every axis value; no other cell moves.
+    form = qblotto.sweep._battlefield_form
+    battlefields = []
+
+    def rising(*args):
+        cells, norm = form(*args)
+        battlefields.append(args)
+        if len(battlefields) == 2:
+            cells[1] = (cells[1][0] + rise, *cells[1][1:])
+        return cells, norm
+
+    monkeypatch.setattr(qblotto.sweep, "_battlefield_form", rising)
+    message = r"^measurement for player 2, battlefield 2 outside \[0, 1\]: "
+    with pytest.raises(NumericalIntegrityError, match=message):
+        best_response_grid(worked_example, 3, 5)
+
+
 @pytest.mark.parametrize("num_players", [15, 19])
 def test_search_cost_does_not_depend_on_player_count(monkeypatch, num_players):
     # A state-vector search at N=15 would form a (2^15 * 2)^2 complex
@@ -929,7 +978,6 @@ def test_search_cost_does_not_depend_on_player_count(monkeypatch, num_players):
     angles, phases = strategies_of(scenario)
     gamma, pattern = scenario.gamma, scenario.sign_pattern
     steps = 5
-    axis = np.linspace(0.0, HALF_PI, steps)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the search formed a state vector or evaluated")
@@ -942,7 +990,7 @@ def test_search_cost_does_not_depend_on_player_count(monkeypatch, num_players):
         ):
             patched.setattr(module, name, refuse)
         best = best_response_grid(scenario, player, steps)
-        form = _phase_axis_strengths(angles, phases, gamma, pattern, player, axis)
+        form = _phase_axis_strengths(angles, phases, gamma, pattern, player, steps)
 
     grids = []  # the reference's strengths at each axis value, in order
 
