@@ -21,11 +21,17 @@ angles and phases (:func:`strategies_of`), plus ``gamma`` and the sign
 pattern. A :class:`Scenario` is validated once, when it is built, so
 every scenario that exists is valid; evaluation, the angle map and the
 payoff rule do not check it again. The one exception is the tie
-tolerance handed to :func:`measurements` (and so to
-:func:`evaluate_strategies`): one that is not a finite, non-negative
-float goes through :func:`check_tie_eps` there. All
-operations are pure functions of their inputs; evaluating the same
-scenario twice produces bit-identical results.
+tolerance handed to :func:`evaluate_strategies` or :func:`measurements`:
+one that is not a finite, non-negative float goes through
+:func:`check_tie_eps` at the top of either, before any state is
+evolved. All operations are pure functions of their inputs; evaluating
+the same scenario twice produces bit-identical results.
+
+numpy is imported inside the functions that build arrays (the gates,
+the operators, the state vector and its measurement), not by this
+module, so building and checking a scenario loads no numpy; the first
+evaluation does. A refusal raised before the state is built, such as
+a bad tie tolerance or a dimension over ``MAX_DENSE_DIM``, loads none.
 """
 
 from __future__ import annotations
@@ -33,15 +39,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps
 from .classical import _is_sign, _real, _real_budgets, _real_grid  # the input rules
 from .classical import _sequence
 from .classical import _payoff_terms, rival_best  # the payoff rule
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
@@ -89,10 +96,17 @@ def strategy_gate(angle: float, phase: float = 0.0) -> np.ndarray:
     At ``phase = 0`` this is the plain rotation taking state 0 toward
     state 1 by ``angle``; a nonzero phase is the quantum resource.
     """
+    import numpy as np
+
+    return np.array(_gate_entries(angle, phase), dtype=complex)
+
+
+def _gate_entries(angle: float, phase: float) -> list[list[complex | float]]:
+    """:func:`strategy_gate`'s four entries as Python numbers, row by row."""
     c = math.cos(angle)
     s = math.sin(angle)
     ph = complex(math.cos(phase), math.sin(phase))
-    return np.array([[ph * c, -s], [s, ph.conjugate() * c]], dtype=complex)
+    return [[ph * c, -s], [s, ph.conjugate() * c]]
 
 
 def default_pattern(num_battlefields: int) -> tuple[int, ...]:
@@ -369,9 +383,13 @@ def player_operator(
     with the battlefield projector; block-diagonal in the register basis
     and unitary. Built by writing each battlefield's gate into its
     diagonal block in one indexed assignment, with no Kronecker products.
+    The gates are :func:`strategy_gate`'s, built in one array.
     """
+    import numpy as np
+
     n = len(angles)
-    gates = np.array([strategy_gate(a, p) for a, p in zip(angles, phases)])
+    cells = zip(angles, phases)
+    gates = np.array([_gate_entries(a, p) for a, p in cells], dtype=complex)
     # Row (a, x, b, k) and column (c, y, d, l) over the qubits before the
     # player's, the player's qubit, the qubits after it and the register.
     before, after = 2 ** (player - 1), 2 ** (num_players - player)
@@ -391,6 +409,8 @@ def generator_weights(num_players: int, sign_pattern: Sequence[int]) -> np.ndarr
     adjoint's weights are ``-(-1)^popcount(s) * i * sign_k``.
     ``sign_pattern`` is taken as checked, as a :class:`Scenario` holds it.
     """
+    import numpy as np
+
     parity = np.ones(1)
     for _ in range(num_players):
         parity = np.concatenate([parity, -parity])  # (-1)^popcount(s)
@@ -431,6 +451,8 @@ def entangle(
     written directly. :func:`check_entangler_unitary` runs first.
     """
     check_entangler_unitary(num_players, gamma)
+    import numpy as np
+
     half = gamma / 2.0
     c, s = math.cos(half), math.sin(half)
     r = 1.0 / math.sqrt(len(sign_pattern))
@@ -444,6 +466,8 @@ def disentangle(
     psi: np.ndarray, num_players: int, gamma: float, sign_pattern: Sequence[int]
 ) -> np.ndarray:
     """``J^+ psi = c psi - i s (G^+ psi)``, the final state; its norm is checked."""
+    import numpy as np
+
     half = gamma / 2.0
     c, s = math.cos(half), math.sin(half)
     inverse = generator_weights(num_players, sign_pattern)
@@ -509,6 +533,8 @@ def check_strengths(grid: np.ndarray) -> None:
     player and battlefield the message names.
     """
     if not (grid.min() >= -UNITARITY_EPS and grid.max() <= 1.0 + UNITARITY_EPS):
+        import numpy as np
+
         in_range = (grid >= -UNITARITY_EPS) & (grid <= 1.0 + UNITARITY_EPS)
         index = tuple(np.argwhere(~in_range)[0])
         j, k = index[-2:]
@@ -516,6 +542,18 @@ def check_strengths(grid: np.ndarray) -> None:
             f"measurement for player {j + 1}, battlefield {k + 1} outside "
             f"[0, 1]: {float(grid[index])!r}"
         )
+
+
+def _tie_tolerance(eps: float) -> float:
+    """``eps`` as the payoff rule trusts it: a finite, non-negative float.
+
+    One that is already that, as a :class:`Scenario` holds it, is
+    returned as is; any other goes through :func:`check_tie_eps`, which
+    raises its :class:`ValidationError` or converts a valid non-float.
+    """
+    if type(eps) is float and 0.0 <= eps < math.inf:
+        return eps
+    return check_tie_eps(eps)
 
 
 def measurements(
@@ -535,11 +573,13 @@ def measurements(
     grid, which that range check and ``eps``'s check make its trusted
     input; the table keeps no rival bests, it derives them when read.
     An ``eps`` that is not a finite, non-negative float goes through
-    :func:`check_tie_eps` first, so a bad one raises its
-    :class:`ValidationError`; a built scenario's passes without that call.
+    :func:`check_tie_eps` first (:func:`_tie_tolerance`), so a bad one
+    raises its :class:`ValidationError`; a built scenario's passes
+    without that call.
     """
-    if not (type(eps) is float and 0.0 <= eps < math.inf):  # as a Scenario holds it
-        eps = check_tie_eps(eps)  # raises, or converts a valid non-float
+    eps = _tie_tolerance(eps)
+    import numpy as np
+
     probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, -1)
     # bits[j, s]: player j+1's qubit in basis state s, player 1's the most significant
     shifts = np.arange(num_players - 1, -1, -1)[:, None]
@@ -566,6 +606,11 @@ def evaluate_strategies(
     sign_pattern: Sequence[int],
     eps: float = DEFAULT_TIE_EPS,
 ) -> MeasurementTable:
-    """Evolve and measure explicit strategy grids (sweep entry point)."""
+    """Evolve and measure explicit strategy grids (sweep entry point).
+
+    ``eps`` is checked first (:func:`_tie_tolerance`), so a bad tie
+    tolerance is refused before the state is evolved.
+    """
+    eps = _tie_tolerance(eps)
     psi = evolve_strategies(angles, phases, gamma, sign_pattern)
     return measurements(psi, len(angles), eps)

@@ -17,6 +17,11 @@ the axis and its basis are kept for the last 8 step counts searched.
 Both take a built scenario, which was validated then, and do not check
 it again; they copy its angle and phase grids from
 :func:`~qblotto.engine.strategies_of` and set one cell or one row.
+
+numpy is imported inside the functions that build a sweep grid or a
+search axis, not by this module, and by a search only after its
+checks: a :class:`SweepSpec` and a refused search load none, and a
+sweep or a search loads it at its first array.
 """
 
 from __future__ import annotations
@@ -26,9 +31,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, fields
 from operator import mul
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .classical import _integer, _payoff_terms, _real
 from .engine import (
@@ -44,6 +47,9 @@ from .engine import (
     strategies_of,
 )
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF_PI = math.pi / 2
 
@@ -133,6 +139,8 @@ class SweepSpec:
             )
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.lo, self.hi, self.steps)
 
 
@@ -320,6 +328,8 @@ def _phase_axis(steps: int) -> tuple[tuple[float, ...], np.ndarray]:
     count, so the last 8 counts are kept; at the 4096-step cap one entry
     holds about 0.3 MB, so the cache holds at most about 2.5 MB.
     """
+    import numpy as np
+
     axis = np.arange(steps) * (HALF_PI / (steps - 1))
     axis[-1] = HALF_PI
     basis = np.ones((5, steps))
@@ -350,6 +360,8 @@ def _phase_axis_strengths(
     strength's [0, 1] range are checked at every axis value, as an
     evaluation checks them.
     """
+    import numpy as np
+
     check_entangler_unitary(len(angles), gamma)
     n = len(sign_pattern)
     half = gamma / 2.0
@@ -534,6 +546,8 @@ def best_response_grid(
             f"over the cap: steps**max(n, 2) must not exceed "
             f"{MAX_GRID_POINTS}; lower the step count or battlefield count"
         )
+
+    import numpy as np
 
     angles, phases = strategies_of(base)
     gamma, pattern, eps = base.gamma, base.sign_pattern, base.eps

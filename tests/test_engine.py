@@ -646,11 +646,18 @@ class TestMeasurements:
         ],
         ids=["nan", "negative", "string"],
     )
-    def test_explicit_tie_tolerance_is_checked(self, worked_example, eps, message):
-        # Strategy grids reach the engine without a Scenario; a tie band
-        # of nan or -1.0 would score every cell a tie.
+    def test_explicit_tie_tolerance_is_checked(
+        self, worked_example, eps, message, monkeypatch
+    ):
+        # Strategy grids and states reach the engine without a Scenario; a
+        # tie band of nan or -1.0 would score every cell a tie.
         angles, phases = strategies_of(worked_example)
         gamma, pattern = worked_example.gamma, worked_example.sign_pattern
+        psi = evolve_strategies(angles, phases, gamma, pattern)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            measurements(psi, 3, eps)
+        # evaluate_strategies refuses it before it evolves the state
+        monkeypatch.setattr(qblotto.engine, "evolve_strategies", None)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             evaluate_strategies(angles, phases, gamma, pattern, eps)
 

@@ -1,50 +1,227 @@
-"""What the package modules import.
+"""What the package modules import, and when numpy loads.
 
-numpy is meant to stay only where a state vector or a search axis is
-vectorized; the allowed set shrinks as modules move to plain floats.
-And no module keeps an import it no longer uses, as a deletion can
-leave behind.
+numpy is needed only to evolve a state vector or to evaluate a search
+axis, so no module imports it when the package is imported: ``engine``
+and ``sweep`` import it inside the functions that build arrays, and no
+other module imports it at all. Two fresh interpreters show the effect:
+building, storing and checking scenarios, the classical oracle and the
+CLI's refusals load no numpy, and the first evaluation does. And no
+module keeps an import it no longer uses, as a deletion can leave
+behind.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qblotto"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qblotto"
 
+# The modules allowed to import numpy, and only inside a function.
 NUMPY_MODULES = {"engine.py", "sweep.py"}
 
 
-def imports_numpy(path: Path) -> bool:
-    """Whether any import statement in ``path``, at any depth, loads numpy."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        if any(name.split(".")[0] == "numpy" for name in names):
-            return True
-    return False
+def _imports_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name.split(".")[0] == "numpy" for name in names)
+
+
+def numpy_imports(path: Path) -> list[str]:
+    """Where each numpy import in ``path`` runs: ``"module"`` or ``"function"``.
+
+    A module-level import, a class body's included, runs when the module
+    is imported; one inside a function runs when it is called. One under
+    ``if TYPE_CHECKING:`` never runs and is not listed.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = "function"
+        if _imports_numpy(node):
+            found.append(scope)
+        children = ast.iter_child_nodes(node)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            children = node.orelse
+        for child in children:
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "module")
+    return found
 
 
 def test_only_the_vectorized_modules_import_numpy():
-    modules = {path.name: imports_numpy(path) for path in PACKAGE.glob("*.py")}
+    modules = {path.name: numpy_imports(path) for path in PACKAGE.glob("*.py")}
     assert {"classical.py", "selfcheck.py", "cli.py"} <= set(modules)
-    assert {name for name, uses in modules.items() if uses} <= NUMPY_MODULES
+    assert {name for name, scopes in modules.items() if "module" in scopes} == set()
+    assert {name for name, scopes in modules.items() if scopes} == NUMPY_MODULES
 
 
 def test_the_scan_sees_numpy_imports(tmp_path):
     cases = {
-        "import numpy as np\n": True,
-        "from numpy import linalg\n": True,
-        "def f():\n    import numpy.linalg\n": True,
-        "import numbers\nfrom . import numpy_free\n": False,
+        "import numpy as np\n": ["module"],
+        "from numpy import linalg\n": ["module"],
+        "try:\n    import numpy\nexcept ImportError:\n    pass\n": ["module"],
+        "class C:\n    import numpy\n": ["module"],
+        "def f():\n    import numpy.linalg\n": ["function"],
+        "class C:\n    def f(self):\n        from numpy import linalg\n": ["function"],
+        "if TYPE_CHECKING:\n    import numpy as np\n": [],
+        "if TYPE_CHECKING:\n    pass\nelse:\n    import numpy\n": ["module"],
+        "import numbers\nfrom . import numpy_free\n": [],
     }
     for source, expected in cases.items():
         path = tmp_path / "module.py"
         path.write_text(source, encoding="utf-8")
-        assert imports_numpy(path) is expected, source
+        assert numpy_imports(path) == expected, source
+
+
+def steps_loading_numpy(script: str) -> list[str]:
+    """Run ``script``'s steps in a fresh interpreter on src/.
+
+    ``script`` defines ``STEPS``, a list of ``(label, callable)``; each
+    runs in order, and the labels of those after which numpy is loaded
+    come back.
+    """
+    runner = textwrap.dedent(script) + textwrap.dedent(
+        """
+        import json, sys
+        loaded = []
+        for label, step in STEPS:
+            step()
+            if "numpy" in sys.modules:
+                loaded.append(label)
+        print(json.dumps(loaded))
+        """
+    )
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", runner],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_only_an_evaluation_loads_numpy(tmp_path):
+    loaded = steps_loading_numpy(
+        f"""
+        import math
+        from pathlib import Path
+
+        PATH = Path({str(tmp_path / "scenario.json")!r})
+        made = {{}}
+
+        def refused(call, *args):
+            from qblotto import ValidationError
+            try:
+                call(*args)
+            except ValidationError:
+                return
+            raise AssertionError("not refused")
+
+        def build():
+            import qblotto
+            made["s"] = qblotto.Scenario.create(
+                [6.0, 4.0, 3.0], [[3.0, 3.0], [3.0, 1.0], [0.0, 3.0]], math.pi / 2
+            )
+
+        def store():
+            from qblotto import dump_scenario, load_scenario
+            dump_scenario(made["s"], PATH)
+            assert load_scenario(PATH)[0] == made["s"]
+
+        def oracle():
+            from qblotto.classical import PlayerRoster, classical_payoffs
+            s = made["s"]
+            roster = PlayerRoster(s.totals)
+            assert classical_payoffs(s.allocations, roster) == (0, -1, -1)
+
+        def spec():
+            from qblotto import SweepSpec
+            SweepSpec(made["s"], 3, 1, "phi", 0.0, 1.0, 101)
+
+        def refused_search():
+            from qblotto import best_response_grid
+            from qblotto.sweep import MAX_GRID_POINTS
+            refused(best_response_grid, made["s"], 2, MAX_GRID_POINTS)
+
+        def refused_eps():
+            from qblotto.engine import evaluate_strategies, strategies_of
+            angles, phases = strategies_of(made["s"])
+            refused(evaluate_strategies, angles, phases, 0.0, (1, -1), -1.0)
+
+        def evaluate():
+            from qblotto import evaluate
+            evaluate(made["s"])
+
+        STEPS = [
+            ("import", lambda: __import__("qblotto")),
+            ("build", build),
+            ("store", store),
+            ("oracle", oracle),
+            ("spec", spec),
+            ("refused search", refused_search),
+            ("refused eps", refused_eps),
+            ("evaluate", evaluate),
+        ]
+        """
+    )
+    assert loaded == ["evaluate"]
+
+
+def test_the_cli_refuses_without_loading_numpy(tmp_path):
+    guard = {  # 2^19 * 3 is over MAX_DIM: refused when the scenario is built
+        "players": [{"name": f"p{j}", "total": 3} for j in range(1, 20)],
+        "battlefields": 3,
+        "allocations": [[1, 1, 1]] * 19,
+        "gamma": 0,
+    }
+    dense = {  # valid, but 2^13 is over MAX_DENSE_DIM: refused by the evaluation
+        "players": [{"name": f"p{j}", "total": 1} for j in range(1, 14)],
+        "battlefields": 1,
+        "allocations": [[1]] * 13,
+        "gamma": 0,
+    }
+    for name, doc in (("guard.json", guard), ("dense.json", dense)):
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    loaded = steps_loading_numpy(
+        f"""
+        import contextlib, io
+        from qblotto.cli import main
+
+        def run(*argv, code):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    got = main(list(argv))
+                except SystemExit as exc:
+                    got = exc.code
+            assert got == code, (argv, got)
+
+        TMP = {str(tmp_path)!r}
+        STEPS = [
+            ("help", lambda: run("--help", code=0)),
+            ("unreadable", lambda: run("play", TMP + "/missing.json", code=2)),
+            ("guard", lambda: run("play", TMP + "/guard.json", code=2)),
+            ("dense", lambda: run("play", TMP + "/dense.json", code=2)),
+            ("oracle dense", lambda: run("oracle", TMP + "/dense.json", code=2)),
+        ]
+        """
+    )
+    assert loaded == []
 
 
 def unused_imports(path: Path) -> set[str]:
