@@ -8,8 +8,11 @@ what a caller needs to build, evaluate, sweep and store a scenario;
 everything else lives in its submodule: the payoff rule and the
 classical game in ``qblotto.classical`` and the engine's building
 blocks, which read a scenario's angle and phase grids, in
-``qblotto.engine``. A scenario is validated once, when it is built.
+``qblotto.engine``. A scenario is validated once, when it is built. The
+sweep and file names load their submodules when first read.
 """
+
+import importlib
 
 from .engine import MeasurementTable, Scenario, evaluate
 from .errors import (
@@ -18,8 +21,6 @@ from .errors import (
     NumericalIntegrityError,
     ValidationError,
 )
-from .scenario_io import dump_scenario, load_scenario
-from .sweep import SweepResult, SweepSpec, best_response_grid, run_sweep
 
 __version__ = "0.1.0"
 
@@ -38,3 +39,22 @@ __all__ = [
     "load_scenario",
     "run_sweep",
 ]
+
+# Exported names whose submodule loads when the name is first read.
+_LAZY = {
+    "dump_scenario": "scenario_io", "load_scenario": "scenario_io",
+    "SweepResult": "sweep", "SweepSpec": "sweep",
+    "best_response_grid": "sweep", "run_sweep": "sweep",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    globals()[name] = value = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

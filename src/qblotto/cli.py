@@ -12,19 +12,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, classical_payoffs
 from .engine import MeasurementTable, Scenario, evaluate, reduced_phase
 from .errors import NumericalIntegrityError, ValidationError
-from .scenario_io import load_scenario
-from .selfcheck import run_verification
-from .sweep import DEFAULT_SWEEP_STEPS, SweepResult, SweepSpec, run_sweep
+
+if TYPE_CHECKING:
+    from .sweep import SweepResult
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+DEFAULT_SWEEP_STEPS = 101
 
 
 def _fmt(value: float) -> str:
@@ -32,6 +33,8 @@ def _fmt(value: float) -> str:
 
 
 def _load(args) -> tuple[Scenario, list[str]]:
+    from .scenario_io import load_scenario
+
     return load_scenario(args.scenario, degrees=args.degrees, eps=args.eps)
 
 
@@ -107,6 +110,8 @@ def _sweep_csv(result: SweepResult) -> Iterator[str]:
 
 
 def cmd_sweep(args) -> int:
+    from .sweep import SweepSpec, run_sweep
+
     scenario, _ = _load(args)
     lo, hi = args.lo, args.hi
     if args.degrees:
@@ -142,6 +147,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .selfcheck import run_verification
+
     eps = args.eps if args.eps is not None else DEFAULT_TIE_EPS
     results = run_verification(eps)
     failures = [r for r in results if not r.passed]

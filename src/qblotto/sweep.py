@@ -77,8 +77,6 @@ MAX_SWEEP_STEPS = 2**16
 # and 7.8e-16 on 40 at N=3 with 1024-4096 steps, phases in [-20, 20].
 DECISION_GUARD = 1e-12
 
-DEFAULT_SWEEP_STEPS = 101
-
 
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
@@ -89,6 +87,7 @@ class SweepSpec:
     but still validated). The grid has ``steps`` evenly spaced points on
     [lo, hi], at least 2 and at most ``MAX_SWEEP_STEPS``. The indices
     and ``steps`` are integers and ``lo``, ``hi`` real; a bool is neither.
+    A phi range's ends and its width must be finite.
     """
 
     base: Scenario
@@ -136,6 +135,16 @@ class SweepSpec:
         ):
             raise ValidationError(
                 f"{bounded[self.parameter]} sweeps must stay inside [0, pi/2]"
+            )
+        if self.parameter == "phi" and not math.isfinite(self.hi - self.lo):
+            k = self.target_battlefield
+            for value in (self.lo, self.hi):
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"battlefield {k} phase {value!r} is not finite"
+                    )
+            raise ValidationError(
+                f"sweep range {self.lo!r} to {self.hi!r} is wider than a float holds"
             )
 
     def grid(self) -> np.ndarray:
@@ -217,8 +226,8 @@ class SweepResult:
 def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
     """Closure evaluating the base scenario with one parameter replaced.
 
-    A phi value comes from the sweep's range or a bisection midpoint, not
-    from the scenario, so its finiteness is checked here.
+    A phi value comes from the sweep's checked range or from a bisection
+    midpoint, which can overflow, so its finiteness is checked here.
     """
     base = spec.base
     angles, phases = strategies_of(base)

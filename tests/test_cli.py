@@ -324,7 +324,8 @@ class TestMemoryError:
         self.assert_one_line_exit_2(["play", golden_file], capsys)
 
     def test_sweep(self, golden_file, monkeypatch, capsys):
-        monkeypatch.setattr("qblotto.cli.run_sweep", self.exhausted)
+        # cmd_sweep imports run_sweep when it runs, so the patch goes on its module
+        monkeypatch.setattr("qblotto.sweep.run_sweep", self.exhausted)
         argv = ["sweep", golden_file, "--player", "3", "--battlefield", "1",
                 "--param", "phi", "--from", "0", "--to", "1"]
         self.assert_one_line_exit_2(argv, capsys)
@@ -475,6 +476,17 @@ class TestSweep:
             "payoff transition near phi = 6.14950590043e+16: "
             "(0, -1, -1) -> (-1, -2, 1)",
         ]
+
+    def test_infinite_phi_range_refused_before_the_grid(self, golden_file):
+        # not a numpy RuntimeWarning and a phase nan the user never gave
+        done = run_cli(
+            "sweep", golden_file, "--player", "1", "--battlefield", "1",
+            "--param", "phi", "--from", "0", "--to", "inf", "--steps", "3",
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: battlefield 1 phase inf is not finite\n"
 
     def test_degrees_sweep_matches_radians_sweep(self, tmp_path, monkeypatch, capsys):
         three = ROOT / "scenarios" / "three_players.json"

@@ -1,13 +1,15 @@
-"""What the package modules import, and when numpy loads.
+"""What the package modules import, and when numpy and each module load.
 
 numpy is needed only to evolve a state vector or to evaluate a search
 axis, so no module imports it when the package is imported: ``engine``
 and ``sweep`` import it inside the functions that build arrays, and no
-other module imports it at all. Two fresh interpreters show the effect:
-building, storing and checking scenarios, the classical oracle and the
-CLI's refusals load no numpy, and the first evaluation does. And no
-module keeps an import it no longer uses, as a deletion can leave
-behind.
+other module imports it at all. ``import qblotto`` loads the engine and
+what it imports; the sweep and file modules load when one of their
+names is first read, and each CLI subcommand loads only the modules it
+calls. Fresh interpreters show the effect: building, storing and
+checking scenarios, the classical oracle and the CLI's refusals load no
+numpy, and the first evaluation does. And no module keeps an import it
+no longer uses, as a deletion can leave behind.
 """
 
 import ast
@@ -17,6 +19,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qblotto"
@@ -84,21 +88,28 @@ def test_the_scan_sees_numpy_imports(tmp_path):
         assert numpy_imports(path) == expected, source
 
 
-def steps_loading_numpy(script: str) -> list[str]:
+def modules_loaded_by_steps(script: str) -> dict[str, list[str]]:
     """Run ``script``'s steps in a fresh interpreter on src/.
 
     ``script`` defines ``STEPS``, a list of ``(label, callable)``; each
-    runs in order, and the labels of those after which numpy is loaded
-    come back.
+    runs in order. Each label comes back with the modules its step loaded
+    first, among ``numpy`` and the ``qblotto`` package's, sorted.
     """
     runner = textwrap.dedent(script) + textwrap.dedent(
         """
         import json, sys
-        loaded = []
+
+        def watched():
+            return {
+                m for m in sys.modules
+                if m == "numpy" or m.partition(".")[0] == "qblotto"
+            }
+
+        seen, loaded = watched(), {}
         for label, step in STEPS:
             step()
-            if "numpy" in sys.modules:
-                loaded.append(label)
+            loaded[label] = sorted(watched() - seen)
+            seen |= set(loaded[label])
         print(json.dumps(loaded))
         """
     )
@@ -115,8 +126,13 @@ def steps_loading_numpy(script: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# What ``import qblotto`` loads: the sweep and file modules wait for
+# their names.
+PACKAGE_IMPORT = ["qblotto", "qblotto.classical", "qblotto.engine", "qblotto.errors"]
+
+
 def test_only_an_evaluation_loads_numpy(tmp_path):
-    loaded = steps_loading_numpy(
+    loaded = modules_loaded_by_steps(
         f"""
         import math
         from pathlib import Path
@@ -153,6 +169,10 @@ def test_only_an_evaluation_loads_numpy(tmp_path):
             from qblotto import SweepSpec
             SweepSpec(made["s"], 3, 1, "phi", 0.0, 1.0, 101)
 
+        def refused_spec():
+            from qblotto import SweepSpec
+            refused(SweepSpec, made["s"], 3, 1, "phi", 0.0, math.inf, 3)
+
         def refused_search():
             from qblotto import best_response_grid
             from qblotto.sweep import MAX_GRID_POINTS
@@ -173,13 +193,41 @@ def test_only_an_evaluation_loads_numpy(tmp_path):
             ("store", store),
             ("oracle", oracle),
             ("spec", spec),
+            ("refused spec", refused_spec),
             ("refused search", refused_search),
             ("refused eps", refused_eps),
             ("evaluate", evaluate),
         ]
         """
     )
-    assert loaded == ["evaluate"]
+    assert loaded == {
+        "import": PACKAGE_IMPORT,
+        "build": [],
+        "store": ["qblotto.scenario_io"],
+        "oracle": [],
+        "spec": ["qblotto.sweep"],
+        "refused spec": [],
+        "refused search": [],
+        "refused eps": [],
+        "evaluate": ["numpy"],
+    }
+
+
+# Script head for the CLI steps: ``run`` calls ``qblotto.cli.main``
+# in-process, output muted, and checks the exit code.
+CLI_RUNNER = """
+import contextlib, io
+from qblotto.cli import main
+
+def run(*argv, code):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            got = main(list(argv))
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code, (argv, got)
+"""
 
 
 def test_the_cli_refuses_without_loading_numpy(tmp_path):
@@ -197,20 +245,9 @@ def test_the_cli_refuses_without_loading_numpy(tmp_path):
     }
     for name, doc in (("guard.json", guard), ("dense.json", dense)):
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
-    loaded = steps_loading_numpy(
-        f"""
-        import contextlib, io
-        from qblotto.cli import main
-
-        def run(*argv, code):
-            with contextlib.redirect_stdout(io.StringIO()), \\
-                    contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    got = main(list(argv))
-                except SystemExit as exc:
-                    got = exc.code
-            assert got == code, (argv, got)
-
+    loaded = modules_loaded_by_steps(
+        CLI_RUNNER
+        + textwrap.dedent(f"""
         TMP = {str(tmp_path)!r}
         STEPS = [
             ("help", lambda: run("--help", code=0)),
@@ -219,9 +256,69 @@ def test_the_cli_refuses_without_loading_numpy(tmp_path):
             ("dense", lambda: run("play", TMP + "/dense.json", code=2)),
             ("oracle dense", lambda: run("oracle", TMP + "/dense.json", code=2)),
         ]
-        """
+        """)
     )
-    assert loaded == []
+    assert loaded == {
+        "help": [],
+        "unreadable": ["qblotto.scenario_io"],
+        "guard": [],
+        "dense": [],
+        "oracle dense": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "loaded",
+    [
+        {
+            "play": ["numpy", "qblotto.scenario_io"],
+            "oracle": [],
+            "sweep": ["qblotto.sweep"],
+        },
+        {"verify": ["numpy", "qblotto.selfcheck"]},
+    ],
+    ids=["play-oracle-sweep", "verify"],
+)
+def test_each_subcommand_loads_only_its_modules(loaded):
+    # Subcommands run in order in one interpreter, each listed with what
+    # it loads: play and oracle load neither sweep nor selfcheck, and
+    # verify, in an interpreter of its own, neither sweep nor scenario_io.
+    scenario = str(ROOT / "scenarios" / "three_players.json")
+    argv = {
+        "play": ["play", scenario],
+        "oracle": ["oracle", scenario],
+        "sweep": ["sweep", scenario, "--player", "3", "--battlefield", "1",
+                  "--param", "phi", "--from", "0", "--to", "1", "--steps", "3"],
+        "verify": ["verify"],
+    }
+    steps = [(c, argv[c]) for c in loaded]
+    got = modules_loaded_by_steps(
+        CLI_RUNNER + f"STEPS = [(c, lambda a=a: run(*a, code=0)) for c, a in {steps!r}]\n"
+    )
+    assert got == loaded
+
+
+def test_lazy_names_are_their_submodules_objects():
+    import qblotto
+    import qblotto.scenario_io
+    import qblotto.sweep
+
+    lazy = {
+        qblotto.scenario_io: ["dump_scenario", "load_scenario"],
+        qblotto.sweep: ["SweepResult", "SweepSpec", "best_response_grid", "run_sweep"],
+    }
+    for module, names in lazy.items():
+        for name in names:
+            assert name in qblotto.__all__
+            assert getattr(qblotto, name) is getattr(module, name), name
+    assert set(qblotto.__all__) <= set(dir(qblotto))
+    namespace = {}
+    exec("from qblotto import *", namespace)
+    assert {name: namespace[name] for name in qblotto.__all__} == {
+        name: getattr(qblotto, name) for name in qblotto.__all__
+    }
+    with pytest.raises(AttributeError, match="^module 'qblotto' has no attribute 'nope'$"):
+        qblotto.nope
 
 
 def unused_imports(path: Path) -> set[str]:

@@ -112,6 +112,20 @@ class TestSweepSpec:
         with pytest.raises(ValidationError, match=message):
             SweepSpec(worked_example, 3, 1, "phi", lo, hi, 5)
 
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (0.0, math.inf, "^battlefield 2 phase inf is not finite$"),
+            (math.nan, 1.0, "^battlefield 2 phase nan is not finite$"),
+            (-1e308, 1e308, "^sweep range -1e\\+308 to 1e\\+308 is wider than a float"),
+        ],
+        ids=["inf-hi", "nan-lo", "overflowing-width"],
+    )
+    def test_phi_range_must_be_finite(self, worked_example, lo, hi, message):
+        # refused when built, not by a nan out of the grid or its width
+        with pytest.raises(ValidationError, match=message):
+            SweepSpec(worked_example, 3, 2, "phi", lo, hi, 3)
+
     def test_numeric_range_stored_as_floats(self, worked_example):
         # passes at the parent too: numbers are still accepted
         spec = SweepSpec(worked_example, 3, 1, "phi", 0, np.float32(0.5), 5)
