@@ -256,9 +256,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_range_values(argv: list[str]) -> list[str]:
+    """``--from X`` and ``--to X`` joined as ``--from=X`` and ``--to=X``, X a number.
+
+    argparse's negative-number pattern has no exponent, so it takes a
+    bare ``-1e-3`` for an option; joined to its flag, it is a value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--from", "--to"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                token = f"{joined.pop()}={token}"
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except ValidationError as exc:

@@ -85,8 +85,8 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
     return min(HALF_PI * soldiers / blotto_total, HALF_PI)
 
 
-def strategy_gate(angle: float, phase: float = 0.0) -> np.ndarray:
-    """Single-qubit strategy gate.
+def _gate_entries(angle: float, phase: float) -> list[list[complex | float]]:
+    """A player's single-qubit strategy gate as Python numbers, row by row.
 
     ::
 
@@ -96,13 +96,6 @@ def strategy_gate(angle: float, phase: float = 0.0) -> np.ndarray:
     At ``phase = 0`` this is the plain rotation taking state 0 toward
     state 1 by ``angle``; a nonzero phase is the quantum resource.
     """
-    import numpy as np
-
-    return np.array(_gate_entries(angle, phase), dtype=complex)
-
-
-def _gate_entries(angle: float, phase: float) -> list[list[complex | float]]:
-    """:func:`strategy_gate`'s four entries as Python numbers, row by row."""
     c = math.cos(angle)
     s = math.sin(angle)
     ph = complex(math.cos(phase), math.sin(phase))
@@ -383,7 +376,7 @@ def player_operator(
     with the battlefield projector; block-diagonal in the register basis
     and unitary. Built by writing each battlefield's gate into its
     diagonal block in one indexed assignment, with no Kronecker products.
-    The gates are :func:`strategy_gate`'s, built in one array.
+    The gates come from :func:`_gate_entries`, built in one array.
     """
     import numpy as np
 

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .classical import _integer, _payoff_terms, _real
 from .engine import (
+    HALF_PI,
     Grid,
     MeasurementTable,
     Row,
@@ -50,8 +51,6 @@ from .errors import ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
-
-HALF_PI = math.pi / 2
 
 SWEEP_PARAMETERS = ("phi", "lambda", "gamma")
 
@@ -226,8 +225,8 @@ class SweepResult:
 def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
     """Closure evaluating the base scenario with one parameter replaced.
 
-    A phi value comes from the sweep's checked range or from a bisection
-    midpoint, which can overflow, so its finiteness is checked here.
+    Each value is a grid value or a bisection midpoint, so it lies in
+    the range :class:`SweepSpec` checked.
     """
     base = spec.base
     angles, phases = strategies_of(base)
@@ -240,8 +239,6 @@ def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
         if spec.parameter == "lambda":
             moved = _with_cell(angles, j, k, value)
             return evaluate_strategies(moved, phases, gamma, pattern, eps)
-        if not math.isfinite(value):
-            raise ValidationError(f"battlefield {k + 1} phase {value!r} is not finite")
         moved = _with_cell(phases, j, k, reduced_phase(value))  # as strategies_of
         return evaluate_strategies(angles, moved, gamma, pattern, eps)
 
@@ -297,24 +294,23 @@ def _bisect_transitions(
     then restarts from that change's upper end until it reaches
     ``hi_payoffs``, so a cell holding several transitions reports each.
     Where floats are spaced wider than the resolution, narrowing stops
-    at adjacent floats, when the midpoint rounds to a bound.
+    at adjacent floats, when the midpoint rounds to a bound. The
+    midpoint halves each bound before adding, so it stays finite near
+    the largest float; the boundary reported is the last midpoint.
     """
     found = []
     while lo_payoffs != hi_payoffs:
         upper, upper_payoffs = hi, hi_payoffs
-        while upper - lo > TRANSITION_RESOLUTION:
-            mid = 0.5 * (lo + upper)
-            if mid == lo or mid == upper:
-                break
+        mid = 0.5 * lo + 0.5 * upper
+        while upper - lo > TRANSITION_RESOLUTION and mid != lo and mid != upper:
             mid_payoffs = evaluate_at(mid).payoffs
             if mid_payoffs == lo_payoffs:
                 lo = mid
             else:
                 upper, upper_payoffs = mid, mid_payoffs
+            mid = 0.5 * lo + 0.5 * upper
         found.append(
-            PayoffTransition(
-                boundary=0.5 * (lo + upper), below=lo_payoffs, above=upper_payoffs
-            )
+            PayoffTransition(boundary=mid, below=lo_payoffs, above=upper_payoffs)
         )
         lo, lo_payoffs = upper, upper_payoffs
     return found
@@ -331,16 +327,15 @@ class BestResponse:
 def _phase_axis(steps: int) -> tuple[tuple[float, ...], np.ndarray]:
     """The search's ``steps`` phase values on [0, pi/2] and their basis.
 
-    The axis is ``np.linspace(0.0, HALF_PI, steps)`` bit for bit, without
-    its per-call cost, as a tuple. The basis is read-only, 5 x ``steps``,
-    with rows ``1, cos p, sin p, cos 2p, sin 2p``. Searches repeat a step
-    count, so the last 8 counts are kept; at the 4096-step cap one entry
-    holds about 0.3 MB, so the cache holds at most about 2.5 MB.
+    The axis is ``np.linspace(0.0, HALF_PI, steps)``, as a tuple. The
+    basis is read-only, 5 x ``steps``, with rows ``1, cos p, sin p, cos
+    2p, sin 2p``. Searches repeat a step count, so the last 8 counts are
+    kept; at the 4096-step cap one entry holds about 0.3 MB, so the
+    cache holds at most about 2.5 MB.
     """
     import numpy as np
 
-    axis = np.arange(steps) * (HALF_PI / (steps - 1))
-    axis[-1] = HALF_PI
+    axis = np.linspace(0.0, HALF_PI, steps)
     basis = np.ones((5, steps))
     for row, harmonic in ((1, axis), (3, 2.0 * axis)):
         np.cos(harmonic, out=basis[row])

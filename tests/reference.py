@@ -7,9 +7,11 @@ entangler as dense matrices; strengths from one state vector per
 battlefield; and a probe of payoff dependence on one phase. The engine
 forms none of these: it writes the entangled start state directly,
 applies the generator's adjoint matrix-free and reads strengths off the
-state vector. A composite space is described by its tuple of factor sizes,
-``(2,) * N + (n,)`` for a game (:func:`game_factors`), and factor
-indices in this interface are 1-based. Strategies are the engine's
+state vector. Each player's 2x2 strategy gate is written here from the
+paper's formula, not taken from the engine. A composite space is
+described by its tuple of factor sizes, ``(2,) * N + (n,)`` for a game
+(:func:`game_factors`), and factor indices in this interface are
+1-based. Strategies are the engine's
 player-major angle and phase grids.
 
 Matrices are compared entrywise with a max-abs tolerance; exact float
@@ -33,7 +35,6 @@ from qblotto.engine import (
     evolve_strategies,
     player_operator,
     strategies_of,
-    strategy_gate,
 )
 from qblotto.errors import DimensionError, NumericalIntegrityError, ValidationError
 from qblotto.sweep import SweepSpec, _evaluator
@@ -172,6 +173,27 @@ def expectation(
             f"expectation value {value!r} has imaginary part beyond {imag_tol}"
         )
     return float(value.real)
+
+
+# ---------------------------------------------------------------------------
+# Strategy gates
+# ---------------------------------------------------------------------------
+
+
+def strategy_gate(angle: float, phase: float = 0.0) -> ComplexMatrix:
+    """A player's single-qubit strategy gate, from the paper's formula.
+
+    ::
+
+        [[exp(i*phase)*cos(angle), -sin(angle)              ],
+         [sin(angle),               exp(-i*phase)*cos(angle)]]
+
+    At ``phase = 0`` this is the plain rotation taking state 0 toward
+    state 1 by ``angle``; a nonzero phase is the quantum resource.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    e = complex(math.cos(phase), math.sin(phase))
+    return np.array([[e * c, -s], [s, e.conjugate() * c]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,22 @@ class TestSweep:
         assert outputs["degrees"] == outputs["radians"]
         assert outputs["radians"][1].out.startswith("wrote sweep.csv\n")
 
+    def test_negative_range_in_exponent_form(self, golden_file, capsys):
+        # argparse's negative-number pattern has no exponent, so a bare
+        # "-1e-3" was taken for an option and --from lacked its value.
+        argv = ["sweep", golden_file, "--player", "3", "--battlefield", "1",
+                "--param", "phi", "--steps", "5"]
+        outputs = []
+        for bounds in (
+            ["--from", "-1e-3", "--to", "-1e-4"],
+            ["--from=-1e-3", "--to=-1e-4"],
+            ["--from", "-0.001", "--to", "-0.0001"],
+        ):
+            assert main([*argv, *bounds]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].out.splitlines()[1].startswith("-0.001,")
+
     # Traced peak per grid point of a 4096-step sweep. Formatting the CSV
     # from ``points`` and joining it peaked at 740-749 B with --out and 686 B
     # on stdout; streaming it from ``SweepResult.rows()`` stays near the

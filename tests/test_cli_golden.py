@@ -98,7 +98,8 @@ CASES = {
         "sweep", THREE, "--player", "3", "--battlefield", "1", "--param", "phi",
         "--from", "nan", "--to", "1", "--steps", "5",
     ],
-    # Bisection's first midpoint, 0.5 * (1e308 + 1.35e308), overflows.
+    # Near the largest float: the sum 1e308 + 1.35e308 overflows, so the
+    # bisection's midpoints halve each bound before adding.
     "sweep-three-phi-overflow": [
         "sweep", THREE, "--player", "3", "--battlefield", "1", "--param", "phi",
         "--from", "1e308", "--to", "1.7e308", "--steps", "3",

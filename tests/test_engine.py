@@ -36,7 +36,6 @@ from qblotto.engine import (
     rotation_angle,
     scenario_notices,
     strategies_of,
-    strategy_gate,
 )
 from reference import (
     allclose,
@@ -52,6 +51,7 @@ from reference import (
     kron,
     kron_all,
     partial_trace,
+    strategy_gate,
 )
 from test_classical import brute_force_payoffs, brute_force_terms
 
@@ -691,6 +691,40 @@ class TestQuantumPayoffs:
         scenario = replace(worked_example, phases=((0.0, 0.0), (0.0, 0.0), (0.9, 0.0)))
         table = evaluate(scenario)
         assert table.payoffs[2] > 0
+
+    def test_relabelling_rivals_relabels_payoffs(self):
+        # The paper's symmetry at the default tie band; the quantum
+        # counterpart of test_classical.py's test_opponent_anonymity.
+        # Whole-number allocations, random phases, and on half the draws
+        # one rival copies another's budget, allocations and phases.
+        rng = np.random.default_rng(0xB1077)
+        for _ in range(300):
+            count, n = int(rng.choice((3, 5, 7))), int(rng.integers(1, 5))
+            blotto = int(rng.integers(1, 4 * n + 1))
+            rivals = rng.integers(1, blotto + 1, count - 1).tolist()
+            totals = [blotto, *rivals]
+            rows = [rng.multinomial(t, np.full(n, 1.0 / n)).tolist() for t in totals]
+            phases = rng.uniform(0.0, 2 * math.pi, (count, n)).tolist()
+            if rng.random() < 0.5:
+                source, copy = rng.choice(np.arange(1, count), 2, replace=False)
+                totals[copy], rows[copy] = totals[source], rows[source]
+                phases[copy] = phases[source]
+            gamma = float(rng.uniform(0.0, HALF_PI))
+            pattern = [int(s) for s in rng.choice((-1, 1), n)]
+            order = [0, *(1 + rng.permutation(count - 1)).tolist()]
+            games = [
+                Scenario.create(
+                    [totals[j] for j in players],
+                    [rows[j] for j in players],
+                    gamma,
+                    phases=[phases[j] for j in players],
+                    sign_pattern=pattern,
+                    eps=1e-9,
+                )
+                for players in (range(count), order)
+            ]
+            base, relabelled = (evaluate(game).payoffs for game in games)
+            assert relabelled == tuple(base[j] for j in order), (totals, rows, order)
 
     def test_exclude_own_battlefield_variant_breaks_golden(
         self, worked_example, own_battlefield_excluded

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qblotto import DimensionError, NumericalIntegrityError
-from qblotto.engine import check_norm_sq, strategy_gate
+from qblotto.engine import check_norm_sq
 from reference import (
     allclose,
     dagger,
@@ -16,6 +16,7 @@ from reference import (
     kron,
     kron_all,
     partial_trace,
+    strategy_gate,
 )
 
 I2 = np.eye(2, dtype=complex)
