@@ -257,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_range_values(argv: list[str]) -> list[str]:
-    """``--from X`` and ``--to X`` joined as ``--from=X`` and ``--to=X``, X a number.
+    """A number X after ``--from``, ``--to`` or ``--eps`` joined to it: ``--eps=X``.
 
     argparse's negative-number pattern has no exponent, so it takes a
     bare ``-1e-3`` for an option; joined to its flag, it is a value.
     """
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in ("--from", "--to"):
+        if joined and joined[-1] in ("--from", "--to", "--eps"):
             try:
                 float(token)
             except ValueError:

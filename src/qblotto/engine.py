@@ -20,18 +20,17 @@ The engine's strategy input is two player-major N x n grids, rotation
 angles and phases (:func:`strategies_of`), plus ``gamma`` and the sign
 pattern. A :class:`Scenario` is validated once, when it is built, so
 every scenario that exists is valid; evaluation, the angle map and the
-payoff rule do not check it again. The one exception is the tie
-tolerance handed to :func:`evaluate_strategies` or :func:`measurements`:
-one that is not a finite, non-negative float goes through
-:func:`check_tie_eps` at the top of either, before any state is
-evolved. All operations are pure functions of their inputs; evaluating
-the same scenario twice produces bit-identical results.
+payoff rule do not check it again. The explicit-grid entry points,
+:func:`evaluate_strategies` and :func:`measurements`, take the built
+scenario the grids came from and read its player count, sign pattern
+and tie tolerance. All operations are pure functions of their inputs;
+evaluating the same scenario twice produces bit-identical results.
 
 numpy is imported inside the functions that build arrays (the gates,
 the operators, the state vector and its measurement), not by this
 module, so building and checking a scenario loads no numpy; the first
 evaluation does. A refusal raised before the state is built, such as
-a bad tie tolerance or a dimension over ``MAX_DENSE_DIM``, loads none.
+a dimension over ``MAX_DENSE_DIM``, loads none.
 """
 
 from __future__ import annotations
@@ -537,40 +536,23 @@ def check_strengths(grid: np.ndarray) -> None:
         )
 
 
-def _tie_tolerance(eps: float) -> float:
-    """``eps`` as the payoff rule trusts it: a finite, non-negative float.
-
-    One that is already that, as a :class:`Scenario` holds it, is
-    returned as is; any other goes through :func:`check_tie_eps`, which
-    raises its :class:`ValidationError` or converts a valid non-float.
-    """
-    if type(eps) is float and 0.0 <= eps < math.inf:
-        return eps
-    return check_tie_eps(eps)
-
-
-def measurements(
-    psi: np.ndarray, num_players: int, eps: float = DEFAULT_TIE_EPS
-) -> MeasurementTable:
-    """Read per-player battlefield strengths off a final state.
+def measurements(base: Scenario, psi: np.ndarray) -> MeasurementTable:
+    """Read per-player battlefield strengths off a final state of ``base``.
 
     Strength (j, k) is the probability of player j's qubit in state 1
     with the register on battlefield k: the sum of ``|psi|^2`` over the
     basis states with qubit j set and register index k, where ``psi``
-    has ``2^num_players * n`` amplitudes. This equals the
+    has ``2^N * n`` amplitudes for ``base``'s N players. This equals the
     committed-qubit projector's expectation on the density matrix
     reduced to qubit j and the register, which the tests' dense
     reference computes. A value outside [0, 1] beyond tolerance, NaN
     included, raises :class:`NumericalIntegrityError`. Payoffs are the
     row sums of :func:`qblotto.classical._payoff_terms` on the strength
-    grid, which that range check and ``eps``'s check make its trusted
-    input; the table keeps no rival bests, it derives them when read.
-    An ``eps`` that is not a finite, non-negative float goes through
-    :func:`check_tie_eps` first (:func:`_tie_tolerance`), so a bad one
-    raises its :class:`ValidationError`; a built scenario's passes
-    without that call.
+    grid at ``base.eps``, which that range check and the build make its
+    trusted input; the table keeps no rival bests, it derives them when
+    read.
     """
-    eps = _tie_tolerance(eps)
+    num_players = base.num_players
     import numpy as np
 
     probabilities = (psi.real**2 + psi.imag**2).reshape(2**num_players, -1)
@@ -580,30 +562,24 @@ def measurements(
     grid = bits.astype(float) @ probabilities
     check_strengths(grid)
     values = tuple(map(tuple, grid.tolist()))
-    payoffs = tuple(map(sum, _payoff_terms(values, eps)))
+    payoffs = tuple(map(sum, _payoff_terms(values, base.eps)))
     return MeasurementTable(values=values, payoffs=payoffs)
 
 
 def evaluate(scenario: Scenario) -> MeasurementTable:
     """Evolve and measure a scenario in one call."""
     angles, phases = strategies_of(scenario)
-    return evaluate_strategies(
-        angles, phases, scenario.gamma, scenario.sign_pattern, scenario.eps
-    )
+    return evaluate_strategies(scenario, angles, phases, scenario.gamma)
 
 
 def evaluate_strategies(
-    angles: Grid,
-    phases: Grid,
-    gamma: float,
-    sign_pattern: Sequence[int],
-    eps: float = DEFAULT_TIE_EPS,
+    base: Scenario, angles: Grid, phases: Grid, gamma: float
 ) -> MeasurementTable:
     """Evolve and measure explicit strategy grids (sweep entry point).
 
-    ``eps`` is checked first (:func:`_tie_tolerance`), so a bad tie
-    tolerance is refused before the state is evolved.
+    ``angles`` and ``phases`` are ``base``'s grids with cells moved, and
+    ``gamma`` its entanglement parameter or a moved one; the sign
+    pattern and tie tolerance are ``base``'s.
     """
-    eps = _tie_tolerance(eps)
-    psi = evolve_strategies(angles, phases, gamma, sign_pattern)
-    return measurements(psi, len(angles), eps)
+    psi = evolve_strategies(angles, phases, gamma, base.sign_pattern)
+    return measurements(base, psi)

@@ -225,7 +225,7 @@ def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
             for j in order:
                 psi = operators[j - 1] @ psi
             psi = disentangle(psi, count, scenario.gamma, scenario.sign_pattern)
-            table = measurements(psi, count, scenario.eps)
+            table = measurements(scenario, psi)
             if table.payoffs != baseline:
                 return CheckResult(
                     name,

@@ -16,7 +16,9 @@ the coefficients' O(N n) Python arithmetic and about 25 numpy calls;
 the axis and its basis are kept for the last 8 step counts searched.
 Both take a built scenario, which was validated then, and do not check
 it again; they copy its angle and phase grids from
-:func:`~qblotto.engine.strategies_of` and set one cell or one row.
+:func:`~qblotto.engine.strategies_of`, set one cell or one row, and
+evaluate the moved grids with that scenario's sign pattern and tie
+tolerance (:func:`~qblotto.engine.evaluate_strategies`).
 
 numpy is imported inside the functions that build a sweep grid or a
 search axis, not by this module, and by a search only after its
@@ -231,16 +233,15 @@ def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
     base = spec.base
     angles, phases = strategies_of(base)
     j, k = spec.target_player - 1, spec.target_battlefield - 1
-    gamma, pattern, eps = base.gamma, base.sign_pattern, base.eps
 
     def evaluate_at(value: float) -> MeasurementTable:
         if spec.parameter == "gamma":
-            return evaluate_strategies(angles, phases, value, pattern, eps)
+            return evaluate_strategies(base, angles, phases, value)
         if spec.parameter == "lambda":
             moved = _with_cell(angles, j, k, value)
-            return evaluate_strategies(moved, phases, gamma, pattern, eps)
+            return evaluate_strategies(base, moved, phases, base.gamma)
         moved = _with_cell(phases, j, k, reduced_phase(value))  # as strategies_of
-        return evaluate_strategies(angles, moved, gamma, pattern, eps)
+        return evaluate_strategies(base, angles, moved, base.gamma)
 
     return evaluate_at
 
@@ -572,7 +573,7 @@ def best_response_grid(
     moved = list(phases)
     for s in sorted({cell // n for cell in unsure}):
         moved[player - 1] = (axis[s],) * n
-        table = evaluate_strategies(angles, moved, gamma, pattern, eps)
+        table = evaluate_strategies(base, angles, moved, gamma)
         terms[s] = _payoff_terms(table.values, eps)[player - 1]
     best = terms.argmax(axis=0).tolist()  # the first axis value maximizing each term
     return BestResponse(

@@ -4,7 +4,9 @@ Kronecker products, conjugate transposes, density matrices, partial
 traces and expectation values on plain ``numpy`` arrays; the
 unentangled initial state, the entangler's generator and the checked
 entangler as dense matrices; strengths from one state vector per
-battlefield; and a probe of payoff dependence on one phase. The engine
+battlefield, and in closed form from per-player overlaps with no state
+vector (:func:`closed_form_strengths`, plain Python); and a probe of
+payoff dependence on one phase. The engine
 forms none of these: it writes the entangled start state directly,
 applies the generator's adjoint matrix-free and reads strengths off the
 state vector. Each player's 2x2 strategy gate is written here from the
@@ -21,6 +23,7 @@ equality is never meaningful here.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -354,6 +357,102 @@ def branch_strengths(
         for j in range(count):
             grid[j, k] = np.take(probabilities, 1, axis=j).sum() / n
     return grid
+
+
+# The pairs (x, y) of branch vectors (u, v, Fu, Fv) whose overlaps do not
+# vanish: (u, Fu), (u, Fv), (v, Fu) and (v, Fv).
+_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
+def closed_form_strengths(
+    angles: Sequence[Sequence[float]],
+    phases: Sequence[Sequence[float]],
+    gamma: float,
+    sign_pattern: Sequence[int],
+) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+    """Strength grid ``[j][k]`` and each battlefield's norm^2, in closed form.
+
+    Plain Python, with no state vector. Battlefield k's branch, of
+    weight ``1/n``, is an N-qubit EWL circuit. With ``u = U|0>`` and
+    ``v = U|1>`` for each player's gate ``U`` (:func:`strategy_gate`),
+    ``F`` the flip block and ``A, B = cos, sin(gamma/2)``, its final
+    state is ``A^2 (x)u - A B sign ((x)v + (x)Fu) + B^2 (x)Fv``. Player
+    l's strength is each vector's weight squared times l's ``<x|P|x>``,
+    plus twice the real part of a sum over the pairs (u, Fu), (u, Fv),
+    (v, Fu) and (v, Fv): the pair's weights, times l's ``<x|P|y>``,
+    times every other player's overlap ``<x|y>``. The pairs (u, v) and
+    (Fu, Fv) drop out, as ``<u|v> = 0``. The norm^2 is the same sum with
+    l's projector dropped, over every player's overlap.
+
+    The products that leave player l out are taken over groups of equal
+    overlap tuples, in sorted order: a member of group h gets the
+    weights times the other groups' powers, as prefix and suffix
+    products, times h's tuple to one power fewer; every power is
+    multiplied out left to right. These products depend only on the
+    multiset of the players' overlap tuples, so relabelling players
+    permutes the strengths bit for bit and identical players get
+    identical rows. An even player count needs ``gamma = 0``, as in the
+    engine.
+    """
+    count, n = len(angles), len(sign_pattern)
+    a, b = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+    strengths = [[0.0] * n for _ in range(count)]
+    norms = []
+    for k, sign in enumerate(sign_pattern):
+        scale = (a * a, -a * b * sign, -a * b * sign, b * b)  # of u, v, Fu, Fv
+        keys, projected, diagonals = [], [], []
+        for j in range(count):
+            c, s = math.cos(angles[j][k]), math.sin(angles[j][k])
+            e = complex(math.cos(phases[j][k]), math.sin(phases[j][k]))
+            u, v = (e * c, complex(s)), (complex(-s), e.conjugate() * c)
+            vectors = (u, v, (u[1], -u[0]), (v[1], -v[0]))
+            overlaps = [
+                vectors[x][0].conjugate() * vectors[y][0]
+                + vectors[x][1].conjugate() * vectors[y][1]
+                for x, y in _PAIRS
+            ]
+            # -0.0 + 0.0 is 0.0: equal overlaps make one key whatever their zeros' signs
+            keys.append(tuple((z.real + 0.0, z.imag + 0.0) for z in overlaps))
+            projected.append(
+                [vectors[x][1].conjugate() * vectors[y][1] for x, y in _PAIRS]
+            )
+            diagonals.append(
+                sum(w * w * abs(x[1]) ** 2 for w, x in zip(scale, vectors))
+            )
+        groups = sorted(Counter(keys).items())
+        tuples = [[complex(*z) for z in key] for key, _ in groups]
+        # each group's tuple to its multiplicity, and to one fewer
+        lower = [_power(o, m - 1) for o, (_, m) in zip(tuples, groups)]
+        full = [_times(p, o) for p, o in zip(lower, tuples)]
+        prefix = [[scale[x] * scale[y] for x, y in _PAIRS]]
+        for f in full:
+            prefix.append(_times(prefix[-1], f))
+        suffix = [[1.0] * 4]
+        for f in reversed(full[1:]):
+            suffix.append(_times(f, suffix[-1]))
+        suffix.reverse()
+        rest = {
+            key: _times(_times(prefix[h], suffix[h]), lower[h])
+            for h, (key, _) in enumerate(groups)
+        }
+        for j in range(count):
+            cross = sum(_times(rest[keys[j]], projected[j]))
+            strengths[j][k] = (diagonals[j] + 2.0 * cross.real) / n
+        norms.append((sum(w * w for w in scale) + 2.0 * sum(prefix[-1]).real) / n)
+    return tuple(map(tuple, strengths)), tuple(norms)
+
+
+def _times(x: Sequence[complex], y: Sequence[complex]) -> list[complex]:
+    """Channel-wise product of two overlap tuples."""
+    return [p * q for p, q in zip(x, y)]
+
+
+def _power(o: Sequence[complex], m: int) -> list[complex]:
+    """Channel-wise ``o`` to the power ``m``, multiplied out left to right."""
+    product = [1.0] * len(o)
+    for _ in range(m):
+        product = _times(product, o)
+    return product
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_criterion_6_order_invariance():
             psi = final_state_in_order(
                 operators, order, scenario.gamma, scenario.sign_pattern
             )
-            payoffs = measurements(psi, scenario.num_players, scenario.eps).payoffs
+            payoffs = measurements(scenario, psi).payoffs
             assert payoffs == baseline, (
                 f"trial {trial}: order {order} gave {payoffs}, expected {baseline}"
             )

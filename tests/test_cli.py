@@ -171,6 +171,19 @@ class TestPlay:
         assert main(["play", golden_file, "--eps", eps]) == 2
         assert "tie tolerance" in capsys.readouterr().err
 
+    def test_negative_eps_in_exponent_form(self, golden_file, capsys):
+        # argparse's negative-number pattern has no exponent, so a bare
+        # "-1e-3" was taken for an option and --eps lacked its value.
+        for argv in (["play", golden_file], ["verify"]):
+            assert main([*argv, "--eps", "-1e-3"]) == 2
+            assert capsys.readouterr().err == (
+                "error: tie tolerance must be finite and non-negative, got -0.001\n"
+            )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["play", golden_file, "--eps", "-x"])
+        assert exit_info.value.code == 2
+        assert "argument --eps: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["play", "oracle"])
     @pytest.mark.parametrize(
         "totals, allocations, message",

@@ -217,13 +217,26 @@ def dense_generator_evaluate(scenario):
         op = player_operator(player, angles[player - 1], phases[player - 1], count)
         psi = op @ psi
     psi = c * psi - (1j * s) * np.conj(np.conj(psi) @ generator)
-    return measurements(psi, count, scenario.eps)
+    return measurements(scenario, psi)
 
 
 def random_strategy(rng, n):
     """One player's random ``(angles, phases)`` rows; 20% of phases zero."""
     phases = rng.uniform(0.0, 2 * math.pi, n) * (rng.random(n) < 0.8)
     return tuple(rng.uniform(0.0, HALF_PI, n)), tuple(phases)
+
+
+def grid_base(count, pattern, **options):
+    """A scenario with ``count`` players and sign pattern ``pattern``.
+
+    Random strategy grids of that shape are evaluated with it, which
+    gives them its sign pattern and its tie tolerance: ``options`` go to
+    :meth:`Scenario.create`.
+    """
+    allocations = [(1.0,) + (0.0,) * (len(pattern) - 1)] * count
+    return Scenario.create(
+        (1.0,) * count, allocations, 0.0, sign_pattern=pattern, **options
+    )
 
 
 def random_scenario(rng, count, n, gamma):
@@ -515,7 +528,7 @@ class TestEvolve:
         )
         assert allclose(psi, hand_vector(state, 3, 2), 1e-12)
 
-        table = measurements(psi, 3)
+        table = measurements(scenario, psi)
         assert np.abs(
             np.array(table.values) - hand_measurements(state, 3, 2)
         ).max() < 1e-12
@@ -548,7 +561,8 @@ class TestEvolve:
             gamma = float(rng.uniform(0.0, HALF_PI)) if count % 2 else 0.0
             pattern = tuple(int(s) for s in rng.choice((-1, 1), n))
             order = [int(j) for j in rng.permutation(count) + 1]
-            table = evaluate_strategies(angles, phases, gamma, pattern, 1e-9)
+            base = grid_base(count, pattern, eps=1e-9)
+            table = evaluate_strategies(base, angles, phases, gamma)
             grid, payoffs = dense_evaluate(angles, phases, gamma, pattern, 1e-9, order)
             worst = np.abs(np.array(table.values) - grid).max()
             assert worst <= 1e-12, (count, n, worst)
@@ -598,7 +612,7 @@ class TestMeasurements:
 
     def test_all_zero_strategies(self):
         idle = ((0.0, 0.0),) * 3
-        table = evaluate_strategies(idle, idle, HALF_PI, (1, -1))
+        table = evaluate_strategies(grid_base(3, (1, -1)), idle, idle, HALF_PI)
         assert all(v == pytest.approx(0.0, abs=1e-12) for row in table.values for v in row)
 
     def test_classical_closed_form(self):
@@ -632,34 +646,10 @@ class TestMeasurements:
         assert np.trace(committed_bf1 @ reduced).real == pytest.approx(0.0, abs=1e-10)
         assert np.trace(committed_bf2 @ reduced).real == pytest.approx(0.25, abs=1e-10)
 
-    def test_nan_state_fails_range_check(self):
+    def test_nan_state_fails_range_check(self, worked_example):
         psi = np.full(16, math.nan, dtype=complex)
         with pytest.raises(NumericalIntegrityError, match="outside"):
-            measurements(psi, 3)
-
-    @pytest.mark.parametrize(
-        "eps, message",
-        [
-            (math.nan, "tie tolerance must be finite and non-negative, got nan"),
-            (-1.0, "tie tolerance must be finite and non-negative, got -1.0"),
-            ("1e-9", "tie tolerance must be a number, got '1e-9'"),
-        ],
-        ids=["nan", "negative", "string"],
-    )
-    def test_explicit_tie_tolerance_is_checked(
-        self, worked_example, eps, message, monkeypatch
-    ):
-        # Strategy grids and states reach the engine without a Scenario; a
-        # tie band of nan or -1.0 would score every cell a tie.
-        angles, phases = strategies_of(worked_example)
-        gamma, pattern = worked_example.gamma, worked_example.sign_pattern
-        psi = evolve_strategies(angles, phases, gamma, pattern)
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            measurements(psi, 3, eps)
-        # evaluate_strategies refuses it before it evolves the state
-        monkeypatch.setattr(qblotto.engine, "evolve_strategies", None)
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            evaluate_strategies(angles, phases, gamma, pattern, eps)
+            measurements(worked_example, psi)
 
     def test_density_matrix_properties(self, worked_example):
         psi = final_state(worked_example)

@@ -58,7 +58,7 @@ def test_held_scenarios_and_tables_fit_the_budget():
     states = [
         evolve_strategies(*strategies_of(s), s.gamma, s.sign_pattern) for s in built
     ]
-    assert measurements(states[0], 7) == evaluate(built[0])
+    assert measurements(built[0], states[0]) == evaluate(built[0])
     del built
     tracemalloc.start()
     try:
@@ -66,7 +66,7 @@ def test_held_scenarios_and_tables_fit_the_budget():
         held = []
         for (totals, allocations, gamma, phases), psi in zip(inputs, states):
             scenario = Scenario.create(totals, allocations, gamma, phases=phases)
-            held.append((scenario, measurements(psi, 7, scenario.eps)))
+            held.append((scenario, measurements(scenario, psi)))
         size = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()

@@ -178,11 +178,6 @@ def test_only_an_evaluation_loads_numpy(tmp_path):
             from qblotto.sweep import MAX_GRID_POINTS
             refused(best_response_grid, made["s"], 2, MAX_GRID_POINTS)
 
-        def refused_eps():
-            from qblotto.engine import evaluate_strategies, strategies_of
-            angles, phases = strategies_of(made["s"])
-            refused(evaluate_strategies, angles, phases, 0.0, (1, -1), -1.0)
-
         def evaluate():
             from qblotto import evaluate
             evaluate(made["s"])
@@ -195,7 +190,6 @@ def test_only_an_evaluation_loads_numpy(tmp_path):
             ("spec", spec),
             ("refused spec", refused_spec),
             ("refused search", refused_search),
-            ("refused eps", refused_eps),
             ("evaluate", evaluate),
         ]
         """
@@ -208,7 +202,6 @@ def test_only_an_evaluation_loads_numpy(tmp_path):
         "spec": ["qblotto.sweep"],
         "refused spec": [],
         "refused search": [],
-        "refused eps": [],
         "evaluate": ["numpy"],
     }
 

@@ -261,9 +261,7 @@ class TestPackedSweepResult:
                 angles[1][0] = float(value)
             else:
                 gamma = float(value)
-            table = evaluate_strategies(
-                angles, phases, gamma, base.sign_pattern, base.eps
-            )
+            table = evaluate_strategies(base, angles, phases, gamma)
             assert _point_bits(point.value, point.payoffs, point.values) == (
                 _point_bits(value, table.payoffs, table.values)
             )
@@ -563,7 +561,6 @@ def exhaustive_best_response(scenario, player, steps):
     first, and keeps the first point reaching the best payoff.
     """
     angles, base_phases = strategies_of(scenario)
-    gamma, pattern = scenario.gamma, scenario.sign_pattern
     n = scenario.num_battlefields
     axis = [float(v) for v in np.linspace(0.0, HALF_PI, steps)]
 
@@ -574,7 +571,7 @@ def exhaustive_best_response(scenario, player, steps):
         phases = tuple(axis[c] for c in counters)
         moved = list(base_phases)
         moved[player - 1] = phases
-        table = evaluate_strategies(angles, moved, gamma, pattern, scenario.eps)
+        table = evaluate_strategies(scenario, angles, moved, scenario.gamma)
         payoff = table.payoffs[player - 1]
         if best_payoff is None or payoff > best_payoff:
             best_payoff = payoff
@@ -633,18 +630,19 @@ def test_separable_search_matches_exhaustive_reference(num_players, n):
             ), (scenario, player, steps)
 
 
-def evaluated_strengths(angles, phases, gamma, pattern):
-    return evaluate_strategies(angles, phases, gamma, pattern).values
-
-
-def direct_best_response(scenario, player, steps, strengths=evaluated_strengths):
+def direct_best_response(scenario, player, steps, strengths=None):
     """Reference search: evaluate every value of the phase axis.
 
     One evaluation per axis value, with all of the player's phases at
     that value; the first index maximizing each battlefield's term wins.
     ``strengths(angles, phases, gamma, pattern)`` gives an evaluation's
-    strength grid.
+    strength grid, by default the engine's with ``scenario`` as base.
     """
+    if strengths is None:
+
+        def strengths(angles, phases, gamma, pattern):
+            return evaluate_strategies(scenario, angles, phases, gamma).values
+
     angles, phases = strategies_of(scenario)
     phases = list(phases)
     gamma, pattern, eps = scenario.gamma, scenario.sign_pattern, scenario.eps
@@ -909,9 +907,8 @@ class TestFittedSearchCost:
             gamma=0.0,
             allocations=((3.0, 3.0), (2.5, 1.5), (0.0, 3.0)),
         )
-        table = evaluate_strategies(
-            *strategies_of(classical), classical.gamma, classical.sign_pattern
-        )
+        angles, phases = strategies_of(classical)
+        table = evaluate_strategies(classical, angles, phases, classical.gamma)
         margin = table.values[1][1] - table.rival_best[1][1]
         assert margin < 0
         scenario = replace(classical, eps=-margin)
@@ -941,7 +938,7 @@ def test_axis_form_predicts_every_grid_value(num_players):
         grids = []
         for phase in axis:
             phases[player - 1] = (phase,) * scenario.num_battlefields
-            table = evaluate_strategies(angles, phases, gamma, pattern)
+            table = evaluate_strategies(scenario, angles, phases, gamma)
             grids.append(table.values)
         grids = np.array(grids)
         assert np.abs(form - grids).max() <= 1e-14, (scenario, player, steps)
