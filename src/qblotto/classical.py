@@ -11,8 +11,9 @@ oracle the engine is checked against in its classical limit.
 
 It also holds the package's input rules, each implemented once: the
 number rule (a real number, not a bool, that fits a float), the integer
-rule and the sign rule (a number equal to +1 or -1). They run where
-input enters the package; the payoff rule takes checked input.
+rule, the sign rule (a number equal to +1 or -1) and the roster rule
+(two or more finite budgets, Blotto's positive and the largest). They
+run where input enters the package; the payoff rule takes checked input.
 """
 
 from __future__ import annotations
@@ -156,16 +157,37 @@ def _payoff_terms(rows: Sequence[Sequence[float]], eps: float):
     )
 
 
+def _check_roster(totals: tuple[float, ...]) -> None:
+    """The roster rule: two or more finite budgets, Blotto's positive and the largest.
+
+    ``totals`` has passed the number rule; the first broken rule raises.
+    """
+    if len(totals) < 2:
+        raise ValidationError(f"need at least two players, got {len(totals)}")
+    for j, total in enumerate(totals, start=1):
+        if not math.isfinite(total):
+            raise ValidationError(f"player {j} budget {total!r} is not finite")
+    blotto = totals[0]
+    if blotto <= 0:
+        raise ValidationError(f"Blotto's budget must be positive, got {blotto!r}")
+    for j, total in enumerate(totals[1:], start=2):
+        if total > blotto:
+            raise ValidationError(
+                f"player {j} budget {total!r} exceeds Blotto's {blotto!r}; "
+                f"player 1 must hold the largest budget"
+            )
+
+
 @dataclass(frozen=True, slots=True)
 class PlayerRoster:
     """Troop budgets, with player 1 fixed as Blotto.
 
     Budgets follow the number rule (:func:`_real`), are stored as floats
     and must be finite, and Blotto must hold the largest (strictly
-    positive) one; every rotation angle in the quantum game is
-    normalized by it. Two-player games are accepted, since nothing in
-    the payoff rule breaks for them; :func:`qblotto.engine.scenario_notices`
-    reports them.
+    positive) one (:func:`_check_roster`); every rotation angle in the
+    quantum game is normalized by it. Two-player games are accepted,
+    since nothing in the payoff rule breaks for them;
+    :func:`qblotto.engine.scenario_notices` reports them.
     """
 
     totals: tuple[float, ...]
@@ -173,22 +195,7 @@ class PlayerRoster:
     def __post_init__(self):
         totals = _real_budgets(self.totals)
         object.__setattr__(self, "totals", totals)
-        if len(totals) < 2:
-            raise ValidationError(
-                f"need at least two players, got {len(totals)}"
-            )
-        for j, total in enumerate(totals, start=1):
-            if not math.isfinite(total):
-                raise ValidationError(f"player {j} budget {total!r} is not finite")
-        blotto = totals[0]
-        if blotto <= 0:
-            raise ValidationError(f"Blotto's budget must be positive, got {blotto!r}")
-        for j, total in enumerate(totals[1:], start=2):
-            if total > blotto:
-                raise ValidationError(
-                    f"player {j} budget {total!r} exceeds Blotto's {blotto!r}; "
-                    f"player 1 must hold the largest budget"
-                )
+        _check_roster(totals)
 
     @property
     def num_players(self) -> int:

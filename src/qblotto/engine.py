@@ -40,9 +40,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .classical import DEFAULT_TIE_EPS, PlayerRoster, check_tie_eps
+from .classical import DEFAULT_TIE_EPS, check_tie_eps
 from .classical import _is_sign, _real, _real_budgets, _real_grid  # the input rules
-from .classical import _sequence
+from .classical import _check_roster, _sequence
 from .classical import _payoff_terms, rival_best  # the payoff rule
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
@@ -146,11 +146,11 @@ class Scenario:
     allocations, phases, ``gamma`` and ``eps`` are stored as floats and
     the signs as ints. The other rules: sign entries of exactly +1 or
     -1, matching shapes, finite phases, a valid tie tolerance, the
-    composite-dimension guard ``2^N * n <= MAX_DIM``, the budgets
-    (:class:`PlayerRoster`), each player's allocations (finite,
-    non-negative and summing to the budget within ``eps``), ``gamma``
-    in [0, pi/2], and no commitment above Blotto's budget, so every
-    commitment has a rotation angle (:func:`rotation_angle`). Player
+    composite-dimension guard ``2^N * n <= MAX_DIM``, the budgets (the
+    roster rule), each player's allocations (finite, non-negative and
+    summing to the budget within ``eps``), ``gamma`` in [0, pi/2], and
+    no commitment above Blotto's budget, so every commitment has a
+    rotation angle (:func:`rotation_angle`). Player
     names must be a sequence of names: a str, bytes or dict is refused.
     :meth:`create` holds the defaults.
     """
@@ -222,7 +222,7 @@ class Scenario:
                 f"composite dimension {dim} exceeds the guardrail {MAX_DIM}; "
                 f"reduce the player count or battlefield count"
             )
-        PlayerRoster(totals)  # two or more finite budgets, Blotto's the largest
+        _check_roster(totals)  # two or more finite budgets, Blotto's the largest
         players = zip(names, allocations, totals)
         for j, (name, row, total) in enumerate(players, start=1):
             for k, x in enumerate(row, start=1):

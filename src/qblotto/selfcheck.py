@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from .classical import DEFAULT_TIE_EPS, PlayerRoster, _payoff_terms, classical_payoffs
 from .engine import (
+    HALF_PI,
     Scenario,
     disentangle,
     entangle,
@@ -38,7 +39,7 @@ def golden_scenario(eps: float = DEFAULT_TIE_EPS) -> Scenario:
     return Scenario.create(
         totals=(6.0, 4.0, 3.0),
         allocations=((3.0, 3.0), (3.0, 1.0), (0.0, 3.0)),
-        gamma=math.pi / 2,
+        gamma=HALF_PI,
         eps=eps,
     )
 
@@ -69,7 +70,7 @@ def random_classical_scenario(rng: random.Random) -> Scenario:
     blotto_total = rng.uniform(1.0, 10.0)
     totals = (blotto_total,) + tuple(rng.uniform(0.0, blotto_total) for _ in range(2))
     allocations = tuple(_split(rng, total, n) for total in totals)
-    gamma = rng.uniform(0.0, math.pi / 2)
+    gamma = rng.uniform(0.0, HALF_PI)
     return Scenario.create(totals, allocations, gamma)
 
 
@@ -147,7 +148,7 @@ def _check_tie_absorption(eps: float) -> CheckResult:
     nudge = 1e-12
     allocations = ((3.0 + nudge, 3.0 - nudge), (3.0, 1.0), (0.0, 3.0))
     totals = (sum(allocations[0]), 4.0, 3.0)
-    scenario = Scenario.create(totals, allocations, math.pi / 2, eps=eps)
+    scenario = Scenario.create(totals, allocations, HALF_PI, eps=eps)
     quantum = evaluate(scenario).payoffs
     roster = PlayerRoster(scenario.totals)
     classical = classical_payoffs(scenario.allocations, roster, eps)
@@ -197,8 +198,14 @@ def _check_classical_correspondence(
 
 
 def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
-    """Strategy operators commute, and every order gives evaluate's payoffs."""
+    """Strategy operators commute, and every order gives evaluate's results.
+
+    Each drawn order's payoffs must equal evaluate's, and its strengths
+    lie within 1e-12 of them (orders differ by rounding, about 1e-16). A
+    changed payoff is reported ahead of strengths that stray.
+    """
     name = "order-invariance"
+    drift = ""  # the first order whose strengths stray
     for trial in range(trials):
         scenario = random_quantum_scenario(rng)
         angles, phases = strategies_of(scenario)
@@ -218,7 +225,7 @@ def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
                         f"trial {trial}: players {a + 1},{b + 1} commutator "
                         f"residue {residue:.3e}",
                     )
-        baseline = evaluate(scenario).payoffs
+        baseline = evaluate(scenario)
         for _ in range(5):
             order = rng.sample(range(1, count + 1), count)
             psi = entangle(count, scenario.gamma, scenario.sign_pattern)
@@ -226,11 +233,17 @@ def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
                 psi = operators[j - 1] @ psi
             psi = disentangle(psi, count, scenario.gamma, scenario.sign_pattern)
             table = measurements(scenario, psi)
-            if table.payoffs != baseline:
+            if table.payoffs != baseline.payoffs:
                 return CheckResult(
                     name,
                     False,
                     f"trial {trial}: order {order} gave {table.payoffs}, "
-                    f"ascending gave {baseline}",
+                    f"ascending gave {baseline.payoffs}",
                 )
+            cells = zip(sum(table.values, ()), sum(baseline.values, ()))
+            worst = max(abs(v - w) for v, w in cells)
+            if worst > 1e-12 and not drift:
+                drift = f"trial {trial}: order {order} strengths off by {worst:.3e}"
+    if drift:
+        return CheckResult(name, False, f"{drift} (limit 1e-12)")
     return CheckResult(name, True, f"{trials} randomized scenarios")

@@ -35,8 +35,9 @@ from dataclasses import dataclass, field, fields
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .classical import _integer, _payoff_terms, _real
+from .classical import _integer, _payoff_terms, _real, _tie_sign
 from .engine import (
+    _ANGLE_SLACK,
     HALF_PI,
     Grid,
     MeasurementTable,
@@ -132,7 +133,7 @@ class SweepSpec:
             )
         bounded = {"lambda": "rotation-angle", "gamma": "entanglement"}
         if self.parameter in bounded and not (
-            0.0 <= self.lo and self.hi <= HALF_PI + 1e-12
+            0.0 <= self.lo and self.hi <= HALF_PI + _ANGLE_SLACK
         ):
             raise ValidationError(
                 f"{bounded[self.parameter]} sweeps must stay inside [0, pi/2]"
@@ -562,13 +563,12 @@ def best_response_grid(
     )
 
     # values[s, j, k]; margin[s, k] is the player's lead over the best rival,
-    # and gap[s, k] how far |margin| lies outside the tie band: > 0 exactly
-    # when |margin| > eps, since with gradual underflow a difference of
-    # floats is 0 only when they are equal.
+    # terms[s, k] battlefield k's term at axis[s] by the payoff rule's tie
+    # band, and gap[s, k] how far |margin| lies outside that band.
     rivals = [j for j in range(base.num_players) if j != player - 1]
     margin = values[:, player - 1] - values[:, rivals].max(axis=1)
+    terms = _tie_sign(margin, eps)
     gap = abs(margin) - eps
-    terms = np.copysign(gap > 0, margin)  # battlefield k's term at axis[s]; -0.0 is 0
     unsure = np.flatnonzero(abs(gap) <= DECISION_GUARD).tolist()  # cells s * n + k
     moved = list(phases)
     for s in sorted({cell // n for cell in unsure}):

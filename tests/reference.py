@@ -4,8 +4,9 @@ Kronecker products, conjugate transposes, density matrices, partial
 traces and expectation values on plain ``numpy`` arrays; the
 unentangled initial state, the entangler's generator and the checked
 entangler as dense matrices; strengths from one state vector per
-battlefield, and in closed form from per-player overlaps with no state
-vector (:func:`closed_form_strengths`, plain Python); and a probe of
+battlefield, in closed form from per-player overlaps with no state
+vector (:func:`closed_form_strengths`, plain Python) and at 40 digits in
+mpmath (:func:`exact_strengths`); and a probe of
 payoff dependence on one phase. The engine
 forms none of these: it writes the entangled start state directly,
 applies the generator's adjoint matrix-free and reads strengths off the
@@ -440,6 +441,72 @@ def closed_form_strengths(
             strengths[j][k] = (diagonals[j] + 2.0 * cross.real) / n
         norms.append((sum(w * w for w in scale) + 2.0 * sum(prefix[-1]).real) / n)
     return tuple(map(tuple, strengths)), tuple(norms)
+
+
+def exact_strengths(scenario: Scenario, digits: int = 40) -> list[list]:
+    """Strength grid ``[j][k]`` of ``scenario`` as mpmath reals at ``digits`` digits.
+
+    Battlefield k's branch, of weight ``1/n``, is evolved amplitude by
+    amplitude from the paper's definitions, with no numpy and no engine
+    stage: ``J|0...0>`` with ``J = cos(gamma/2) I + i sin(gamma/2) G`` and
+    ``G`` the flip block on every qubit times ``(-1)^N i sign_k``, each
+    player's gate (the formula of :func:`strategy_gate`) on their own
+    qubit, then ``J^+``. The angles are ``(pi/2) x / B`` from the
+    allocations and the phases are taken as given, both in mpmath, so
+    the scenario's floats are the only rounded inputs. mpmath is imported
+    here: the rest of this module does not need it.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        count, n = scenario.num_players, scenario.num_battlefields
+        half = mpmath.mpf(scenario.gamma) / 2
+        c, s = mpmath.cos(half), mpmath.sin(half)
+        i = mpmath.mpc(0, 1)
+        blotto = mpmath.mpf(scenario.blotto_total)
+        grid = [[mpmath.mpf(0)] * n for _ in range(count)]
+        for k, sign in enumerate(scenario.sign_pattern):
+            psi = [mpmath.mpc(0)] * 2**count
+            psi[0] = mpmath.mpc(1)
+            flipped = _on_every_qubit(psi, ((0, 1), (-1, 0)))  # the flip block F
+            weight = (-1) ** count * i * sign  # G = weight * F on every qubit
+            psi = [c * a + i * s * weight * g for a, g in zip(psi, flipped)]
+            for j in range(count):
+                angle = mpmath.pi / 2 * mpmath.mpf(scenario.allocations[j][k]) / blotto
+                e = mpmath.expj(mpmath.mpf(scenario.phases[j][k]))
+                cos, sin = mpmath.cos(angle), mpmath.sin(angle)
+                gate = ((e * cos, -sin), (sin, mpmath.conj(e) * cos))
+                psi = _on_qubit(psi, gate, j)
+            flipped = _on_every_qubit(psi, ((0, -1), (1, 0)))  # F's transpose
+            weight = mpmath.conj(weight)  # G^+ = conj(weight) * F^T on every qubit
+            psi = [c * a - i * s * weight * g for a, g in zip(psi, flipped)]
+            for j in range(count):
+                bit = 1 << (count - 1 - j)  # player 1's qubit is the most significant
+                committed = (abs(a) ** 2 for index, a in enumerate(psi) if index & bit)
+                grid[j][k] = mpmath.fsum(committed) / n
+    return grid
+
+
+def _on_every_qubit(psi: list, gate) -> list:
+    """``gate`` applied to every qubit of an amplitude list."""
+    for j in range(len(psi).bit_length() - 1):
+        psi = _on_qubit(psi, gate, j)
+    return psi
+
+
+def _on_qubit(psi: list, gate, j: int) -> list:
+    """``gate`` applied to the 0-based qubit ``j`` of an amplitude list.
+
+    Qubit 0, player 1's, is the most significant bit of an amplitude's index.
+    """
+    bit = len(psi) >> (j + 1)
+    out = list(psi)
+    for index in range(len(psi)):
+        if not index & bit:
+            zero, one = psi[index], psi[index | bit]
+            out[index] = gate[0][0] * zero + gate[0][1] * one
+            out[index | bit] = gate[1][0] * zero + gate[1][1] * one
+    return out
 
 
 def _times(x: Sequence[complex], y: Sequence[complex]) -> list[complex]:

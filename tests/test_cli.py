@@ -619,6 +619,27 @@ class TestVerify:
         )
         assert out.count("PASS") == 4
 
+    def test_order_strength_drift_fails_order_check(self, monkeypatch, capsys):
+        # one order's strengths all move by 1e-9, which leaves each margin
+        # to its rivals, and so the payoffs, as they were
+        built = qblotto.selfcheck.measurements
+        calls = []
+
+        def drifted(scenario, psi):
+            table = built(scenario, psi)
+            calls.append(scenario)
+            if len(calls) > 1:
+                return table
+            values = tuple(tuple(v + 1e-9 for v in row) for row in table.values)
+            return MeasurementTable(values, table.payoffs)
+
+        monkeypatch.setattr(qblotto.selfcheck, "measurements", drifted)
+        self._fails_once(
+            capsys,
+            r"^FAIL order-invariance: trial 0: order \[[1-3, ]+\] strengths off "
+            r"by 1\.000e-09 \(limit 1e-12\)$",
+        )
+
     @staticmethod
     def _drawn(allocations):
         """Whether allocations come from a random draw, not a fixed example.
@@ -630,13 +651,17 @@ class TestVerify:
 
     def _patch_evaluate(self, monkeypatch, change, golden):
         """Route verify's ``evaluate`` through ``change(table)`` for either
-        the golden scenario or the drawn ones."""
+        the golden scenario or the drawn classical (zero-phase) ones."""
         built = qblotto.selfcheck.evaluate
         target = qblotto.selfcheck.golden_scenario()
 
         def patched(scenario):
             table = built(scenario)
-            hit = scenario == target if golden else self._drawn(scenario.allocations)
+            if golden:
+                hit = scenario == target
+            else:
+                classical = not any(map(any, scenario.phases))
+                hit = classical and self._drawn(scenario.allocations)
             return change(table) if hit else table
 
         monkeypatch.setattr(qblotto.selfcheck, "evaluate", patched)

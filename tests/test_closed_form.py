@@ -11,14 +11,19 @@ import functools
 import math
 import random
 
+import pytest
+
 from qblotto import Scenario, evaluate
 from qblotto.classical import PlayerRoster, classical_payoffs
 from qblotto.engine import HALF_PI, strategies_of
 from qblotto.sweep import _phase_axis, _phase_axis_strengths
-from reference import closed_form_strengths
+from reference import closed_form_strengths, exact_strengths
 from test_classical import brute_force_payoffs
 
 DRAWS = 400
+# Draws checked against the 40-digit reference: N 3, 5 and 7 on one to
+# four battlefields, zero phases on nine of them; under a second.
+EXACT_DRAWS = 30
 
 
 def _split(rng, total, n):
@@ -82,6 +87,17 @@ def test_matches_evaluate():
         for row, expected in zip(values, engine):
             worst = max(worst, max(abs(v - w) for v, w in zip(row, expected)))
     assert worst <= 1e-14, worst
+
+
+def test_evaluate_matches_the_exact_reference():
+    mpmath = pytest.importorskip("mpmath")
+    odd = [scenario for scenario, _ in draws() if scenario.num_players % 2]
+    worst = mpmath.mpf(0)
+    for scenario in odd[:EXACT_DRAWS]:
+        exact = exact_strengths(scenario)
+        for row, exact_row in zip(evaluate(scenario).values, exact):
+            worst = max(worst, *(abs(v - x) for v, x in zip(row, exact_row)))
+    assert worst <= 1e-13, float(worst)
 
 
 def test_norm_sq_sums_to_one():

@@ -941,6 +941,28 @@ class TestScenarioValidation:
             replace(worked_example, **{field: value})
         assert str(raised.value) == message
 
+    # A build runs the number rule on the budgets once, then the roster
+    # rule on its result; it makes no PlayerRoster, which would run the
+    # number rule again. A roster built on its own still runs it.
+    def test_build_runs_the_budget_number_rule_once(self, monkeypatch):
+        from qblotto.classical import PlayerRoster
+
+        real_budgets = qblotto.classical._real_budgets
+        calls = []
+
+        def counted(totals):
+            calls.append(totals)
+            return real_budgets(totals)
+
+        for module in (qblotto.classical, qblotto.engine):
+            monkeypatch.setattr(module, "_real_budgets", counted)
+        Scenario.create((6, 4, 3), ((3, 3), (3, 1), (0, 3)), HALF_PI)
+        assert calls == [(6, 4, 3)]
+        roster = PlayerRoster((6, 4, 3))
+        assert calls == [(6, 4, 3)] * 2
+        assert roster.totals == (6.0, 4.0, 3.0)
+        assert all(type(total) is float for total in roster.totals)
+
     def test_guardrail(self):
         # 2^19 * 2 == 2^20 is the largest composite dimension allowed
         # (never evaluated here: its operators would not fit in memory)
