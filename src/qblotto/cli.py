@@ -14,7 +14,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .classical import DEFAULT_TIE_EPS, PlayerRoster, classical_payoffs
+from .classical import DEFAULT_TIE_EPS, _payoff_terms
 from .engine import MeasurementTable, Scenario, evaluate, reduced_phase
 from .errors import NumericalIntegrityError, ValidationError
 
@@ -178,8 +178,7 @@ def cmd_oracle(args) -> int:
             f"oracle compares the classical limit only; scenario has nonzero "
             f"phases at (player, battlefield) {nonzero}"
         )
-    roster = PlayerRoster(scenario.totals)
-    classical = classical_payoffs(scenario.allocations, roster, scenario.eps)
+    classical = tuple(map(sum, _payoff_terms(scenario.allocations, scenario.eps)))
     quantum = evaluate(scenario).payoffs
     print(f"classical payoffs: {classical}")
     print(f"quantum payoffs:   {quantum}")

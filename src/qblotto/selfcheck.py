@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .classical import DEFAULT_TIE_EPS, PlayerRoster, _payoff_terms, classical_payoffs
+from .classical import DEFAULT_TIE_EPS, _payoff_terms
 from .engine import (
     HALF_PI,
     Scenario,
@@ -91,6 +91,15 @@ class CheckResult:
     detail: str = ""
 
 
+def _classical_payoffs(scenario: Scenario, eps: float) -> tuple[int, ...]:
+    """The classical oracle's payoffs for a built scenario's allocations.
+
+    The scenario's budgets and allocations were checked when it was built,
+    so the payoff rule scores them as they are.
+    """
+    return tuple(map(sum, _payoff_terms(scenario.allocations, eps)))
+
+
 def run_verification(eps: float = DEFAULT_TIE_EPS) -> list[CheckResult]:
     """Run every self-check at tie tolerance ``eps``, one result per check.
 
@@ -129,8 +138,7 @@ def _check_golden_payoffs(eps: float) -> CheckResult:
     name = "golden-payoffs"
     scenario = golden_scenario(eps)
     quantum = evaluate(scenario).payoffs
-    roster = PlayerRoster(scenario.totals)
-    classical = classical_payoffs(scenario.allocations, roster, eps)
+    classical = _classical_payoffs(scenario, eps)
     if quantum != GOLDEN_PAYOFFS:
         return CheckResult(
             name, False, f"quantum payoffs {quantum}, expected {GOLDEN_PAYOFFS}"
@@ -150,8 +158,7 @@ def _check_tie_absorption(eps: float) -> CheckResult:
     totals = (sum(allocations[0]), 4.0, 3.0)
     scenario = Scenario.create(totals, allocations, HALF_PI, eps=eps)
     quantum = evaluate(scenario).payoffs
-    roster = PlayerRoster(scenario.totals)
-    classical = classical_payoffs(scenario.allocations, roster, eps)
+    classical = _classical_payoffs(scenario, eps)
     if quantum != GOLDEN_PAYOFFS or classical != GOLDEN_PAYOFFS:
         return CheckResult(
             name,
@@ -171,8 +178,7 @@ def _check_classical_correspondence(
         scenario = random_classical_scenario(rng)
         table = evaluate(scenario)
         quantum = tuple(map(sum, _payoff_terms(table.values, eps)))  # eps under check
-        roster = PlayerRoster(scenario.totals)
-        classical = classical_payoffs(scenario.allocations, roster, eps)
+        classical = _classical_payoffs(scenario, eps)
         if quantum != classical:
             return CheckResult(
                 name,

@@ -443,8 +443,8 @@ def closed_form_strengths(
     return tuple(map(tuple, strengths)), tuple(norms)
 
 
-def exact_strengths(scenario: Scenario, digits: int = 40) -> list[list]:
-    """Strength grid ``[j][k]`` of ``scenario`` as mpmath reals at ``digits`` digits.
+def exact_strengths(scenario: Scenario) -> list[list]:
+    """Strength grid ``[j][k]`` of ``scenario`` as mpmath reals at 40 digits.
 
     Battlefield k's branch, of weight ``1/n``, is evolved amplitude by
     amplitude from the paper's definitions, with no numpy and no engine
@@ -458,7 +458,7 @@ def exact_strengths(scenario: Scenario, digits: int = 40) -> list[list]:
     """
     import mpmath
 
-    with mpmath.workdps(digits):
+    with mpmath.workdps(40):
         count, n = scenario.num_players, scenario.num_battlefields
         half = mpmath.mpf(scenario.gamma) / 2
         c, s = mpmath.cos(half), mpmath.sin(half)

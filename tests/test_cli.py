@@ -669,15 +669,16 @@ class TestVerify:
     def _patch_classical(self, monkeypatch, golden):
         """Raise every classical payoff by one for the golden allocations or
         the drawn ones."""
-        built = qblotto.selfcheck.classical_payoffs
+        built = qblotto.selfcheck._classical_payoffs
         target = qblotto.selfcheck.golden_scenario().allocations
 
-        def patched(allocations, roster, eps):
-            payoffs = built(allocations, roster, eps)
+        def patched(scenario, eps):
+            payoffs = built(scenario, eps)
+            allocations = scenario.allocations
             hit = allocations == target if golden else self._drawn(allocations)
             return tuple(p + 1 for p in payoffs) if hit else payoffs
 
-        monkeypatch.setattr(qblotto.selfcheck, "classical_payoffs", patched)
+        monkeypatch.setattr(qblotto.selfcheck, "_classical_payoffs", patched)
 
     def _fails_once(self, capsys, pattern):
         assert main(["verify"]) == 1
@@ -825,6 +826,24 @@ class TestOracle:
             "classical payoffs: (0, -1, -1)\nquantum payoffs:   (1, 0, -2)\n"
         )
         assert captured.err == "FAIL: payoff vectors differ\n"
+
+    def test_scores_the_built_scenario_without_a_second_budget_check(
+        self, golden_file, monkeypatch
+    ):
+        import qblotto.classical
+        import qblotto.engine
+
+        real_budgets = qblotto.classical._real_budgets
+        calls = []
+
+        def counted(totals):
+            calls.append(totals)
+            return real_budgets(totals)
+
+        for module in (qblotto.classical, qblotto.engine):
+            monkeypatch.setattr(module, "_real_budgets", counted)
+        assert main(["oracle", golden_file]) == 0
+        assert len(calls) == 1  # the load's build, not a roster beside it
 
     def test_nonzero_phase_exit_2(self, tmp_path, capsys):
         doc = dict(GOLDEN_DOC, phases=[[0, 0], [0, 0], [0.3, 0]])
