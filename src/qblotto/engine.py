@@ -84,23 +84,6 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
     return min(HALF_PI * soldiers / blotto_total, HALF_PI)
 
 
-def _gate_entries(angle: float, phase: float) -> list[list[complex | float]]:
-    """A player's single-qubit strategy gate as Python numbers, row by row.
-
-    ::
-
-        [[exp(i*phase)*cos(angle), -sin(angle)              ],
-         [sin(angle),               exp(-i*phase)*cos(angle)]]
-
-    At ``phase = 0`` this is the plain rotation taking state 0 toward
-    state 1 by ``angle``; a nonzero phase is the quantum resource.
-    """
-    c = math.cos(angle)
-    s = math.sin(angle)
-    ph = complex(math.cos(phase), math.sin(phase))
-    return [[ph * c, -s], [s, ph.conjugate() * c]]
-
-
 def default_pattern(num_battlefields: int) -> tuple[int, ...]:
     """Deterministic default sign pattern: all +1 with the last battlefield flipped."""
     return (1,) * (num_battlefields - 1) + (-1,)
@@ -373,15 +356,25 @@ def player_operator(
     grids. The operator is the sum over battlefields of the player's
     gate on their own qubit, identities on everyone else's, tensored
     with the battlefield projector; block-diagonal in the register basis
-    and unitary. Built by writing each battlefield's gate into its
-    diagonal block in one indexed assignment, with no Kronecker products.
-    The gates come from :func:`_gate_entries`, built in one array.
+    and unitary. The gate at angle ``a`` and phase ``p`` is::
+
+        [[exp(i*p)*cos(a), -sin(a)        ],
+         [sin(a),           exp(-i*p)*cos(a)]]
+
+    At ``p = 0`` this is the plain rotation taking state 0 toward state 1
+    by ``a``; a nonzero phase is the quantum resource. Each battlefield's
+    gate is written into its diagonal block in one indexed assignment,
+    with no Kronecker products.
     """
     import numpy as np
 
     n = len(angles)
-    cells = zip(angles, phases)
-    gates = np.array([_gate_entries(a, p) for a, p in cells], dtype=complex)
+    gates = []
+    for angle, phase in zip(angles, phases):
+        c, s = math.cos(angle), math.sin(angle)
+        ph = complex(math.cos(phase), math.sin(phase))
+        gates.append([[ph * c, -s], [s, ph.conjugate() * c]])
+    gates = np.array(gates, dtype=complex)
     # Row (a, x, b, k) and column (c, y, d, l) over the qubits before the
     # player's, the player's qubit, the qubits after it and the register.
     before, after = 2 ** (player - 1), 2 ** (num_players - player)
@@ -390,29 +383,6 @@ def player_operator(
     op[a, x, b, k, a, y, b, k] = gates[k, x, y]
     dim = 2**num_players * n
     return op.reshape(dim, dim)
-
-
-def generator_weights(num_players: int, sign_pattern: Sequence[int]) -> np.ndarray:
-    """``G^+``'s one nonzero per row, on the ``(2^N, n)`` state grid.
-
-    Row ``(s, k)`` of ``G`` holds ``(-1)^(N + popcount(s)) * i * sign_k``
-    in column ``(2^N - 1 - s, k)``: every flip block swaps a qubit's
-    state, with a minus sign when it is 1. ``G^+ = -(-1)^N G``, so the
-    adjoint's weights are ``-(-1)^popcount(s) * i * sign_k``.
-    ``sign_pattern`` is taken as checked, as a :class:`Scenario` holds it.
-    """
-    import numpy as np
-
-    parity = np.ones(1)
-    for _ in range(num_players):
-        parity = np.concatenate([parity, -parity])  # (-1)^popcount(s)
-    register = 1j * np.asarray(sign_pattern, dtype=float)
-    return (-parity)[:, None] * register
-
-
-def apply_generator(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``weights`` times ``psi`` with its qubit index reversed: ``G^+ psi``."""
-    return (weights * psi.reshape(weights.shape)[::-1]).reshape(-1)
 
 
 def check_entangler_unitary(num_players: int, gamma: float) -> None:
@@ -457,13 +427,25 @@ def entangle(
 def disentangle(
     psi: np.ndarray, num_players: int, gamma: float, sign_pattern: Sequence[int]
 ) -> np.ndarray:
-    """``J^+ psi = c psi - i s (G^+ psi)``, the final state; its norm is checked."""
+    """``J^+ psi = c psi - i s (G^+ psi)``, the final state; its norm is checked.
+
+    Row ``(t, k)`` of ``G``, on the ``(2^N, n)`` view of the state, holds
+    ``(-1)^(N + popcount(t)) * i * sign_k`` in column ``(2^N - 1 - t, k)``:
+    every flip block swaps a qubit's state, with a minus sign when it is
+    1. ``G^+ = -(-1)^N G``, so ``G^+ psi`` is that view with its qubit
+    index reversed, times ``-(-1)^popcount(t) * i * sign_k``; ``G`` is
+    never formed. ``sign_pattern`` is taken as a :class:`Scenario` holds it.
+    """
     import numpy as np
 
     half = gamma / 2.0
     c, s = math.cos(half), math.sin(half)
-    inverse = generator_weights(num_players, sign_pattern)
-    psi = c * psi - (1j * s) * apply_generator(inverse, psi)
+    parity = np.ones(1)
+    for _ in range(num_players):
+        parity = np.concatenate([parity, -parity])  # (-1)^popcount(t)
+    weights = (-parity)[:, None] * (1j * np.asarray(sign_pattern, dtype=float))
+    adjoint = (weights * psi.reshape(weights.shape)[::-1]).reshape(-1)
+    psi = c * psi - (1j * s) * adjoint
     check_norm_sq(np.vdot(psi, psi).real)
     return psi
 
@@ -490,13 +472,12 @@ def evolve_strategies(
     so any other order gives the same outcome; the verify command's
     order-invariance check applies them in random orders.
 
-    ``G^+`` has one nonzero per row, so ``G^+ psi`` reverses the qubit
-    index of the ``(2^N, n)`` view of ``psi`` and multiplies by
-    :func:`generator_weights`; neither ``G``, ``J`` nor a dense
-    unitarity or commutation probe is formed. The strategy operators
-    are dense, so ``2^N * n`` above ``MAX_DENSE_DIM`` raises
-    :class:`ValidationError` before any is built. An even player count
-    with ``|sin(gamma)| > UNITARITY_EPS`` raises
+    ``G^+`` has one nonzero per row, so :func:`disentangle` applies it
+    as a signed, phased reversal of the qubit index; neither ``G``,
+    ``J`` nor a dense unitarity or commutation probe is formed. The
+    strategy operators are dense, so ``2^N * n`` above ``MAX_DENSE_DIM``
+    raises :class:`ValidationError` before any is built. An even player
+    count with ``|sin(gamma)| > UNITARITY_EPS`` raises
     :class:`NumericalIntegrityError`, and the final state's norm is checked.
     """
     count = len(angles)

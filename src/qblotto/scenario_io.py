@@ -1,11 +1,11 @@
 """Scenario file loading and canonical serialization.
 
 Scenario files are UTF-8 JSON documents with strict key checking, so a
-typo like "phases_" fails loudly instead of silently running a different
-experiment. The checks here cover the document's form, each message
-naming where in the document it failed: its keys, lists and names, an
-integer ``battlefields`` of at least 1, grid shapes and sign entries of
-+1 or -1. Every number reaches :meth:`Scenario.create` as parsed, so it
+typo like "phases_" or a repeated key fails loudly instead of silently
+running a different experiment. The checks here cover the document's
+form, each message naming where in the document it failed: its keys,
+lists and names, an integer ``battlefields`` of at least 1, grid shapes
+and sign entries of +1 or -1. Every number reaches :meth:`Scenario.create` as parsed, so it
 meets the library's number rule (:mod:`qblotto.classical`) once and a
 bad one gets the library's message; the scenario fills in the omitted
 phases and sign pattern and checks the game's rules. Angles are radians
@@ -179,9 +179,10 @@ def load_scenario(
     Returns the scenario, validated once when it was built, and its
     :func:`~qblotto.engine.scenario_notices`. JSON
     syntax errors surface as :class:`ValidationError` with the line and
-    column of the parse failure. A file that is not UTF-8, a document
-    nested past the decoder's recursion limit, and an integer literal
-    too long to parse or too large for a float raise
+    column of the parse failure. A key repeated in one object, which
+    JSON would let the last copy win, a file that is not UTF-8, a
+    document nested past the decoder's recursion limit, and an integer
+    literal too long to parse or too large for a float raise
     :class:`ValidationError` as well.
     """
     path = Path(path)
@@ -193,8 +194,17 @@ def load_scenario(
         raise ValidationError(
             f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from exc
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValidationError(f"{path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"

@@ -66,10 +66,11 @@ TRANSITION_RESOLUTION = 1e-6
 # gets no more steps than two.
 MAX_GRID_POINTS = 64**4
 
-# Cap on a sweep's grid steps. A sweep packs each grid point as it is
-# evaluated, 80 B at three players on two battlefields and a traced peak
-# near 200 B, so this bounds one near 13 MB. ``qblotto sweep --out``
-# streams its CSV from ``SweepResult.rows()`` and peaks near the same.
+# Cap on a sweep's grid steps. A sweep packs each grid point's payoffs
+# and strengths as it is evaluated, 72 B at three players on two
+# battlefields and a traced peak near 200 B, so this bounds one near
+# 13 MB. ``qblotto sweep --out`` streams its CSV from
+# ``SweepResult.rows()`` and peaks near the same.
 MAX_SWEEP_STEPS = 2**16
 
 # A phase-axis value is evaluated directly when the player's margin on
@@ -175,31 +176,32 @@ class PayoffTransition:
 class SweepResult:
     """Grid points and located transitions of one sweep.
 
-    The grid is stored packed, as :func:`run_sweep` writes it: parameter
-    values and strengths as float64 bytes, payoffs as int64 bytes. That
-    is several times smaller than a tuple of :class:`SweepPoint`
-    objects. :meth:`rows` is the one reader of the packing and streams
+    The points are stored packed, as :func:`run_sweep` writes them:
+    payoffs as int64 bytes and strengths as float64 bytes, 72 B per
+    point at three players on two battlefields. That is several times
+    smaller than a tuple of :class:`SweepPoint` objects. The parameter
+    values are not stored: they are ``spec.grid()``, which the sweep
+    evaluated. :meth:`rows` is the one reader of the packing and streams
     the points; ``points`` builds them from it, bit for bit, on each
-    access. Given ``points``, the constructor packs them in place of the
-    three byte fields, so ``replace(result, points=...)`` also works.
+    access. Given ``points``, the constructor packs their payoffs and
+    strengths in place of the two byte fields, so ``replace(result,
+    points=...)`` also works; their values are the spec's.
     """
 
     spec: SweepSpec
     transitions: tuple[PayoffTransition, ...]
-    grid_bytes: bytes = field(repr=False)
     payoff_bytes: bytes = field(repr=False)
     strength_bytes: bytes = field(repr=False)
 
     def __init__(
-        self, spec, transitions, grid_bytes=b"", payoff_bytes=b"", strength_bytes=b"",
+        self, spec, transitions, payoff_bytes=b"", strength_bytes=b"",
         *, points: Sequence[SweepPoint] | None = None,
     ):
         if points is not None:
-            grid_bytes = array("d", [p.value for p in points]).tobytes()
             payoff_bytes = array("q", [x for p in points for x in p.payoffs]).tobytes()
             strengths = [v for p in points for row in p.values for v in row]
             strength_bytes = array("d", strengths).tobytes()
-        packed = (spec, transitions, grid_bytes, payoff_bytes, strength_bytes)
+        packed = (spec, transitions, payoff_bytes, strength_bytes)
         for f, value in zip(fields(self), packed):
             object.__setattr__(self, f.name, value)
 
@@ -210,7 +212,7 @@ class SweepResult:
         strengths = iter(memoryview(self.strength_bytes).cast("d"))
         # zip(*[it] * k) takes k items of ``it`` at a time.
         return zip(
-            memoryview(self.grid_bytes).cast("d"),
+            memoryview(self.spec.grid()),  # float64, read as Python floats
             zip(*[payoffs] * players),
             zip(*[strengths] * (players * self.spec.base.num_battlefields)),
         )
@@ -234,26 +236,20 @@ def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
     base = spec.base
     angles, phases = strategies_of(base)
     j, k = spec.target_player - 1, spec.target_battlefield - 1
+    moves_angle = spec.parameter == "lambda"
 
     def evaluate_at(value: float) -> MeasurementTable:
         if spec.parameter == "gamma":
             return evaluate_strategies(base, angles, phases, value)
-        if spec.parameter == "lambda":
-            moved = _with_cell(angles, j, k, value)
+        moved = list(angles if moves_angle else phases)  # the base grids stay
+        row = moved[j] = list(moved[j])
+        if moves_angle:
+            row[k] = value
             return evaluate_strategies(base, moved, phases, base.gamma)
-        moved = _with_cell(phases, j, k, reduced_phase(value))  # as strategies_of
+        row[k] = reduced_phase(value)  # as strategies_of
         return evaluate_strategies(base, angles, moved, base.gamma)
 
     return evaluate_at
-
-
-def _with_cell(grid: Grid, j: int, k: int, value: float) -> list:
-    """Copy of ``grid`` with cell ``[j][k]`` (0-based) set to ``value``."""
-    moved = list(grid)
-    row = list(grid[j])
-    row[k] = value
-    moved[j] = row
-    return moved
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -264,11 +260,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     held. Repeat runs are bit-identical.
     """
     evaluate_at = _evaluator(spec)
-    grid = spec.grid()
     payoffs, strengths = array("q"), array("d")
     transitions: list[PayoffTransition] = []
     lo = below = None
-    for value in map(float, grid):
+    for value in map(float, spec.grid()):
         table = evaluate_at(value)
         if below is not None and table.payoffs != below:
             transitions.extend(
@@ -279,7 +274,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for row in table.values:
             strengths.extend(row)
     return SweepResult(
-        spec, tuple(transitions), grid.tobytes(), payoffs.tobytes(), strengths.tobytes()
+        spec, tuple(transitions), payoffs.tobytes(), strengths.tobytes()
     )
 
 

@@ -254,9 +254,8 @@ def entangler_generator(
     squares to plus the identity for an odd player count and minus the
     identity for an even one, which decides whether an entangler can be
     built from it. Evaluation writes ``J`` applied to the initial state
-    directly and applies the adjoint with
-    :func:`qblotto.engine.generator_weights` and
-    :func:`qblotto.engine.apply_generator` instead.
+    directly, and :func:`qblotto.engine.disentangle` applies the adjoint
+    as a signed, phased reversal of the qubit index instead.
     """
     register_block = np.diag([1j * s for s in sign_pattern]).astype(complex)
     generator = kron_all([_FLIP] * num_players + [register_block])

@@ -105,6 +105,22 @@ class TestPlay:
         assert main(["play", path]) == 2
         assert "phi_1_3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "repeated, key",
+        [('"gamma": 0.0, "gamma"', "gamma"), ('"total": 9, "total"', "total")],
+        ids=["document", "player"],
+    )
+    def test_repeated_key_exit_2(self, tmp_path, capsys, repeated, key):
+        # JSON lets the last copy of a key win, which would run the file's
+        # real value after a stray one; the loader refuses the file.
+        text = json.dumps(GOLDEN_DOC).replace(f'"{key}"', repeated, 1)  # first object
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["play", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: duplicate key {key!r}\n"
+        assert captured.out == ""
+
     def test_json_syntax_error_names_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "players": [,]\n}', encoding="utf-8")

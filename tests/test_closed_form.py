@@ -24,6 +24,9 @@ DRAWS = 400
 # Draws checked against the 40-digit reference: N 3, 5 and 7 on one to
 # four battlefields, zero phases on nine of them; under a second.
 EXACT_DRAWS = 30
+# Games with two idle rivals on battlefield 1, checked against the same
+# reference; about half a second.
+SEPARATION_DRAWS = 30
 
 
 def _split(rng, total, n):
@@ -144,17 +147,96 @@ def test_copied_rivals_get_identical_rows():
         assert values[target - 1] == values[source - 1], scenario
 
 
-def test_zero_phase_payoffs_are_the_classical_game():
-    classical = [
+def zero_phase_draws():
+    return [
         scenario
         for scenario, _ in draws()
         if not any(any(row) for row in scenario.phases)
     ]
+
+
+def classical_game(scenario):
+    return classical_payoffs(scenario.allocations, PlayerRoster(scenario.totals), 0.0)
+
+
+def test_zero_phase_payoffs_are_the_classical_game():
+    classical = zero_phase_draws()
     assert len(classical) > DRAWS // 6
     for scenario in classical:
-        roster = PlayerRoster(scenario.totals)
-        expected = classical_payoffs(scenario.allocations, roster, 0.0)
+        expected = classical_game(scenario)
         assert brute_force_payoffs(closed_form(scenario)[0], 0.0) == expected, scenario
+
+
+# The engine's rounding depends on a player's position in the state vector,
+# so at eps 0 it splits exact ties that the classical game and the grouped
+# closed form keep. These pass once the engine decides ties by structure;
+# the marker goes then.
+SPLITS_TIES = pytest.mark.xfail(
+    strict=True, reason="the engine's rounding splits exact ties at eps 0"
+)
+
+
+@SPLITS_TIES
+def test_evaluate_zero_phase_payoffs_are_the_classical_game():
+    for scenario in zero_phase_draws():
+        assert evaluate(scenario).payoffs == classical_game(scenario), scenario
+
+
+@SPLITS_TIES
+def test_evaluate_oracle_file_payoffs_at_eps_0():
+    scenario = Scenario.create(
+        (5, 3, 2), ((3, 2), (2, 1), (0, 2)), math.pi / 4, eps=0.0
+    )
+    assert evaluate(scenario).payoffs == (1, -2, -1)
+
+
+def separation_draws():
+    """Seeded games in which two rivals commit nothing to battlefield 1.
+
+    N is 3, 5 or 7 and n 1 to 4, with whole-number budgets and
+    allocations; gamma is pi/2 on every third. The two idle rivals' phases
+    on battlefield 1 are drawn, so they differ.
+    """
+    rng = random.Random(2029)
+    games = []
+    for d in range(SEPARATION_DRAWS):
+        count, n = rng.choice((3, 5, 7)), rng.randint(1, 4)
+        blotto = rng.randint(2, 9)
+        totals = [blotto] + [rng.randint(1, blotto) for _ in range(count - 1)]
+        allocations = [_split(rng, total, n) for total in totals]
+        for j in rng.sample(range(1, count), 2):
+            allocations[j] = [0] + _split(rng, totals[j], n - 1) if n > 1 else [0]
+            totals[j] = sum(allocations[j])
+        phases = [[rng.uniform(-math.pi, 3 * math.pi) for _ in range(n)] for _ in totals]
+        gamma = HALF_PI if d % 3 == 0 else rng.uniform(0.0, HALF_PI)
+        pattern = [rng.choice((1, -1)) for _ in range(n)]
+        games.append(
+            Scenario.create(totals, allocations, gamma, phases=phases, sign_pattern=pattern)
+        )
+    return games
+
+
+def test_exact_margins_are_ties_or_far_from_rounding():
+    # A rounding bound of order 1e-13 can only certify payoff terms if real
+    # margins sit far above it and the rest are exact ties, as players who
+    # commit nothing to a battlefield are, whatever their phases.
+    mpmath = pytest.importorskip("mpmath")
+    worst, idle_pairs = mpmath.mpf(0), 0
+    for scenario in separation_draws():
+        exact = exact_strengths(scenario)
+        for row, exact_row in zip(closed_form(scenario)[0], exact):
+            worst = max(worst, *(abs(v - x) for v, x in zip(row, exact_row)))
+        allocations = scenario.allocations
+        for k in range(scenario.num_battlefields):
+            for i in range(scenario.num_players):
+                for j in range(i + 1, scenario.num_players):
+                    margin = abs(exact[i][k] - exact[j][k])
+                    assert margin < 1e-30 or margin >= 1e-10, (scenario, i, j, k)
+                    if allocations[i][k] == allocations[j][k] == 0:
+                        idle_pairs += 1
+                        assert margin < 1e-30, (scenario, i, j, k)
+    assert worst <= 1e-13, float(worst)
+    assert idle_pairs >= SEPARATION_DRAWS
 
 
 def test_oracle_file_payoffs_at_eps_0():

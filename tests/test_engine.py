@@ -24,12 +24,11 @@ from qblotto import (
 )
 from qblotto.classical import sgn_eps
 from qblotto.engine import (
-    apply_generator,
     default_pattern,
+    disentangle,
     entangle,
     evaluate_strategies,
     evolve_strategies,
-    generator_weights,
     measurements,
     player_operator,
     reduced_phase,
@@ -420,19 +419,22 @@ class TestEntanglerGenerator:
 
     @pytest.mark.parametrize("count", range(1, 10))
     def test_matrix_free_matches_dense_exactly(self, count):
+        # disentangle against c psi - i s (G^+ psi) with G dense. At gamma =
+        # pi, J^+ is -i G^+ up to c ~ 6e-17, norm-preserving at any count.
         rng = np.random.default_rng(0x6E4 + count)
         for n in range(1, 5):
             pattern = tuple(int(s) for s in rng.choice((-1, 1), n))
             dense = entangler_generator(count, pattern)
             dim = 2**count * n
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            adjoint = generator_weights(count, pattern)
-            # G = -(-1)^N G^+, so G's weights are (-1)^(N+1) times G^+'s
-            forward = (-1.0) ** (count + 1) * adjoint
-            assert np.array_equal(apply_generator(forward, psi), dense @ psi)
-            assert np.array_equal(
-                apply_generator(adjoint, psi), dense.conj().T @ psi
-            ), (count, n)
+            psi /= np.linalg.norm(psi)
+            gammas = (math.pi, float(rng.uniform(0.0, HALF_PI)))
+            for gamma in gammas if count % 2 else gammas[:1]:
+                c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+                expected = c * psi - (1j * s) * (dense.conj().T @ psi)
+                assert np.array_equal(
+                    disentangle(psi, count, gamma, pattern), expected
+                ), (count, n, gamma)
 
 
 class TestEntangler:

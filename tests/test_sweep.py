@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import re
@@ -270,7 +271,7 @@ class TestPackedSweepResult:
     def test_rows_read_the_packed_fields(self, worked_example):
         base = replace(worked_example, phases=((0.0, 0.3), (0.2, 0.0), (1.0, 0.5)))
         result = run_sweep(SweepSpec(base, 2, 2, "lambda", 0.0, HALF_PI, 13))
-        grid = array("d", result.grid_bytes)
+        grid = result.spec.grid()
         payoffs = array("q", result.payoff_bytes)
         strengths = array("d", result.strength_bytes)
         rows = list(result.rows())
@@ -287,7 +288,7 @@ class TestPackedSweepResult:
 
     def test_round_trip_and_equality(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example, steps=11))
-        packed = (result.grid_bytes, result.payoff_bytes, result.strength_bytes)
+        packed = (result.payoff_bytes, result.strength_bytes)
         again = SweepResult(result.spec, result.transitions, *packed)
         assert again == result
         assert again.points == result.points
@@ -297,6 +298,18 @@ class TestPackedSweepResult:
         packing = SweepResult(result.spec, result.transitions, points=result.points)
         assert packing == result
         assert replace(result, points=result.points[:-1]) != result
+        # a point's value is not packed: the record's values are the spec's
+        off_grid = replace(result.points[0], value=99.0)
+        assert replace(result, points=(off_grid,) + result.points[1:]) == result
+
+    def test_record_holds_no_grid_and_72_bytes_per_point(self, worked_example):
+        # The parameter values are spec.grid(); only payoffs (3 x 8 B) and
+        # strengths (6 x 8 B) are packed at three players on two battlefields.
+        result = run_sweep(threshold_sweep_spec(worked_example))
+        names = [f.name for f in dataclasses.fields(SweepResult)]
+        assert names == ["spec", "transitions", "payoff_bytes", "strength_bytes"]
+        packed = len(result.payoff_bytes) + len(result.strength_bytes)
+        assert packed == 72 * 101
 
     def test_packed_result_is_much_smaller_than_points(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example))
@@ -307,7 +320,7 @@ class TestPackedSweepResult:
             unpacked = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        packed = (result.grid_bytes, result.payoff_bytes, result.strength_bytes)
+        packed = (result.spec.grid(), result.payoff_bytes, result.strength_bytes)
         packed_size = sum(map(sys.getsizeof, packed))
         assert len(points) == 101
         assert packed_size * 3 < unpacked, (packed_size, unpacked)
@@ -329,8 +342,8 @@ class TestPackedSweepResult:
 def two_pass_sweep(spec):
     """Reference sweep: evaluate every grid value, then bisect changing cells.
 
-    Returns the transitions and the grid, payoffs and strengths packed as
-    ``SweepResult`` holds them.
+    Returns the transitions, the grid values, and the payoffs and strengths
+    packed as ``SweepResult`` holds them.
     """
     evaluate_at = qblotto.sweep._evaluator(spec)
     values = [float(v) for v in spec.grid()]
@@ -346,7 +359,7 @@ def two_pass_sweep(spec):
     strengths = [v for t in tables for row in t.values for v in row]
     return (
         transitions,
-        array("d", values).tobytes(),
+        values,
         array("q", payoffs).tobytes(),
         array("d", strengths).tobytes(),
     )
@@ -378,10 +391,11 @@ def test_one_pass_sweep_matches_two_pass_reference():
     for _ in range(300):
         spec = random_sweep_spec(rng)
         result = run_sweep(spec)
-        transitions, *packed = two_pass_sweep(spec)
-        assert [result.grid_bytes, result.payoff_bytes, result.strength_bytes] == (
-            packed
-        ), spec
+        transitions, values, *packed = two_pass_sweep(spec)
+        assert [value.hex() for value, _, _ in result.rows()] == [
+            value.hex() for value in values
+        ], spec
+        assert [result.payoff_bytes, result.strength_bytes] == packed, spec
         bits = [(t.boundary.hex(), t.below, t.above) for t in result.transitions]
         assert bits == [(t.boundary.hex(), t.below, t.above) for t in transitions]
         changing += bool(transitions)
