@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,31 +68,52 @@ def _is_sign(value) -> bool:
     return _is_number(value) and value in (-1, 1)
 
 
+def _ordered(values, what: str, *row: int):
+    """``values`` as given; a set (in hash order) or a mapping (its keys) raises.
+
+    ``what`` names the value in a message; for a grid row, its 1-based
+    player follows.
+    """
+    if type(values) in (tuple, list) or not isinstance(values, (Set, Mapping)):
+        return values  # the common types, ahead of the slower ABC check
+    if row:
+        what = "player {} {} row".format(*row, what)
+    raise ValidationError(f"{what} must be an ordered sequence, got {values!r}")
+
+
 def _sequence(values, what: str) -> list:
-    """``values`` as a list; one that is not iterable raises ValidationError."""
+    """``values`` as a list; a set, mapping or non-iterable raises ValidationError."""
     try:
-        return list(values)
+        return list(_ordered(values, what))
     except TypeError:
         raise ValidationError(f"{what} must form a sequence, got {values!r}") from None
 
 
-def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
-    """A player-major grid as floats, each cell under :func:`_real`.
+def _grid_rows(grid: Sequence[Sequence], what: str, cell=None) -> tuple[tuple, ...]:
+    """A player-major grid's rows as tuples, cells as given or ``cell(x, what, j, k)``.
 
-    A grid or row that is not iterable raises ValidationError (a row, DimensionError).
+    A grid or row that is a set, a mapping or not iterable raises
+    ValidationError (a row that is not iterable, DimensionError).
     """
     try:
-        grid = list(grid)
+        grid = list(_ordered(grid, f"{what}s"))
     except TypeError:
         raise ValidationError(f"{what}s must form a grid, got {grid!r}") from None
     rows = []
     for j, row in enumerate(grid, start=1):
         try:
-            cells = enumerate(row, start=1)
+            cells = enumerate(_ordered(row, what, j), start=1)
         except TypeError:
             raise DimensionError(1, 0, f"player {j} {what} row {row!r}") from None
-        rows.append(tuple(_real(x, what, j, k) for k, x in cells))
+        if cell:
+            row = (cell(x, what, j, k) for k, x in cells)
+        rows.append(tuple(row))
     return tuple(rows)
+
+
+def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
+    """A player-major grid as floats, each cell under :func:`_real`."""
+    return _grid_rows(grid, what, _real)
 
 
 def _real_budgets(totals: Sequence) -> tuple[float, ...]:
@@ -157,6 +179,11 @@ def _payoff_terms(rows: Sequence[Sequence[float]], eps: float):
     )
 
 
+def _payoff_vector(rows: Sequence[Sequence[float]], eps: float) -> tuple[int, ...]:
+    """Each player's payoff, their row's sum of :func:`_payoff_terms`; unchecked too."""
+    return tuple(map(sum, _payoff_terms(rows, eps)))
+
+
 def _check_roster(totals: tuple[float, ...]) -> None:
     """The roster rule: two or more finite budgets, Blotto's positive and the largest.
 
@@ -209,7 +236,7 @@ def classical_payoffs(
 ) -> tuple[int, ...]:
     """Per-player payoff: battlefields won minus battlefields lost.
 
-    :func:`_payoff_terms` over the allocation grid. Allocations are
+    :func:`_payoff_vector` over the allocation grid. Allocations are
     assumed budget-valid, as a :class:`qblotto.engine.Scenario` holds
     them; only the number rule (:func:`_real`), shapes, the tie
     tolerance and finiteness are checked.
@@ -220,4 +247,4 @@ def classical_payoffs(
     eps = check_tie_eps(eps)
     if not all(math.isfinite(v) for row in rows for v in row):
         raise ValidationError("payoff grid has a non-finite entry")
-    return tuple(map(sum, _payoff_terms(rows, eps)))
+    return _payoff_vector(rows, eps)

@@ -14,8 +14,8 @@ import math
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .classical import DEFAULT_TIE_EPS, _payoff_terms
-from .engine import MeasurementTable, Scenario, evaluate, reduced_phase
+from .classical import DEFAULT_TIE_EPS
+from .engine import MeasurementTable, Scenario, evaluate, strategies_of
 from .errors import NumericalIntegrityError, ValidationError
 
 if TYPE_CHECKING:
@@ -166,20 +166,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .selfcheck import classical_limit
+
     scenario, _ = _load(args)
     nonzero = [
         (j + 1, k + 1)
-        for j, row in enumerate(scenario.phases)
+        for j, row in enumerate(strategies_of(scenario)[1])  # reduced phases
         for k, phase in enumerate(row)
-        if reduced_phase(phase) != 0.0
+        if phase != 0.0
     ]
     if nonzero:
         raise ValidationError(
             f"oracle compares the classical limit only; scenario has nonzero "
             f"phases at (player, battlefield) {nonzero}"
         )
-    classical = tuple(map(sum, _payoff_terms(scenario.allocations, scenario.eps)))
-    quantum = evaluate(scenario).payoffs
+    classical, quantum, _ = classical_limit(scenario, scenario.eps)
     print(f"classical payoffs: {classical}")
     print(f"quantum payoffs:   {quantum}")
     if quantum == classical:
@@ -259,11 +260,15 @@ def _join_range_values(argv: list[str]) -> list[str]:
     """A number X after ``--from``, ``--to`` or ``--eps`` joined to it: ``--eps=X``.
 
     argparse's negative-number pattern has no exponent, so it takes a
-    bare ``-1e-3`` for an option; joined to its flag, it is a value.
+    bare ``-1e-3`` for an option; joined to its flag, it is a value. A
+    flag may be abbreviated, as argparse reads it: no other option of a
+    subcommand starts ``--f``, ``--t`` or ``--e``.
     """
+    flags = ("--from", "--to", "--eps")
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in ("--from", "--to", "--eps"):
+        flag = joined[-1] if joined else ""
+        if len(flag) > 2 and any(f.startswith(flag) for f in flags):
             try:
                 float(token)
             except ValueError:

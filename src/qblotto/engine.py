@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .classical import DEFAULT_TIE_EPS, check_tie_eps
 from .classical import _is_sign, _real, _real_budgets, _real_grid  # the input rules
-from .classical import _check_roster, _sequence
-from .classical import _payoff_terms, rival_best  # the payoff rule
+from .classical import _check_roster, _grid_rows, _sequence
+from .classical import _payoff_vector, rival_best  # the payoff rule
 from .errors import DimensionError, NumericalIntegrityError, ValidationError
 
 if TYPE_CHECKING:
@@ -133,8 +134,9 @@ class Scenario:
     roster rule), each player's allocations (finite, non-negative and
     summing to the budget within ``eps``), ``gamma`` in [0, pi/2], and
     no commitment above Blotto's budget, so every commitment has a
-    rotation angle (:func:`rotation_angle`). Player
-    names must be a sequence of names: a str, bytes or dict is refused.
+    rotation angle (:func:`rotation_angle`). Names, budgets, the sign
+    pattern and each grid and row must be ordered sequences: a set or
+    mapping is refused, and so is a str or bytes for names.
     :meth:`create` holds the defaults.
     """
 
@@ -148,7 +150,7 @@ class Scenario:
 
     def __post_init__(self):
         names = self.player_names
-        if isinstance(names, (str, bytes, dict)):  # iterable, but not a list of names
+        if isinstance(names, (str, bytes, Set, Mapping)):  # no ordered list of names
             raise ValidationError(
                 f"player names must be a sequence of names, got {names!r}"
             )
@@ -254,11 +256,7 @@ class Scenario:
         :func:`default_names`, whose strings every scenario of that size
         shares. Every other value reaches the number rule as passed.
         """
-        try:
-            rows = [tuple(row) for row in allocations]
-        except TypeError:  # not a grid of rows: raise the build's message for it
-            _real_grid(allocations, "allocation")
-            raise
+        rows = _grid_rows(allocations, "allocation")  # read once, as the build reads it
         if not rows or not rows[0]:
             raise ValidationError("allocations must be a non-empty N x n grid")
         n = len(rows[0])
@@ -527,9 +525,9 @@ def measurements(base: Scenario, psi: np.ndarray) -> MeasurementTable:
     committed-qubit projector's expectation on the density matrix
     reduced to qubit j and the register, which the tests' dense
     reference computes. A value outside [0, 1] beyond tolerance, NaN
-    included, raises :class:`NumericalIntegrityError`. Payoffs are the
-    row sums of :func:`qblotto.classical._payoff_terms` on the strength
-    grid at ``base.eps``, which that range check and the build make its
+    included, raises :class:`NumericalIntegrityError`. Payoffs are
+    :func:`qblotto.classical._payoff_vector` of the strength grid at
+    ``base.eps``, which that range check and the build make its
     trusted input; the table keeps no rival bests, it derives them when
     read.
     """
@@ -543,8 +541,7 @@ def measurements(base: Scenario, psi: np.ndarray) -> MeasurementTable:
     grid = bits.astype(float) @ probabilities
     check_strengths(grid)
     values = tuple(map(tuple, grid.tolist()))
-    payoffs = tuple(map(sum, _payoff_terms(values, base.eps)))
-    return MeasurementTable(values=values, payoffs=payoffs)
+    return MeasurementTable(values=values, payoffs=_payoff_vector(values, base.eps))
 
 
 def evaluate(scenario: Scenario) -> MeasurementTable:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .classical import DEFAULT_TIE_EPS, _payoff_terms
+from .classical import DEFAULT_TIE_EPS, _payoff_vector
 from .engine import (
     HALF_PI,
     Scenario,
@@ -23,7 +23,6 @@ from .engine import (
     evaluate,
     measurements,
     player_operator,
-    rotation_angle,
     strategies_of,
 )
 
@@ -91,13 +90,16 @@ class CheckResult:
     detail: str = ""
 
 
-def _classical_payoffs(scenario: Scenario, eps: float) -> tuple[int, ...]:
-    """The classical oracle's payoffs for a built scenario's allocations.
+def classical_limit(scenario: Scenario, eps: float) -> tuple:
+    """A built scenario's classical and quantum payoffs at ``eps``, and its table.
 
-    The scenario's budgets and allocations were checked when it was built,
-    so the payoff rule scores them as they are.
+    At the scenario's own ``eps`` the quantum payoffs are the table's, so
+    a check there tests the payoffs ``evaluate`` returned.
     """
-    return tuple(map(sum, _payoff_terms(scenario.allocations, eps)))
+    table = evaluate(scenario)
+    own = eps == scenario.eps
+    quantum = table.payoffs if own else _payoff_vector(table.values, eps)
+    return _payoff_vector(scenario.allocations, eps), quantum, table
 
 
 def run_verification(eps: float = DEFAULT_TIE_EPS) -> list[CheckResult]:
@@ -136,9 +138,7 @@ def _check_golden_measurements(eps: float) -> CheckResult:
 
 def _check_golden_payoffs(eps: float) -> CheckResult:
     name = "golden-payoffs"
-    scenario = golden_scenario(eps)
-    quantum = evaluate(scenario).payoffs
-    classical = _classical_payoffs(scenario, eps)
+    classical, quantum, _ = classical_limit(golden_scenario(eps), eps)
     if quantum != GOLDEN_PAYOFFS:
         return CheckResult(
             name, False, f"quantum payoffs {quantum}, expected {GOLDEN_PAYOFFS}"
@@ -157,8 +157,7 @@ def _check_tie_absorption(eps: float) -> CheckResult:
     allocations = ((3.0 + nudge, 3.0 - nudge), (3.0, 1.0), (0.0, 3.0))
     totals = (sum(allocations[0]), 4.0, 3.0)
     scenario = Scenario.create(totals, allocations, HALF_PI, eps=eps)
-    quantum = evaluate(scenario).payoffs
-    classical = _classical_payoffs(scenario, eps)
+    classical, quantum, _ = classical_limit(scenario, eps)
     if quantum != GOLDEN_PAYOFFS or classical != GOLDEN_PAYOFFS:
         return CheckResult(
             name,
@@ -176,9 +175,7 @@ def _check_classical_correspondence(
     name = "classical-correspondence"
     for trial in range(trials):
         scenario = random_classical_scenario(rng)
-        table = evaluate(scenario)
-        quantum = tuple(map(sum, _payoff_terms(table.values, eps)))  # eps under check
-        classical = _classical_payoffs(scenario, eps)
+        classical, quantum, table = classical_limit(scenario, eps)
         if quantum != classical:
             return CheckResult(
                 name,
@@ -187,17 +184,14 @@ def _check_classical_correspondence(
                 f"for {scenario.allocations}",
             )
         n = scenario.num_battlefields
-        for j in range(scenario.num_players):
-            for k in range(n):
-                angle = rotation_angle(
-                    scenario.allocations[j][k], scenario.blotto_total
-                )
+        for row, angles in zip(table.values, strategies_of(scenario)[0]):
+            for value, angle in zip(row, angles):
                 closed = math.sin(angle) ** 2 / n
-                if abs(table.values[j][k] - closed) > 1e-10:
+                if abs(value - closed) > 1e-10:
                     return CheckResult(
                         name,
                         False,
-                        f"trial {trial}: measurement {table.values[j][k]!r} "
+                        f"trial {trial}: measurement {value!r} "
                         f"deviates from closed form {closed!r}",
                     )
     return CheckResult(name, True, f"{trials} randomized scenarios")

@@ -144,8 +144,10 @@ class TestPlayerRoster:
             ((10**400, 1.0), "^player 1 budget is too large for a float"),
             # a bare TypeError: 'float' object is not iterable
             (5.0, "^budgets must form a sequence, got 5.0$"),
+            # read in hash order: Blotto was whichever budget came first
+            ({4.0, 6.0}, "^budgets must be an ordered sequence, got "),
         ],
-        ids=["str", "bool", "numpy-bool", "huge", "scalar"],
+        ids=["str", "bool", "numpy-bool", "huge", "scalar", "set"],
     )
     def test_budgets_follow_the_number_rule(self, totals, message):
         # not coerced to (6.0, 1.0) by float()

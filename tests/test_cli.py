@@ -200,6 +200,15 @@ class TestPlay:
         assert exit_info.value.code == 2
         assert "argument --eps: expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--e", "--ep"])
+    def test_abbreviated_eps_in_exponent_form(self, golden_file, capsys, flag):
+        # argparse reads the prefix as --eps, but "-1e-3" was joined only
+        # to the whole flag, so argparse's usage exited 2 instead
+        assert main(["play", golden_file, flag, "-1e-3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: tie tolerance must be finite and non-negative, got -0.001\n"
+        )
+
     @pytest.mark.parametrize("command", ["play", "oracle"])
     @pytest.mark.parametrize(
         "totals, allocations, message",
@@ -555,6 +564,19 @@ class TestSweep:
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0].out.splitlines()[1].startswith("-0.001,")
 
+    @pytest.mark.parametrize("lo, hi", [("--fro", "--t"), ("--f", "--to")])
+    def test_abbreviated_range_flags_in_exponent_form(
+        self, golden_file, capsys, lo, hi
+    ):
+        # argparse reads an unambiguous prefix as its flag, but "-1e-3" was
+        # joined only to whole flags, so these exited 2 with argparse's usage
+        argv = ["sweep", golden_file, "--player", "3", "--battlefield", "1",
+                "--param", "phi", "--steps", "5"]
+        assert main([*argv, "--from", "-1e-3", "--to", "-1e-4"]) == 0
+        whole = capsys.readouterr()
+        assert main([*argv, lo, "-1e-3", hi, "-1e-4"]) == 0
+        assert capsys.readouterr() == whole
+
     # Traced peak per grid point of a 4096-step sweep. Formatting the CSV
     # from ``points`` and joining it peaked at 740-749 B with --out and 686 B
     # on stdout; streaming it from ``SweepResult.rows()`` stays near the
@@ -685,16 +707,18 @@ class TestVerify:
     def _patch_classical(self, monkeypatch, golden):
         """Raise every classical payoff by one for the golden allocations or
         the drawn ones."""
-        built = qblotto.selfcheck._classical_payoffs
+        built = qblotto.selfcheck.classical_limit
         target = qblotto.selfcheck.golden_scenario().allocations
 
         def patched(scenario, eps):
-            payoffs = built(scenario, eps)
+            payoffs, quantum, table = built(scenario, eps)
             allocations = scenario.allocations
             hit = allocations == target if golden else self._drawn(allocations)
-            return tuple(p + 1 for p in payoffs) if hit else payoffs
+            if hit:
+                payoffs = tuple(p + 1 for p in payoffs)
+            return payoffs, quantum, table
 
-        monkeypatch.setattr(qblotto.selfcheck, "_classical_payoffs", patched)
+        monkeypatch.setattr(qblotto.selfcheck, "classical_limit", patched)
 
     def _fails_once(self, capsys, pattern):
         assert main(["verify"]) == 1
@@ -834,7 +858,8 @@ class TestOracle:
             table = evaluate(scenario)
             return MeasurementTable(table.values, (1, 0, -2))
 
-        monkeypatch.setattr(qblotto.cli, "evaluate", other_payoffs)
+        # oracle's comparison is verify's, so its evaluate is patched
+        monkeypatch.setattr(qblotto.selfcheck, "evaluate", other_payoffs)
         three = str(ROOT / "scenarios" / "three_players.json")
         assert main(["oracle", three]) == 1
         captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from array import array
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -1020,6 +1021,68 @@ class TestScenarioValidation:
                     ((0.0, 0.0), (0.0, 0.0)), 0.0, (1, -1),
                 )
         assert str(raised.value) == message
+
+    # Each was read in hash order (a set, which PYTHONHASHSEED reorders) or
+    # as its keys (a mapping): built, or refused by a later rule.
+    @pytest.mark.parametrize("entry", ["create", "constructor", "replace"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("player_names", {"A", "B"}, "player names must be a sequence of names"),
+            (
+                "player_names",
+                MappingProxyType({"A": 1, "B": 2}),
+                "player names must be a sequence of names",
+            ),
+            ("totals", frozenset((6.0, 4.0)), "budgets must be an ordered sequence"),
+            ("totals", {6.0: 0, 4.0: 1}, "budgets must be an ordered sequence"),
+            (
+                "allocations",
+                {(3.0, 3.0), (2.0, 2.0)},
+                "allocations must be an ordered sequence",
+            ),
+            (
+                "allocations",
+                ((3.0, 3.0), {1.0, 3.0}),
+                "player 2 allocation row must be an ordered sequence",
+            ),
+            (
+                "phases",
+                {0: (0.0, 0.0), 1: (0.0, 0.0)},
+                "phases must be an ordered sequence",
+            ),
+            (
+                "phases",
+                ((0.0, 0.0), {0.0: 1, 0.5: 2}),
+                "player 2 phase row must be an ordered sequence",
+            ),
+            ("sign_pattern", {1, -1}, "sign pattern must be an ordered sequence"),
+        ],
+        ids=[
+            "names-set", "names-mapping", "budgets-set", "budgets-mapping",
+            "allocation-grid", "allocation-row", "phase-grid", "phase-row", "signs",
+        ],
+    )
+    def test_unordered_collections_are_refused(self, entry, field, value, message):
+        from dataclasses import replace
+
+        base = Scenario.create((6.0, 4.0), ((3.0, 3.0), (2.0, 2.0)), 0.0)
+        with pytest.raises(ValidationError) as raised:
+            if entry == "replace":
+                replace(base, **{field: value})
+            else:
+                fields = {
+                    name: getattr(base, name)
+                    for name in ("player_names", "totals", "allocations", "phases",
+                                 "gamma", "sign_pattern")
+                }
+                fields[field] = value
+                if entry == "constructor":
+                    Scenario(**fields)
+                else:
+                    Scenario.create(names=fields.pop("player_names"), **fields)
+        shown = value[-1] if " row " in message else value  # a row names itself
+        assert str(raised.value) == f"{message}, got {shown!r}"
 
     # Each build raises the message that loading or evaluating the same
     # scenario gave when validation ran there; the last case keeps the

@@ -256,7 +256,7 @@ def test_the_cli_refuses_without_loading_numpy(tmp_path):
         "unreadable": ["qblotto.scenario_io"],
         "guard": [],
         "dense": [],
-        "oracle dense": [],
+        "oracle dense": ["qblotto.selfcheck"],
     }
 
 
@@ -265,7 +265,7 @@ def test_the_cli_refuses_without_loading_numpy(tmp_path):
     [
         {
             "play": ["numpy", "qblotto.scenario_io"],
-            "oracle": [],
+            "oracle": ["qblotto.selfcheck"],
             "sweep": ["qblotto.sweep"],
         },
         {"verify": ["numpy", "qblotto.selfcheck"]},
@@ -274,7 +274,8 @@ def test_the_cli_refuses_without_loading_numpy(tmp_path):
 )
 def test_each_subcommand_loads_only_its_modules(loaded):
     # Subcommands run in order in one interpreter, each listed with what
-    # it loads: play and oracle load neither sweep nor selfcheck, and
+    # it loads: play loads neither sweep nor selfcheck, oracle loads the
+    # selfcheck whose classical-limit comparison verify runs too, and
     # verify, in an interpreter of its own, neither sweep nor scenario_io.
     scenario = str(ROOT / "scenarios" / "three_players.json")
     argv = {
