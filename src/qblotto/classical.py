@@ -122,16 +122,6 @@ def _real_budgets(totals: Sequence) -> tuple[float, ...]:
     return tuple(_real(t, f"player {j} budget") for j, t in budgets)
 
 
-def _real_rows(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], ...]:
-    """:func:`_real_grid`, with every row as long as the first."""
-    rows = _real_grid(grid, what)
-    n = len(rows[0]) if rows else 0
-    for j, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise DimensionError(n, len(row), f"player {j} {what} length")
-    return rows
-
-
 def check_tie_eps(eps: float) -> float:
     """A tie tolerance as a float under the number rule, finite and non-negative."""
     eps = _real(eps, "tie tolerance")
@@ -241,7 +231,11 @@ def classical_payoffs(
     them; only the number rule (:func:`_real`), shapes, the tie
     tolerance and finiteness are checked.
     """
-    rows = _real_rows(allocations, "allocation")
+    rows = _real_grid(allocations, "allocation")
+    n = len(rows[0]) if rows else 0
+    for j, row in enumerate(rows, start=1):
+        if len(row) != n:
+            raise DimensionError(n, len(row), f"player {j} allocation length")
     if len(rows) != roster.num_players:
         raise DimensionError(roster.num_players, len(rows), "allocation rows")
     eps = check_tie_eps(eps)

@@ -180,7 +180,7 @@ def cmd_oracle(args) -> int:
             f"oracle compares the classical limit only; scenario has nonzero "
             f"phases at (player, battlefield) {nonzero}"
         )
-    classical, quantum, _ = classical_limit(scenario, scenario.eps)
+    classical, quantum, _ = classical_limit(scenario)
     print(f"classical payoffs: {classical}")
     print(f"quantum payoffs:   {quantum}")
     if quantum == classical:

@@ -4,30 +4,25 @@ The composite space holds one soldier qubit per player plus an
 n-dimensional battlefield register prepared in a uniform superposition.
 A player's troop commitment on battlefield k becomes a rotation angle of
 their qubit, applied conditionally on the register; an optional phase
-per battlefield is the purely quantum part of the strategy. There is one
-evolution path: the entangled start state, every player's strategy
-operator in ascending order, then the entangler's inverse. The start
-state ``J|0...0>`` holds two nonzero qubit states per battlefield and is
-written directly; the inverse's generator has one nonzero per row, so it
-is applied as a signed, phased reversal of the qubit index rather than
-as a matrix. Strength (j, k) is read off the final state as the
+per battlefield is the purely quantum part of the strategy. Evolution
+is the entangled start state ``J|0...0>``, written directly with two
+nonzero qubit states per battlefield, then every player's strategy
+operator in ascending order, then the inverse of ``J``, applied as a
+signed, phased reversal of the qubit index. Strength (j, k) is the
 probability of player j's qubit in state 1 with the register on
-battlefield k, and payoffs compare those measured strengths across
-players with the classical game's rule,
-:func:`qblotto.classical._payoff_terms`.
+battlefield k, and payoffs compare those strengths across players with
+the classical game's rule, :func:`qblotto.classical._payoff_terms`.
 
 The engine's strategy input is two player-major N x n grids, rotation
 angles and phases (:func:`strategies_of`), plus ``gamma`` and the sign
-pattern. A :class:`Scenario` is validated once, when it is built, so
-every scenario that exists is valid; evaluation, the angle map and the
-payoff rule do not check it again. The explicit-grid entry points,
-:func:`evaluate_strategies` and :func:`measurements`, take the built
-scenario the grids came from and read its player count, sign pattern
-and tie tolerance. All operations are pure functions of their inputs;
-evaluating the same scenario twice produces bit-identical results.
+pattern. A :class:`Scenario` is validated once, when it is built;
+evaluation, the angle map and the payoff rule do not check it again.
+The explicit-grid entry points, :func:`evaluate_strategies` and
+:func:`measurements`, take the built scenario the grids came from and
+read its player count, sign pattern and tie tolerance. Evaluating the
+same scenario twice gives bit-identical results.
 
-numpy is imported inside the functions that build arrays (the gates,
-the operators, the state vector and its measurement), not by this
+numpy is imported inside the functions that build arrays, not by this
 module, so building and checking a scenario loads no numpy; the first
 evaluation does. A refusal raised before the state is built, such as
 a dimension over ``MAX_DENSE_DIM``, loads none.

@@ -18,11 +18,9 @@ class ValidationError(BlottoError):
 
 
 class DimensionError(ValidationError):
-    """Shape or factor-structure mismatch, with the expected and actual dims."""
+    """Shape or factor-structure mismatch between expected and actual dims."""
 
     def __init__(self, expected, actual, context: str = ""):
-        self.expected = expected
-        self.actual = actual
         prefix = f"{context}: " if context else ""
         super().__init__(f"{prefix}expected dims {expected}, got {actual}")
 

@@ -153,22 +153,6 @@ def scenario_from_dict(
     )
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical JSON-ready form; inverse of :func:`scenario_from_dict`."""
-    return {
-        "players": [
-            {"name": name, "total": total}
-            for name, total in zip(scenario.player_names, scenario.totals)
-        ],
-        "battlefields": scenario.num_battlefields,
-        "allocations": [list(row) for row in scenario.allocations],
-        "phases": [list(row) for row in scenario.phases],
-        "gamma": scenario.gamma,
-        "sign_pattern": list(scenario.sign_pattern),
-        "eps": scenario.eps,
-    }
-
-
 def load_scenario(
     path: str | Path, *, degrees: bool = False, eps: float | None = None
 ) -> tuple[Scenario, list[str]]:
@@ -221,6 +205,16 @@ def load_scenario(
 
 def dump_scenario(scenario: Scenario, path: str | Path) -> None:
     """Write the canonical serialization (round-trips to an equal Scenario)."""
-    path = Path(path)
-    text = json.dumps(scenario_to_dict(scenario), indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
+    doc = {
+        "players": [
+            {"name": name, "total": total}
+            for name, total in zip(scenario.player_names, scenario.totals)
+        ],
+        "battlefields": scenario.num_battlefields,
+        "allocations": [list(row) for row in scenario.allocations],
+        "phases": [list(row) for row in scenario.phases],
+        "gamma": scenario.gamma,
+        "sign_pattern": list(scenario.sign_pattern),
+        "eps": scenario.eps,
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -63,19 +63,27 @@ def _split(rng: random.Random, total: float, n: int) -> tuple[float, ...]:
     return tuple(w * scale for w in weights)
 
 
-def random_classical_scenario(rng: random.Random) -> Scenario:
-    """Three players, 2 or 3 battlefields, zero phases, random entanglement."""
+def random_classical_scenario(
+    rng: random.Random, eps: float = DEFAULT_TIE_EPS
+) -> Scenario:
+    """Three players, 2 or 3 battlefields, zero phases, random entanglement.
+
+    Each budget is the float sum of its drawn row, so the scenario builds
+    at any valid tie tolerance ``eps``, 0 included.
+    """
     n = rng.choice((2, 3))
     blotto_total = rng.uniform(1.0, 10.0)
     totals = (blotto_total,) + tuple(rng.uniform(0.0, blotto_total) for _ in range(2))
     allocations = tuple(_split(rng, total, n) for total in totals)
     gamma = rng.uniform(0.0, HALF_PI)
-    return Scenario.create(totals, allocations, gamma)
+    return Scenario.create(tuple(map(sum, allocations)), allocations, gamma, eps=eps)
 
 
-def random_quantum_scenario(rng: random.Random) -> Scenario:
+def random_quantum_scenario(
+    rng: random.Random, eps: float = DEFAULT_TIE_EPS
+) -> Scenario:
     """Like the classical draw, but with nonzero phases on every battlefield."""
-    base = random_classical_scenario(rng)
+    base = random_classical_scenario(rng, eps)
     phases = tuple(
         tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(base.num_battlefields))
         for _ in range(base.num_players)
@@ -90,16 +98,13 @@ class CheckResult:
     detail: str = ""
 
 
-def classical_limit(scenario: Scenario, eps: float) -> tuple:
-    """A built scenario's classical and quantum payoffs at ``eps``, and its table.
+def classical_limit(scenario: Scenario) -> tuple:
+    """A built scenario's classical payoffs, ``evaluate``'s payoffs and its table.
 
-    At the scenario's own ``eps`` the quantum payoffs are the table's, so
-    a check there tests the payoffs ``evaluate`` returned.
+    Both payoff vectors are at the scenario's own ``eps``.
     """
     table = evaluate(scenario)
-    own = eps == scenario.eps
-    quantum = table.payoffs if own else _payoff_vector(table.values, eps)
-    return _payoff_vector(scenario.allocations, eps), quantum, table
+    return _payoff_vector(scenario.allocations, scenario.eps), table.payoffs, table
 
 
 def run_verification(eps: float = DEFAULT_TIE_EPS) -> list[CheckResult]:
@@ -107,15 +112,15 @@ def run_verification(eps: float = DEFAULT_TIE_EPS) -> list[CheckResult]:
 
     The checks are the golden measurements and payoffs, tie absorption,
     classical correspondence on CORRESPONDENCE_TRIALS and operator-order
-    invariance on ORDER_TRIALS seeded random scenarios.
+    invariance on ORDER_TRIALS seeded random scenarios, each built at ``eps``.
     """
     rng = random.Random(VERIFY_SEED)
     return [
         _check_golden_measurements(eps),
         _check_golden_payoffs(eps),
         _check_tie_absorption(eps),
-        _check_classical_correspondence(rng, eps, CORRESPONDENCE_TRIALS),
-        _check_order_invariance(rng, ORDER_TRIALS),
+        _check_classical_correspondence(rng, eps),
+        _check_order_invariance(rng, eps),
     ]
 
 
@@ -138,7 +143,7 @@ def _check_golden_measurements(eps: float) -> CheckResult:
 
 def _check_golden_payoffs(eps: float) -> CheckResult:
     name = "golden-payoffs"
-    classical, quantum, _ = classical_limit(golden_scenario(eps), eps)
+    classical, quantum, _ = classical_limit(golden_scenario(eps))
     if quantum != GOLDEN_PAYOFFS:
         return CheckResult(
             name, False, f"quantum payoffs {quantum}, expected {GOLDEN_PAYOFFS}"
@@ -157,7 +162,7 @@ def _check_tie_absorption(eps: float) -> CheckResult:
     allocations = ((3.0 + nudge, 3.0 - nudge), (3.0, 1.0), (0.0, 3.0))
     totals = (sum(allocations[0]), 4.0, 3.0)
     scenario = Scenario.create(totals, allocations, HALF_PI, eps=eps)
-    classical, quantum, _ = classical_limit(scenario, eps)
+    classical, quantum, _ = classical_limit(scenario)
     if quantum != GOLDEN_PAYOFFS or classical != GOLDEN_PAYOFFS:
         return CheckResult(
             name,
@@ -168,14 +173,12 @@ def _check_tie_absorption(eps: float) -> CheckResult:
     return CheckResult(name, True, "1e-12 perturbation absorbed")
 
 
-def _check_classical_correspondence(
-    rng: random.Random, eps: float, trials: int
-) -> CheckResult:
+def _check_classical_correspondence(rng: random.Random, eps: float) -> CheckResult:
     """Zero-phase scenarios must match the classical oracle and closed form."""
     name = "classical-correspondence"
-    for trial in range(trials):
-        scenario = random_classical_scenario(rng)
-        classical, quantum, table = classical_limit(scenario, eps)
+    for trial in range(CORRESPONDENCE_TRIALS):
+        scenario = random_classical_scenario(rng, eps)
+        classical, quantum, table = classical_limit(scenario)
         if quantum != classical:
             return CheckResult(
                 name,
@@ -194,10 +197,10 @@ def _check_classical_correspondence(
                         f"trial {trial}: measurement {value!r} "
                         f"deviates from closed form {closed!r}",
                     )
-    return CheckResult(name, True, f"{trials} randomized scenarios")
+    return CheckResult(name, True, f"{CORRESPONDENCE_TRIALS} randomized scenarios")
 
 
-def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
+def _check_order_invariance(rng: random.Random, eps: float) -> CheckResult:
     """Strategy operators commute, and every order gives evaluate's results.
 
     Each drawn order's payoffs must equal evaluate's, and its strengths
@@ -206,8 +209,8 @@ def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
     """
     name = "order-invariance"
     drift = ""  # the first order whose strengths stray
-    for trial in range(trials):
-        scenario = random_quantum_scenario(rng)
+    for trial in range(ORDER_TRIALS):
+        scenario = random_quantum_scenario(rng, eps)
         angles, phases = strategies_of(scenario)
         count = scenario.num_players
         operators = [
@@ -246,4 +249,4 @@ def _check_order_invariance(rng: random.Random, trials: int) -> CheckResult:
                 drift = f"trial {trial}: order {order} strengths off by {worst:.3e}"
     if drift:
         return CheckResult(name, False, f"{drift} (limit 1e-12)")
-    return CheckResult(name, True, f"{trials} randomized scenarios")
+    return CheckResult(name, True, f"{ORDER_TRIALS} randomized scenarios")

@@ -11,14 +11,13 @@ Each battlefield's branch is an N-qubit EWL circuit with a closed form:
 along that axis each strength is a degree-2 trigonometric polynomial of
 five coefficients, from two overlaps per player, and one matrix product
 evaluates them all with no state vector. The search evaluates a value
-directly only where a margin sits at a tie-band edge. Its fixed cost is
-the coefficients' O(N n) Python arithmetic and about 25 numpy calls;
-the axis and its basis are kept for the last 8 step counts searched.
-Both take a built scenario, which was validated then, and do not check
-it again; they copy its angle and phase grids from
-:func:`~qblotto.engine.strategies_of`, set one cell or one row, and
-evaluate the moved grids with that scenario's sign pattern and tie
-tolerance (:func:`~qblotto.engine.evaluate_strategies`).
+directly only where a margin sits at a tie-band edge, and keeps the axis
+and its basis for the last 8 step counts searched. Both take a built
+scenario, which was validated then, and do not check it again; they
+copy its angle and phase grids from :func:`~qblotto.engine.strategies_of`,
+set one cell or one row, and evaluate the moved grids with that
+scenario's sign pattern and tie tolerance
+(:func:`~qblotto.engine.evaluate_strategies`).
 
 numpy is imported inside the functions that build a sweep grid or a
 search axis, not by this module, and by a search only after its
@@ -518,9 +517,7 @@ def best_response_grid(
     five trigonometric coefficients per cell from each battlefield's
     closed form, in O(N n) and with no state vector, times the axis's
     basis, which :func:`_phase_axis` keeps for the last 8 step counts.
-    Past that the search makes about 25 numpy calls, for the checks,
-    the margins and the decision, at any size. A grid value where
-    the player's margin on some battlefield lies within
+    A grid value where the player's margin on some battlefield lies within
     ``DECISION_GUARD`` of a tie-band edge is evaluated directly (through
     :func:`evaluate_strategies`), so the result is the one that
     evaluating every grid value gives, at no evaluation on generic

@@ -202,6 +202,11 @@ class TestClassicalPayoffs:
         with pytest.raises(ValidationError, match=message):
             classical_payoffs(rows, roster)
 
+    def test_row_count_must_match_the_roster(self):
+        message = "allocation rows: expected dims 3, got 2"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            classical_payoffs([[3, 3], [3, 1]], PlayerRoster((6, 4, 3)))
+
     def test_length_mismatch(self):
         roster = PlayerRoster((4.0, 3.0, 2.0))
         with pytest.raises(DimensionError):

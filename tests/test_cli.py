@@ -622,6 +622,25 @@ class TestVerify:
         assert "FAIL tie-absorption" in captured.out
         assert "verification failed" in captured.err
 
+    def test_every_check_evaluates_at_the_given_tolerance(self, monkeypatch):
+        # each check, the randomized draws' included, must read the payoffs
+        # that evaluate returns at the tolerance verify was given
+        selfcheck = qblotto.selfcheck
+        seen = []
+        for name in ("evaluate", "measurements"):
+            built = getattr(selfcheck, name)
+
+            def recorded(scenario, *args, built=built):
+                seen.append(scenario.eps)
+                return built(scenario, *args)
+
+            monkeypatch.setattr(selfcheck, name, recorded)
+        assert main(["verify", "--eps", "0"]) == 1  # tie absorption fails there
+        golden = 3  # measurements, payoffs and tie absorption
+        orders = selfcheck.ORDER_TRIALS * (1 + 5)  # evaluate, then five orders
+        assert len(seen) == golden + selfcheck.CORRESPONDENCE_TRIALS + orders
+        assert set(seen) == {0.0}
+
     def test_non_commuting_operators_fail_order_check(self, monkeypatch, capsys):
         built = qblotto.selfcheck.player_operator
 
@@ -710,8 +729,8 @@ class TestVerify:
         built = qblotto.selfcheck.classical_limit
         target = qblotto.selfcheck.golden_scenario().allocations
 
-        def patched(scenario, eps):
-            payoffs, quantum, table = built(scenario, eps)
+        def patched(scenario):
+            payoffs, quantum, table = built(scenario)
             allocations = scenario.allocations
             hit = allocations == target if golden else self._drawn(allocations)
             if hit:
