@@ -24,7 +24,7 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError, dimension_error
 
 # Absolute tie tolerance for sign comparisons and budget sums. Troop
 # counts and measurement values are O(1), so absolute beats relative.
@@ -92,6 +92,8 @@ def _sequence(values, what: str) -> list:
 def _grid_rows(grid: Sequence[Sequence], what: str, cell=None) -> tuple[tuple, ...]:
     """A player-major grid's rows as tuples, cells as given or ``cell(x, what, j, k)``.
 
+    ``cell`` returns a float as it is, so a row that is already a tuple
+    of floats is kept, and a rebuilt scenario shares its unchanged rows.
     A grid or row that is a set, a mapping or not iterable raises
     ValidationError (a row that is not iterable, DimensionError).
     """
@@ -104,8 +106,8 @@ def _grid_rows(grid: Sequence[Sequence], what: str, cell=None) -> tuple[tuple, .
         try:
             cells = enumerate(_ordered(row, what, j), start=1)
         except TypeError:
-            raise DimensionError(1, 0, f"player {j} {what} row {row!r}") from None
-        if cell:
+            raise dimension_error(1, 0, f"player {j} {what} row {row!r}") from None
+        if cell and not (type(row) is tuple and all(type(x) is float for x in row)):
             row = (cell(x, what, j, k) for k, x in cells)
         rows.append(tuple(row))
     return tuple(rows)
@@ -235,9 +237,9 @@ def classical_payoffs(
     n = len(rows[0]) if rows else 0
     for j, row in enumerate(rows, start=1):
         if len(row) != n:
-            raise DimensionError(n, len(row), f"player {j} allocation length")
+            raise dimension_error(n, len(row), f"player {j} allocation length")
     if len(rows) != roster.num_players:
-        raise DimensionError(roster.num_players, len(rows), "allocation rows")
+        raise dimension_error(roster.num_players, len(rows), "allocation rows")
     eps = check_tie_eps(eps)
     if not all(math.isfinite(v) for row in rows for v in row):
         raise ValidationError("payoff grid has a non-finite entry")

@@ -40,7 +40,7 @@ from .classical import DEFAULT_TIE_EPS, check_tie_eps
 from .classical import _is_sign, _real, _real_budgets, _real_grid  # the input rules
 from .classical import _check_roster, _grid_rows, _sequence
 from .classical import _payoff_vector, rival_best  # the payoff rule
-from .errors import DimensionError, NumericalIntegrityError, ValidationError
+from .errors import NumericalIntegrityError, ValidationError, dimension_error
 
 if TYPE_CHECKING:
     import numpy as np
@@ -174,27 +174,27 @@ class Scenario:
         if count == 0:
             raise ValidationError("scenario has no players")
         if len(names) != count:
-            raise DimensionError(count, len(names), "player names")
+            raise dimension_error(count, len(names), "player names")
         if len(allocations) != count:
-            raise DimensionError(count, len(allocations), "allocation rows")
+            raise dimension_error(count, len(allocations), "allocation rows")
         if len(phases) != count:
-            raise DimensionError(count, len(phases), "phase rows")
+            raise dimension_error(count, len(phases), "phase rows")
         n = len(allocations[0])
         if n < 1:
             raise ValidationError("scenario has no battlefields")
         for j, row in enumerate(allocations, start=1):
             if len(row) != n:
-                raise DimensionError(n, len(row), f"player {j} allocations")
+                raise dimension_error(n, len(row), f"player {j} allocations")
         for j, row in enumerate(phases, start=1):
             if len(row) != n:
-                raise DimensionError(n, len(row), f"player {j} phases")
+                raise dimension_error(n, len(row), f"player {j} phases")
             for k, p in enumerate(row, start=1):
                 if not math.isfinite(p):
                     raise ValidationError(
                         f"phase for player {j}, battlefield {k} is not finite: {p!r}"
                     )
         if len(pattern) != n:
-            raise DimensionError(n, len(pattern), "sign pattern")
+            raise dimension_error(n, len(pattern), "sign pattern")
         check_tie_eps(eps)
         dim = 2**count * n  # checked before anything costly
         if dim > MAX_DIM:

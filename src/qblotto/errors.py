@@ -20,9 +20,11 @@ class ValidationError(BlottoError):
 class DimensionError(ValidationError):
     """Shape or factor-structure mismatch between expected and actual dims."""
 
-    def __init__(self, expected, actual, context: str = ""):
-        prefix = f"{context}: " if context else ""
-        super().__init__(f"{prefix}expected dims {expected}, got {actual}")
+
+def dimension_error(expected, actual, context: str = "") -> DimensionError:
+    """A DimensionError saying ``{context}: expected dims {expected}, got {actual}``."""
+    prefix = f"{context}: " if context else ""
+    return DimensionError(f"{prefix}expected dims {expected}, got {actual}")
 
 
 class NumericalIntegrityError(BlottoError):

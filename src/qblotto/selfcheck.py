@@ -170,7 +170,7 @@ def _check_tie_absorption(eps: float) -> CheckResult:
             f"near-tie payoffs changed: quantum {quantum}, classical "
             f"{classical}, expected {GOLDEN_PAYOFFS}",
         )
-    return CheckResult(name, True, "1e-12 perturbation absorbed")
+    return CheckResult(name, True, f"{nudge!r} perturbation absorbed")
 
 
 def _check_classical_correspondence(rng: random.Random, eps: float) -> CheckResult:

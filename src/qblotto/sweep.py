@@ -59,11 +59,12 @@ SWEEP_PARAMETERS = ("phi", "lambda", "gamma")
 # Bisection width for payoff-transition boundaries, in radians.
 TRANSITION_RESOLUTION = 1e-6
 
-# Cap on ``steps**max(n, 2)``: 64 steps on up to 4 battlefields, and at
-# most 4096 steps on one or two. The search costs at most ``steps``
-# evaluations and its memory grows with ``steps``, so one battlefield
-# gets no more steps than two.
-MAX_GRID_POINTS = 64**4
+# Cap on the floats a phase search holds: ``steps`` times ``N n + 7``,
+# the fitted table's ``N n + 1`` columns plus the cached axis and its
+# 5-row basis. It admits 4096 steps at N = 19 on two battlefields
+# (184,320 floats), 64 steps on 6 battlefields at N = 3, and at most
+# 29,127 steps, at N = 2 on one battlefield.
+MAX_SEARCH_FLOATS = 2**18
 
 # Cap on a sweep's grid steps. A sweep packs each grid point's payoffs
 # and strengths as it is evaluated, 72 B at three players on two
@@ -326,8 +327,8 @@ def _phase_axis(steps: int) -> tuple[tuple[float, ...], np.ndarray]:
     The axis is ``np.linspace(0.0, HALF_PI, steps)``, as a tuple. The
     basis is read-only, 5 x ``steps``, with rows ``1, cos p, sin p, cos
     2p, sin 2p``. Searches repeat a step count, so the last 8 counts are
-    kept; at the 4096-step cap one entry holds about 0.3 MB, so the
-    cache holds at most about 2.5 MB.
+    kept. At 29,127 steps, the most that ``MAX_SEARCH_FLOATS`` admits,
+    one entry holds about 2.1 MB, so the cache holds at most about 17 MB.
     """
     import numpy as np
 
@@ -522,10 +523,10 @@ def best_response_grid(
     :func:`evaluate_strategies`), so the result is the one that
     evaluating every grid value gives, at no evaluation on generic
     inputs and never more than ``phi_grid_steps``; one needed above the
-    engine's ``MAX_DENSE_DIM`` raises ``ValidationError``.
-    ``MAX_GRID_POINTS`` caps ``phi_grid_steps**max(n, 2)``: at most 64
-    steps on four battlefields and 4096 on one or two. ``player`` and
-    ``phi_grid_steps`` must be integers; a bool is not one.
+    engine's ``MAX_DENSE_DIM`` raises ``ValidationError``. The search
+    holds ``N n + 7`` floats per step, so ``MAX_SEARCH_FLOATS`` caps
+    ``phi_grid_steps * (N n + 7)``. ``player`` and ``phi_grid_steps``
+    must be integers; a bool is not one.
     """
     player = _integer(player, "player")
     phi_grid_steps = _integer(phi_grid_steps, "phi_grid_steps")
@@ -536,13 +537,11 @@ def best_response_grid(
             f"player index {player} outside 1..{base.num_players}"
         )
     n = base.num_battlefields
-    # steps**max(n, 2) is at least steps**2 and 2**n, so bound those first
-    small = phi_grid_steps**2 <= MAX_GRID_POINTS and 2**n <= MAX_GRID_POINTS
-    if not small or phi_grid_steps ** max(n, 2) > MAX_GRID_POINTS:
+    if phi_grid_steps * (base.num_players * n + 7) > MAX_SEARCH_FLOATS:
         raise ValidationError(
             f"{phi_grid_steps} phase grid steps on {n} battlefield(s) are "
-            f"over the cap: steps**max(n, 2) must not exceed "
-            f"{MAX_GRID_POINTS}; lower the step count or battlefield count"
+            f"over the cap: steps * (players * battlefields + 7) must not "
+            f"exceed {MAX_SEARCH_FLOATS}; lower the step, player or battlefield count"
         )
 
     import numpy as np

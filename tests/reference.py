@@ -40,7 +40,7 @@ from qblotto.engine import (
     player_operator,
     strategies_of,
 )
-from qblotto.errors import DimensionError, NumericalIntegrityError, ValidationError
+from qblotto.errors import NumericalIntegrityError, ValidationError, dimension_error
 from qblotto.sweep import SweepSpec, _evaluator
 
 # Default tolerance of the entrywise comparisons and of an expectation's
@@ -69,7 +69,7 @@ def _check_keep_indices(keep: Iterable[int], num_factors: int) -> list[int]:
     indices = sorted(set(int(i) for i in keep))
     for i in indices:
         if not 1 <= i <= num_factors:
-            raise DimensionError(
+            raise dimension_error(
                 f"keep indices within 1..{num_factors}", indices, "partial_trace"
             )
     return indices
@@ -79,7 +79,7 @@ def as_matrix(a) -> ComplexMatrix:
     """Coerce to a 2-D complex array, rejecting anything else."""
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
-        raise DimensionError("a 2-D matrix", arr.shape)
+        raise dimension_error("a 2-D matrix", arr.shape)
     return arr
 
 
@@ -143,7 +143,7 @@ def partial_trace(
     factors = list(factors)
     dim = math.prod(factors)
     if rho.shape != (dim, dim):
-        raise DimensionError((dim, dim), rho.shape, "partial_trace input")
+        raise dimension_error((dim, dim), rho.shape, "partial_trace input")
 
     indices = _check_keep_indices(keep, len(factors))
     traced = [i for i in range(1, len(factors) + 1) if i not in indices]
@@ -170,7 +170,7 @@ def expectation(
     op = as_matrix(op)
     rho = as_matrix(rho)
     if op.shape != rho.shape or op.shape[0] != op.shape[1]:
-        raise DimensionError(rho.shape, op.shape, "expectation operator")
+        raise dimension_error(rho.shape, op.shape, "expectation operator")
     value = complex(np.trace(op @ rho))
     if abs(value.imag) > imag_tol:
         raise NumericalIntegrityError(
@@ -286,7 +286,7 @@ def entangler(
     generator = as_matrix(generator)
     dim = generator.shape[0]
     if generator.shape != (dim, dim):
-        raise DimensionError((dim, dim), generator.shape, "entangler generator")
+        raise dimension_error((dim, dim), generator.shape, "entangler generator")
     half = float(gamma) / 2.0
     out = math.cos(half) * np.eye(dim, dtype=complex) + (
         1j * math.sin(half)

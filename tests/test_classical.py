@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import warnings
 
@@ -206,6 +207,14 @@ class TestClassicalPayoffs:
         message = "allocation rows: expected dims 3, got 2"
         with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
             classical_payoffs([[3, 3], [3, 1]], PlayerRoster((6, 4, 3)))
+
+    def test_dimension_error_survives_pickling(self):
+        # an error raised in a worker process reaches its parent pickled
+        with pytest.raises(DimensionError) as raised:
+            classical_payoffs([[3, 3], [3, 1]], PlayerRoster((6, 4, 3)))
+        copy = pickle.loads(pickle.dumps(raised.value))
+        assert type(copy) is DimensionError
+        assert copy.args == ("allocation rows: expected dims 3, got 2",)
 
     def test_length_mismatch(self):
         roster = PlayerRoster((4.0, 3.0, 2.0))

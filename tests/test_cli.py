@@ -659,6 +659,45 @@ class TestVerify:
         )
         assert out.count("PASS") == 4
 
+    @pytest.mark.parametrize("scale, code", [(1 - 1e-3, 0), (1 + 1e-3, 1)])
+    def test_commutator_residue_limit_is_1e_10(self, monkeypatch, capsys, scale, code):
+        # player 1's operator times player 2's gains scale * 1e-10 in one
+        # corner, so only the commutator moves: a product with a state
+        # vector is the operator's own
+        residue = scale * 1e-10
+        built = qblotto.selfcheck.player_operator
+
+        class Skewed(np.ndarray):
+            def __matmul__(self, other):
+                product = np.asarray(self) @ np.asarray(other)
+                if self.player == 1 and getattr(other, "player", None) == 2:
+                    product[0, -1] += residue
+                return product
+
+        def skewed(player, angles, phases, count):
+            operator = built(player, angles, phases, count).view(Skewed)
+            operator.player = player
+            return operator
+
+        monkeypatch.setattr(qblotto.selfcheck, "player_operator", skewed)
+        if code:
+            self._fails_once(
+                capsys,
+                r"^FAIL order-invariance: trial 0: players 1,2 commutator "
+                r"residue 1\.001e-10$",
+            )
+        else:
+            assert main(["verify"]) == 0
+
+    @pytest.mark.parametrize("eps, passed", [(1.001e-12, True), (0.999e-12, False)])
+    def test_tie_absorption_nudge_is_1e_12(self, eps, passed):
+        # the nudge moves Blotto's split by 1e-12 troops, so a tie band
+        # just wider than that absorbs it and one just narrower does not
+        check = qblotto.selfcheck._check_tie_absorption(eps)
+        assert check.passed == passed
+        if passed:
+            assert check.detail == "1e-12 perturbation absorbed"
+
     def test_unentangled_orders_fail_order_check(self, monkeypatch, capsys):
         entangle = qblotto.selfcheck.entangle
         monkeypatch.setattr(

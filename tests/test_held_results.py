@@ -118,6 +118,37 @@ def test_built_scenarios_and_tables_hold_their_measured_bytes():
     assert held / count <= TABLE_BYTES, held / count
 
 
+# Bytes that each held replace(s, gamma=0.5) of a built (7, 3) scenario
+# takes under tracemalloc, over 100 held copies. Every allocation and phase
+# row is a tuple of floats, which the build keeps, so a copy shares them
+# with s. Measured at 553 B per copy (Python 3.11); rebuilding each row
+# took 1,449 B.
+REPLACED_BYTES = 800
+
+
+def test_replace_shares_the_unchanged_rows():
+    rng = np.random.default_rng(7)
+    totals = [6.0] + rng.uniform(1.0, 6.0, 6).tolist()
+    allocations = [(rng.dirichlet(np.ones(3)) * t).tolist() for t in totals]
+    phases = rng.uniform(0.0, 2.0 * math.pi, (7, 3)).tolist()
+    s = Scenario.create([sum(r) for r in allocations], allocations, 1.1, phases=phases)
+    moved = replace(s, gamma=0.5)
+    assert moved.allocations[0] is s.allocations[0]
+    assert moved.phases[-1] is s.phases[-1]
+    count = 100
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        held = [replace(s, gamma=0.5) for _ in range(count)]
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held[-1] == moved
+    assert size / count <= REPLACED_BYTES, size / count
+
+
 def slotted_values(scenario):
     """One instance of every frozen value class the package hands out."""
     spec = SweepSpec(scenario, 3, 1, "phi", 0.0, math.pi / 2, 101)

@@ -175,8 +175,8 @@ def test_only_an_evaluation_loads_numpy(tmp_path):
 
         def refused_search():
             from qblotto import best_response_grid
-            from qblotto.sweep import MAX_GRID_POINTS
-            refused(best_response_grid, made["s"], 2, MAX_GRID_POINTS)
+            from qblotto.sweep import MAX_SEARCH_FLOATS
+            refused(best_response_grid, made["s"], 2, MAX_SEARCH_FLOATS)
 
         def evaluate():
             from qblotto import evaluate

@@ -30,7 +30,6 @@ from qblotto.classical import _payoff_terms
 from qblotto.cli import _fmt, _sweep_csv
 from qblotto.engine import evaluate_strategies, strategies_of
 from qblotto.sweep import (
-    MAX_GRID_POINTS,
     MAX_SWEEP_STEPS,
     SWEEP_PARAMETERS,
     BestResponse,
@@ -503,35 +502,56 @@ class TestBestResponseGrid:
             best_response_grid(worked_example, 3, 1)
         with pytest.raises(ValidationError):
             best_response_grid(worked_example, 4, 9)
-        # 5 battlefields at 64 steps exceeds the grid cap
+        # 2 players on 5 battlefields hold 17 floats per step: 15,421
+        # steps are over the 2**18 cap
         scenario = Scenario.create(
             totals=(5.0, 3.0),
             allocations=((1.0,) * 5, (0.6,) * 5),
             gamma=0.0,
         )
         with pytest.raises(ValidationError, match="cap"):
-            best_response_grid(scenario, 2, 64)
+            best_response_grid(scenario, 2, 15421)
 
-    def test_one_battlefield_gets_no_more_steps_than_two(self, monkeypatch):
-        # The search's memory grows with the step count, so one
-        # battlefield is capped as two are: 4096 = 64**2 steps.
+    def test_cap_is_the_floats_the_search_holds(self, monkeypatch):
+        # 3 players on one battlefield hold 3 + 7 floats per step, so
+        # 26,214 steps fit in 2**18 floats and 26,215 do not.
         scenario = Scenario.create(
             totals=(4.0, 3.0, 2.0), allocations=((4.0,), (3.0,), (2.0,)), gamma=1.1
         )
-        assert best_response_grid(scenario, 2, 4096).player == 2
+        assert best_response_grid(scenario, 2, 26214).player == 2
 
         def refuse(*args):
             raise AssertionError("the search ran")
 
         monkeypatch.setattr(qblotto.sweep, "_phase_axis_strengths", refuse)
-        with pytest.raises(ValidationError, match="^4097 phase grid steps on 1 "):
-            best_response_grid(scenario, 2, 4097)
+        with pytest.raises(ValidationError, match="^26215 phase grid steps on 1 "):
+            best_response_grid(scenario, 2, 26215)
+
+    def test_every_search_the_grid_rule_admitted_runs(self, monkeypatch):
+        # The cap was steps**max(n, 2) <= 64**4. At each battlefield count
+        # that rule admitted, its largest step count must still reach the
+        # search with the most players a scenario admits (2**N * n <= 2**20).
+        class Ran(Exception):
+            pass
+
+        def ran(*args):
+            raise Ran
+
+        monkeypatch.setattr(qblotto.sweep, "_phase_axis_strengths", ran)
+        for n in range(1, 25):
+            steps = max(s for s in range(2, 4097) if s ** max(n, 2) <= 64**4)
+            players = max(p for p in range(2, 21) if 2**p * n <= 2**20)
+            scenario = Scenario.create(
+                totals=(2.0 * n,) + (1.0 * n,) * (players - 1),
+                allocations=((2.0,) * n,) + ((1.0,) * n,) * (players - 1),
+                gamma=0.0,
+            )
+            with pytest.raises(Ran):
+                best_response_grid(scenario, 2, steps)
 
     def test_axis_is_linspace_bit_for_bit(self):
-        # The axis is built from arange rather than np.linspace, whose
-        # per-call cost is a large share of a small search; its values
-        # are np.linspace's at every step count the cap admits, and the
-        # basis rows are its harmonics.
+        # The axis is np.linspace's at every step count up to 4096, and
+        # the basis rows are its harmonics.
         for steps in range(2, 4097):
             axis, basis = _phase_axis(steps)
             expected = np.linspace(0.0, HALF_PI, steps)
@@ -555,17 +575,19 @@ class TestBestResponseGrid:
             basis[1, 0] = 0.5
 
     def test_cap_checked_before_the_power(self):
-        # steps**max(n, 2) was computed exactly before the cap raised:
-        # tens of seconds for 10**1000 steps on 2**14 battlefields.
+        # A grid rule once computed steps**max(n, 2) exactly before it
+        # raised: tens of seconds for 10**1000 steps on 2**14 battlefields.
+        # The cap is one product; 2 steps there hold 65,550 floats and run.
         n = 2**14
         scenario = Scenario.create(
             totals=(float(n), 1.0), allocations=((1.0,) * n, (1.0 / n,) * n), gamma=0.0
         )
-        for steps in (10**1000, 4097, 2):
+        for steps in (10**1000, 4097):
             start = time.perf_counter()
             with pytest.raises(ValidationError, match=f"^{steps} phase grid steps on {n} "):
                 best_response_grid(scenario, 2, steps)
             assert time.perf_counter() - start < 1.0
+        assert len(best_response_grid(scenario, 2, 2).phases) == n
 
 
 def exhaustive_best_response(scenario, player, steps):
@@ -694,8 +716,12 @@ def with_copied_rival(rng, scenario, **changes):
     return replace(scenario, **rows, **changes)
 
 
+# Bound on the steps**n grid a differential case stands for.
+REFERENCE_GRID_POINTS = 64**4
+
+
 def differential_case(rng, num_players):
-    """A seeded search: scenario, player and steps under the grid cap.
+    """A seeded search: scenario, player and steps, steps**n under the bound.
 
     At eps = 0 a fractional split can miss its budget by an ulp; such a
     scenario is invalid and is drawn again.
@@ -717,7 +743,7 @@ def differential_case(rng, num_players):
         except ValidationError:
             pass
     steps = rng.randint(2, 64)
-    while steps**n > MAX_GRID_POINTS:
+    while steps**n > REFERENCE_GRID_POINTS:
         steps -= 1
     return scenario, rng.randint(1, num_players), steps
 
@@ -758,13 +784,16 @@ def cap_scenario(rng, n, eps, copied):
         (2, 1, 1e-9, 2048, False),
         (0, 2, 0.0, 2048, True),
         (4, 2, 1e-9, 4096, False),
+        (5, 6, 1e-9, 64, False),
+        (6, 6, 0.0, 64, True),
     ],
 )
 def test_search_at_the_step_cap_matches_direct_reference(
     monkeypatch, seed, n, eps, steps, copied
 ):
     # The coefficient matrix sums in its own order, so fitted values move
-    # by ulps against an evaluation; at thousands of axis values the
+    # by ulps against an evaluation; at thousands of axis values, or on
+    # six battlefields (64 steps at N = 3 hold 64 * 25 floats), the
     # search must still equal evaluating each one.
     rng = random.Random(seed)
     scenario = cap_scenario(rng, n, eps, copied)
