@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,16 +94,17 @@ def _grid_rows(grid: Sequence[Sequence], what: str, cell=None) -> tuple[tuple, .
     """A player-major grid's rows as tuples, cells as given or ``cell(x, what, j, k)``.
 
     ``cell`` returns a float as it is, so a row that is already a tuple
-    of floats is kept, and a rebuilt scenario shares its unchanged rows.
-    A grid or row that is a set, a mapping or not iterable raises
-    ValidationError (a row that is not iterable, DimensionError).
+    of floats is kept, and so is a tuple grid whose every row is kept: a
+    rebuilt scenario shares its unchanged grids and rows. A grid or row
+    that is a set, a mapping or not iterable raises ValidationError (a
+    row that is not iterable, DimensionError).
     """
     try:
-        grid = list(_ordered(grid, f"{what}s"))
+        given = list(_ordered(grid, f"{what}s"))
     except TypeError:
         raise ValidationError(f"{what}s must form a grid, got {grid!r}") from None
     rows = []
-    for j, row in enumerate(grid, start=1):
+    for j, row in enumerate(given, start=1):
         try:
             cells = enumerate(_ordered(row, what, j), start=1)
         except TypeError:
@@ -110,6 +112,8 @@ def _grid_rows(grid: Sequence[Sequence], what: str, cell=None) -> tuple[tuple, .
         if cell and not (type(row) is tuple and all(type(x) is float for x in row)):
             row = (cell(x, what, j, k) for k, x in cells)
         rows.append(tuple(row))
+    if type(grid) is tuple and all(map(operator.is_, rows, given)):
+        return grid
     return tuple(rows)
 
 
@@ -119,7 +123,12 @@ def _real_grid(grid: Sequence[Sequence], what: str) -> tuple[tuple[float, ...], 
 
 
 def _real_budgets(totals: Sequence) -> tuple[float, ...]:
-    """Troop budgets as floats, a sequence each under :func:`_real`."""
+    """Troop budgets as floats, a sequence each under :func:`_real`.
+
+    A tuple of floats, which :func:`_real` returns as they are, is kept.
+    """
+    if type(totals) is tuple and all(type(t) is float for t in totals):
+        return totals
     budgets = enumerate(_sequence(totals, "budgets"), start=1)
     return tuple(_real(t, f"player {j} budget") for j, t in budgets)
 

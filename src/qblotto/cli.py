@@ -57,8 +57,10 @@ def _print_report(
         f"b{k}" for k in range(1, scenario.num_battlefields + 1)
     ] + ["payoff"]
     rows = [
-        [name] + [_fmt(v) for v in table.values[j]] + [f"{table.payoffs[j]:+d}"]
-        for j, name in enumerate(scenario.player_names)
+        [name] + [_fmt(v) for v in values] + [f"{payoff:+d}"]
+        for name, values, payoff in zip(
+            scenario.player_names, table.values, table.payoffs
+        )
     ]
     widths = [
         max(len(headers[c]), *(len(row[c]) for row in rows))
@@ -72,9 +74,10 @@ def _print_report(
 def _play_csv(scenario: Scenario, table: MeasurementTable) -> Iterator[str]:
     n = scenario.num_battlefields
     yield "player," + ",".join(f"m_b{k}" for k in range(1, n + 1)) + ",payoff\n"
-    for j, name in enumerate(scenario.player_names):
-        cells = ",".join(_fmt(v) for v in table.values[j])
-        yield f"{name},{cells},{table.payoffs[j]}\n"
+    players = zip(scenario.player_names, table.values, table.payoffs)
+    for name, values, payoff in players:
+        cells = ",".join(_fmt(v) for v in values)
+        yield f"{name},{cells},{payoff}\n"
 
 
 def _write_out(path: str, lines: Iterable[str]) -> None:

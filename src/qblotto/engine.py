@@ -34,7 +34,7 @@ import functools
 import math
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .classical import DEFAULT_TIE_EPS, check_tie_eps
 from .classical import _is_sign, _real, _real_budgets, _real_grid  # the input rules
@@ -80,9 +80,23 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
     return min(HALF_PI * soldiers / blotto_total, HALF_PI)
 
 
+# The default sign patterns and zero-phase grids of the last 16 sizes are
+# kept. Scenario.create keeps them for sizes the build admits only, whose
+# battlefield count is at most MAX_DIM / 4, so one entry holds at most
+# 2 MiB of pointers, to one int or float.
+@functools.lru_cache(maxsize=16)
 def default_pattern(num_battlefields: int) -> tuple[int, ...]:
-    """Deterministic default sign pattern: all +1 with the last battlefield flipped."""
+    """Deterministic default sign pattern: all +1 with the last battlefield flipped.
+
+    Built once per battlefield count.
+    """
     return (1,) * (num_battlefields - 1) + (-1,)
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_phases(num_players: int, num_battlefields: int) -> tuple[tuple, ...]:
+    """The all-zero phase grid, one shared row: built once per size."""
+    return ((0.0,) * num_battlefields,) * num_players
 
 
 @functools.lru_cache(maxsize=MAX_DIM.bit_length())  # every count MAX_DIM admits
@@ -91,18 +105,48 @@ def default_names(num_players: int) -> tuple[str, ...]:
     return ("Blotto",) + tuple(f"enemy {j}" for j in range(1, num_players))
 
 
-@dataclass(frozen=True, slots=True)
+def _float_rows(data: bytes, width: int) -> Iterator[tuple[float, ...]]:
+    """Row-major float64 ``data`` read back as ``width``-float rows, bit for bit."""
+    cells = iter(memoryview(data).cast("d"))
+    return zip(*[cells] * width)  # ``width`` items of ``cells`` at a time
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MeasurementTable:
     """Measured strengths per player and battlefield, with payoffs.
 
     ``values[j][k]`` is player j+1's strength on battlefield k+1, in
-    [0, 1], and ``payoffs`` the signed scores in [-n, n]; only these are
-    stored. ``rival_best``, each cell's best rival strength on its
-    battlefield, is derived on read: the floats the payoff rule compares.
+    [0, 1], and ``payoffs`` the signed scores in [-n, n]. Only the
+    payoffs and the strengths are stored, the strengths as row-major
+    float64 bytes, about a third of a tuple grid's size (the layout
+    :class:`qblotto.sweep.SweepResult` packs per grid point).
+    ``values`` is read back from them bit for bit on each access, and
+    ``rival_best``, each cell's best rival strength on its battlefield,
+    is derived from ``values``: the floats the payoff rule compares.
+    Given ``values``, the constructor packs them in place of
+    ``strength_bytes``, so ``MeasurementTable(values, payoffs)`` and
+    ``replace(table, values=...)`` work as on a stored grid.
     """
 
-    values: tuple[tuple[float, ...], ...]
     payoffs: tuple[int, ...]
+    strength_bytes: bytes
+
+    def __init__(self, values=None, payoffs=(), strength_bytes=b""):
+        if values is not None:
+            from array import array  # an extension module, loaded off the import path
+
+            strength_bytes = array("d", [v for row in values for v in row]).tobytes()
+        object.__setattr__(self, "payoffs", payoffs)
+        object.__setattr__(self, "strength_bytes", strength_bytes)
+
+    def __repr__(self) -> str:
+        return f"MeasurementTable(values={self.values!r}, payoffs={self.payoffs!r})"
+
+    @property
+    def values(self) -> tuple[tuple[float, ...], ...]:
+        """The strength grid, one row per player."""
+        n = len(self.strength_bytes) // (8 * len(self.payoffs))
+        return tuple(_float_rows(self.strength_bytes, n))
 
     @property
     def rival_best(self) -> tuple[tuple[float, ...], ...]:
@@ -131,7 +175,10 @@ class Scenario:
     no commitment above Blotto's budget, so every commitment has a
     rotation angle (:func:`rotation_angle`). Names, budgets, the sign
     pattern and each grid and row must be ordered sequences: a set or
-    mapping is refused, and so is a str or bytes for names.
+    mapping is refused, and so is a str or bytes for names. A tuple
+    already in stored form (names as ``str``, budgets as ``float``, signs
+    as ``int``, a grid whose rows are kept) is kept as the same object
+    after its rules run, so a ``replace`` shares every unchanged field.
     :meth:`create` holds the defaults.
     """
 
@@ -149,16 +196,18 @@ class Scenario:
             raise ValidationError(
                 f"player names must be a sequence of names, got {names!r}"
             )
-        names = tuple(map(str, _sequence(names, "player names")))
+        if not (type(names) is tuple and all(type(x) is str for x in names)):
+            names = tuple(map(str, _sequence(names, "player names")))
         totals = _real_budgets(self.totals)
         allocations = _real_grid(self.allocations, "allocation")
         phases = _real_grid(self.phases, "phase")
         gamma = _real(self.gamma, "entanglement parameter")
         eps = _real(self.eps, "tie tolerance")
-        entries = _sequence(self.sign_pattern, "sign pattern")
-        signs = [_is_sign(s) for s in entries]
-        pattern = tuple(int(s) if ok else s for s, ok in zip(entries, signs))
-        if not all(signs):
+        pattern = self.sign_pattern
+        if not (type(pattern) is tuple and all(type(s) is int for s in pattern)):
+            entries = _sequence(pattern, "sign pattern")
+            pattern = tuple(int(s) if _is_sign(s) else s for s in entries)
+        if not all(map(_is_sign, pattern)):
             raise ValidationError(
                 f"sign pattern entries must be +1 or -1, got {pattern}"
             )
@@ -248,19 +297,24 @@ class Scenario:
 
         Phases default to all zero (the classical game), the sign
         pattern to :func:`default_pattern`, and names to
-        :func:`default_names`, whose strings every scenario of that size
-        shares. Every other value reaches the number rule as passed.
+        :func:`default_names`. Each default is built once per size, and
+        every scenario of that size shares it. Every other value reaches
+        the number rule as passed.
         """
         rows = _grid_rows(allocations, "allocation")  # read once, as the build reads it
         if not rows or not rows[0]:
             raise ValidationError("allocations must be a non-empty N x n grid")
-        n = len(rows[0])
+        count, n = len(rows), len(rows[0])
+        defaults = (_zero_phases, default_pattern, default_names)
+        if 2**count * n > MAX_DIM:  # the build refuses this size: keep none for it
+            defaults = tuple(f.__wrapped__ for f in defaults)
+        zero_phases, pattern_of, names_of = defaults
         if phases is None:
-            phases = [(0.0,) * n for _ in rows]
+            phases = zero_phases(count, n)
         if sign_pattern is None:
-            sign_pattern = default_pattern(n)
+            sign_pattern = pattern_of(n)
         if names is None:
-            names = default_names(len(rows))
+            names = names_of(count)
         return cls(
             player_names=names,
             totals=totals,
@@ -523,8 +577,8 @@ def measurements(base: Scenario, psi: np.ndarray) -> MeasurementTable:
     included, raises :class:`NumericalIntegrityError`. Payoffs are
     :func:`qblotto.classical._payoff_vector` of the strength grid at
     ``base.eps``, which that range check and the build make its
-    trusted input; the table keeps no rival bests, it derives them when
-    read.
+    trusted input. The table keeps the grid's float64 bytes and derives
+    its values and rival bests when read.
     """
     num_players = base.num_players
     import numpy as np
@@ -535,8 +589,8 @@ def measurements(base: Scenario, psi: np.ndarray) -> MeasurementTable:
     bits = (np.arange(2**num_players) >> shifts) & 1
     grid = bits.astype(float) @ probabilities
     check_strengths(grid)
-    values = tuple(map(tuple, grid.tolist()))
-    return MeasurementTable(values=values, payoffs=_payoff_vector(values, base.eps))
+    payoffs = _payoff_vector(grid.tolist(), base.eps)
+    return MeasurementTable(payoffs=payoffs, strength_bytes=grid.tobytes())
 
 
 def evaluate(scenario: Scenario) -> MeasurementTable:

@@ -130,9 +130,9 @@ def _check_golden_measurements(eps: float) -> CheckResult:
     table = evaluate(scenario)
     expected = golden_measurement_grid()
     worst = max(
-        abs(table.values[j][k] - expected[j][k])
-        for j in range(3)
-        for k in range(2)
+        abs(v - e)
+        for row, expected_row in zip(table.values, expected)
+        for v, e in zip(row, expected_row)
     )
     if worst > 1e-10:
         return CheckResult(

@@ -42,6 +42,7 @@ from .engine import (
     MeasurementTable,
     Row,
     Scenario,
+    _float_rows,
     check_entangler_unitary,
     check_norm_sq,
     check_strengths,
@@ -179,13 +180,15 @@ class SweepResult:
     The points are stored packed, as :func:`run_sweep` writes them:
     payoffs as int64 bytes and strengths as float64 bytes, 72 B per
     point at three players on two battlefields. That is several times
-    smaller than a tuple of :class:`SweepPoint` objects. The parameter
-    values are not stored: they are ``spec.grid()``, which the sweep
-    evaluated. :meth:`rows` is the one reader of the packing and streams
-    the points; ``points`` builds them from it, bit for bit, on each
-    access. Given ``points``, the constructor packs their payoffs and
-    strengths in place of the two byte fields, so ``replace(result,
-    points=...)`` also works; their values are the spec's.
+    smaller than a tuple of :class:`SweepPoint` objects. Each point's
+    strengths are its table's ``strength_bytes``, appended as they are.
+    The parameter values are not stored: they are ``spec.grid()``, which
+    the sweep evaluated. :meth:`rows` is the one reader of the packing
+    and streams the points; ``points`` builds them from it, bit for bit,
+    on each access. Given ``points``, the constructor packs their
+    payoffs and strengths in place of the two byte fields, so
+    ``replace(result, points=...)`` also works; their values are the
+    spec's.
     """
 
     spec: SweepSpec
@@ -209,12 +212,10 @@ class SweepResult:
         """Each grid point's value, payoffs and player-major strengths, in order."""
         players = self.spec.base.num_players
         payoffs = iter(memoryview(self.payoff_bytes).cast("q"))
-        strengths = iter(memoryview(self.strength_bytes).cast("d"))
-        # zip(*[it] * k) takes k items of ``it`` at a time.
         return zip(
             memoryview(self.spec.grid()),  # float64, read as Python floats
-            zip(*[payoffs] * players),
-            zip(*[strengths] * (players * self.spec.base.num_battlefields)),
+            zip(*[payoffs] * players),  # ``players`` items at a time
+            _float_rows(self.strength_bytes, players * self.spec.base.num_battlefields),
         )
 
     @property
@@ -271,8 +272,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             )
         lo, below = value, table.payoffs
         payoffs.extend(below)
-        for row in table.values:
-            strengths.extend(row)
+        strengths.frombytes(table.strength_bytes)
     return SweepResult(
         spec, tuple(transitions), payoffs.tobytes(), strengths.tobytes()
     )
