@@ -69,6 +69,14 @@ def _is_sign(value) -> bool:
     return _is_number(value) and value in (-1, 1)
 
 
+def _stored(values, kind: type) -> bool:
+    """The stored form: a tuple whose entries all have exactly type ``kind``.
+
+    A build keeps a value in stored form as the same object.
+    """
+    return type(values) is tuple and all(type(x) is kind for x in values)
+
+
 def _ordered(values, what: str, *row: int):
     """``values`` as given; a set (in hash order) or a mapping (its keys) raises.
 
@@ -109,7 +117,7 @@ def _grid_rows(grid: Sequence[Sequence], what: str, cell=None) -> tuple[tuple, .
             cells = enumerate(_ordered(row, what, j), start=1)
         except TypeError:
             raise dimension_error(1, 0, f"player {j} {what} row {row!r}") from None
-        if cell and not (type(row) is tuple and all(type(x) is float for x in row)):
+        if cell and not _stored(row, float):
             row = (cell(x, what, j, k) for k, x in cells)
         rows.append(tuple(row))
     if type(grid) is tuple and all(map(operator.is_, rows, given)):
@@ -127,7 +135,7 @@ def _real_budgets(totals: Sequence) -> tuple[float, ...]:
 
     A tuple of floats, which :func:`_real` returns as they are, is kept.
     """
-    if type(totals) is tuple and all(type(t) is float for t in totals):
+    if _stored(totals, float):
         return totals
     budgets = enumerate(_sequence(totals, "budgets"), start=1)
     return tuple(_real(t, f"player {j} budget") for j, t in budgets)

@@ -34,11 +34,11 @@ import functools
 import math
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .classical import DEFAULT_TIE_EPS, check_tie_eps
 from .classical import _is_sign, _real, _real_budgets, _real_grid  # the input rules
-from .classical import _check_roster, _grid_rows, _sequence
+from .classical import _check_roster, _grid_rows, _sequence, _stored
 from .classical import _payoff_vector, rival_best  # the payoff rule
 from .errors import NumericalIntegrityError, ValidationError, dimension_error
 
@@ -80,29 +80,27 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
     return min(HALF_PI * soldiers / blotto_total, HALF_PI)
 
 
-# The default sign patterns and zero-phase grids of the last 16 sizes are
-# kept. Scenario.create keeps them for sizes the build admits only, whose
-# battlefield count is at most MAX_DIM / 4, so one entry holds at most
-# 2 MiB of pointers, to one int or float.
+# The defaults of the last 16 sizes. Scenario.create asks for the sizes a
+# build admits only, whose battlefield count is at most MAX_DIM / 4, so one
+# entry holds at most 4 MiB of pointers, to one int or float.
 @functools.lru_cache(maxsize=16)
-def default_pattern(num_battlefields: int) -> tuple[int, ...]:
-    """Deterministic default sign pattern: all +1 with the last battlefield flipped.
+def _defaults(num_players: int, num_battlefields: int) -> tuple[tuple, tuple, tuple]:
+    """One size's default names, sign pattern and zero-phase grid, built once.
 
-    Built once per battlefield count.
+    The names are "Blotto", "enemy 1", ...; the sign pattern is all +1
+    with the last battlefield flipped; the phase grid is one zero row,
+    shared by every player.
     """
-    return (1,) * (num_battlefields - 1) + (-1,)
+    names = ("Blotto",) + tuple(f"enemy {j}" for j in range(1, num_players))
+    pattern = (1,) * (num_battlefields - 1) + (-1,)
+    return names, pattern, ((0.0,) * num_battlefields,) * num_players
 
 
-@functools.lru_cache(maxsize=16)
-def _zero_phases(num_players: int, num_battlefields: int) -> tuple[tuple, ...]:
-    """The all-zero phase grid, one shared row: built once per size."""
-    return ((0.0,) * num_battlefields,) * num_players
+def _float_bytes(rows: Iterable[Iterable[float]]) -> bytes:
+    """Rows of floats as row-major float64 bytes, as :func:`_float_rows` reads them."""
+    from array import array  # an extension module, loaded off the import path
 
-
-@functools.lru_cache(maxsize=MAX_DIM.bit_length())  # every count MAX_DIM admits
-def default_names(num_players: int) -> tuple[str, ...]:
-    """Default names "Blotto", "enemy 1", ...: built once per player count."""
-    return ("Blotto",) + tuple(f"enemy {j}" for j in range(1, num_players))
+    return array("d", [v for row in rows for v in row]).tobytes()
 
 
 def _float_rows(data: bytes, width: int) -> Iterator[tuple[float, ...]]:
@@ -125,17 +123,24 @@ class MeasurementTable:
     is derived from ``values``: the floats the payoff rule compares.
     Given ``values``, the constructor packs them in place of
     ``strength_bytes``, so ``MeasurementTable(values, payoffs)`` and
-    ``replace(table, values=...)`` work as on a stored grid.
+    ``replace(table, values=...)`` work as on a stored grid. ``payoffs``
+    is required, and a given grid must hold one row per payoff, each of
+    one length, or :class:`qblotto.errors.DimensionError` is raised.
     """
 
     payoffs: tuple[int, ...]
     strength_bytes: bytes
 
-    def __init__(self, values=None, payoffs=(), strength_bytes=b""):
+    def __init__(self, values=None, payoffs=None, strength_bytes=b""):
+        if payoffs is None:
+            raise TypeError("MeasurementTable() missing required argument: 'payoffs'")
         if values is not None:
-            from array import array  # an extension module, loaded off the import path
-
-            strength_bytes = array("d", [v for row in values for v in row]).tobytes()
+            if len(values) != len(payoffs):
+                raise dimension_error(len(payoffs), len(values), "strength rows")
+            for j, row in enumerate(values, start=1):
+                if len(row) != len(values[0]):
+                    raise dimension_error(len(values[0]), len(row), f"strength row {j}")
+            strength_bytes = _float_bytes(values)
         object.__setattr__(self, "payoffs", payoffs)
         object.__setattr__(self, "strength_bytes", strength_bytes)
 
@@ -196,7 +201,7 @@ class Scenario:
             raise ValidationError(
                 f"player names must be a sequence of names, got {names!r}"
             )
-        if not (type(names) is tuple and all(type(x) is str for x in names)):
+        if not _stored(names, str):
             names = tuple(map(str, _sequence(names, "player names")))
         totals = _real_budgets(self.totals)
         allocations = _real_grid(self.allocations, "allocation")
@@ -204,7 +209,7 @@ class Scenario:
         gamma = _real(self.gamma, "entanglement parameter")
         eps = _real(self.eps, "tie tolerance")
         pattern = self.sign_pattern
-        if not (type(pattern) is tuple and all(type(s) is int for s in pattern)):
+        if not _stored(pattern, int):
             entries = _sequence(pattern, "sign pattern")
             pattern = tuple(int(s) if _is_sign(s) else s for s in entries)
         if not all(map(_is_sign, pattern)):
@@ -296,32 +301,28 @@ class Scenario:
         """Build a scenario, filling in the standard defaults.
 
         Phases default to all zero (the classical game), the sign
-        pattern to :func:`default_pattern`, and names to
-        :func:`default_names`. Each default is built once per size, and
-        every scenario of that size shares it. Every other value reaches
-        the number rule as passed.
+        pattern to all +1 with the last battlefield flipped, and names to
+        "Blotto", "enemy 1", .... The three are built once per size a
+        build admits (two or more players and ``2^N * n <= MAX_DIM``) and
+        kept in one cache of the last 16 sizes, so every scenario of
+        that size shares them; a size the build refuses leaves no entry.
+        Every other value reaches the number rule as passed.
         """
         rows = _grid_rows(allocations, "allocation")  # read once, as the build reads it
         if not rows or not rows[0]:
             raise ValidationError("allocations must be a non-empty N x n grid")
         count, n = len(rows), len(rows[0])
-        defaults = (_zero_phases, default_pattern, default_names)
-        if 2**count * n > MAX_DIM:  # the build refuses this size: keep none for it
-            defaults = tuple(f.__wrapped__ for f in defaults)
-        zero_phases, pattern_of, names_of = defaults
-        if phases is None:
-            phases = zero_phases(count, n)
-        if sign_pattern is None:
-            sign_pattern = pattern_of(n)
-        if names is None:
-            names = names_of(count)
+        # the build's size rules: a size it refuses gets its defaults uncached
+        admitted = count >= 2 and 2**count * n <= MAX_DIM
+        defaults = _defaults if admitted else _defaults.__wrapped__
+        default_names, default_pattern, zero_phases = defaults(count, n)
         return cls(
-            player_names=names,
+            player_names=default_names if names is None else names,
             totals=totals,
             allocations=rows,
-            phases=phases,
+            phases=zero_phases if phases is None else phases,
             gamma=gamma,
-            sign_pattern=sign_pattern,
+            sign_pattern=default_pattern if sign_pattern is None else sign_pattern,
             eps=eps,
         )
 

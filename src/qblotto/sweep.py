@@ -42,6 +42,7 @@ from .engine import (
     MeasurementTable,
     Row,
     Scenario,
+    _float_bytes,
     _float_rows,
     check_entangler_unitary,
     check_norm_sq,
@@ -202,8 +203,7 @@ class SweepResult:
     ):
         if points is not None:
             payoff_bytes = array("q", [x for p in points for x in p.payoffs]).tobytes()
-            strengths = [v for p in points for row in p.values for v in row]
-            strength_bytes = array("d", strengths).tobytes()
+            strength_bytes = _float_bytes(row for p in points for row in p.values)
         packed = (spec, transitions, payoff_bytes, strength_bytes)
         for f, value in zip(fields(self), packed):
             object.__setattr__(self, f.name, value)

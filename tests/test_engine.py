@@ -25,7 +25,6 @@ from qblotto import (
 )
 from qblotto.classical import sgn_eps
 from qblotto.engine import (
-    default_pattern,
     disentangle,
     entangle,
     evaluate_strategies,
@@ -1372,7 +1371,8 @@ class TestScenarioValidation:
         )
         assert scenario.sign_pattern == (1, 1, -1)
         assert scenario.player_names == ("Blotto", "enemy 1", "enemy 2")
-        assert default_pattern(1) == (-1,)
+        one_battlefield = Scenario.create((2.0, 1.0), ((2.0,), (1.0,)), 0.0)
+        assert one_battlefield.sign_pattern == (-1,)
 
 
 class TestAllocationRule:

@@ -15,6 +15,7 @@ import pytest
 
 import qblotto
 from qblotto import (
+    DimensionError,
     MeasurementTable,
     Scenario,
     SweepSpec,
@@ -263,13 +264,15 @@ def test_same_size_defaults_are_shared():
 
 
 def test_refused_size_keeps_no_defaults():
-    defaults = (engine._zero_phases, engine.default_pattern, engine.default_names)
-    for cached in defaults:
-        cached.cache_clear()
+    engine._defaults.cache_clear()
     count = engine.MAX_DIM.bit_length()  # 2**count over MAX_DIM on one battlefield
     with pytest.raises(ValidationError, match="composite dimension"):
         Scenario.create([1.0] * count, [[1.0]] * count, 0.0)
-    assert [cached.cache_info().currsize for cached in defaults] == [0, 0, 0]
+    assert engine._defaults.cache_info().currsize == 0
+    # one player on 2**19 battlefields: 2**20 is within MAX_DIM, one player is not
+    with pytest.raises(ValidationError, match="need at least two players"):
+        Scenario.create([1.0], [[2.0**-19] * 2**19], 0.0)
+    assert engine._defaults.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -318,6 +321,27 @@ def test_packed_table_reads_back_the_measured_grid(build, monkeypatch):
     assert MeasurementTable(grid, table.payoffs) == table
     assert MeasurementTable(values=grid, payoffs=table.payoffs) == table
     assert hash(MeasurementTable(grid, table.payoffs)) == hash(table)
+
+
+def test_table_needs_its_payoffs():
+    with pytest.raises(TypeError, match="payoffs"):
+        MeasurementTable()
+
+
+def test_table_grid_needs_its_payoffs():
+    with pytest.raises(TypeError, match="payoffs"):
+        MeasurementTable(values=((0.1, 0.2), (0.3, 0.4)))
+
+
+def test_table_refuses_a_row_count_off_its_payoffs():
+    # one payoff for two rows read back as one row of four before
+    with pytest.raises(DimensionError, match="strength rows: expected dims 1, got 2"):
+        MeasurementTable(((0.1, 0.2), (0.3, 0.4)), (1,))
+
+
+def test_table_refuses_rows_of_two_lengths():
+    with pytest.raises(DimensionError, match="strength row 2: expected dims 2, got 3"):
+        MeasurementTable(((0.1, 0.2), (0.3, 0.4, 0.5)), (1, -1))
 
 
 @pytest.mark.parametrize("build", [worked_scenario, seeded_scenario])
