@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Sequence
@@ -101,9 +100,8 @@ def _sequence(values, what: str) -> list:
 def _grid_rows(grid: Sequence[Sequence], what: str, cell=None) -> tuple[tuple, ...]:
     """A player-major grid's rows as tuples, cells as given or ``cell(x, what, j, k)``.
 
-    ``cell`` returns a float as it is, so a row that is already a tuple
-    of floats is kept, and so is a tuple grid whose every row is kept: a
-    rebuilt scenario shares its unchanged grids and rows. A grid or row
+    ``cell`` returns a float as it is, so a row whose cells are all
+    floats is taken as they are, with no call per cell. A grid or row
     that is a set, a mapping or not iterable raises ValidationError (a
     row that is not iterable, DimensionError).
     """
@@ -114,14 +112,12 @@ def _grid_rows(grid: Sequence[Sequence], what: str, cell=None) -> tuple[tuple, .
     rows = []
     for j, row in enumerate(given, start=1):
         try:
-            cells = enumerate(_ordered(row, what, j), start=1)
+            row = tuple(_ordered(row, what, j))
         except TypeError:
             raise dimension_error(1, 0, f"player {j} {what} row {row!r}") from None
         if cell and not _stored(row, float):
-            row = (cell(x, what, j, k) for k, x in cells)
-        rows.append(tuple(row))
-    if type(grid) is tuple and all(map(operator.is_, rows, given)):
-        return grid
+            row = tuple(cell(x, what, j, k) for k, x in enumerate(row, start=1))
+        rows.append(row)
     return tuple(rows)
 
 

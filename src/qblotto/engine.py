@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping, Set
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .classical import DEFAULT_TIE_EPS, check_tie_eps
@@ -81,19 +81,19 @@ def rotation_angle(soldiers: float, blotto_total: float) -> float:
 
 
 # The defaults of the last 16 sizes. Scenario.create asks for the sizes a
-# build admits only, whose battlefield count is at most MAX_DIM / 4, so one
-# entry holds at most 4 MiB of pointers, to one int or float.
+# build admits only, whose 2^N * n is at most MAX_DIM, so one entry's zero
+# phases take at most 4 MiB.
 @functools.lru_cache(maxsize=16)
-def _defaults(num_players: int, num_battlefields: int) -> tuple[tuple, tuple, tuple]:
-    """One size's default names, sign pattern and zero-phase grid, built once.
+def _defaults(num_players: int, num_battlefields: int) -> tuple[tuple, tuple, bytes]:
+    """One size's default names, sign pattern and zero-phase bytes, built once.
 
     The names are "Blotto", "enemy 1", ...; the sign pattern is all +1
-    with the last battlefield flipped; the phase grid is one zero row,
-    shared by every player.
+    with the last battlefield flipped; the phases are ``N * n`` float64
+    zeros, which every scenario of that size shares as its ``phase_bytes``.
     """
     names = ("Blotto",) + tuple(f"enemy {j}" for j in range(1, num_players))
     pattern = (1,) * (num_battlefields - 1) + (-1,)
-    return names, pattern, ((0.0,) * num_battlefields,) * num_players
+    return names, pattern, bytes(8 * num_players * num_battlefields)
 
 
 def _float_bytes(rows: Iterable[Iterable[float]]) -> bytes:
@@ -107,6 +107,27 @@ def _float_rows(data: bytes, width: int) -> Iterator[tuple[float, ...]]:
     """Row-major float64 ``data`` read back as ``width``-float rows, bit for bit."""
     cells = iter(memoryview(data).cast("d"))
     return zip(*[cells] * width)  # ``width`` items of ``cells`` at a time
+
+
+def _row_width(data: bytes, rows: int, what: str) -> int:
+    """The width of ``data`` read as ``rows`` float64 rows of one or more floats.
+
+    No rows, or a length that is not a whole number of such rows, raises
+    :class:`qblotto.errors.DimensionError` naming ``what``.
+    """
+    if rows < 1:
+        raise dimension_error("1 or more", rows, f"{what} rows")
+    width, rest = divmod(len(data), 8 * rows)
+    if rest or not width:
+        raise dimension_error(
+            f"a positive multiple of {8 * rows}", len(data), f"{what} bytes"
+        )
+    return width
+
+
+def _byte_rows(data: bytes, rows: int, what: str) -> tuple[tuple[float, ...], ...]:
+    """``data`` read back as ``rows`` float64 rows under :func:`_row_width`'s rule."""
+    return tuple(_float_rows(data, _row_width(data, rows, what)))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -124,8 +145,10 @@ class MeasurementTable:
     Given ``values``, the constructor packs them in place of
     ``strength_bytes``, so ``MeasurementTable(values, payoffs)`` and
     ``replace(table, values=...)`` work as on a stored grid. ``payoffs``
-    is required, and a given grid must hold one row per payoff, each of
-    one length, or :class:`qblotto.errors.DimensionError` is raised.
+    is required, and the strengths, given as a grid or as bytes, must
+    hold one row per payoff, one or more rows, each of one length and of
+    one or more floats, or :class:`qblotto.errors.DimensionError` is
+    raised.
     """
 
     payoffs: tuple[int, ...]
@@ -141,6 +164,7 @@ class MeasurementTable:
                 if len(row) != len(values[0]):
                     raise dimension_error(len(values[0]), len(row), f"strength row {j}")
             strength_bytes = _float_bytes(values)
+        _row_width(strength_bytes, len(payoffs), "strength")
         object.__setattr__(self, "payoffs", payoffs)
         object.__setattr__(self, "strength_bytes", strength_bytes)
 
@@ -159,7 +183,11 @@ class MeasurementTable:
         return rival_best(self.values)  # the module function, not this property
 
 
-@dataclass(frozen=True, slots=True)
+# A Scenario argument not given; a grid not given is read from its bytes.
+_UNSET = object()
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Scenario:
     """Complete description of one game.
 
@@ -180,35 +208,75 @@ class Scenario:
     no commitment above Blotto's budget, so every commitment has a
     rotation angle (:func:`rotation_angle`). Names, budgets, the sign
     pattern and each grid and row must be ordered sequences: a set or
-    mapping is refused, and so is a str or bytes for names. A tuple
-    already in stored form (names as ``str``, budgets as ``float``, signs
-    as ``int``, a grid whose rows are kept) is kept as the same object
-    after its rules run, so a ``replace`` shares every unchanged field.
+    mapping is refused, and so is a str or bytes for names.
+
+    The budgets, allocations and phases are stored as row-major float64
+    bytes, ``total_bytes``, ``allocation_bytes`` and ``phase_bytes``,
+    packed after the rules pass; ``totals``, ``allocations`` and
+    ``phases`` read them back, bit for bit, on each access. The
+    constructor's arguments are ``player_names``, ``totals``,
+    ``allocations``, ``phases``, ``gamma``, ``sign_pattern`` and ``eps``,
+    in that order, and the three byte fields by keyword. A grid not given
+    is read from its bytes field, with one row per budget in
+    ``total_bytes`` (without it, one per row of the field before), and a
+    length that is not a whole number of rows raises
+    :class:`qblotto.errors.DimensionError`. Such a field meets every rule
+    again and is kept as the same object, so ``replace(s, gamma=0.5)``
+    shares all three with ``s``; names and a sign pattern already in
+    stored form (a tuple of ``str``, of ``int``) are kept too. Equality
+    and hash compare the stored bits, so a -0.0 cell differs from 0.0.
     :meth:`create` holds the defaults.
     """
 
     player_names: tuple[str, ...]
-    totals: tuple[float, ...]
-    allocations: tuple[tuple[float, ...], ...]
-    phases: tuple[tuple[float, ...], ...]
+    total_bytes: bytes
+    allocation_bytes: bytes
+    phase_bytes: bytes
     gamma: float
     sign_pattern: tuple[int, ...]
     eps: float = DEFAULT_TIE_EPS
 
-    def __post_init__(self):
-        names = self.player_names
+    def __init__(
+        self, player_names, totals=_UNSET, allocations=_UNSET, phases=_UNSET,
+        gamma=_UNSET, sign_pattern=_UNSET, eps=DEFAULT_TIE_EPS,
+        *, total_bytes=None, allocation_bytes=None, phase_bytes=None,
+    ):
+        for name, value, data in (
+            ("totals", totals, total_bytes),
+            ("allocations", allocations, allocation_bytes),
+            ("phases", phases, phase_bytes),
+            ("gamma", gamma, None),
+            ("sign_pattern", sign_pattern, None),
+        ):
+            if value is _UNSET and data is None:
+                raise TypeError(f"Scenario() missing required argument: {name!r}")
+        names = player_names
         if isinstance(names, (str, bytes, Set, Mapping)):  # no ordered list of names
             raise ValidationError(
                 f"player names must be a sequence of names, got {names!r}"
             )
         if not _stored(names, str):
             names = tuple(map(str, _sequence(names, "player names")))
-        totals = _real_budgets(self.totals)
-        allocations = _real_grid(self.allocations, "allocation")
-        phases = _real_grid(self.phases, "phase")
-        gamma = _real(self.gamma, "entanglement parameter")
-        eps = _real(self.eps, "tie tolerance")
-        pattern = self.sign_pattern
+        # A grid not given is read from its bytes, one row per stored budget;
+        # its cells are floats, so it meets the number rule as read. A given
+        # one is packed once the rules pass.
+        layout = None if total_bytes is None else len(total_bytes) // 8
+        if totals is _UNSET:
+            (totals,) = _byte_rows(total_bytes, 1, "total")
+        else:
+            totals, total_bytes = _real_budgets(totals), None
+        if allocations is _UNSET:
+            rows = layout or len(totals)
+            allocations = _byte_rows(allocation_bytes, rows, "allocation")
+        else:
+            allocations, allocation_bytes = _real_grid(allocations, "allocation"), None
+        if phases is _UNSET:
+            phases = _byte_rows(phase_bytes, layout or len(allocations), "phase")
+        else:
+            phases, phase_bytes = _real_grid(phases, "phase"), None
+        gamma = _real(gamma, "entanglement parameter")
+        eps = _real(eps, "tie tolerance")
+        pattern = sign_pattern
         if not _stored(pattern, int):
             entries = _sequence(pattern, "sign pattern")
             pattern = tuple(int(s) if _is_sign(s) else s for s in entries)
@@ -216,13 +284,6 @@ class Scenario:
             raise ValidationError(
                 f"sign pattern entries must be +1 or -1, got {pattern}"
             )
-        object.__setattr__(self, "player_names", names)
-        object.__setattr__(self, "totals", totals)
-        object.__setattr__(self, "allocations", allocations)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "sign_pattern", pattern)
-        object.__setattr__(self, "eps", eps)
 
         count = len(totals)
         if count == 0:
@@ -286,6 +347,24 @@ class Scenario:
                         f"{totals[0]!r}; no valid allocation can reach this"
                     )
 
+        if total_bytes is None:
+            total_bytes = _float_bytes([totals])
+        if allocation_bytes is None:
+            allocation_bytes = _float_bytes(allocations)
+        if phase_bytes is None:
+            phase_bytes = _float_bytes(phases)
+        stored = names, total_bytes, allocation_bytes, phase_bytes, gamma, pattern, eps
+        for f, value in zip(fields(self), stored):
+            object.__setattr__(self, f.name, value)
+
+    def __repr__(self) -> str:
+        return (
+            f"Scenario(player_names={self.player_names!r}, totals={self.totals!r}, "
+            f"allocations={self.allocations!r}, phases={self.phases!r}, "
+            f"gamma={self.gamma!r}, sign_pattern={self.sign_pattern!r}, "
+            f"eps={self.eps!r})"
+        )
+
     @classmethod
     def create(
         cls,
@@ -305,7 +384,8 @@ class Scenario:
         "Blotto", "enemy 1", .... The three are built once per size a
         build admits (two or more players and ``2^N * n <= MAX_DIM``) and
         kept in one cache of the last 16 sizes, so every scenario of
-        that size shares them; a size the build refuses leaves no entry.
+        that size shares them, the phases as one zero ``phase_bytes``; a
+        size the build refuses leaves no entry.
         Every other value reaches the number rule as passed.
         """
         rows = _grid_rows(allocations, "allocation")  # read once, as the build reads it
@@ -320,19 +400,36 @@ class Scenario:
             player_names=default_names if names is None else names,
             totals=totals,
             allocations=rows,
-            phases=zero_phases if phases is None else phases,
+            phases=_UNSET if phases is None else phases,
             gamma=gamma,
             sign_pattern=default_pattern if sign_pattern is None else sign_pattern,
             eps=eps,
+            phase_bytes=zero_phases,
         )
 
     @property
+    def totals(self) -> tuple[float, ...]:
+        """The budgets, read back from ``total_bytes``."""
+        (totals,) = _float_rows(self.total_bytes, self.num_players)
+        return totals
+
+    @property
+    def allocations(self) -> tuple[tuple[float, ...], ...]:
+        """The allocation grid, read back from ``allocation_bytes``."""
+        return tuple(_float_rows(self.allocation_bytes, self.num_battlefields))
+
+    @property
+    def phases(self) -> tuple[tuple[float, ...], ...]:
+        """The phase grid, read back from ``phase_bytes``."""
+        return tuple(_float_rows(self.phase_bytes, self.num_battlefields))
+
+    @property
     def num_players(self) -> int:
-        return len(self.totals)
+        return len(self.total_bytes) // 8
 
     @property
     def num_battlefields(self) -> int:
-        return len(self.allocations[0])
+        return len(self.allocation_bytes) // len(self.total_bytes)
 
     @property
     def blotto_total(self) -> float:

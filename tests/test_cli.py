@@ -282,15 +282,19 @@ class TestPlay:
 
 
 def counting_validations(monkeypatch):
-    """Record the tie tolerance of every validation pass, one per build."""
+    """Record the tie tolerance of every validation pass, one per build.
+
+    The constructor, which ``Scenario.create`` and ``dataclasses.replace``
+    call, runs the rules once and then packs the grids.
+    """
     calls = []
-    real = Scenario.__post_init__
+    real = Scenario.__init__
 
-    def counted(scenario):
+    def counted(scenario, *args, **kwargs):
+        real(scenario, *args, **kwargs)
         calls.append(scenario.eps)
-        real(scenario)
 
-    monkeypatch.setattr(Scenario, "__post_init__", counted)
+    monkeypatch.setattr(Scenario, "__init__", counted)
     return calls
 
 

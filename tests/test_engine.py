@@ -974,7 +974,7 @@ class TestScenarioValidation:
                 totals=(3.0,) * 19, allocations=((1.0, 1.0, 1.0),) * 19, gamma=0.0
             )
 
-    # The rule lives in __post_init__, so every way of building meets it.
+    # The rule lives in the constructor, so every way of building meets it.
     @pytest.mark.parametrize("entry", ["create", "replace", "constructor"])
     def test_commitment_above_blottos_budget_rejected_at_build(
         self, worked_example, entry

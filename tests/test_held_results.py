@@ -21,8 +21,10 @@ from qblotto import (
     SweepSpec,
     ValidationError,
     best_response_grid,
+    dump_scenario,
     engine,
     evaluate,
+    load_scenario,
     run_sweep,
 )
 from qblotto.classical import PlayerRoster, _payoff_vector, rival_best
@@ -35,12 +37,14 @@ from qblotto.engine import (
 from qblotto.selfcheck import CheckResult
 
 # Bytes that 1000 held (7, 3) scenarios and their tables may take under
-# tracemalloc, inputs excluded. Measured at 1.68 MB with Python 3.11: a
-# table packs its strengths as float64 bytes, and a scenario shares its
-# default names and sign pattern. Tables that held a tuple grid took
-# 2.56 MB, and a table that also stored its rival bests, beside classes
-# with a per-instance dict and fresh default names per scenario, 4.0 MB.
-HELD_BUDGET = 2_000_000
+# tracemalloc, inputs excluded. Measured at 1.31 MB with Python 3.11: a
+# scenario packs its budgets, allocations and phases as float64 bytes, a
+# table its strengths, and a scenario shares its default names and sign
+# pattern. Scenarios that held tuple grids took 1.68 MB, tables that held
+# a tuple grid too 2.56 MB, and a table that also stored its rival bests,
+# beside classes with a per-instance dict and fresh default names per
+# scenario, 4.0 MB.
+HELD_BUDGET = 1_500_000
 
 
 def worked_scenario() -> Scenario:
@@ -90,77 +94,97 @@ def test_held_scenarios_and_tables_fit_the_budget():
 # under tracemalloc, the input floats the scenario holds included, over 100
 # held at once so that one-off allocations average out. A full gc.collect()
 # empties the float and tuple free lists, which would otherwise count freed
-# temporaries as held. Measured at 1,400 B per scenario, which shares its
-# default names, sign pattern and zero phases, and 346 B per table, which
-# packs its 21 strengths as float64 bytes (Python 3.11, numpy 2.4); a fresh
-# name tuple, pattern and phase grid per scenario took 2,104 B, and a
-# tuple grid per table 1,193 B. A bench run holds every op's scenario and
-# result, so its peak RSS grows by these bytes per op; storing the angle
-# grid at build (about 1 KB more) fails here first.
-SCENARIO_BYTES = 1_500
+# temporaries as held. A scenario packs its budgets, allocations and phases
+# as float64 bytes. Measured at 378 B per zero-phase scenario, which shares
+# its default names, sign pattern and zero phase bytes, 579 B per phased
+# one, and 346 B per table, which packs its 21 strengths as float64 bytes
+# (Python 3.11, numpy 2.4). Tuple grids took 1,400 B per zero-phase
+# scenario and 2,448 B per phased one, and a fresh name tuple, pattern and
+# phase grid 2,104 B; a tuple grid per table took 1,193 B. A bench run
+# holds every op's scenario and result, so its peak RSS grows by these
+# bytes per op; storing the angle grid at build (209 B more, packed) fails
+# here first.
+SCENARIO_BYTES = 450
+PHASED_SCENARIO_BYTES = 650
 TABLE_BYTES = 400
 
 
-def held_bytes(count: int = 100) -> tuple[float, float]:
+def held_bytes(count: int = 100) -> tuple[float, float, float]:
     """Bytes that each of ``count`` built (7, 3) scenarios and its table keep.
 
-    CI's line-count step prints them, so each change's log shows them.
+    The three figures are a zero-phase scenario's, a phased one's and the
+    zero-phase scenario's table's. CI's line-count step prints them, so
+    each change's log shows them.
     """
 
-    def build():
+    def build(phased=False):
         totals = [float(t) for t in range(9, 2, -1)]
         allocations = [[0.5 * t, 0.3 * t, 0.2 * t] for t in totals]
-        return Scenario.create(totals, allocations, 0.7)
+        phases = [[0.1 * t, 0.2 * t, 0.3 * t] for t in totals] if phased else None
+        return Scenario.create(totals, allocations, 0.7, phases=phases)
 
-    scenarios, tables = [None] * count, [None] * count
+    def traced(make):
+        """Bytes per held result of ``make(i)``, after a full collection."""
+        held = [None] * count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for i in range(count):
+                held[i] = make(i)
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        return held, size / count
+
     # warm once after numpy has loaded: its ABC registrations reset the
     # caches a build's type checks fill
     evaluate(build())
-    build()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        for i in range(count):
-            scenarios[i] = build()
-        gc.collect()
-        built = tracemalloc.get_traced_memory()[0] - start
-        for i, scenario in enumerate(scenarios):
-            tables[i] = evaluate(scenario)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - start - built
-    finally:
-        tracemalloc.stop()
+    build(phased=True)
+    scenarios, scenario_bytes = traced(lambda i: build())
+    phased, phased_bytes = traced(lambda i: build(phased=True))
+    tables, table_bytes = traced(lambda i: evaluate(scenarios[i]))
     assert tables[-1] == tables[0] and len(tables[0].values) == 7
-    return built / count, held / count
+    assert phased[-1] == phased[0] and min(map(min, phased[0].phases)) > 0.0
+    return scenario_bytes, phased_bytes, table_bytes
 
 
 def test_built_scenarios_and_tables_hold_their_measured_bytes():
-    scenario_bytes, table_bytes = held_bytes()
+    scenario_bytes, phased_bytes, table_bytes = held_bytes()
     assert scenario_bytes <= SCENARIO_BYTES, scenario_bytes
+    assert phased_bytes <= PHASED_SCENARIO_BYTES, phased_bytes
     assert table_bytes <= TABLE_BYTES, table_bytes
 
 
 # Bytes that each held replace(s, gamma=0.5) of a built (7, 3) scenario
-# takes under tracemalloc, over 100 held copies. Every stored field is
-# already in stored form, which the build keeps, so a copy is its own
-# object and shares every tuple with s. Measured at 97 B per copy (Python
-# 3.11); rebuilding the names, totals, pattern and outer grids took 545 B,
-# and rebuilding every row too 1,449 B.
+# takes under tracemalloc, over 100 held copies. The build reads every
+# unchanged byte field back for its rules and keeps it, and keeps names and
+# a pattern already in stored form, so a copy is its own object and shares
+# every stored field but gamma with s. Measured at 97 B per copy (Python
+# 3.11); repacking the three grids on each copy took 596 B, rebuilding the
+# names, totals, pattern and outer tuple grids 545 B, and rebuilding every
+# row too 1,449 B.
 REPLACED_BYTES = 150
 
-KEPT_FIELDS = ("player_names", "totals", "allocations", "phases", "sign_pattern")
+KEPT_FIELDS = (
+    "player_names", "total_bytes", "allocation_bytes", "phase_bytes", "sign_pattern"
+)
+
+
+def seeded_inputs(seed: int = 7, players: int = 7, battlefields: int = 3):
+    """Seeded budgets, allocations and phases as lists, budgets the row sums."""
+    rng = np.random.default_rng(seed)
+    totals = [6.0] + rng.uniform(1.0, 6.0, players - 1).tolist()
+    allocations = [(rng.dirichlet(np.ones(battlefields)) * t).tolist() for t in totals]
+    phases = rng.uniform(0.0, 2.0 * math.pi, (players, battlefields)).tolist()
+    return [sum(r) for r in allocations], allocations, phases
 
 
 def seeded_scenario() -> Scenario:
     """A (7, 3) scenario with seeded budgets, allocations and phases."""
-    rng = np.random.default_rng(7)
-    totals = [6.0] + rng.uniform(1.0, 6.0, 6).tolist()
-    allocations = [(rng.dirichlet(np.ones(3)) * t).tolist() for t in totals]
-    phases = rng.uniform(0.0, 2.0 * math.pi, (7, 3)).tolist()
-    return Scenario.create(
-        [sum(r) for r in allocations], allocations, 1.1, phases=phases
-    )
+    totals, allocations, phases = seeded_inputs()
+    return Scenario.create(totals, allocations, 1.1, phases=phases)
 
 
 def test_replace_shares_the_unchanged_rows():
@@ -168,8 +192,7 @@ def test_replace_shares_the_unchanged_rows():
     moved = replace(s, gamma=0.5)
     for name in KEPT_FIELDS:
         assert getattr(moved, name) is getattr(s, name), name
-    assert moved.allocations[0] is s.allocations[0]
-    assert moved.phases[-1] is s.phases[-1]
+    assert moved.allocations == s.allocations and moved.phases == s.phases
     count = 100
     gc.collect()
     tracemalloc.start()
@@ -257,10 +280,9 @@ def test_same_size_defaults_are_shared():
     allocations = [[4.0, 1.0], [2.0, 2.0], [1.0, 1.0]]
     second = Scenario.create([5.0, 4.0, 2.0], allocations, 0.3)
     assert first.sign_pattern == (1, -1) and first.phases == ((0.0, 0.0),) * 3
-    for name in ("player_names", "sign_pattern", "phases"):
+    for name in ("player_names", "sign_pattern", "phase_bytes"):
         assert getattr(first, name) is getattr(second, name), name
-    row = first.phases[0]
-    assert all(r is row for r in first.phases)  # one zero row, not N copies
+    assert first.phase_bytes == bytes(8 * 3 * 2)  # one zero block per size
 
 
 def test_refused_size_keeps_no_defaults():
@@ -275,6 +297,11 @@ def test_refused_size_keeps_no_defaults():
     assert engine._defaults.cache_info().currsize == 0
 
 
+def packed(*rows) -> bytes:
+    """Rows of floats as a scenario stores them: row-major float64 bytes."""
+    return array("d", [x for row in rows for x in row]).tobytes()
+
+
 @pytest.mark.parametrize(
     "name, value, message",
     [
@@ -284,12 +311,142 @@ def test_refused_size_keeps_no_defaults():
         ("allocations", ((3.0, 3.0), (5.0, -1.0), (0.0, 3.0)), "is negative"),
         ("phases", ((0.0, 0.0), (0.0, math.nan), (0.0, 0.0)), "not finite"),
         ("player_names", ("a", "b"), "player names"),
+        # a field given as bytes meets the same rules as its grid
+        pytest.param(
+            "total_bytes", packed((6.0, 7.0, 4.0)), "exceeds Blotto's",
+            id="total_bytes-exceeds Blotto's",
+        ),
+        pytest.param(
+            "allocation_bytes",
+            packed((3.0, 3.0), (5.0, -1.0), (0.0, 3.0)),
+            "is negative",
+            id="allocation_bytes-is negative",
+        ),
+        pytest.param(
+            "phase_bytes",
+            packed((0.0, 0.0), (0.0, math.nan), (0.0, 0.0)),
+            "not finite",
+            id="phase_bytes-not finite",
+        ),
+        # an unchanged byte field meets the rules again, beside the changed one
+        ("totals", (6.0, 4.0, 2.0), "allocations sum to 3.0, budget is 2.0"),
+        (
+            "allocations",
+            ((3.0, 3.0), (3.0, 2.0), (0.0, 3.0)),
+            "sum to 5.0, budget is 4.0",
+        ),
+        ("phases", ((0.0, 0.0),) * 2, "phase rows: expected dims 3, got 2"),
+        ("sign_pattern", (1, -1, 1), "sign pattern: expected dims 2, got 3"),
+        ("gamma", 2.0, r"outside \[0, pi/2\]"),
+        ("eps", -1.0, "tie tolerance must be finite and non-negative"),
     ],
 )
 def test_kept_fields_still_pass_every_rule(name, value, message):
-    # each value is already in stored form, so the build keeps it as is
+    # the changed field and every kept one, read back from its bytes, meet
+    # every rule before anything is packed
     with pytest.raises(ValidationError, match=message):
         replace(worked_scenario(), **{name: value})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            dict(total_bytes=bytes(20)),
+            "total bytes: expected dims a positive multiple of 8, got 20",
+        ),
+        (
+            dict(total_bytes=b""),
+            "total bytes: expected dims a positive multiple of 8, got 0",
+        ),
+        (
+            dict(allocation_bytes=bytes(40)),
+            "allocation bytes: expected dims a positive multiple of 24, got 40",
+        ),
+        (
+            dict(allocation_bytes=b""),
+            "allocation bytes: expected dims a positive multiple of 24, got 0",
+        ),
+        (
+            dict(phase_bytes=bytes(56)),
+            "phase bytes: expected dims a positive multiple of 24, got 56",
+        ),
+        # a changed budget count reads the kept grids with the stored layout
+        (dict(totals=(6.0, 4.0, 3.0, 1.0)), "player names: expected dims 4, got 3"),
+    ],
+    ids=["totals", "no-totals", "allocations", "no-allocations", "phases", "roster"],
+)
+def test_scenario_refuses_bytes_off_its_rows(changes, message):
+    with pytest.raises(DimensionError) as raised:
+        replace(worked_scenario(), **changes)
+    assert str(raised.value) == message
+
+
+def test_scenario_reports_a_missing_grid():
+    with pytest.raises(TypeError, match="missing required argument: 'phases'"):
+        Scenario(("a", "b"), (2.0, 1.0), ((1.0, 1.0), (1.0, 0.0)))
+
+
+# Budgets, allocations and phases: seeded ones, and cells of -0.0, 1e308
+# and the smallest subnormal, 5e-324.
+STORED_INPUTS = {
+    "worked": (
+        (6.0, 4.0, 3.0), ((3.0, 3.0), (3.0, 1.0), (0.0, 3.0)), ((0.0, 0.0),) * 3
+    ),
+    **{
+        f"seed-{seed}": seeded_inputs(seed, players, battlefields)
+        for seed, players, battlefields in [(7, 7, 3), (11, 5, 2), (13, 3, 4)]
+    },
+    "special": (
+        (1e308, 5e-324, -0.0),
+        ((1e308, 0.0), (5e-324, -0.0), (-0.0, -0.0)),
+        ((-0.0, 5e-324), (1e308, -1e308), (0.0, 6.0)),
+    ),
+}
+
+
+def hex_cells(*grids) -> list[str]:
+    """Every float of the given rows, in order, as ``float.hex`` text."""
+    return [float(x).hex() for rows in grids for row in rows for x in row]
+
+
+@pytest.mark.parametrize("inputs", STORED_INPUTS.values(), ids=STORED_INPUTS)
+def test_packed_scenario_reads_back_its_floats(inputs, tmp_path):
+    totals, allocations, phases = inputs
+    s = Scenario.create(totals, allocations, 0.5, phases=phases)
+    assert [f.name for f in fields(s)] == [
+        "player_names", "total_bytes", "allocation_bytes", "phase_bytes",
+        "gamma", "sign_pattern", "eps",
+    ]
+    # the floats a scenario that stored tuple grids held: each input as float
+    grids = (s.totals, s.allocations, s.phases)
+    assert hex_cells([grids[0]], *grids[1:]) == hex_cells([totals], allocations, phases)
+    assert all(type(x) is float for x in s.totals + sum(grids[1] + grids[2], ()))
+    assert s.num_players == len(totals) and s.blotto_total == totals[0]
+    assert s.num_battlefields == len(allocations[0])
+    # what the dataclass repr of the tuple-grid fields gave
+    assert repr(s) == (
+        f"Scenario(player_names={s.player_names!r}, totals={grids[0]!r}, "
+        f"allocations={grids[1]!r}, phases={grids[2]!r}, gamma={s.gamma!r}, "
+        f"sign_pattern={s.sign_pattern!r}, eps={s.eps!r})"
+    )
+    rebuilt = Scenario(s.player_names, *grids, s.gamma, s.sign_pattern, s.eps)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+    for again in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert again == s and hash(again) == hash(s) and repr(again) == repr(s)
+    path = tmp_path / "scenario.json"
+    dump_scenario(s, path)
+    loaded, _ = load_scenario(path)
+    assert loaded == s and repr(loaded) == repr(s)
+
+
+def test_equality_compares_the_stored_bits():
+    # equal as floats, stored as different bits: a tuple grid found them equal
+    s = worked_scenario()
+    zero = replace(s, phases=((0.0, 0.0),) * 3)
+    negative = replace(s, phases=((0.0, -0.0), (0.0, 0.0), (0.0, 0.0)))
+    assert zero == s and negative.phases == zero.phases
+    assert negative != zero and negative.phase_bytes != zero.phase_bytes
 
 
 def measured(scenario, monkeypatch):
@@ -342,6 +499,31 @@ def test_table_refuses_a_row_count_off_its_payoffs():
 def test_table_refuses_rows_of_two_lengths():
     with pytest.raises(DimensionError, match="strength row 2: expected dims 2, got 3"):
         MeasurementTable(((0.1, 0.2), (0.3, 0.4, 0.5)), (1, -1))
+
+
+def test_table_refuses_no_rows():
+    # constructed, and its values raised ZeroDivisionError before
+    with pytest.raises(DimensionError) as raised:
+        MeasurementTable((), ())
+    assert str(raised.value) == "strength rows: expected dims 1 or more, got 0"
+
+
+def test_table_refuses_rows_of_no_strengths():
+    # constructed, and its values read back () before
+    with pytest.raises(DimensionError) as raised:
+        MeasurementTable(((),), (0,))
+    expected = "strength bytes: expected dims a positive multiple of 8, got 0"
+    assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("size", [20, 24], ids=["partial-float", "partial-row"])
+def test_table_refuses_bytes_off_its_rows(size):
+    # 20 bytes raised a bare TypeError on values; 24 read back one strength
+    # per payoff and dropped the third
+    with pytest.raises(DimensionError) as raised:
+        MeasurementTable(payoffs=(1, -1), strength_bytes=bytes(size))
+    expected = f"strength bytes: expected dims a positive multiple of 16, got {size}"
+    assert str(raised.value) == expected
 
 
 @pytest.mark.parametrize("build", [worked_scenario, seeded_scenario])
