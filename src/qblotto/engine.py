@@ -109,20 +109,24 @@ def _float_rows(data: bytes, width: int) -> Iterator[tuple[float, ...]]:
     return zip(*[cells] * width)  # ``width`` items of ``cells`` at a time
 
 
-def _row_width(data: bytes, rows: int, what: str) -> int:
-    """The width of ``data`` read as ``rows`` float64 rows of one or more floats.
+def _row_width(data: bytes, rows: int, what: str, width: int = 0) -> int:
+    """The width of ``data`` read as ``rows`` rows of one or more 8-byte cells.
 
-    No rows, or a length that is not a whole number of such rows, raises
-    :class:`qblotto.errors.DimensionError` naming ``what``.
+    The one rule every packed field meets. ``data`` must be exactly
+    ``bytes``, or :class:`ValidationError` is raised, so a held field can
+    neither change nor lose its hash. No rows, a length that is not a
+    whole number of such rows, or, given ``width``, rows of another width
+    raise :class:`qblotto.errors.DimensionError` naming ``what``.
     """
+    if type(data) is not bytes:
+        raise ValidationError(f"{what} bytes must be bytes, got {type(data).__name__}")
     if rows < 1:
         raise dimension_error("1 or more", rows, f"{what} rows")
-    width, rest = divmod(len(data), 8 * rows)
-    if rest or not width:
-        raise dimension_error(
-            f"a positive multiple of {8 * rows}", len(data), f"{what} bytes"
-        )
-    return width
+    found, rest = divmod(len(data), 8 * rows)
+    if rest or not found or width and found != width:
+        expected = 8 * rows * width if width else f"a positive multiple of {8 * rows}"
+        raise dimension_error(expected, len(data), f"{what} bytes")
+    return found
 
 
 def _byte_rows(data: bytes, rows: int, what: str) -> tuple[tuple[float, ...], ...]:
@@ -130,7 +134,7 @@ def _byte_rows(data: bytes, rows: int, what: str) -> tuple[tuple[float, ...], ..
     return tuple(_float_rows(data, _row_width(data, rows, what)))
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True, kw_only=True, repr=False)
 class MeasurementTable:
     """Measured strengths per player and battlefield, with payoffs.
 
@@ -142,31 +146,16 @@ class MeasurementTable:
     ``values`` is read back from them bit for bit on each access, and
     ``rival_best``, each cell's best rival strength on its battlefield,
     is derived from ``values``: the floats the payoff rule compares.
-    Given ``values``, the constructor packs them in place of
-    ``strength_bytes``, so ``MeasurementTable(values, payoffs)`` and
-    ``replace(table, values=...)`` work as on a stored grid. ``payoffs``
-    is required, and the strengths, given as a grid or as bytes, must
-    hold one row per payoff, one or more rows, each of one length and of
-    one or more floats, or :class:`qblotto.errors.DimensionError` is
-    raised.
+    Both fields are given by keyword, ``payoffs=`` and
+    ``strength_bytes=``, and the bytes meet :func:`_row_width`'s rule
+    with one row per payoff.
     """
 
     payoffs: tuple[int, ...]
     strength_bytes: bytes
 
-    def __init__(self, values=None, payoffs=None, strength_bytes=b""):
-        if payoffs is None:
-            raise TypeError("MeasurementTable() missing required argument: 'payoffs'")
-        if values is not None:
-            if len(values) != len(payoffs):
-                raise dimension_error(len(payoffs), len(values), "strength rows")
-            for j, row in enumerate(values, start=1):
-                if len(row) != len(values[0]):
-                    raise dimension_error(len(values[0]), len(row), f"strength row {j}")
-            strength_bytes = _float_bytes(values)
-        _row_width(strength_bytes, len(payoffs), "strength")
-        object.__setattr__(self, "payoffs", payoffs)
-        object.__setattr__(self, "strength_bytes", strength_bytes)
+    def __post_init__(self):
+        _row_width(self.strength_bytes, len(self.payoffs), "strength")
 
     def __repr__(self) -> str:
         return f"MeasurementTable(values={self.values!r}, payoffs={self.payoffs!r})"
@@ -201,14 +190,14 @@ class Scenario:
     entry must be a real number, and a bool is not one; totals,
     allocations, phases, ``gamma`` and ``eps`` are stored as floats and
     the signs as ints. The other rules: sign entries of exactly +1 or
-    -1, matching shapes, finite phases, a valid tie tolerance, the
-    composite-dimension guard ``2^N * n <= MAX_DIM``, the budgets (the
-    roster rule), each player's allocations (finite, non-negative and
-    summing to the budget within ``eps``), ``gamma`` in [0, pi/2], and
-    no commitment above Blotto's budget, so every commitment has a
-    rotation angle (:func:`rotation_angle`). Names, budgets, the sign
-    pattern and each grid and row must be ordered sequences: a set or
-    mapping is refused, and so is a str or bytes for names.
+    -1, matching shapes, finite phases, a valid tie tolerance, ``gamma``
+    in [0, pi/2], the composite-dimension guard ``2^N * n <= MAX_DIM``,
+    the budgets (the roster rule), then each player's allocations in one
+    pass: every commitment finite, non-negative and no more than
+    Blotto's budget, so it has a rotation angle (:func:`rotation_angle`),
+    and the row summing to the budget within ``eps``. Names, budgets, the
+    sign pattern and each grid and row must be ordered sequences: a set
+    or mapping is refused, and so is a str or bytes for names.
 
     The budgets, allocations and phases are stored as row-major float64
     bytes, ``total_bytes``, ``allocation_bytes`` and ``phase_bytes``,
@@ -218,14 +207,15 @@ class Scenario:
     ``allocations``, ``phases``, ``gamma``, ``sign_pattern`` and ``eps``,
     in that order, and the three byte fields by keyword. A grid not given
     is read from its bytes field, with one row per budget in
-    ``total_bytes`` (without it, one per row of the field before), and a
-    length that is not a whole number of rows raises
-    :class:`qblotto.errors.DimensionError`. Such a field meets every rule
-    again and is kept as the same object, so ``replace(s, gamma=0.5)``
-    shares all three with ``s``; names and a sign pattern already in
-    stored form (a tuple of ``str``, of ``int``) are kept too. Equality
-    and hash compare the stored bits, so a -0.0 cell differs from 0.0.
-    :meth:`create` holds the defaults.
+    ``total_bytes`` (without it, one per row of the field before), under
+    :func:`_row_width`'s rule: a field that is not exactly ``bytes``
+    raises :class:`ValidationError`, and a length that is not a whole
+    number of rows :class:`qblotto.errors.DimensionError`. Such a field
+    meets every rule again and is kept as the same object, so
+    ``replace(s, gamma=0.5)`` shares all three with ``s``; names and a
+    sign pattern already in stored form (a tuple of ``str``, of ``int``)
+    are kept too. Equality and hash compare the stored bits, so a -0.0
+    cell differs from 0.0. :meth:`create` holds the defaults.
     """
 
     player_names: tuple[str, ...]
@@ -311,6 +301,10 @@ class Scenario:
         if len(pattern) != n:
             raise dimension_error(n, len(pattern), "sign pattern")
         check_tie_eps(eps)
+        if not -_ANGLE_SLACK <= gamma <= HALF_PI + _ANGLE_SLACK:
+            raise ValidationError(
+                f"entanglement parameter {gamma!r} outside [0, pi/2]"
+            )
         dim = 2**count * n  # checked before anything costly
         if dim > MAX_DIM:
             raise ValidationError(
@@ -327,25 +321,18 @@ class Scenario:
                         f"player {j} ({name}): battlefield {k} allocation "
                         f"{problem} ({x!r})"
                     )
+                # Blotto's budget caps each cell, even in a row that sums within eps
+                if x > totals[0]:
+                    raise ValidationError(
+                        f"troop commitment {x!r} exceeds Blotto's budget "
+                        f"{totals[0]!r}; no valid allocation can reach this"
+                    )
             allocated = sum(row)
             if not abs(allocated - total) <= eps:
                 raise ValidationError(
                     f"player {j} ({name}): allocations sum to {allocated!r}, "
                     f"budget is {total!r}"
                 )
-        if not -_ANGLE_SLACK <= gamma <= HALF_PI + _ANGLE_SLACK:
-            raise ValidationError(
-                f"entanglement parameter {gamma!r} outside [0, pi/2]"
-            )
-        # A row can sum to its budget within eps and still hold one
-        # commitment above Blotto's budget.
-        for row in allocations:
-            for x in row:
-                if x > totals[0]:
-                    raise ValidationError(
-                        f"troop commitment {x!r} exceeds Blotto's budget "
-                        f"{totals[0]!r}; no valid allocation can reach this"
-                    )
 
         if total_bytes is None:
             total_bytes = _float_bytes([totals])

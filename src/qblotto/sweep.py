@@ -44,6 +44,7 @@ from .engine import (
     Scenario,
     _float_bytes,
     _float_rows,
+    _row_width,
     check_entangler_unitary,
     check_norm_sq,
     check_strengths,
@@ -189,7 +190,9 @@ class SweepResult:
     on each access. Given ``points``, the constructor packs their
     payoffs and strengths in place of the two byte fields, so
     ``replace(result, points=...)`` also works; their values are the
-    spec's.
+    spec's. Both fields meet :func:`~qblotto.engine._row_width`'s rule
+    with one row per grid step: exactly ``spec.steps`` times N int64
+    payoffs and ``spec.steps`` times N n float64 strengths, in ``bytes``.
     """
 
     spec: SweepSpec
@@ -204,6 +207,9 @@ class SweepResult:
         if points is not None:
             payoff_bytes = array("q", [x for p in points for x in p.payoffs]).tobytes()
             strength_bytes = _float_bytes(row for p in points for row in p.values)
+        players, n = spec.base.num_players, spec.base.num_battlefields
+        _row_width(payoff_bytes, spec.steps, "payoff", players)
+        _row_width(strength_bytes, spec.steps, "strength", players * n)
         packed = (spec, transitions, payoff_bytes, strength_bytes)
         for f, value in zip(fields(self), packed):
             object.__setattr__(self, f.name, value)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 import qblotto.cli
 import qblotto.selfcheck
 from qblotto import (
-    MeasurementTable,
     Scenario,
     SweepSpec,
     ValidationError,
@@ -26,6 +26,7 @@ from qblotto import (
 )
 from qblotto.scenario_io import scenario_from_dict
 from qblotto.cli import main
+from test_held_results import hex_cells, table_of
 
 GOLDEN_DOC = {
     "players": [
@@ -613,6 +614,57 @@ class TestSweep:
         assert str(out_path) in err
 
 
+# What a default ``run_verification()`` draws from VERIFY_SEED, as
+# ``verify_draws()`` records it: every scenario it evaluates, in order (the
+# golden, golden, tie-absorption, 100 classical and 20 quantum ones), and
+# the 100 operator orders of its order check.
+VERIFY_DRAWS = Path(__file__).with_name("verify_draws.json")
+
+
+def verify_draws() -> dict:
+    """Every scenario ``run_verification()`` evaluates and every order it draws.
+
+    Scenarios are caught at ``selfcheck.evaluate`` and orders at
+    ``random.Random.sample``, as plain JSON data. Run
+    ``write_verify_draws()`` to record them again.
+    """
+    scenarios, orders = [], []
+    evaluate, sample = qblotto.selfcheck.evaluate, random.Random.sample
+
+    def recording_evaluate(scenario):
+        scenarios.append(scenario)
+        return evaluate(scenario)
+
+    def recording_sample(rng, *args, **kwargs):
+        orders.append(sample(rng, *args, **kwargs))
+        return orders[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qblotto.selfcheck, "evaluate", recording_evaluate)
+        patch.setattr(random.Random, "sample", recording_sample)
+        assert all(check.passed for check in qblotto.selfcheck.run_verification())
+    drawn = [
+        {
+            "battlefields": s.num_battlefields,
+            "totals": s.totals,
+            "allocations": s.allocations,
+            "gamma": s.gamma,
+            "phases": s.phases,
+        }
+        for s in scenarios
+    ]
+    return json.loads(json.dumps({"scenarios": drawn, "orders": orders}))
+
+
+def write_verify_draws():
+    """Record ``verify_draws()`` in VERIFY_DRAWS, one scenario or order a line."""
+    body = ",\n".join(
+        f"{json.dumps(key)}: [\n" + ",\n".join(map(json.dumps, items)) + "\n]"
+        for key, items in verify_draws().items()
+    )
+    VERIFY_DRAWS.write_text("{\n" + body + "\n}\n", encoding="utf-8")
+
+
 class TestVerify:
     def test_pristine_build_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -731,7 +783,7 @@ class TestVerify:
             if len(calls) > 1:
                 return table
             values = tuple(tuple(v + 1e-9 for v in row) for row in table.values)
-            return MeasurementTable(values, table.payoffs)
+            return table_of(values, table.payoffs)
 
         monkeypatch.setattr(qblotto.selfcheck, "measurements", drifted)
         self._fails_once(
@@ -794,7 +846,7 @@ class TestVerify:
         def shifted(table):
             rows = [list(row) for row in table.values]
             rows[0][0] += 2e-10
-            return MeasurementTable(tuple(map(tuple, rows)), table.payoffs)
+            return table_of(rows, table.payoffs)
 
         self._patch_evaluate(monkeypatch, shifted, golden=True)
         self._fails_once(
@@ -806,7 +858,7 @@ class TestVerify:
     def test_wrong_golden_quantum_payoffs_fail(self, monkeypatch, capsys):
         self._patch_evaluate(
             monkeypatch,
-            lambda table: MeasurementTable(table.values, (1, -1, -2)),
+            lambda table: replace(table, payoffs=(1, -1, -2)),
             golden=True,
         )
         self._fails_once(
@@ -836,7 +888,7 @@ class TestVerify:
         # rivals, and so the payoffs, as they were
         def shifted(table):
             values = tuple(tuple(v + 1e-9 for v in row) for row in table.values)
-            return MeasurementTable(values, table.payoffs)
+            return table_of(values, table.payoffs)
 
         self._patch_evaluate(monkeypatch, shifted, golden=False)
         self._fails_once(
@@ -873,6 +925,24 @@ class TestVerify:
             assert draw(random.Random(5)) == draw(random.Random(5))
         run = qblotto.selfcheck.run_verification
         assert run() == run()
+
+    def test_draws_are_pinned(self):
+        # Counts, gammas, phases and orders are uniform draws and sampled
+        # indices, pinned bit for bit. Allocations pass through
+        # ``expovariate``'s libm ``log``, and each budget is its row's float
+        # sum, so both are pinned within 1e-12.
+        drawn = verify_draws()
+        pinned = json.loads(VERIFY_DRAWS.read_text(encoding="utf-8"))
+        assert drawn["orders"] == pinned["orders"] and len(drawn["orders"]) == 100
+        assert len(drawn["scenarios"]) == len(pinned["scenarios"]) == 123
+        for got, want in zip(drawn["scenarios"], pinned["scenarios"]):
+            assert got["battlefields"] == want["battlefields"]
+            assert got["gamma"].hex() == want["gamma"].hex()
+            assert hex_cells(got["phases"]) == hex_cells(want["phases"])
+            for key in ("totals", "allocations"):
+                assert np.shape(got[key]) == np.shape(want[key])
+                assert np.max(np.abs(np.subtract(got[key], want[key]))) <= 1e-12
+            assert got["totals"] == [sum(row) for row in got["allocations"]]
 
     def test_does_not_load_numpy_random(self):
         # numpy 1.x imports numpy.random with numpy itself; from 2.0 it
@@ -918,7 +988,7 @@ class TestOracle:
     def test_differing_payoffs_fail(self, monkeypatch, capsys):
         def other_payoffs(scenario):
             table = evaluate(scenario)
-            return MeasurementTable(table.values, (1, 0, -2))
+            return replace(table, payoffs=(1, 0, -2))
 
         # oracle's comparison is verify's, so its evaluate is patched
         monkeypatch.setattr(qblotto.selfcheck, "evaluate", other_payoffs)

@@ -1152,6 +1152,19 @@ class TestScenarioValidation:
                 dict(totals=(0.0, 0.0, 0.0), allocations=((0.0, 0.0),) * 3),
                 "Blotto's budget must be positive, got 0.0",
             ),
+            # Two faults at once: gamma's range is a scalar rule, ahead of
+            # every allocation, and a commitment over Blotto's budget is
+            # found in its sign pass, ahead of its row's sum. Before, the
+            # negative cell and the sum were reported.
+            (
+                dict(gamma=2.0, allocations=((3.0, 3.0), (5.0, -1.0), (0.0, 3.0))),
+                "entanglement parameter 2.0 outside [0, pi/2]",
+            ),
+            (
+                dict(allocations=((7.0, 0.0), (3.0, 1.0), (0.0, 3.0))),
+                "troop commitment 7.0 exceeds Blotto's budget 6.0; "
+                "no valid allocation can reach this",
+            ),
         ],
     )
     def test_build_raises_the_first_broken_rule(self, changes, message):

@@ -264,7 +264,7 @@ def test_derived_rival_best_survives_round_trips():
     # halving every strength halves every rival best: none is kept stale
     halved = tuple(tuple(v / 2 for v in row) for row in table.values)
     expected = tuple(tuple(v / 2 for v in row) for row in table.rival_best)
-    assert replace(table, values=halved).rival_best == expected
+    assert table_of(halved, table.payoffs).rival_best == expected
 
 
 def test_default_names_are_shared():
@@ -300,6 +300,11 @@ def test_refused_size_keeps_no_defaults():
 def packed(*rows) -> bytes:
     """Rows of floats as a scenario stores them: row-major float64 bytes."""
     return array("d", [x for row in rows for x in row]).tobytes()
+
+
+def table_of(values, payoffs) -> MeasurementTable:
+    """A table of the strength grid ``values``, packed as a table holds it."""
+    return MeasurementTable(payoffs=payoffs, strength_bytes=packed(*values))
 
 
 @pytest.mark.parametrize(
@@ -475,9 +480,8 @@ def test_packed_table_reads_back_the_measured_grid(build, monkeypatch):
     assert table.rival_best == rival_best(grid)
     assert table.payoffs == _payoff_vector(grid, scenario.eps)
     assert repr(table) == f"MeasurementTable(values={grid!r}, payoffs={table.payoffs!r})"
-    assert MeasurementTable(grid, table.payoffs) == table
-    assert MeasurementTable(values=grid, payoffs=table.payoffs) == table
-    assert hash(MeasurementTable(grid, table.payoffs)) == hash(table)
+    assert table_of(grid, table.payoffs) == table
+    assert hash(table_of(grid, table.payoffs)) == hash(table)
 
 
 def test_table_needs_its_payoffs():
@@ -485,33 +489,28 @@ def test_table_needs_its_payoffs():
         MeasurementTable()
 
 
-def test_table_grid_needs_its_payoffs():
-    with pytest.raises(TypeError, match="payoffs"):
-        MeasurementTable(values=((0.1, 0.2), (0.3, 0.4)))
-
-
-def test_table_refuses_a_row_count_off_its_payoffs():
-    # one payoff for two rows read back as one row of four before
-    with pytest.raises(DimensionError, match="strength rows: expected dims 1, got 2"):
-        MeasurementTable(((0.1, 0.2), (0.3, 0.4)), (1,))
-
-
-def test_table_refuses_rows_of_two_lengths():
-    with pytest.raises(DimensionError, match="strength row 2: expected dims 2, got 3"):
-        MeasurementTable(((0.1, 0.2), (0.3, 0.4, 0.5)), (1, -1))
+def test_table_is_built_from_its_fields_by_keyword_only():
+    # a grid, positional or by keyword, was packed in place of the bytes before
+    table = evaluate(worked_scenario())
+    with pytest.raises(TypeError, match="positional"):
+        MeasurementTable(table.values, table.payoffs)
+    with pytest.raises(TypeError, match="values"):
+        MeasurementTable(values=table.values, payoffs=table.payoffs)
+    with pytest.raises(TypeError, match="values"):
+        replace(table, values=table.values)
 
 
 def test_table_refuses_no_rows():
     # constructed, and its values raised ZeroDivisionError before
     with pytest.raises(DimensionError) as raised:
-        MeasurementTable((), ())
+        MeasurementTable(payoffs=(), strength_bytes=b"")
     assert str(raised.value) == "strength rows: expected dims 1 or more, got 0"
 
 
 def test_table_refuses_rows_of_no_strengths():
     # constructed, and its values read back () before
     with pytest.raises(DimensionError) as raised:
-        MeasurementTable(((),), (0,))
+        MeasurementTable(payoffs=(0,), strength_bytes=b"")
     expected = "strength bytes: expected dims a positive multiple of 8, got 0"
     assert str(raised.value) == expected
 
@@ -524,6 +523,37 @@ def test_table_refuses_bytes_off_its_rows(size):
         MeasurementTable(payoffs=(1, -1), strength_bytes=bytes(size))
     expected = f"strength bytes: expected dims a positive multiple of 16, got {size}"
     assert str(raised.value) == expected
+
+
+# Packed data in a type other than bytes. Before, a bytearray field built,
+# could be written after the build (a -100.0 allocation then scored with
+# no error) and left the value unhashable; a memoryview was kept as given;
+# a str raised a bare TypeError, or built a table.
+NOT_BYTES = {
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    "str": lambda data: data.decode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_BYTES)
+@pytest.mark.parametrize("name", ["total_bytes", "allocation_bytes", "phase_bytes"])
+def test_scenario_byte_fields_must_be_bytes(name, kind):
+    s = worked_scenario()
+    given = NOT_BYTES[kind](getattr(s, name))
+    what = name.replace("_", " ")
+    with pytest.raises(ValidationError) as raised:
+        replace(s, **{name: given})
+    assert str(raised.value) == f"{what} must be bytes, got {kind}"
+
+
+@pytest.mark.parametrize("kind", NOT_BYTES)
+def test_table_strength_bytes_must_be_bytes(kind):
+    table = evaluate(worked_scenario())
+    given = NOT_BYTES[kind](table.strength_bytes)
+    with pytest.raises(ValidationError) as raised:
+        replace(table, strength_bytes=given)
+    assert str(raised.value) == f"strength bytes must be bytes, got {kind}"
 
 
 @pytest.mark.parametrize("build", [worked_scenario, seeded_scenario])

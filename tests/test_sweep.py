@@ -16,6 +16,7 @@ import pytest
 import qblotto.engine
 import qblotto.sweep
 from qblotto import (
+    DimensionError,
     NumericalIntegrityError,
     Scenario,
     SweepResult,
@@ -38,6 +39,7 @@ from qblotto.sweep import (
     _phase_axis_strengths,
 )
 from reference import branch_strengths, check_phase_insensitivity
+from test_held_results import NOT_BYTES
 
 HALF_PI = math.pi / 2
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -296,10 +298,49 @@ class TestPackedSweepResult:
         assert fewer.points == result.points
         packing = SweepResult(result.spec, result.transitions, points=result.points)
         assert packing == result
-        assert replace(result, points=result.points[:-1]) != result
+        with pytest.raises(DimensionError, match="payoff bytes"):
+            replace(result, points=result.points[:-1])  # built a shorter record before
         # a point's value is not packed: the record's values are the spec's
         off_grid = replace(result.points[0], value=99.0)
         assert replace(result, points=(off_grid,) + result.points[1:]) == result
+
+    # Byte counts off a 5-step sweep's 3 x 5 payoffs (120 B) and 6 x 5
+    # strengths (240 B): the field, the bytes cut (< 0) or added, the message.
+    OFF_SPEC = {
+        # 4 points were read back before
+        "point-short": ("payoff_bytes", -24, "payoff bytes: expected dims 120, got 96"),
+        # ``points`` raised a bare TypeError before
+        "partial-payoff": ("payoff_bytes", -3, "payoff bytes: expected dims 120, got 117"),
+        # whole rows, each of four payoffs
+        "wide-rows": ("payoff_bytes", 40, "payoff bytes: expected dims 120, got 160"),
+        "strengths-short": (
+            "strength_bytes", -48, "strength bytes: expected dims 240, got 192"
+        ),
+        "strengths-long": (
+            "strength_bytes", 8, "strength bytes: expected dims 240, got 248"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", OFF_SPEC)
+    def test_bytes_must_fit_the_spec(self, worked_example, case):
+        name, change, message = self.OFF_SPEC[case]
+        result = run_sweep(threshold_sweep_spec(worked_example, steps=5))
+        data = getattr(result, name)
+        data = data[:change] if change < 0 else data + bytes(change)
+        with pytest.raises(DimensionError) as raised:
+            replace(result, **{name: data})
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("kind", NOT_BYTES)
+    @pytest.mark.parametrize("name", ["payoff_bytes", "strength_bytes"])
+    def test_byte_fields_must_be_bytes(self, worked_example, name, kind):
+        # kept as given before
+        result = run_sweep(threshold_sweep_spec(worked_example, steps=5))
+        given = NOT_BYTES[kind](getattr(result, name))
+        with pytest.raises(ValidationError) as raised:
+            replace(result, **{name: given})
+        what = name.replace("_", " ")
+        assert str(raised.value) == f"{what} must be bytes, got {kind}"
 
     def test_record_holds_no_grid_and_72_bytes_per_point(self, worked_example):
         # The parameter values are spec.grid(); only payoffs (3 x 8 B) and
