@@ -97,10 +97,16 @@ def _defaults(num_players: int, num_battlefields: int) -> tuple[tuple, tuple, by
 
 
 def _float_bytes(rows: Iterable[Iterable[float]]) -> bytes:
-    """Rows of floats as row-major float64 bytes, as :func:`_float_rows` reads them."""
+    """Rows of floats as row-major float64 bytes, as :func:`_float_rows` reads them.
+
+    Rows are packed one at a time, so no flat list of every cell is built.
+    """
     from array import array  # an extension module, loaded off the import path
 
-    return array("d", [v for row in rows for v in row]).tobytes()
+    packed = array("d")
+    for row in rows:
+        packed.extend(row)
+    return packed.tobytes()
 
 
 def _float_rows(data: bytes, width: int) -> Iterator[tuple[float, ...]]:
@@ -109,8 +115,8 @@ def _float_rows(data: bytes, width: int) -> Iterator[tuple[float, ...]]:
     return zip(*[cells] * width)  # ``width`` items of ``cells`` at a time
 
 
-def _row_width(data: bytes, rows: int, what: str, width: int = 0) -> int:
-    """The width of ``data`` read as ``rows`` rows of one or more 8-byte cells.
+def _row_width(data: bytes, rows: int, what: str, width: int = 0, cell: int = 8) -> int:
+    """The width of ``data`` read as ``rows`` rows of one or more ``cell``-byte cells.
 
     The one rule every packed field meets. ``data`` must be exactly
     ``bytes``, or :class:`ValidationError` is raised, so a held field can
@@ -122,16 +128,23 @@ def _row_width(data: bytes, rows: int, what: str, width: int = 0) -> int:
         raise ValidationError(f"{what} bytes must be bytes, got {type(data).__name__}")
     if rows < 1:
         raise dimension_error("1 or more", rows, f"{what} rows")
-    found, rest = divmod(len(data), 8 * rows)
+    found, rest = divmod(len(data), cell * rows)
     if rest or not found or width and found != width:
-        expected = 8 * rows * width if width else f"a positive multiple of {8 * rows}"
+        size = cell * rows
+        expected = size * width if width else f"a positive multiple of {size}"
         raise dimension_error(expected, len(data), f"{what} bytes")
     return found
 
 
-def _byte_rows(data: bytes, rows: int, what: str) -> tuple[tuple[float, ...], ...]:
-    """``data`` read back as ``rows`` float64 rows under :func:`_row_width`'s rule."""
-    return tuple(_float_rows(data, _row_width(data, rows, what)))
+def _byte_rows(data: bytes, rows: int, what: str) -> tuple[memoryview, ...]:
+    """``data`` as ``rows`` float64 row views under :func:`_row_width`'s rule.
+
+    A view reads its cells back bit for bit, one float at a time, so a
+    check that walks the rows holds no grid of floats.
+    """
+    width = _row_width(data, rows, what)
+    cells = memoryview(data).cast("d")
+    return tuple(cells[i : i + width] for i in range(0, len(cells), width))
 
 
 @dataclass(frozen=True, slots=True, kw_only=True, repr=False)
@@ -141,20 +154,26 @@ class MeasurementTable:
     ``values[j][k]`` is player j+1's strength on battlefield k+1, in
     [0, 1], and ``payoffs`` the signed scores in [-n, n]. Only the
     payoffs and the strengths are stored, the strengths as row-major
-    float64 bytes, about a third of a tuple grid's size (the layout
-    :class:`qblotto.sweep.SweepResult` packs per grid point).
+    float64 bytes, about a third of a tuple grid's size
+    (:class:`qblotto.sweep.SweepResult` packs the cells its sweep moves
+    the same way, per grid point).
     ``values`` is read back from them bit for bit on each access, and
     ``rival_best``, each cell's best rival strength on its battlefield,
     is derived from ``values``: the floats the payoff rule compares.
     Both fields are given by keyword, ``payoffs=`` and
-    ``strength_bytes=``, and the bytes meet :func:`_row_width`'s rule
-    with one row per payoff.
+    ``strength_bytes=``. The payoffs must be a tuple of exact ``int``s (a
+    bool is not one), or :class:`ValidationError` is raised, and the
+    bytes meet :func:`_row_width`'s rule with one row per payoff.
     """
 
     payoffs: tuple[int, ...]
     strength_bytes: bytes
 
     def __post_init__(self):
+        if not _stored(self.payoffs, int):  # a tuple of exact ints, so no bool
+            raise ValidationError(
+                f"payoffs must be a tuple of ints, got {self.payoffs!r}"
+            )
         _row_width(self.strength_bytes, len(self.payoffs), "strength")
 
     def __repr__(self) -> str:
@@ -201,7 +220,7 @@ class Scenario:
 
     The budgets, allocations and phases are stored as row-major float64
     bytes, ``total_bytes``, ``allocation_bytes`` and ``phase_bytes``,
-    packed after the rules pass; ``totals``, ``allocations`` and
+    packed row by row after the rules pass; ``totals``, ``allocations`` and
     ``phases`` read them back, bit for bit, on each access. The
     constructor's arguments are ``player_names``, ``totals``,
     ``allocations``, ``phases``, ``gamma``, ``sign_pattern`` and ``eps``,
@@ -211,7 +230,8 @@ class Scenario:
     :func:`_row_width`'s rule: a field that is not exactly ``bytes``
     raises :class:`ValidationError`, and a length that is not a whole
     number of rows :class:`qblotto.errors.DimensionError`. Such a field
-    meets every rule again and is kept as the same object, so
+    meets every rule again, each cell checked as it is read from the
+    bytes, and is kept as the same object, so
     ``replace(s, gamma=0.5)`` shares all three with ``s``; names and a
     sign pattern already in stored form (a tuple of ``str``, of ``int``)
     are kept too. Equality and hash compare the stored bits, so a -0.0
@@ -247,9 +267,10 @@ class Scenario:
             )
         if not _stored(names, str):
             names = tuple(map(str, _sequence(names, "player names")))
-        # A grid not given is read from its bytes, one row per stored budget;
-        # its cells are floats, so it meets the number rule as read. A given
-        # one is packed once the rules pass.
+        # A grid not given is read from its bytes, one row view per stored
+        # budget; its cells are floats, so it meets the number rule as read,
+        # and the rules walk them without unpacking the grid. A given one is
+        # packed once the rules pass.
         layout = None if total_bytes is None else len(total_bytes) // 8
         if totals is _UNSET:
             (totals,) = _byte_rows(total_bytes, 1, "total")

@@ -32,7 +32,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, fields
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .classical import _integer, _payoff_terms, _real, _tie_sign
 from .engine import (
@@ -52,7 +52,7 @@ from .engine import (
     reduced_phase,
     strategies_of,
 )
-from .errors import ValidationError
+from .errors import NumericalIntegrityError, ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,9 +70,9 @@ TRANSITION_RESOLUTION = 1e-6
 MAX_SEARCH_FLOATS = 2**18
 
 # Cap on a sweep's grid steps. A sweep packs each grid point's payoffs
-# and strengths as it is evaluated, 72 B at three players on two
-# battlefields and a traced peak near 200 B, so this bounds one near
-# 13 MB. ``qblotto sweep --out`` streams its CSV from
+# and moved strengths as it is evaluated, 27 B at three players on two
+# battlefields for phi and a traced peak under 300 B, so this bounds one
+# near 20 MB. ``qblotto sweep --out`` streams its CSV from
 # ``SweepResult.rows()`` and peaks near the same.
 MAX_SWEEP_STEPS = 2**16
 
@@ -175,53 +175,105 @@ class PayoffTransition:
     above: tuple[int, ...]
 
 
+def _moved_cells(spec: SweepSpec) -> slice:
+    """The cells of a player-major strength grid that ``spec``'s parameter moves.
+
+    Every operator is diagonal in the battlefield register, so a phase or
+    angle on battlefield k moves only that battlefield's column; gamma
+    moves every cell.
+    """
+    if spec.parameter == "gamma":
+        return slice(None)
+    return slice(spec.target_battlefield - 1, None, spec.base.num_battlefields)
+
+
+def _payoff_code(n: int) -> str:
+    """The narrowest signed ``array`` type code that holds every payoff in [-n, n]."""
+    return next(code for code in "bhiq" if n < 2 ** (8 * array(code).itemsize - 1))
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class SweepResult:
     """Grid points and located transitions of one sweep.
 
-    The points are stored packed, as :func:`run_sweep` writes them:
-    payoffs as int64 bytes and strengths as float64 bytes, 72 B per
-    point at three players on two battlefields. That is several times
-    smaller than a tuple of :class:`SweepPoint` objects. Each point's
-    strengths are its table's ``strength_bytes``, appended as they are.
-    The parameter values are not stored: they are ``spec.grid()``, which
-    the sweep evaluated. :meth:`rows` is the one reader of the packing
-    and streams the points; ``points`` builds them from it, bit for bit,
-    on each access. Given ``points``, the constructor packs their
-    payoffs and strengths in place of the two byte fields, so
+    The points are stored packed, as :func:`run_sweep` writes them.
+    ``payoff_bytes`` holds each point's payoffs in the narrowest signed
+    integer that holds +-n, one byte below 128 battlefields.
+    ``strength_bytes`` holds, per point, only the float64 strengths the
+    parameter moves (:func:`_moved_cells`): battlefield k's column of N
+    for phi and lambda, every one of the N n for gamma. ``base_bytes``
+    holds the first point's whole strength grid once, and every point's
+    other cells equal it bit for bit. That is 27 B per point, and 48 B
+    once, at three players on two battlefields for phi, against 72 B per
+    point packed whole. The parameter values are not stored: they are
+    ``spec.grid()``, which the sweep evaluated. :meth:`rows` is the one
+    reader of the packing and streams the points; ``points`` builds them
+    from it, bit for bit, on each access. Given ``points``, the
+    constructor packs them in place of the three byte fields, so
     ``replace(result, points=...)`` also works; their values are the
-    spec's. Both fields meet :func:`~qblotto.engine._row_width`'s rule
-    with one row per grid step: exactly ``spec.steps`` times N int64
-    payoffs and ``spec.steps`` times N n float64 strengths, in ``bytes``.
+    spec's. A payoff outside the storage type, or a point whose unmoved
+    strengths differ from the first point's, raises
+    :class:`ValidationError`. Every field meets
+    :func:`~qblotto.engine._row_width`'s rule: ``spec.steps`` rows of N
+    payoffs and of the moved strengths, and one row of N n strengths
+    whose moved cells are the first point's, in ``bytes``.
     """
 
     spec: SweepSpec
     transitions: tuple[PayoffTransition, ...]
     payoff_bytes: bytes = field(repr=False)
     strength_bytes: bytes = field(repr=False)
+    base_bytes: bytes = field(repr=False)
 
     def __init__(
-        self, spec, transitions, payoff_bytes=b"", strength_bytes=b"",
+        self, spec, transitions, payoff_bytes=b"", strength_bytes=b"", base_bytes=b"",
         *, points: Sequence[SweepPoint] | None = None,
     ):
-        if points is not None:
-            payoff_bytes = array("q", [x for p in points for x in p.payoffs]).tobytes()
-            strength_bytes = _float_bytes(row for p in points for row in p.values)
         players, n = spec.base.num_players, spec.base.num_battlefields
-        _row_width(payoff_bytes, spec.steps, "payoff", players)
-        _row_width(strength_bytes, spec.steps, "strength", players * n)
-        packed = (spec, transitions, payoff_bytes, strength_bytes)
+        code, moved = _payoff_code(n), _moved_cells(spec)
+        size = array(code).itemsize
+        if points is not None:
+            payoffs = [x for p in points for x in p.payoffs]
+            try:
+                payoff_bytes = array(code, payoffs).tobytes()
+            except OverflowError:
+                raise ValidationError(f"a payoff is outside {8 * size}-bit storage") from None
+        _row_width(payoff_bytes, spec.steps, "payoff", players, size)
+        if points is not None:
+            grids = _float_bytes(row for p in points for row in p.values)
+            size = 8 * _row_width(grids, spec.steps, "strength", players * n)
+            strength_bytes, base_bytes = _pack_strengths(
+                spec, (grids[i : i + size] for i in range(0, len(grids), size)),
+                ValidationError,
+            )
+        width = len(range(players * n)[moved])
+        _row_width(strength_bytes, spec.steps, "strength", width)
+        _row_width(base_bytes, 1, "base", players * n)
+        if array("d", base_bytes)[moved].tobytes() != strength_bytes[: 8 * width]:
+            raise ValidationError("base bytes must hold the first point's strengths")
+        packed = (spec, transitions, payoff_bytes, strength_bytes, base_bytes)
         for f, value in zip(fields(self), packed):
             object.__setattr__(self, f.name, value)
 
     def rows(self) -> Iterator[tuple[float, tuple[int, ...], tuple[float, ...]]]:
-        """Each grid point's value, payoffs and player-major strengths, in order."""
-        players = self.spec.base.num_players
-        payoffs = iter(memoryview(self.payoff_bytes).cast("q"))
+        """Each grid point's value, payoffs and player-major strengths, in order.
+
+        A point's strengths are the base grid with its moved cells spliced in.
+        """
+        players, n = self.spec.base.num_players, self.spec.base.num_battlefields
+        payoffs = iter(memoryview(self.payoff_bytes).cast(_payoff_code(n)))
+        moved, first = _moved_cells(self.spec), array("d", self.base_bytes).tolist()
+
+        def spliced(cells: tuple[float, ...]) -> tuple[float, ...]:
+            grid = first.copy()
+            grid[moved] = cells
+            return tuple(grid)
+
+        width = len(self.strength_bytes) // (8 * self.spec.steps)
         return zip(
             memoryview(self.spec.grid()),  # float64, read as Python floats
             zip(*[payoffs] * players),  # ``players`` items at a time
-            _float_rows(self.strength_bytes, players * self.spec.base.num_battlefields),
+            map(spliced, _float_rows(self.strength_bytes, width)),
         )
 
     @property
@@ -232,6 +284,31 @@ class SweepResult:
             SweepPoint(value, payoffs, tuple(zip(*[iter(cells)] * n)))  # n per player
             for value, payoffs, cells in self.rows()
         )
+
+
+def _pack_strengths(
+    spec: SweepSpec, grids: Iterable[bytes], error: type[Exception]
+) -> tuple[bytes, bytes]:
+    """Each float64 strength grid's moved cells, packed in order, and the first grid.
+
+    Each grid is packed as it comes. Its cells that ``spec`` does not
+    move must equal the first grid's bit for bit, or ``error`` is raised
+    naming the grid point.
+    """
+    moved = _moved_cells(spec)
+    strengths, base = array("d"), b""
+    for i, grid in enumerate(grids):
+        cells = array("d", grid)
+        strengths.extend(cells[moved])
+        if not base:
+            base, fixed = grid, cells[moved]
+        cells[moved] = fixed
+        if cells.tobytes() != base:
+            raise error(
+                f"grid point {i + 1}, {spec.parameter} = {float(spec.grid()[i])!r}, "
+                f"moved a strength its sweep holds fixed"
+            )
+    return strengths.tobytes(), base
 
 
 def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
@@ -262,26 +339,30 @@ def _evaluator(spec: SweepSpec) -> Callable[[float], MeasurementTable]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep grid and localize every payoff transition.
 
-    Each grid value is evaluated and packed once, and a cell whose end
-    payoffs differ is bisected as soon as both are known, so no table is
-    held. Repeat runs are bit-identical.
+    Each grid value is evaluated and packed once (:func:`_pack_strengths`),
+    and a cell whose end payoffs differ is bisected as soon as both are
+    known, so no table is held. A point whose strengths off the moved
+    cells differ from the first point's by a bit raises
+    :class:`NumericalIntegrityError`. Repeat runs are bit-identical.
     """
     evaluate_at = _evaluator(spec)
-    payoffs, strengths = array("q"), array("d")
+    payoffs = array(_payoff_code(spec.base.num_battlefields))
     transitions: list[PayoffTransition] = []
-    lo = below = None
-    for value in map(float, spec.grid()):
-        table = evaluate_at(value)
-        if below is not None and table.payoffs != below:
-            transitions.extend(
-                _bisect_transitions(evaluate_at, lo, value, below, table.payoffs)
-            )
-        lo, below = value, table.payoffs
-        payoffs.extend(below)
-        strengths.frombytes(table.strength_bytes)
-    return SweepResult(
-        spec, tuple(transitions), payoffs.tobytes(), strengths.tobytes()
-    )
+
+    def grids() -> Iterator[bytes]:
+        lo = below = None
+        for value in map(float, spec.grid()):
+            table = evaluate_at(value)
+            if below is not None and table.payoffs != below:
+                transitions.extend(
+                    _bisect_transitions(evaluate_at, lo, value, below, table.payoffs)
+                )
+            lo, below = value, table.payoffs
+            payoffs.extend(below)
+            yield table.strength_bytes
+
+    strengths, base = _pack_strengths(spec, grids(), NumericalIntegrityError)
+    return SweepResult(spec, tuple(transitions), payoffs.tobytes(), strengths, base)
 
 
 def _bisect_transitions(

@@ -42,7 +42,7 @@ WORKED = {
 }
 
 # Scenario files written next to the copies of scenarios/*.json; all but
-# the last are invalid, each rejected with exit code 2.
+# the last two are invalid, each rejected with exit code 2.
 INPUTS = {
     # Within eps of Blotto's budget in sum, above it on battlefield 1.
     "over_budget.json": {**WORKED, "allocations": [[6.0000000001, 0], [3, 1], [0, 3]]},
@@ -64,6 +64,15 @@ INPUTS = {
         "phases": [[0, 0], [7.0, 0]],
         "gamma": 0,
         "sign_pattern": [1, 1],
+    },
+    # Valid: five players on three battlefields, one phased cell.
+    "five_players.json": {
+        "players": [{"name": "Blotto", "total": 9}]
+        + [{"name": f"enemy {j}", "total": t} for j, t in enumerate((6, 5, 4, 3), 1)],
+        "battlefields": 3,
+        "allocations": [[3, 3, 3], [2, 3, 1], [1, 1, 3], [2, 1, 1], [0, 2, 1]],
+        "phases": [[0, 0, 0], [0, 0, 0], [0, 1.0, 0], [0, 0, 0], [0, 0, 0]],
+        "gamma": math.pi / 2,
     },
 }
 
@@ -89,6 +98,11 @@ CASES = {
     "sweep-quantum-lambda": [
         "sweep", QUANTUM, "--player", "3", "--battlefield", "1",
         "--param", "lambda", *SWEEP,
+    ],
+    # Enemy 1's phase on battlefield 2 crosses two transitions.
+    "sweep-five-phi": [
+        "sweep", "five_players.json", "--player", "2", "--battlefield", "2",
+        "--param", "phi", *SWEEP,
     ],
     "sweep-quantum-gamma": [
         "sweep", QUANTUM, "--player", "1", "--battlefield", "1",

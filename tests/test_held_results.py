@@ -150,6 +150,75 @@ def held_bytes(count: int = 100) -> tuple[float, float, float]:
     return scenario_bytes, phased_bytes, table_bytes
 
 
+# Bytes that each held 101-step sweep record of the worked example keeps
+# under tracemalloc, over 10 held at once: a phi sweep of enemy 2's phase on
+# battlefield 1, and a gamma sweep with enemy 2's phases at (1.0, 0.3), each
+# crossing two transitions. A record packs one-byte payoffs, the strengths
+# its parameter moves and the first point's grid once. Measured at 3,371 B
+# and 5,859 B (Python 3.11); int64 payoffs with every strength of every
+# point took 7,827 B and 7,891 B. A bench run holds every sweep op's record.
+PHI_RECORD_BYTES = 3_600
+GAMMA_RECORD_BYTES = 6_200
+
+
+def held_sweep_bytes(count: int = 10) -> tuple[float, float]:
+    """Bytes that each of ``count`` held phi and gamma sweep records keeps.
+
+    CI's line-count step prints them beside :func:`held_bytes`.
+    """
+    base = worked_scenario()
+    specs = (
+        SweepSpec(base, 3, 1, "phi", 0.0, math.pi / 2, 101),
+        SweepSpec(
+            replace(base, phases=((0.0, 0.0), (0.0, 0.0), (1.0, 0.3))),
+            1, 1, "gamma", 0.0, math.pi / 2, 101,
+        ),
+    )
+    sizes = []
+    for spec in specs:
+        assert len(run_sweep(spec).transitions) == 2  # warm, and a transition kept
+        held = [None] * count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for i in range(count):
+                held[i] = run_sweep(spec)
+            gc.collect()
+            sizes.append((tracemalloc.get_traced_memory()[0] - start) / count)
+        finally:
+            tracemalloc.stop()
+        assert held[-1] == held[0]
+    return tuple(sizes)
+
+
+def test_held_sweep_records_hold_their_measured_bytes():
+    phi_bytes, gamma_bytes = held_sweep_bytes()
+    assert phi_bytes <= PHI_RECORD_BYTES, phi_bytes
+    assert gamma_bytes <= GAMMA_RECORD_BYTES, gamma_bytes
+
+
+# Peak bytes of the largest zero-phase build, two players on 2^18
+# battlefields, with its defaults built afresh. The rules walk each cell of
+# the shared zero phase bytes as it is read, and the allocations are packed
+# row by row. Measured at 18.0 MB; reading the phases back as 2^19 floats
+# and packing through a flat list peaked at 34.5 MB.
+LARGE_BUILD_PEAK = 24 * 2**20
+
+
+def test_large_build_does_not_unpack_its_byte_fields():
+    allocations = [[2.0**-18] * 2**18] * 2
+    engine._defaults.cache_clear()
+    tracemalloc.start()
+    try:
+        s = Scenario.create([1.0, 1.0], allocations, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.num_battlefields == 2**18 and s.phase_bytes == bytes(8 * 2**19)
+    assert peak <= LARGE_BUILD_PEAK, peak / 2**20
+
+
 def test_built_scenarios_and_tables_hold_their_measured_bytes():
     scenario_bytes, phased_bytes, table_bytes = held_bytes()
     assert scenario_bytes <= SCENARIO_BYTES, scenario_bytes
@@ -498,6 +567,18 @@ def test_table_is_built_from_its_fields_by_keyword_only():
         MeasurementTable(values=table.values, payoffs=table.payoffs)
     with pytest.raises(TypeError, match="values"):
         replace(table, values=table.values)
+
+
+@pytest.mark.parametrize(
+    "payoffs",
+    [[0, 0], (0.5, 0), (0, "x"), (True, 0)],
+    ids=["list", "float", "str", "bool"],
+)
+def test_table_refuses_payoffs_that_are_not_a_tuple_of_ints(payoffs):
+    # built before: a list left the table unhashable
+    with pytest.raises(ValidationError) as raised:
+        MeasurementTable(payoffs=payoffs, strength_bytes=bytes(16))
+    assert str(raised.value) == f"payoffs must be a tuple of ints, got {payoffs!r}"
 
 
 def test_table_refuses_no_rows():

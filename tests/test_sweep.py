@@ -273,13 +273,16 @@ class TestPackedSweepResult:
         base = replace(worked_example, phases=((0.0, 0.3), (0.2, 0.0), (1.0, 0.5)))
         result = run_sweep(SweepSpec(base, 2, 2, "lambda", 0.0, HALF_PI, 13))
         grid = result.spec.grid()
-        payoffs = array("q", result.payoff_bytes)
-        strengths = array("d", result.strength_bytes)
+        payoffs = array("b", result.payoff_bytes)  # one byte each, n below 128
+        moved = array("d", result.strength_bytes)  # battlefield 2's column, 3 per point
+        first = array("d", result.base_bytes).tolist()
         rows = list(result.rows())
         assert len(rows) == len(grid) == 13
         for i, (value, point_payoffs, cells) in enumerate(rows):
+            expected = list(first)
+            expected[1::2] = moved[3 * i : 3 * i + 3]
             assert _point_bits(value, point_payoffs, [cells]) == _point_bits(
-                grid[i], payoffs[3 * i : 3 * i + 3], [strengths[6 * i : 6 * i + 6]]
+                grid[i], payoffs[3 * i : 3 * i + 3], [expected]
             )
             assert all(type(p) is int for p in point_payoffs)
             assert type(cells) is tuple and type(point_payoffs) is tuple
@@ -289,7 +292,7 @@ class TestPackedSweepResult:
 
     def test_round_trip_and_equality(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example, steps=11))
-        packed = (result.payoff_bytes, result.strength_bytes)
+        packed = (result.payoff_bytes, result.strength_bytes, result.base_bytes)
         again = SweepResult(result.spec, result.transitions, *packed)
         assert again == result
         assert again.points == result.points
@@ -304,21 +307,55 @@ class TestPackedSweepResult:
         off_grid = replace(result.points[0], value=99.0)
         assert replace(result, points=(off_grid,) + result.points[1:]) == result
 
-    # Byte counts off a 5-step sweep's 3 x 5 payoffs (120 B) and 6 x 5
-    # strengths (240 B): the field, the bytes cut (< 0) or added, the message.
+    def test_points_keep_payoffs_the_storage_holds(self, worked_example):
+        # the storage type bounds a payoff, not n: a shift past +-n builds
+        result = run_sweep(threshold_sweep_spec(worked_example, steps=5))
+        for shift, builds in ((5, True), (-120, True), (200, False), (-200, False)):
+            moved = [replace(p, payoffs=tuple(x + shift for x in p.payoffs))
+                     for p in result.points]
+            if builds:
+                rebuilt = replace(result, points=moved)
+                assert [p.payoffs for p in rebuilt.points] == [p.payoffs for p in moved]
+            else:
+                with pytest.raises(ValidationError, match="8-bit storage"):
+                    replace(result, points=moved)
+
+    def test_points_that_move_a_held_cell_are_refused(self, worked_example):
+        # a phi sweep of battlefield 1 holds battlefield 2's strengths fixed
+        result = run_sweep(threshold_sweep_spec(worked_example, steps=5))
+        points = list(result.points)
+        values = [list(row) for row in points[3].values]
+        values[0][1] = math.nextafter(values[0][1], 1.0)
+        points[3] = replace(points[3], values=tuple(map(tuple, values)))
+        with pytest.raises(ValidationError, match="^grid point 4, phi = "):
+            replace(result, points=points)
+
+    def test_base_must_hold_the_first_points_moved_cells(self, worked_example):
+        result = run_sweep(threshold_sweep_spec(worked_example, steps=5))
+        cells = array("d", result.base_bytes)
+        cells[2] = math.nextafter(cells[2], 1.0)  # player 2, battlefield 1: moved
+        with pytest.raises(ValidationError, match="first point's strengths"):
+            replace(result, base_bytes=cells.tobytes())
+        cells = array("d", result.base_bytes)
+        cells[3] = math.nextafter(cells[3], 1.0)  # player 2, battlefield 2: held
+        assert replace(result, base_bytes=cells.tobytes()).points[0] != result.points[0]
+
+    # Byte counts off a 5-step phi sweep's 3 x 5 one-byte payoffs (15 B), its
+    # moved column of 3 x 5 strengths (120 B) and its 6-strength base (48 B):
+    # the field, the bytes cut (< 0) or added, the message.
     OFF_SPEC = {
-        # 4 points were read back before
-        "point-short": ("payoff_bytes", -24, "payoff bytes: expected dims 120, got 96"),
-        # ``points`` raised a bare TypeError before
-        "partial-payoff": ("payoff_bytes", -3, "payoff bytes: expected dims 120, got 117"),
+        "point-short": ("payoff_bytes", -3, "payoff bytes: expected dims 15, got 12"),
+        "partial-payoff": ("payoff_bytes", -1, "payoff bytes: expected dims 15, got 14"),
         # whole rows, each of four payoffs
-        "wide-rows": ("payoff_bytes", 40, "payoff bytes: expected dims 120, got 160"),
+        "wide-rows": ("payoff_bytes", 5, "payoff bytes: expected dims 15, got 20"),
         "strengths-short": (
-            "strength_bytes", -48, "strength bytes: expected dims 240, got 192"
+            "strength_bytes", -24, "strength bytes: expected dims 120, got 96"
         ),
         "strengths-long": (
-            "strength_bytes", 8, "strength bytes: expected dims 240, got 248"
+            "strength_bytes", 8, "strength bytes: expected dims 120, got 128"
         ),
+        "base-short": ("base_bytes", -8, "base bytes: expected dims 48, got 40"),
+        "base-long": ("base_bytes", 48, "base bytes: expected dims 48, got 96"),
     }
 
     @pytest.mark.parametrize("case", OFF_SPEC)
@@ -332,7 +369,7 @@ class TestPackedSweepResult:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("kind", NOT_BYTES)
-    @pytest.mark.parametrize("name", ["payoff_bytes", "strength_bytes"])
+    @pytest.mark.parametrize("name", ["payoff_bytes", "strength_bytes", "base_bytes"])
     def test_byte_fields_must_be_bytes(self, worked_example, name, kind):
         # kept as given before
         result = run_sweep(threshold_sweep_spec(worked_example, steps=5))
@@ -342,14 +379,33 @@ class TestPackedSweepResult:
         what = name.replace("_", " ")
         assert str(raised.value) == f"{what} must be bytes, got {kind}"
 
-    def test_record_holds_no_grid_and_72_bytes_per_point(self, worked_example):
-        # The parameter values are spec.grid(); only payoffs (3 x 8 B) and
-        # strengths (6 x 8 B) are packed at three players on two battlefields.
-        result = run_sweep(threshold_sweep_spec(worked_example))
+    @pytest.mark.parametrize(
+        "parameter, moved", [("phi", 24), ("lambda", 24), ("gamma", 48)]
+    )
+    def test_record_holds_moved_strengths_and_narrow_payoffs(
+        self, worked_example, parameter, moved
+    ):
+        # The parameter values are spec.grid(). At three players on two
+        # battlefields a point packs 3 one-byte payoffs and its moved
+        # strengths: battlefield 1's 3 for phi and lambda, all 6 for gamma
+        # (72 B per point when strengths and int64 payoffs were packed
+        # whole). The first point's 6 strengths are packed once.
+        spec = SweepSpec(worked_example, 2, 1, parameter, 0.0, HALF_PI, 101)
+        result = run_sweep(spec)
         names = [f.name for f in dataclasses.fields(SweepResult)]
-        assert names == ["spec", "transitions", "payoff_bytes", "strength_bytes"]
-        packed = len(result.payoff_bytes) + len(result.strength_bytes)
-        assert packed == 72 * 101
+        assert names == [
+            "spec", "transitions", "payoff_bytes", "strength_bytes", "base_bytes"
+        ]
+        assert len(result.payoff_bytes) == 3 * 101
+        assert len(result.strength_bytes) == moved * 101
+        first = array("d", sum(result.points[0].values, ()))
+        assert result.base_bytes == first.tobytes()
+
+    def test_payoffs_take_the_narrowest_integer(self):
+        # one byte below 128 battlefields, two below 32768, four above
+        widths = {n: array(qblotto.sweep._payoff_code(n)).itemsize
+                  for n in (1, 127, 128, 32767, 32768, 2**18)}
+        assert widths == {1: 1, 127: 1, 128: 2, 32767: 2, 32768: 4, 2**18: 4}
 
     def test_packed_result_is_much_smaller_than_points(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example))
@@ -360,7 +416,10 @@ class TestPackedSweepResult:
             unpacked = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        packed = (result.spec.grid(), result.payoff_bytes, result.strength_bytes)
+        packed = (
+            result.spec.grid(), result.payoff_bytes, result.strength_bytes,
+            result.base_bytes,
+        )
         packed_size = sum(map(sys.getsizeof, packed))
         assert len(points) == 101
         assert packed_size * 3 < unpacked, (packed_size, unpacked)
@@ -382,8 +441,8 @@ class TestPackedSweepResult:
 def two_pass_sweep(spec):
     """Reference sweep: evaluate every grid value, then bisect changing cells.
 
-    Returns the transitions, the grid values, and the payoffs and strengths
-    packed as ``SweepResult`` holds them.
+    Returns the transitions and each grid point's value, payoffs and
+    player-major strengths, the floats as ``float.hex`` text.
     """
     evaluate_at = qblotto.sweep._evaluator(spec)
     values = [float(v) for v in spec.grid()]
@@ -395,14 +454,8 @@ def two_pass_sweep(spec):
             transitions += qblotto.sweep._bisect_transitions(
                 evaluate_at, values[i], values[i + 1], below, above
             )
-    payoffs = [p for t in tables for p in t.payoffs]
-    strengths = [v for t in tables for row in t.values for v in row]
-    return (
-        transitions,
-        values,
-        array("q", payoffs).tobytes(),
-        array("d", strengths).tobytes(),
-    )
+    rows = [_point_bits(v, t.payoffs, t.values) for v, t in zip(values, tables)]
+    return transitions, rows
 
 
 def random_sweep_spec(rng, max_steps=33):
@@ -431,15 +484,64 @@ def test_one_pass_sweep_matches_two_pass_reference():
     for _ in range(300):
         spec = random_sweep_spec(rng)
         result = run_sweep(spec)
-        transitions, values, *packed = two_pass_sweep(spec)
-        assert [value.hex() for value, _, _ in result.rows()] == [
-            value.hex() for value in values
-        ], spec
-        assert [result.payoff_bytes, result.strength_bytes] == packed, spec
+        transitions, rows = two_pass_sweep(spec)
+        decoded = [_point_bits(v, p, [cells]) for v, p, cells in result.rows()]
+        assert decoded == rows, spec
         bits = [(t.boundary.hex(), t.below, t.above) for t in result.transitions]
         assert bits == [(t.boundary.hex(), t.below, t.above) for t in transitions]
         changing += bool(transitions)
     assert changing >= 75, changing  # a quarter of the sweeps bisect
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_sweeps_hold_every_unmoved_strength_bit_for_bit(eps):
+    # Every operator is diagonal in the battlefield register, so moving a
+    # phase or angle on battlefield k leaves every other battlefield's
+    # strengths as they were, bit for bit, at every grid point.
+    rng = random.Random(41 if eps else 42)
+    points = 0
+    for _ in range(60):
+        num_players, n = rng.randint(2, 5), rng.randint(1, 4)
+        gamma = rng.uniform(0.1, HALF_PI) if num_players % 2 else 0.0
+        base = random_grid_scenario(rng, num_players, n, gamma)
+        # at eps 0 each budget is its row's float sum, which the build compares
+        base = replace(base, totals=tuple(map(sum, base.allocations)), eps=eps)
+        parameter = rng.choice(("phi", "lambda"))
+        lo, hi = sorted(rng.uniform(0.0, HALF_PI) for _ in range(2))
+        player, k = rng.randint(1, num_players), rng.randint(1, n)
+        spec = SweepSpec(base, player, k, parameter, lo, hi, rng.randint(2, 101))
+        evaluate_at = qblotto.sweep._evaluator(spec)
+        held = [i for i in range(num_players * n) if i % n != k - 1]
+        first = None
+        for value in map(float, spec.grid()):
+            cells = array("d", evaluate_at(value).strength_bytes)
+            bits = [cells[i].hex() for i in held]
+            first = first or bits
+            assert bits == first, (spec, value)
+            points += 1
+    assert points > 2500, points
+
+
+def test_a_moved_held_strength_raises(monkeypatch, worked_example):
+    # a phi sweep of battlefield 1 whose third evaluation moves player 1's
+    # strength on battlefield 2 by one ulp
+    calls = []
+
+    def nudged(base, angles, phases, gamma):
+        table = evaluate_strategies(base, angles, phases, gamma)
+        calls.append(table)
+        if len(calls) == 3:
+            cells = array("d", table.strength_bytes)
+            cells[1] = math.nextafter(cells[1], 1.0)
+            return replace(table, strength_bytes=cells.tobytes())
+        return table
+
+    monkeypatch.setattr(qblotto.sweep, "evaluate_strategies", nudged)
+    with pytest.raises(NumericalIntegrityError) as raised:
+        run_sweep(threshold_sweep_spec(worked_example, steps=5))
+    assert str(raised.value) == (
+        f"grid point 3, phi = {math.pi / 4!r}, moved a strength its sweep holds fixed"
+    )
 
 
 def points_sweep_csv(result):
