@@ -188,8 +188,12 @@ def _moved_cells(spec: SweepSpec) -> slice:
 
 
 def _payoff_code(n: int) -> str:
-    """The narrowest signed ``array`` type code that holds every payoff in [-n, n]."""
-    return next(code for code in "bhiq" if n < 2 ** (8 * array(code).itemsize - 1))
+    """The signed ``array`` type code a sweep stores its payoffs in [-n, n] as.
+
+    One byte below 128 battlefields, two above: a sweep evaluates only
+    ``2^N n <= MAX_DENSE_DIM`` with N >= 2, so n is at most 1024.
+    """
+    return "b" if n < 128 else "h"
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -197,8 +201,8 @@ class SweepResult:
     """Grid points and located transitions of one sweep.
 
     The points are stored packed, as :func:`run_sweep` writes them.
-    ``payoff_bytes`` holds each point's payoffs in the narrowest signed
-    integer that holds +-n, one byte below 128 battlefields.
+    ``payoff_bytes`` holds each point's payoffs as signed integers of
+    one byte below 128 battlefields and two above (:func:`_payoff_code`).
     ``strength_bytes`` holds, per point, only the float64 strengths the
     parameter moves (:func:`_moved_cells`): battlefield k's column of N
     for phi and lambda, every one of the N n for gamma. ``base_bytes``

@@ -402,10 +402,11 @@ class TestPackedSweepResult:
         assert result.base_bytes == first.tobytes()
 
     def test_payoffs_take_the_narrowest_integer(self):
-        # one byte below 128 battlefields, two below 32768, four above
+        # one byte below 128 battlefields, two above: no evaluated sweep
+        # has more than 1024 (2^N n <= MAX_DENSE_DIM at N >= 2)
         widths = {n: array(qblotto.sweep._payoff_code(n)).itemsize
-                  for n in (1, 127, 128, 32767, 32768, 2**18)}
-        assert widths == {1: 1, 127: 1, 128: 2, 32767: 2, 32768: 4, 2**18: 4}
+                  for n in (1, 127, 128, 1024)}
+        assert widths == {1: 1, 127: 1, 128: 2, 1024: 2}
 
     def test_packed_result_is_much_smaller_than_points(self, worked_example):
         result = run_sweep(threshold_sweep_spec(worked_example))
